@@ -8,9 +8,10 @@ PageRank, and the incremental tracker.
 
 import pytest
 
-from repro.core import BM2Shedder, CRRShedder, DegreeTracker
+from repro.core import BM2Shedder, CRRShedder
 from repro.core.discrepancy import round_half_up
-from repro.graph import edge_betweenness, greedy_b_matching, pagerank, powerlaw_cluster
+from repro.graph import edge_betweenness, pagerank, powerlaw_cluster
+from tests.oracles.core import DegreeTracker, greedy_b_matching
 
 
 @pytest.fixture(scope="module")

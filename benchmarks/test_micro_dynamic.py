@@ -107,7 +107,7 @@ def _run_incremental(graph, ops):
 def _run_rebuild_baseline(graph, ops):
     """Apply ops to a plain copy; full BM2 every REBUILD_EVERY ops."""
     live = graph.copy()
-    shedder = BM2Shedder(engine="array")
+    shedder = BM2Shedder()
     reduced = None
     rebuilds = 0
     start = time.perf_counter()

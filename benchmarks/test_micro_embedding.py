@@ -2,8 +2,8 @@
 
 This is the PR's acceptance measurement: on the seeded 2k-node/10k-edge
 Erdos-Renyi graph (the same harness ``test_micro_shedding`` uses), the
-``engine="batched"`` walk generator must beat the legacy per-step scalar
-walker by at least 5x (uniform and biased configurations) and the
+batched walk generator must beat the legacy per-step scalar walker
+(``tests/oracles``) by at least 5x (uniform and biased configurations) and the
 mini-batched SGNS trainer must beat the legacy per-center loop by at
 least 3x on the same walk corpus.  The numbers are archived as
 BenchReports and written to ``BENCH_PR5.json`` at the repository root.
@@ -30,7 +30,7 @@ import pytest
 
 from repro.bench.harness import BenchReport
 from repro.embedding import generate_walk_matrix, train_skipgram
-from repro.embedding.walks import _legacy_generate_walks
+from tests.oracles.embedding import _legacy_generate_walks, legacy_train_skipgram
 from repro.graph import erdos_renyi
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -171,7 +171,7 @@ def test_sgns_engine_speedup(benchmark, accept_graph, archive_report):
     kwargs = dict(num_nodes=num_nodes, dimensions=32, window=5, negatives=5, epochs=1)
 
     def run_batched():
-        return train_skipgram(matrix, seed=1, engine="batched", **kwargs)
+        return train_skipgram(matrix, seed=1, **kwargs)
 
     embeddings = benchmark.pedantic(
         run_batched, rounds=ARRAY_ROUNDS, iterations=1, warmup_rounds=0
@@ -179,7 +179,7 @@ def test_sgns_engine_speedup(benchmark, accept_graph, archive_report):
     batched_seconds = benchmark.stats.stats.min
 
     start = time.perf_counter()
-    legacy_embeddings = train_skipgram(matrix, seed=1, engine="legacy", **kwargs)
+    legacy_embeddings = legacy_train_skipgram(matrix, seed=1, **kwargs)
     legacy_seconds = time.perf_counter() - start
 
     assert embeddings.shape == legacy_embeddings.shape == (num_nodes, 32)

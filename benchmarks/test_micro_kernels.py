@@ -31,7 +31,7 @@ from repro.graph import (
     node_betweenness,
     top_edges_by_betweenness,
 )
-from repro.graph.centrality import (
+from tests.oracles.graph import (
     _legacy_edge_betweenness,
     _legacy_node_betweenness,
     _legacy_top_edges_by_betweenness,

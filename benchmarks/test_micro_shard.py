@@ -3,7 +3,7 @@
 This is PR 6's acceptance measurement.  On a seeded 10k-node modular
 graph (4 planted blocks, ids block-contiguous so the ``contiguous``
 partition recovers the blocks at zero cost), ``ShardedShedder`` at
-4 shards / 4 workers must beat whole-graph ``CRRShedder(engine="array")``
+4 shards / 4 workers must beat whole-graph ``CRRShedder``
 by at least 2x wall-clock while keeping the reduction honest: the exact
 ``[p·m]`` edge count, ``Δ`` within the documented reconciliation bound,
 and ``Δ`` within 15% of the whole-graph run.  Numbers land in
@@ -161,7 +161,7 @@ def test_sharded_crr_speedup(benchmark, accept_graph, archive_report):
     graph = accept_graph
     cores = _cpu_cores()
     whole_shedder = CRRShedder(
-        seed=ACCEPT_SEED, engine="array", num_betweenness_sources=WHOLE_SOURCES
+        seed=ACCEPT_SEED, num_betweenness_sources=WHOLE_SOURCES
     )
     whole = whole_shedder.reduce(graph, ACCEPT_P)
 

@@ -2,8 +2,9 @@
 
 This is the PR's acceptance measurement: on the seeded 2k-node/10k-edge
 Erdos-Renyi graph (the same one ``test_micro_kernels`` uses), the
-``engine="array"`` paths of CRR and BM2 must reduce at least 3x faster
-than ``engine="legacy"`` while producing the *identical* reduced graph —
+``CRRShedder`` and ``BM2Shedder`` must reduce at least 3x faster than
+their label-space oracles in ``tests/oracles`` while producing the
+*identical* reduced graph —
 same kept-edge set, same accepted-swap count, bit-identical tracker ``Δ``
 (exactly representable at p = 0.5).  The numbers are archived as
 BenchReports and written to ``BENCH_PR2.json`` at the repository root.
@@ -30,6 +31,7 @@ import pytest
 
 from repro.bench.harness import BenchReport
 from repro.core import BM2Shedder, CRRShedder
+from tests.oracles.core import LegacyBM2Shedder, LegacyCRRShedder
 from repro.graph import erdos_renyi
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -91,8 +93,8 @@ def _graph_payload(graph) -> dict:
 
 def test_crr_array_engine_speedup(benchmark, accept_graph, archive_report):
     graph = accept_graph
-    array_shedder = CRRShedder(seed=ACCEPT_SEED, importance="random", engine="array")
-    legacy_shedder = CRRShedder(seed=ACCEPT_SEED, importance="random", engine="legacy")
+    array_shedder = CRRShedder(seed=ACCEPT_SEED, importance="random")
+    legacy_shedder = LegacyCRRShedder(seed=ACCEPT_SEED, importance="random")
 
     elapsed = []
 
@@ -163,8 +165,8 @@ def test_crr_array_engine_speedup(benchmark, accept_graph, archive_report):
 
 def test_bm2_array_engine_speedup(benchmark, accept_graph, archive_report):
     graph = accept_graph
-    array_shedder = BM2Shedder(seed=ACCEPT_SEED, engine="array")
-    legacy_shedder = BM2Shedder(seed=ACCEPT_SEED, engine="legacy")
+    array_shedder = BM2Shedder(seed=ACCEPT_SEED)
+    legacy_shedder = LegacyBM2Shedder(seed=ACCEPT_SEED)
 
     elapsed = []
 

@@ -24,7 +24,6 @@ from repro.core import (
     CoreShedder,
     CRRShedder,
     DegreeProportionalShedder,
-    DegreeTracker,
     EdgeShedder,
     JaccardShedder,
     LocalDegreeShedder,
@@ -93,7 +92,6 @@ __all__ = [
     "GraphStats",
     "graph_stats",
     "estimation_report",
-    "DegreeTracker",
     "compute_delta",
     "round_half_up",
     "crr_average_delta_bound",

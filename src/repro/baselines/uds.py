@@ -31,42 +31,42 @@ reconstruction as ``reduced`` and the :class:`GraphSummary` itself under
 ``stats["summary"]`` (the top-k task uses the summary-native PageRank the
 paper mentions).
 
-Engines.  ``engine="array"`` (default) computes the edge utilities with the
-CSR Brandes kernel and runs the merge loop over integer node ids: pair
-state is keyed by packed int pairs instead of frozensets, supernode sizes
-live in a numpy array (O(1) lookups instead of copying member sets on
-every candidate evaluation), and candidates are scanned in sorted id
-order.  ``engine="legacy"`` is the original dict/frozenset implementation,
-kept as the oracle the array engine's tests compare against.  The two
-engines visit candidates in different orders and accumulate float losses
-in different orders, so — unlike CRR/BM2 — they are *statistically*
-equivalent rather than bit-identical: both respect the utility budget, and
-the tests pin their merge counts and utilities against each other within
-tolerances.
+Representation.  Edge utilities come from the CSR Brandes kernel, and the
+merge loop runs over integer node ids: pair state is keyed by packed int
+pairs, supernode sizes live in a numpy array (O(1) lookups instead of
+copying member sets on every candidate evaluation), and candidates are
+scanned in sorted id order.  A label-keyed frozenset implementation
+visits candidates in a different order and accumulates float losses in a
+different order, so the two agree statistically (both respect the utility
+budget, with comparable merge counts and utilities) rather than bit for
+bit; the tests pin that agreement.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.baselines.summary import GraphSummary
 from repro.core.base import EdgeShedder
-from repro.graph.centrality import edge_betweenness
 from repro.graph.csr import CSRAdjacency
-from repro.graph.graph import Graph, Node
+from repro.graph.graph import Graph
 from repro.graph.kernels import brandes_accumulate
 from repro.graph.sampling import select_source_ids
 from repro.rng import RandomState, ensure_rng
 
 __all__ = ["UDSSummarizer"]
 
-PairKey = FrozenSet[Node]
-
 
 class _PairState:
     """Loss bookkeeping over supernode pairs that contain real edges.
+
+    Supernodes are CSR node ids, a pair of representatives ``a <= b`` is
+    the packed int ``a * n + b`` (the singleton/internal pair of ``a`` is
+    ``a * n + a``, which cannot collide with any two-rep key), and
+    supernode sizes live in ``self.sizes`` so candidate evaluation never
+    copies a member set.
 
     ``rule`` selects how a supernode pair decides whether its superedge is
     kept:
@@ -78,177 +78,6 @@ class _PairState:
     * ``"cheaper"``: keep whichever side costs less,
       ``loss = min(spurious·π, Σu)`` — an optimistic variant that retains
       more structure per unit of utility.
-    """
-
-    def __init__(
-        self,
-        summary: GraphSummary,
-        utilities: Dict[PairKey, float],
-        spurious_penalty: float,
-        rule: str = "majority",
-    ) -> None:
-        if rule not in ("majority", "cheaper"):
-            raise ValueError(f"rule must be 'majority' or 'cheaper', got {rule!r}")
-        self._summary = summary
-        self._penalty = spurious_penalty
-        self._rule = rule
-        #: pair of representatives (frozenset, singleton for internal) ->
-        #: (total edge utility, edge count)
-        self._weight: Dict[PairKey, float] = {}
-        self._count: Dict[PairKey, int] = {}
-        #: representative -> adjacent representatives (via >=1 real edge)
-        self._adjacent: Dict[Node, Set[Node]] = {}
-        for (u, v), utility in utilities.items():
-            key = frozenset((u, v))
-            self._weight[key] = self._weight.get(key, 0.0) + utility
-            self._count[key] = self._count.get(key, 0) + 1
-            self._adjacent.setdefault(u, set()).add(v)
-            self._adjacent.setdefault(v, set()).add(u)
-        self.total_loss = 0.0  # all pairs are exact at the start
-        #: pair key -> the loss currently counted inside ``total_loss``
-        self._loss_cache: Dict[PairKey, float] = {}
-
-    def adjacent(self, rep: Node) -> Set[Node]:
-        return self._adjacent.get(rep, set())
-
-    def _block_pairs(self, key: PairKey) -> int:
-        reps = tuple(key)
-        if len(reps) == 1:
-            return self._summary.block_pairs(reps[0], reps[0])
-        return self._summary.block_pairs(reps[0], reps[1])
-
-    def _loss_for(self, weight: float, count: int, pairs: int) -> float:
-        """Loss of a pair with ``count`` real edges of total ``weight``."""
-        if weight == 0.0:
-            return 0.0
-        spurious_cost = (pairs - count) * self._penalty
-        if self._rule == "cheaper":
-            return min(spurious_cost, weight)
-        # majority rule: keep the superedge only if the block is dense.
-        if 2 * count >= pairs:
-            return spurious_cost
-        return weight
-
-    def pair_loss(self, key: PairKey) -> float:
-        """Loss the pair currently contributes (0 if it has no real edges)."""
-        weight = self._weight.get(key, 0.0)
-        if weight == 0.0:
-            return 0.0
-        return self._loss_for(weight, self._count[key], self._block_pairs(key))
-
-    def keeps_superedge(self, key: PairKey) -> bool:
-        """Whether this pair's superedge survives into the final summary."""
-        weight = self._weight.get(key, 0.0)
-        if weight == 0.0:
-            return False
-        count = self._count[key]
-        pairs = self._block_pairs(key)
-        if self._rule == "cheaper":
-            return (pairs - count) * self._penalty <= weight
-        return 2 * count >= pairs
-
-    def merge_cost(self, rep_a: Node, rep_b: Node) -> float:
-        """Exact change in total loss if supernodes ``rep_a``/``rep_b`` merge."""
-        neighbors = (self.adjacent(rep_a) | self.adjacent(rep_b)) - {rep_a, rep_b}
-        size_a = len(self._summary.members(rep_a))
-        size_b = len(self._summary.members(rep_b))
-        merged_size = size_a + size_b
-
-        cost = 0.0
-        for other in neighbors:
-            key_a = frozenset((rep_a, other))
-            key_b = frozenset((rep_b, other))
-            old = self.pair_loss(key_a) + self.pair_loss(key_b)
-            weight = self._weight.get(key_a, 0.0) + self._weight.get(key_b, 0.0)
-            count = self._count.get(key_a, 0) + self._count.get(key_b, 0)
-            pairs = merged_size * len(self._summary.members(other))
-            cost += self._loss_for(weight, count, pairs) - old
-        # Internal pair of the merged supernode.
-        internal_keys = (
-            frozenset((rep_a,)),
-            frozenset((rep_b,)),
-            frozenset((rep_a, rep_b)),
-        )
-        old = sum(self.pair_loss(key) for key in internal_keys)
-        weight = sum(self._weight.get(key, 0.0) for key in internal_keys)
-        count = sum(self._count.get(key, 0) for key in internal_keys)
-        pairs = merged_size * (merged_size - 1) // 2
-        cost += self._loss_for(weight, count, pairs) - old
-        return cost
-
-    def apply_merge(self, rep_a: Node, rep_b: Node, survivor: Node) -> None:
-        """Fold pair state after ``rep_a``/``rep_b`` merged into ``survivor``."""
-        absorbed = rep_b if survivor == rep_a else rep_a
-        neighbors = (self.adjacent(rep_a) | self.adjacent(rep_b)) - {rep_a, rep_b}
-
-        # Remove old losses and pair entries touching either representative.
-        for other in neighbors:
-            for rep in (rep_a, rep_b):
-                key = frozenset((rep, other))
-                if key in self._weight:
-                    self.total_loss -= self._loss_cache.pop(key, 0.0)
-        for key in (frozenset((rep_a,)), frozenset((rep_b,)), frozenset((rep_a, rep_b))):
-            if key in self._weight:
-                self.total_loss -= self._loss_cache.pop(key, 0.0)
-
-        # Fold weights/counts into survivor-keyed entries.
-        internal_weight = 0.0
-        internal_count = 0
-        for key in (frozenset((rep_a,)), frozenset((rep_b,)), frozenset((rep_a, rep_b))):
-            internal_weight += self._weight.pop(key, 0.0)
-            internal_count += self._count.pop(key, 0)
-        if internal_count:
-            internal_key = frozenset((survivor,))
-            self._weight[internal_key] = internal_weight
-            self._count[internal_key] = internal_count
-
-        for other in neighbors:
-            weight = 0.0
-            count = 0
-            for rep in (rep_a, rep_b):
-                key = frozenset((rep, other))
-                weight += self._weight.pop(key, 0.0)
-                count += self._count.pop(key, 0)
-            if count:
-                key = frozenset((survivor, other))
-                self._weight[key] = weight
-                self._count[key] = count
-
-        # Rewire adjacency.
-        for other in neighbors:
-            self._adjacent.setdefault(other, set()).discard(rep_a)
-            self._adjacent[other].discard(rep_b)
-            self._adjacent[other].add(survivor)
-        self._adjacent.pop(rep_a, None)
-        self._adjacent.pop(rep_b, None)
-        # Internal edges live under the singleton key, not in adjacency.
-        self._adjacent[survivor] = set(neighbors)
-
-        # Re-add losses for the survivor's pairs.
-        for other in neighbors:
-            key = frozenset((survivor, other))
-            if key in self._weight:
-                loss = self.pair_loss(key)
-                self._loss_cache[key] = loss
-                self.total_loss += loss
-        internal_key = frozenset((survivor,))
-        if internal_key in self._weight:
-            loss = self.pair_loss(internal_key)
-            self._loss_cache[internal_key] = loss
-            self.total_loss += loss
-
-    def live_pairs(self) -> List[PairKey]:
-        return list(self._weight)
-
-
-class _ArrayPairState:
-    """Id-native pair-loss bookkeeping — the array engine's `_PairState`.
-
-    Same loss model, different representation: supernodes are CSR node
-    ids, a pair of representatives ``a <= b`` is the packed int
-    ``a * n + b`` (the singleton/internal pair of ``a`` is ``a * n + a``,
-    which cannot collide with any two-rep key), and supernode sizes live
-    in ``self.sizes`` so candidate evaluation never copies a member set.
     """
 
     def __init__(
@@ -300,22 +129,26 @@ class _ArrayPairState:
         return size_a * int(self.sizes[rep_b])
 
     def _loss_for(self, weight: float, count: int, pairs: int) -> float:
+        """Loss of a pair with ``count`` real edges of total ``weight``."""
         if weight == 0.0:
             return 0.0
         spurious_cost = (pairs - count) * self._penalty
         if self._rule == "cheaper":
             return min(spurious_cost, weight)
+        # majority rule: keep the superedge only if the block is dense.
         if 2 * count >= pairs:
             return spurious_cost
         return weight
 
     def pair_loss(self, key: int) -> float:
+        """Loss the pair currently contributes (0 if it has no real edges)."""
         weight = self._weight.get(key, 0.0)
         if weight == 0.0:
             return 0.0
         return self._loss_for(weight, self._count[key], self._block_pairs(key))
 
     def keeps_superedge(self, key: int) -> bool:
+        """Whether this pair's superedge survives into the final summary."""
         weight = self._weight.get(key, 0.0)
         if weight == 0.0:
             return False
@@ -436,12 +269,6 @@ class UDSSummarizer(EdgeShedder):
         num_betweenness_sources: sample size for the edge-utility
             computation (``None`` = exact betweenness, as in the paper).
         seed: randomness for the sweep order.
-        engine: ``"array"`` (default) runs the merge loop over packed int
-            pair keys with O(1) supernode-size lookups; ``"legacy"`` is
-            the original frozenset implementation, kept as the oracle.
-            The engines follow different candidate orders, so they agree
-            statistically (same invariants, comparable merge counts and
-            utilities) rather than bit-for-bit — see the module docstring.
     """
 
     name = "UDS"
@@ -452,31 +279,18 @@ class UDSSummarizer(EdgeShedder):
         superedge_rule: str = "majority",
         num_betweenness_sources: Optional[int] = None,
         seed: RandomState = None,
-        engine: str = "array",
     ) -> None:
         if max_sweeps < 1:
             raise ValueError(f"max_sweeps must be >= 1, got {max_sweeps}")
-        if engine not in ("array", "legacy"):
-            raise ValueError(f"engine must be 'array' or 'legacy', got {engine!r}")
         self.max_sweeps = max_sweeps
         self.superedge_rule = superedge_rule
         self.num_betweenness_sources = num_betweenness_sources
-        self.engine = engine
         self._seed = seed
-
-    def _reduce(self, graph: Graph, p: float) -> Tuple[Graph, Dict[str, Any]]:
-        if self.engine == "array":
-            return self._reduce_array(graph, p)
-        return self._reduce_legacy(graph, p)
-
-    # ------------------------------------------------------------------
-    # Array engine
-    # ------------------------------------------------------------------
 
     def _edge_utilities_ids(self, csr: CSRAdjacency, rng) -> np.ndarray:
         """Normalised edge utilities in lexicographic edge-id order.
 
-        Same numbers :func:`edge_betweenness` produces (unnormalised
+        Same numbers :func:`repro.graph.centrality.edge_betweenness` produces (unnormalised
         scores halved, then scaled by the sampling factor) without the
         label-keyed dict round-trip.
         """
@@ -493,9 +307,7 @@ class UDSSummarizer(EdgeShedder):
         return totals / total
 
     @staticmethod
-    def _best_array_candidate(
-        state: _ArrayPairState, rep: int
-    ) -> Optional[Tuple[int, float]]:
+    def _best_candidate(state: _PairState, rep: int) -> Optional[Tuple[int, float]]:
         """Cheapest 2-hop merge partner for ``rep`` (None if isolated).
 
         Candidates are scanned in ascending id order, so ties resolve
@@ -513,7 +325,7 @@ class UDSSummarizer(EdgeShedder):
                 best = (other, cost)
         return best
 
-    def _reduce_array(self, graph: Graph, p: float) -> Tuple[Graph, Dict[str, Any]]:
+    def _reduce(self, graph: Graph, p: float) -> Tuple[Graph, Dict[str, Any]]:
         rng = ensure_rng(self._seed)
         threshold = p  # τ_U = p per the paper's parameter settings
 
@@ -523,7 +335,7 @@ class UDSSummarizer(EdgeShedder):
         utilities = self._edge_utilities_ids(csr, rng)
         spurious_penalty = 1.0 / graph.num_edges
 
-        state = _ArrayPairState(
+        state = _PairState(
             n, edge_u, edge_v, utilities, spurious_penalty, rule=self.superedge_rule
         )
         budget = 1.0 - threshold
@@ -538,7 +350,7 @@ class UDSSummarizer(EdgeShedder):
             for rep in reps:
                 if not alive[rep]:
                     continue  # absorbed earlier in this sweep
-                candidate = self._best_array_candidate(state, rep)
+                candidate = self._best_candidate(state, rep)
                 if candidate is None:
                     continue
                 other, cost = candidate
@@ -558,7 +370,7 @@ class UDSSummarizer(EdgeShedder):
                 break
 
         # Replay the merge log into a GraphSummary for the result's stats;
-        # identical merge order + survivor rule means the array engine's
+        # identical merge order + survivor rule means the loop's
         # representative ids map 1:1 onto the summary's representatives.
         labels = csr.labels
         summary = GraphSummary(graph)
@@ -580,90 +392,5 @@ class UDSSummarizer(EdgeShedder):
             "num_superedges": len(pairs),
             "final_utility": 1.0 - state.total_loss,
             "threshold": threshold,
-            "engine": "array",
         }
         return reconstructed, stats
-
-    # ------------------------------------------------------------------
-    # Legacy engine (the array engine's oracle)
-    # ------------------------------------------------------------------
-
-    def _reduce_legacy(self, graph: Graph, p: float) -> Tuple[Graph, Dict[str, Any]]:
-        rng = ensure_rng(self._seed)
-        threshold = p  # τ_U = p per the paper's parameter settings
-
-        centrality = edge_betweenness(
-            graph,
-            normalized=False,
-            num_sources=self.num_betweenness_sources,
-            seed=rng,
-        )
-        total = sum(centrality.values())
-        if total <= 0:
-            # Degenerate graphs (e.g. disjoint edges all with centrality 0
-            # under sampling): fall back to uniform utilities.
-            utilities = {edge: 1.0 / graph.num_edges for edge in centrality}
-        else:
-            utilities = {edge: value / total for edge, value in centrality.items()}
-        spurious_penalty = 1.0 / graph.num_edges
-
-        summary = GraphSummary(graph)
-        state = _PairState(summary, utilities, spurious_penalty, rule=self.superedge_rule)
-        budget = 1.0 - threshold  # how much loss we may accumulate
-
-        merges = 0
-        for _ in range(self.max_sweeps):
-            merged_this_sweep = False
-            reps = summary.supernodes()
-            rng.shuffle(reps)
-            for rep in reps:
-                if summary.representative(rep) != rep:
-                    continue  # absorbed earlier in this sweep
-                candidate = self._best_candidate(state, summary, rep)
-                if candidate is None:
-                    continue
-                other, cost = candidate
-                if state.total_loss + cost > budget:
-                    continue
-                survivor = summary.merge(rep, other)
-                state.apply_merge(rep, other, survivor)
-                merges += 1
-                merged_this_sweep = True
-            if not merged_this_sweep:
-                break
-
-        kept = [key for key in state.live_pairs() if state.keeps_superedge(key)]
-        pairs = []
-        for key in kept:
-            reps = tuple(key)
-            pairs.append((reps[0], reps[0]) if len(reps) == 1 else (reps[0], reps[1]))
-        summary.set_superedges(pairs)
-
-        reconstructed = summary.reconstruct()
-        stats = {
-            "summary": summary,
-            "merges": merges,
-            "num_supernodes": summary.num_supernodes,
-            "num_superedges": len(pairs),
-            "final_utility": 1.0 - state.total_loss,
-            "threshold": threshold,
-            "engine": "legacy",
-        }
-        return reconstructed, stats
-
-    @staticmethod
-    def _best_candidate(
-        state: _PairState, summary: GraphSummary, rep: Node
-    ) -> Optional[Tuple[Node, float]]:
-        """Cheapest 2-hop merge partner for ``rep`` (None if isolated)."""
-        one_hop = state.adjacent(rep) - {rep}
-        two_hop: Set[Node] = set()
-        for neighbor in one_hop:
-            two_hop |= state.adjacent(neighbor)
-        candidates = (one_hop | two_hop) - {rep}
-        best: Optional[Tuple[Node, float]] = None
-        for other in candidates:
-            cost = state.merge_cost(rep, other)
-            if best is None or cost < best[1]:
-                best = (other, cost)
-        return best

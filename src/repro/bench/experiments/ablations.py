@@ -60,13 +60,13 @@ def run_initial_ranking(quick: bool = True, seed: int = 0, p: float = 0.5) -> Be
     """Ablation: betweenness-ranked vs random phase-1 edge selection."""
     graph = _graph(quick, seed)
     rows = []
-    for label, skip in (("betweenness", False), ("random", True)):
+    for importance in ("betweenness", "random"):
         # steps = 0 isolates the phase-1 selection strategy.
-        shedder = CRRShedder(steps_factor=0.0, skip_ranking=skip, seed=seed)
+        shedder = CRRShedder(steps_factor=0.0, importance=importance, seed=seed)
         result = shedder.reduce(graph, p)
         rows.append(
             [
-                label,
+                importance,
                 result.average_delta,
                 len(largest_component(result.reduced)),
                 result.elapsed_seconds,

@@ -137,7 +137,6 @@ class ReductionCache:
             p=p,
             seed=self.seed,
             compute=lambda: shedder.reduce(graph, p),
-            engine=getattr(shedder, "engine", "array"),
             variant=f"sources={sources}" if sources is not None else "",
         )
         return result

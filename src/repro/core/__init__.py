@@ -6,12 +6,7 @@ theoretical bounds from Theorems 1-2, and structure-blind ablation shedders.
 """
 
 from repro.core.base import EdgeShedder, ReductionResult, timed_phase, validate_ratio
-from repro.core.bm2 import (
-    BM2Shedder,
-    bipartite_repair,
-    bipartite_repair_ids,
-    weighted_bipartite_repair_ids,
-)
+from repro.core.bm2 import BM2Shedder, bipartite_repair_ids, weighted_bipartite_repair_ids
 from repro.core.bounds import (
     bm2_average_delta_bound,
     bm2_bound_for_graph,
@@ -22,7 +17,6 @@ from repro.core.core_shed import CoreShedder
 from repro.core.crr import CRRShedder, IndexedEdgePool
 from repro.core.discrepancy import (
     ArrayDegreeTracker,
-    DegreeTracker,
     add_change_from_dis,
     compute_delta,
     remove_change_from_dis,
@@ -48,14 +42,12 @@ __all__ = [
     "CRRShedder",
     "IndexedEdgePool",
     "BM2Shedder",
-    "bipartite_repair",
     "bipartite_repair_ids",
     "weighted_bipartite_repair_ids",
     "edcs_beta",
     "prune_candidates_ids",
     "prune_boundary_ids",
     "ArrayDegreeTracker",
-    "DegreeTracker",
     "compute_delta",
     "round_half_up",
     "add_change_from_dis",

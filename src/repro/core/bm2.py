@@ -34,25 +34,15 @@ from typing import Any, Dict, List, Tuple
 import numpy as np
 
 from repro.core.base import EdgeShedder, timed_phase
-from repro.core.discrepancy import (
-    ArrayDegreeTracker,
-    DegreeTracker,
-    _TrackerIdsView,
-    round_half_up,
-)
+from repro.core.discrepancy import ArrayDegreeTracker
 from repro.core.sparsify import edcs_beta, prune_candidates_ids
 from repro.errors import ReductionError
-from repro.graph.graph import Edge, Graph, Node
-from repro.graph.matching import (
-    greedy_b_matching,
-    greedy_b_matching_ids,
-    greedy_weighted_b_matching_ids,
-)
+from repro.graph.graph import Graph
+from repro.graph.matching import greedy_b_matching_ids, greedy_weighted_b_matching_ids
 from repro.rng import RandomState, ensure_rng
 
 __all__ = [
     "BM2Shedder",
-    "bipartite_repair",
     "bipartite_repair_ids",
     "bm2_reduce_ids",
     "weighted_bipartite_repair_ids",
@@ -80,18 +70,11 @@ def _snap_array(values: np.ndarray) -> np.ndarray:
     return np.where(np.abs(doubled - nearest) < 2.0 * _EPSILON, nearest * 0.5, values)
 
 
-#: Supported capacity rounding rules (Phase 1 ablation).
+#: Supported capacity rounding rules (Phase 1 ablation), vectorized over
+#: non-negative ``p·deg`` arrays: ``half_up`` is the paper's nearest
+#: integer, ``half_even`` is banker's rounding like ``round``, and int64
+#: truncation equals floor for non-negative inputs.
 _ROUNDING_RULES = {
-    "half_up": round_half_up,
-    "half_even": lambda x: int(round(x)),
-    "floor": lambda x: int(x),
-    "ceil": lambda x: -int(-x // 1),
-}
-
-#: Vectorized counterparts over non-negative ``p·deg`` arrays; elementwise
-#: identical to the scalar rules (``np.round`` is banker's rounding like
-#: ``round``; int64 truncation equals floor for non-negative inputs).
-_ROUNDING_RULES_ARRAY = {
     "half_up": lambda x: np.floor(x + 0.5).astype(np.int64),
     "half_even": lambda x: np.round(x).astype(np.int64),
     "floor": lambda x: x.astype(np.int64),
@@ -99,164 +82,27 @@ _ROUNDING_RULES_ARRAY = {
 }
 
 
-def bipartite_repair(
-    tracker: DegreeTracker,
-    candidate_edges: List[Tuple[Node, Node]],
-    accept_zero_gain: bool = False,
-    engine: str = "heap",
-) -> List[Edge]:
-    """Algorithm 3: greedy weighted semi-matching between groups A and B.
-
-    ``engine="heap"`` (default) is the original lazy max-heap below;
-    ``engine="array"`` routes to the gain-bucketed numpy engine
-    (:func:`bipartite_repair_ids`), which requires an
-    :class:`~repro.core.discrepancy.ArrayDegreeTracker` (or its id view)
-    and id-tuple candidates, and returns the identical selections in the
-    identical order.
-
-    ``candidate_edges`` must be oriented ``(a, b)`` with ``a`` in group A and
-    ``b`` in group B under ``tracker``'s current state.  The tracker is
-    mutated: every selected edge is added to it.  Returns the selected edges.
-    Only ``tracker.dis`` and ``tracker.add_edge`` are used, so any tracker
-    flavour works — including :meth:`ArrayDegreeTracker.ids_view`, in which
-    case the candidate "nodes" are CSR integer ids.
-
-    Implementation: a lazy max-heap.  Each entry carries the weight it was
-    pushed with; stale entries (whose edge was re-weighted or retired) are
-    skipped on pop.  Gains only ever decrease as A-deficits shrink, so lazy
-    deletion is safe.
-    """
-    if engine not in ("heap", "array"):
-        raise ValueError(f"engine must be 'heap' or 'array', got {engine!r}")
-    if engine == "array":
-        if isinstance(tracker, _TrackerIdsView):
-            tracker = tracker._tracker
-        if not isinstance(tracker, ArrayDegreeTracker):
-            raise ValueError(
-                "engine='array' requires an ArrayDegreeTracker (or its ids_view)"
-            )
-        count = len(candidate_edges)
-        cand_a = np.fromiter((a for a, _ in candidate_edges), np.int64, count=count)
-        cand_b = np.fromiter((b for _, b in candidate_edges), np.int64, count=count)
-        sel_a, sel_b = bipartite_repair_ids(
-            tracker, cand_a, cand_b, accept_zero_gain=accept_zero_gain
-        )
-        return list(zip(sel_a.tolist(), sel_b.tolist()))
-    weight: Dict[Tuple[Node, Node], float] = {}
-    edges_by_a: Dict[Node, List[Node]] = {}
-    alive_b: set = set()
-
-    for a, b in candidate_edges:
-        gain = _snap(
-            abs(tracker.dis(a))
-            + 2 * abs(tracker.dis(b))
-            - abs(tracker.dis(a) + 1)
-            - 1
-        )
-        if gain < 0:
-            continue
-        key = (a, b)
-        if key in weight:
-            raise ReductionError(f"duplicate candidate edge {key!r}")
-        weight[key] = gain
-        edges_by_a.setdefault(a, []).append(b)
-        alive_b.add(b)
-
-    heap: List[Tuple[float, int, Node, Node]] = []
-    counter = 0
-    for (a, b), w in weight.items():
-        heap.append((-w, counter, a, b))
-        counter += 1
-    heapq.heapify(heap)
-
-    selected: List[Edge] = []
-    while heap:
-        negative_w, _, a, b = heapq.heappop(heap)
-        w = -negative_w
-        key = (a, b)
-        current = weight.get(key)
-        if current is None or b not in alive_b or current != w:
-            continue  # stale or retired entry
-        if w == 0 and not accept_zero_gain:
-            del weight[key]
-            continue
-
-        selected.append(key)
-        del weight[key]
-        tracker.add_edge(a, b)
-        # b's discrepancy is now >= 0: it left group B (line 6).
-        alive_b.discard(b)
-
-        dis_a = _snap(tracker.dis(a))
-        if dis_a <= -1:
-            # Lemma 2 zone: gains of a's remaining edges are unchanged.
-            continue
-        if dis_a > -0.5:
-            # a left group A (lines 15-17): retire all its edges.
-            for x in edges_by_a.get(a, ()):
-                weight.pop((a, x), None)
-            continue
-        # -1 < dis(a) <= -0.5: re-weight a's surviving edges (lines 8-14).
-        for x in edges_by_a.get(a, ()):
-            edge = (a, x)
-            if edge not in weight or x not in alive_b:
-                continue
-            new_w = _snap(abs(dis_a) + 2 * abs(tracker.dis(x)) - abs(1 + dis_a) - 1)
-            if new_w > 0 or (new_w == 0 and accept_zero_gain):
-                weight[edge] = new_w
-                heapq.heappush(heap, (-new_w, counter, a, x))
-                counter += 1
-            else:
-                del weight[edge]
-    return selected
-
-
 def bipartite_repair_ids(
     tracker: ArrayDegreeTracker,
     cand_a: np.ndarray,
     cand_b: np.ndarray,
     accept_zero_gain: bool = False,
-    engine: str = "bucket",
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Id-native Algorithm 3 over candidate endpoint arrays.
+    """Algorithm 3: greedy weighted semi-matching between groups A and B.
 
-    ``cand_a``/``cand_b`` are int64 CSR-id arrays oriented A-side first.
-    ``engine="bucket"`` runs the gain-bucketed array engine
-    (:func:`_bucket_repair_ids`), whose selections, selection order and
-    tracker ``Δ`` are bit-identical to the lazy heap's;
-    ``engine="heap"`` wraps :func:`bipartite_repair` as the oracle.
-    Returns the selected ``(a_ids, b_ids)`` in selection order; the
-    tracker is mutated exactly as by the heap path.
-    """
-    if engine not in ("bucket", "heap"):
-        raise ValueError(f"engine must be 'bucket' or 'heap', got {engine!r}")
-    if isinstance(tracker, _TrackerIdsView):
-        tracker = tracker._tracker
-    cand_a = np.asarray(cand_a, dtype=np.int64)
-    cand_b = np.asarray(cand_b, dtype=np.int64)
-    if engine == "heap":
-        candidates = list(zip(cand_a.tolist(), cand_b.tolist()))
-        repaired = bipartite_repair(
-            tracker.ids_view(), candidates, accept_zero_gain=accept_zero_gain
-        )
-        count = len(repaired)
-        sel_a = np.fromiter((a for a, _ in repaired), np.int64, count=count)
-        sel_b = np.fromiter((b for _, b in repaired), np.int64, count=count)
-        return sel_a, sel_b
-    return _bucket_repair_ids(tracker, cand_a, cand_b, accept_zero_gain)
+    ``cand_a``/``cand_b`` are int64 CSR-id arrays oriented A-side first
+    under ``tracker``'s current state.  Returns the selected ``(a_ids,
+    b_ids)`` in selection order; the tracker is mutated — every selected
+    edge is added to it.
 
+    The paper's algorithm is a max-priority queue: pop the highest-gain
+    A–B edge, admit it, retire ``b`` (it left group B), and re-weight or
+    retire ``a``'s remaining edges as its deficit shrinks.  Lazy deletion
+    is safe because gains only ever decrease.  This is that queue replayed
+    in gain buckets, and why it is *exactly* the queue, not an
+    approximation of it:
 
-def _bucket_repair_ids(
-    tracker: ArrayDegreeTracker,
-    cand_a: np.ndarray,
-    cand_b: np.ndarray,
-    accept_zero_gain: bool,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Gain-bucketed Algorithm 3 — the heap replayed in sorted-run order.
-
-    Why this is *exactly* the heap, not an approximation of it:
-
-    * The heap pops entries in ``(gain desc, counter asc)`` order, where
+    * The queue pops entries in ``(gain desc, counter asc)`` order, where
       counters number pool insertions.  Initial insertions happen in
       candidate order and every re-weight push gets a fresh, larger
       counter — so one ``lexsort`` over (−gain, candidate index) replays
@@ -267,16 +113,19 @@ def _bucket_repair_ids(
       deficit offset ``φ = dis(a)+1`` is > ε after snapping, so the new
       weight ``old − 2φ`` cannot snap back up), hence a bucket never
       grows while being processed and descending-run iteration is safe.
-    * Gains, re-weights and ``Δ`` accumulation use the same expressions,
-      association order and :func:`_snap` pipeline as the heap, evaluated
-      over the same in-place ``dis`` array — bitwise-equal floats make
-      every comparison agree.
+    * Gains, re-weights and ``Δ`` accumulation use Lemma 1's expression
+      ``|dis(a)| + 2|dis(b)| − |dis(a)+1| − 1`` in one fixed association
+      order and one :func:`_snap` pipeline, evaluated over the in-place
+      ``dis`` array, so every comparison is deterministic.
 
-    The win over the heap: initial gains are one vectorized pass instead
-    of a per-edge Python loop, there are no heap pushes/pops for the
-    (dominant) never-selected candidates, stale entries are skipped by an
-    int8 state array, and each A-node re-weight is one vectorized batch.
+    Initial gains are one vectorized pass, never-selected candidates (the
+    dominant case) cost no queue operations, stale entries are skipped by
+    an int8 state array, and each A-node re-weight is one vectorized
+    batch.  ``tests/oracles`` keeps the lazy-heap form; the two select the
+    same edges in the same order.
     """
+    cand_a = np.asarray(cand_a, dtype=np.int64)
+    cand_b = np.asarray(cand_b, dtype=np.int64)
     empty = np.empty(0, dtype=np.int64)
     k = int(cand_a.shape[0])
     if k == 0:
@@ -444,8 +293,8 @@ def weighted_bipartite_repair_ids(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Algorithm 3 over *expected-degree mass*: the uncertain-graph repair.
 
-    The lazy max-heap of :func:`bipartite_repair`, with every unit move
-    replaced by the edge's weight (:func:`_weighted_gain`).  Two behaviours
+    Algorithm 3's lazy max-heap (see :func:`bipartite_repair_ids`), with
+    every unit move replaced by the edge's weight (:func:`_weighted_gain`).  Two behaviours
     appear that the unit-weight algorithm cannot exhibit, both dormant at
     all-ones weights:
 
@@ -630,30 +479,24 @@ def weighted_bipartite_repair_ids(
 class BM2Shedder(EdgeShedder):
     """Algorithm 2: rounded b-matching plus bipartite deficit repair.
 
+    Both phases run over flat CSR-id arrays (:func:`bm2_reduce_ids`):
+    vectorized capacity rounding, the fixpoint greedy b-matching
+    (:func:`greedy_b_matching_ids`), boolean-mask A/B grouping and
+    candidate orientation, then Algorithm 3 (:func:`bipartite_repair_ids`).
+
     Args:
         rounding: capacity rounding rule — ``"half_up"`` (paper's nearest
             integer, the default), ``"half_even"``, ``"floor"``, ``"ceil"``.
         accept_zero_gain: whether Algorithm 3 keeps zero-gain edges.
         shuffle_edges: scan Phase 1's edges in a random order instead of the
             input order (ablation; the paper scans input order).
-        engine: ``"array"`` (default) runs both phases over flat CSR-id
-            arrays — vectorized capacity rounding, the fixpoint greedy
-            b-matching (:func:`greedy_b_matching_ids`), boolean-mask A/B
-            grouping and candidate orientation — feeding Algorithm 3 the
-            same gains bit for bit; ``"legacy"`` is the original dict scan,
-            kept as the exactness oracle.  Both engines keep the identical
-            edge set.
         sparsify: ``"off"`` (default) feeds Algorithm 3 every unmatched
-            A–B edge, bit-identical to the historical edge set; ``"edcs"``
-            first prunes the candidates to a bounded-degree subgraph
+            A–B edge; ``"edcs"`` first prunes the candidates to a
+            bounded-degree subgraph
             (:func:`repro.core.sparsify.prune_candidates_ids`) — near-linear
-            Phase 2 with a property-pinned quality bound.  Array engine only.
+            Phase 2 with a property-pinned quality bound.
         sparsify_beta: EDCS degree bound ``β``; ``None`` derives the
             default from :func:`repro.core.sparsify.edcs_beta`.
-        repair: Algorithm 3 engine — ``"bucket"`` (gain-bucketed numpy,
-            bit-identical to the heap) or ``"heap"`` (the original lazy
-            max-heap oracle).  ``None`` resolves to ``"bucket"`` for the
-            array engine and ``"heap"`` for legacy.
         seed: randomness for ``shuffle_edges``.
     """
 
@@ -664,112 +507,28 @@ class BM2Shedder(EdgeShedder):
         rounding: str = "half_up",
         accept_zero_gain: bool = False,
         shuffle_edges: bool = False,
-        engine: str = "array",
         seed: RandomState = None,
         sparsify: str = "off",
         sparsify_beta: "int | None" = None,
-        repair: "str | None" = None,
     ) -> None:
         if rounding not in _ROUNDING_RULES:
             raise ValueError(
                 f"rounding must be one of {sorted(_ROUNDING_RULES)}, got {rounding!r}"
             )
-        if engine not in ("array", "legacy"):
-            raise ValueError(f"engine must be 'array' or 'legacy', got {engine!r}")
         if sparsify not in ("off", "edcs"):
             raise ValueError(f"sparsify must be 'off' or 'edcs', got {sparsify!r}")
-        if repair not in (None, "bucket", "heap"):
-            raise ValueError(f"repair must be 'bucket' or 'heap', got {repair!r}")
-        if engine == "legacy":
-            if sparsify != "off":
-                raise ValueError("sparsify requires engine='array' (legacy is the oracle)")
-            if repair == "bucket":
-                raise ValueError("repair='bucket' requires engine='array'")
         if sparsify_beta is not None and sparsify_beta < 1:
             raise ValueError(f"sparsify_beta must be positive, got {sparsify_beta}")
         self.rounding = rounding
         self.accept_zero_gain = accept_zero_gain
         self.shuffle_edges = shuffle_edges
-        self.engine = engine
         self.sparsify = sparsify
         self.sparsify_beta = sparsify_beta
-        self.repair = repair if repair is not None else (
-            "bucket" if engine == "array" else "heap"
-        )
         self._seed = seed
 
     def _reduce(self, graph: Graph, p: float) -> Tuple[Graph, Dict[str, Any]]:
-        if self.engine == "array":
-            return self._reduce_array(graph, p)
-        return self._reduce_legacy(graph, p)
-
-    def _reduce_legacy(self, graph: Graph, p: float) -> Tuple[Graph, Dict[str, Any]]:
-        """The original dict-based phases (the array engine's oracle)."""
-        round_rule = _ROUNDING_RULES[self.rounding]
-        capacities = {node: round_rule(p * graph.degree(node)) for node in graph.nodes()}
-
-        stats: Dict[str, Any] = {"capacity_rounding": self.rounding, "engine": self.engine}
-        with timed_phase(stats, "phase1_seconds"):
-            shuffle_seed = ensure_rng(self._seed) if self.shuffle_edges else None
-            matched = greedy_b_matching(graph, capacities, shuffle_seed=shuffle_seed)
-
-        with timed_phase(stats, "phase2_seconds"):
-            tracker = DegreeTracker(graph, p)
-            for u, v in matched:
-                tracker.add_edge(u, v)
-
-            group_a = {node for node in graph.nodes() if _snap(tracker.dis(node)) <= -0.5}
-            group_b = {
-                node for node in graph.nodes() if -0.5 < _snap(tracker.dis(node)) < 0
-            }
-
-            # Phase 1 scans graph.edges(), so every matched edge is already a
-            # canonical tuple — plain tuple lookups beat building a frozenset
-            # per graph edge.
-            matched_keys = set(matched)
-            candidates: List[Tuple[Node, Node]] = []
-            for u, v in graph.edges():
-                if (u, v) in matched_keys:
-                    continue
-                if u in group_a and v in group_b:
-                    candidates.append((u, v))
-                elif v in group_a and u in group_b:
-                    candidates.append((v, u))
-
-            repaired = bipartite_repair(
-                tracker, candidates, accept_zero_gain=self.accept_zero_gain
-            )
-
-        reduced = graph.edge_subgraph(list(matched) + [tuple(e) for e in repaired])
-        stats.update(
-            {
-                "matched_edges": len(matched),
-                "repair_edges": len(repaired),
-                "group_a_size": len(group_a),
-                "group_b_size": len(group_b),
-                "candidate_edges": len(candidates),
-                "tracker_delta": tracker.delta,
-                "repair_engine": "heap",
-                "sparsify": "off",
-                "sparsify_beta": 0,
-                "phase2_candidate_edges_pruned": 0,
-            }
-        )
-        return reduced, stats
-
-    def _reduce_array(self, graph: Graph, p: float) -> Tuple[Graph, Dict[str, Any]]:
-        """Array-native phases over CSR ids; same edge set as the legacy scan.
-
-        Equivalence notes: the id-space edge scan order is the graph's
-        (:meth:`CSRAdjacency.edge_list_ids`), the shuffle permutes ``range(m)``
-        with the same RNG draws the legacy path spends shuffling the edge
-        list, capacities round elementwise-identically, and Algorithm 3 runs
-        unchanged on an id view of the tracker whose ``dis`` values are
-        bitwise those of the dict tracker — so greedy decisions, groups,
-        candidate order and repair selections all coincide.
-        """
         csr = graph.csr()
-        stats: Dict[str, Any] = {"capacity_rounding": self.rounding, "engine": self.engine}
+        stats: Dict[str, Any] = {"capacity_rounding": self.rounding}
         kept_u, kept_v = bm2_reduce_ids(
             csr,
             p,
@@ -780,7 +539,6 @@ class BM2Shedder(EdgeShedder):
             seed=self._seed,
             sparsify=self.sparsify,
             sparsify_beta=self.sparsify_beta,
-            repair=self.repair,
         )
         return csr.subgraph_from_edge_ids(kept_u, kept_v), stats
 
@@ -795,13 +553,11 @@ def bm2_reduce_ids(
     seed: RandomState = None,
     sparsify: str = "off",
     sparsify_beta: "int | None" = None,
-    repair: str = "bucket",
     weighted: bool = False,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Both BM2 phases over a CSR snapshot, returning kept edge ids.
 
-    The id-native core behind :meth:`BM2Shedder._reduce_array`; the
-    snapshot may equally be a per-shard :class:`repro.graph.csr.CSRView`,
+    The id-native core behind :class:`BM2Shedder`; the snapshot may equally be a per-shard :class:`repro.graph.csr.CSRView`,
     in which case capacities round the shard's interior degrees and the
     repair runs against shard-local discrepancies.  Kept edges come back
     as ``(u_ids, v_ids)`` — matched edges in scan order followed by the
@@ -810,35 +566,32 @@ def bm2_reduce_ids(
 
     ``sparsify="edcs"`` prunes the A–B candidates to a bounded-degree
     subgraph before Algorithm 3 (``β`` from ``sparsify_beta`` or
-    :func:`repro.core.sparsify.edcs_beta`); ``repair`` picks the
-    Algorithm 3 engine (``"bucket"`` array engine / ``"heap"`` oracle) —
-    candidate and selected edges stay int64 arrays end to end.
+    :func:`repro.core.sparsify.edcs_beta`); candidate and selected edges
+    stay int64 arrays end to end.
 
     ``weighted=True`` (uncertain graphs, :mod:`repro.uncertain`) runs the
     whole algorithm in expected-degree mass: capacities round
     ``p·E[deg]``, Phase 1 admits edges by mass
     (:func:`greedy_weighted_b_matching_ids`), groups come from a weighted
     tracker's discrepancies, and Phase 2 runs the weighted repair heap
-    (:func:`weighted_bipartite_repair_ids`; ``repair`` is ignored).  With
+    (:func:`weighted_bipartite_repair_ids`).  With
     all weights exactly 1.0 every stage degenerates bit-identically, so
     the kept edge arrays equal the unweighted call's.
     """
     if sparsify not in ("off", "edcs"):
         raise ValueError(f"sparsify must be 'off' or 'edcs', got {sparsify!r}")
     if weighted:
-        capacities = _ROUNDING_RULES_ARRAY[rounding](
+        capacities = _ROUNDING_RULES[rounding](
             p * csr.weighted_degree_array()
         ).astype(np.float64)
     else:
-        capacities = _ROUNDING_RULES_ARRAY[rounding](p * csr.degree_array())
+        capacities = _ROUNDING_RULES[rounding](p * csr.degree_array())
 
     with timed_phase(stats, "phase1_seconds"):
         edge_u, edge_v = csr.edge_list_ids()
         m = edge_u.shape[0]
         if shuffle_edges:
-            perm = list(range(m))
-            ensure_rng(seed).shuffle(perm)
-            perm = np.asarray(perm, dtype=np.int64)
+            perm = ensure_rng(seed).permutation(m)
             scan_u, scan_v = edge_u[perm], edge_v[perm]
         else:
             perm = None
@@ -858,7 +611,7 @@ def bm2_reduce_ids(
             kept_mask[perm[scan_kept]] = True
 
     with timed_phase(stats, "phase2_seconds"):
-        tracker = ArrayDegreeTracker.from_csr(csr, p, weighted=weighted)
+        tracker = ArrayDegreeTracker(csr, p, weighted=weighted)
         tracker.add_edges_ids(matched_u, matched_v)
 
         snapped = _snap_array(tracker.dis_array())
@@ -911,7 +664,7 @@ def bm2_reduce_ids(
             )
         else:
             sel_a, sel_b = bipartite_repair_ids(
-                tracker, cand_a, cand_b, accept_zero_gain=accept_zero_gain, engine=repair
+                tracker, cand_a, cand_b, accept_zero_gain=accept_zero_gain
             )
 
     kept_u = np.concatenate((matched_u, sel_a))
@@ -924,7 +677,7 @@ def bm2_reduce_ids(
             "group_b_size": int(np.count_nonzero(group_b)),
             "candidate_edges": total_candidates,
             "tracker_delta": tracker.delta,
-            "repair_engine": "weighted-heap" if weighted else repair,
+            "repair_engine": "weighted-heap" if weighted else "bucket",
             "sparsify": sparsify,
             "sparsify_beta": beta,
             "phase2_candidate_edges_pruned": pruned,

@@ -13,7 +13,7 @@ Faithfulness notes:
 * The paper accepts a swap when ``d₁ + d₂ < 0`` with ``d₁``/``d₂`` computed
   independently (lines 10-11).  When ``e₁`` and ``e₂`` share an endpoint the
   independent sum double-counts that node; we evaluate the *exact* joint
-  change (:meth:`DegreeTracker.swap_change`), which is identical whenever
+  change (:meth:`ArrayDegreeTracker.swap_change_ids`), which is identical whenever
   the edges are disjoint — the overwhelmingly common case — and guarantees
   the invariant that an accepted swap never increases ``Δ``.
 * ``steps`` defaults to ``[10·P]``, the setting the paper selects from its
@@ -25,18 +25,18 @@ Faithfulness notes:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.core.base import EdgeShedder, timed_phase
 from repro.core.discrepancy import (
     ArrayDegreeTracker,
-    DegreeTracker,
     round_half_up,
     weighted_swap_change_from_dis,
 )
-from repro.graph.centrality import top_edge_ids_by_betweenness, top_edges_by_betweenness
+from repro.graph.centrality import top_edge_ids_by_betweenness
 from repro.graph.graph import Edge, Graph
 from repro.rng import RandomState, ensure_rng
 
@@ -44,6 +44,9 @@ __all__ = ["CRRShedder", "IndexedEdgePool", "ImportanceFn", "crr_reduce_ids"]
 
 #: Custom Phase-1 ranking signal: maps a graph to per-edge scores.
 ImportanceFn = Callable[[Graph], Mapping[Edge, float]]
+
+#: Phase-1 selection in id space: ``(target, rng) -> (kept_u, kept_v)``.
+IdRanking = Callable[[int, np.random.Generator], Tuple[np.ndarray, np.ndarray]]
 
 #: A swap must improve Δ by more than this to be accepted; filters float
 #: noise that would otherwise let mathematically-zero-change swaps through.
@@ -106,25 +109,21 @@ class IndexedEdgePool:
 class CRRShedder(EdgeShedder):
     """Algorithm 1: betweenness-ranked selection + Δ-reducing rewiring.
 
+    Both phases run over the graph's CSR snapshot (:func:`crr_reduce_ids`):
+    Phase 1 ranks edge ids, and Phase 2 rewires flat id arrays with
+    block-drawn swap candidates and batched Δ-change evaluation.
+
     Args:
         steps: explicit number of rewiring iterations.  ``None`` (default)
             uses the paper's recommendation ``[steps_factor · P]``.
         steps_factor: the ``x`` in ``steps = [x·P]`` (paper: 10).
         num_betweenness_sources: if set, estimate edge betweenness from this
             many sampled sources instead of exactly (for large graphs).
-        skip_ranking: ablation switch — replace Phase 1's betweenness ranking
-            with a random initial edge set (isolates what the ranking buys).
-            Shorthand for ``importance="random"``.
         importance: Phase 1's edge-importance signal — ``"betweenness"``
-            (the paper's choice, default), ``"random"``, or a callable
+            (the paper's choice, default), ``"random"`` (the ablation that
+            isolates what the ranking buys), or a callable
             ``Graph -> {edge: score}`` for custom criteria (edges are then
             ranked by score, ties broken randomly).
-        engine: ``"array"`` (default) runs the rewiring loop over flat
-            CSR-id arrays with block-drawn swap candidates and batched
-            Δ-change evaluation; ``"legacy"`` is the original scalar loop
-            over :class:`DegreeTracker`, kept as the exactness oracle.
-            Both engines consume the RNG identically and accept the exact
-            same swap sequence, so the reduced graph is the same either way.
         seed: randomness for tie-breaking, swap sampling, and the sampled
             betweenness estimator.
     """
@@ -136,241 +135,151 @@ class CRRShedder(EdgeShedder):
         steps: Optional[int] = None,
         steps_factor: float = 10.0,
         num_betweenness_sources: Optional[int] = None,
-        skip_ranking: bool = False,
         importance: "str | ImportanceFn" = "betweenness",
-        engine: str = "array",
         seed: RandomState = None,
     ) -> None:
         if steps is not None and steps < 0:
             raise ValueError(f"steps must be non-negative, got {steps}")
         if steps_factor < 0:
             raise ValueError(f"steps_factor must be non-negative, got {steps_factor}")
-        if skip_ranking:
-            importance = "random"
         if isinstance(importance, str) and importance not in ("betweenness", "random"):
             raise ValueError(
                 f"importance must be 'betweenness', 'random', or a callable,"
                 f" got {importance!r}"
             )
-        if engine not in ("array", "legacy"):
-            raise ValueError(f"engine must be 'array' or 'legacy', got {engine!r}")
         self.steps = steps
         self.steps_factor = steps_factor
         self.num_betweenness_sources = num_betweenness_sources
         self.importance = importance
-        self.engine = engine
         self._seed = seed
 
-    @property
-    def skip_ranking(self) -> bool:
-        """Back-compat view: True when Phase 1 ranks randomly."""
-        return self.importance == "random"
-
     def _reduce(self, graph: Graph, p: float) -> Tuple[Graph, Dict[str, Any]]:
-        rng = ensure_rng(self._seed)
-        target = round_half_up(p * graph.num_edges)
-        steps = self.steps
-        if steps is None:
-            steps = round_half_up(self.steps_factor * p * graph.num_edges)
-
-        stats: Dict[str, Any] = {
-            "target_edges": target,
-            "steps": steps,
-            "initial_ranking": (
-                self.importance if isinstance(self.importance, str) else "custom"
-            ),
-            "engine": self.engine,
-        }
-        with timed_phase(stats, "ranking_seconds"):
-            kept_edges = self._initial_edges(graph, target, rng)
-        rewire = self._rewire_array if self.engine == "array" else self._rewire_legacy
-        with timed_phase(stats, "rewiring_seconds"):
-            reduced = rewire(graph, p, kept_edges, steps, rng, stats)
-        return reduced, stats
-
-    def _rewire_legacy(
-        self,
-        graph: Graph,
-        p: float,
-        kept_edges: List[Edge],
-        steps: int,
-        rng: np.random.Generator,
-        stats: Dict[str, Any],
-    ) -> Graph:
-        """The original scalar rewiring loop (the array engine's oracle)."""
-        tracker = DegreeTracker(graph, p)
-        for u, v in kept_edges:
-            tracker.add_edge(u, v)
-
-        kept = IndexedEdgePool(kept_edges)
-        kept_set = set(kept_edges)
-        shed = IndexedEdgePool(e for e in graph.edges() if e not in kept_set)
-
-        accepted = 0
-        attempted = 0
-        if len(kept) and len(shed):
-            for _ in range(steps):
-                edge_out = kept.sample(rng)
-                edge_in = shed.sample(rng)
-                attempted += 1
-                if tracker.swap_change(edge_out, edge_in) < -_MIN_IMPROVEMENT:
-                    tracker.apply_swap(edge_out, edge_in)
-                    kept.remove(edge_out)
-                    shed.add(edge_out)
-                    shed.remove(edge_in)
-                    kept.add(edge_in)
-                    accepted += 1
-
-        stats["attempted_swaps"] = attempted
-        stats["accepted_swaps"] = accepted
-        stats["tracker_delta"] = tracker.delta
-        return graph.edge_subgraph(kept.items())
-
-    def _rewire_array(
-        self,
-        graph: Graph,
-        p: float,
-        kept_edges: List[Edge],
-        steps: int,
-        rng: np.random.Generator,
-        stats: Dict[str, Any],
-    ) -> Graph:
-        """CSR-native rewiring: array pools, blocked draws, batched evals.
-
-        The kept/shed pools are flat endpoint-id arrays mirroring
-        :class:`IndexedEdgePool`'s swap-pop layout, so sampled positions
-        refer to the same edges as in the legacy loop; swap candidates are
-        pre-drawn in blocks with one broadcast ``rng.integers`` call per
-        block, which produces the exact bit stream of the legacy loop's
-        alternating scalar draws; Δ-changes are evaluated in adaptive
-        vectorized chunks and every acceptance re-evaluates from the next
-        step, so each accept/reject decision is made from the same tracker
-        state the scalar loop would see.  The accepted swap sequence — and
-        hence the reduced graph — is identical to ``engine="legacy"``.
-        """
         csr = graph.csr()
-        index_of = csr.index_of
-
-        count = len(kept_edges)
-        kept_u = np.fromiter((index_of[u] for u, _ in kept_edges), np.int64, count=count)
-        kept_v = np.fromiter((index_of[v] for _, v in kept_edges), np.int64, count=count)
-        kept_u, kept_v = crr_rewire_ids(csr, p, kept_u, kept_v, steps, rng, stats)
-        return csr.subgraph_from_edge_ids(kept_u, kept_v)
-
-    @staticmethod
-    def _run_swaps(
-        tracker: ArrayDegreeTracker,
-        rng: np.random.Generator,
-        kept_u: np.ndarray,
-        kept_v: np.ndarray,
-        shed_u: np.ndarray,
-        shed_v: np.ndarray,
-        steps: int,
-    ) -> int:
-        """Run ``steps`` swap attempts over the array pools; return accepts."""
-        pool_sizes = np.tile(
-            np.array([kept_u.shape[0], shed_u.shape[0]], dtype=np.int64), _DRAW_BLOCK
+        importance = self.importance
+        stats: Dict[str, Any] = {
+            "initial_ranking": importance if isinstance(importance, str) else "custom"
+        }
+        if not isinstance(importance, str):
+            importance = partial(_rank_by_scores, graph, importance)
+        kept_u, kept_v = crr_reduce_ids(
+            csr,
+            p,
+            ensure_rng(self._seed),
+            stats,
+            steps=self.steps,
+            steps_factor=self.steps_factor,
+            importance=importance,
+            num_sources=self.num_betweenness_sources,
         )
-        last = kept_u.shape[0] - 1
-        accepted = 0
-        done = 0
-        chunk = _MIN_CHUNK
-        weighted = tracker.weighted
-        if weighted:
-            # Pool weights are static per edge: resolve them once and mirror
-            # the swap-pop bookkeeping below, instead of a searchsorted
-            # lookup per candidate chunk.  The stored doubles are the same
-            # ones ``swap_change_ids`` would fetch, so scores are identical.
-            kept_w = tracker.edge_weights_ids(kept_u, kept_v)
-            shed_w = tracker.edge_weights_ids(shed_u, shed_v)
-            dis = tracker.dis_array()  # live view; apply_swap_ids updates it
-        while done < steps:
-            block = min(_DRAW_BLOCK, steps - done)
-            # One broadcast call = the legacy loop's 2·block alternating
-            # integers(P)/integers(S) draws, bit for bit.
-            draws = rng.integers(0, pool_sizes[: 2 * block])
-            kept_idx = draws[0::2]
-            shed_idx = draws[1::2]
-            pos = 0
-            while pos < block:
-                end = min(pos + chunk, block)
-                out_u = kept_u[kept_idx[pos:end]]
-                out_v = kept_v[kept_idx[pos:end]]
-                in_u = shed_u[shed_idx[pos:end]]
-                in_v = shed_v[shed_idx[pos:end]]
-                if weighted:
-                    change = weighted_swap_change_from_dis(
-                        dis, out_u, out_v, in_u, in_v,
-                        kept_w[kept_idx[pos:end]],
-                        shed_w[shed_idx[pos:end]],
-                    )
-                else:
-                    change = tracker.swap_change_ids(out_u, out_v, in_u, in_v)
-                accept = change < -_MIN_IMPROVEMENT
-                if not accept.any():
-                    # Every decision in the chunk was made from live state.
-                    pos = end
-                    chunk = min(chunk * 2, _MAX_CHUNK)
-                    continue
-                # Decisions are only valid up to the first acceptance: apply
-                # it, then re-evaluate the tail from the mutated state.
-                hit = int(np.argmax(accept))
-                ou, ov = int(out_u[hit]), int(out_v[hit])
-                iu, iv = int(in_u[hit]), int(in_v[hit])
-                tracker.apply_swap_ids(ou, ov, iu, iv)
-                i = int(kept_idx[pos + hit])
-                j = int(shed_idx[pos + hit])
-                # Mirror IndexedEdgePool's swap-pop bookkeeping: the kept
-                # pool's last edge backfills slot i, the incoming edge takes
-                # the last slot, and the outgoing edge lands in shed slot j.
-                kept_u[i] = kept_u[last]
-                kept_v[i] = kept_v[last]
-                kept_u[last] = iu
-                kept_v[last] = iv
-                shed_u[j] = ou
-                shed_v[j] = ov
-                if weighted:
-                    w_out_edge = float(kept_w[i])
-                    kept_w[i] = kept_w[last]
-                    kept_w[last] = shed_w[j]
-                    shed_w[j] = w_out_edge
-                accepted += 1
-                pos += hit + 1
-                chunk = max(_MIN_CHUNK, chunk // 2)
-            done += block
-        return accepted
+        return csr.subgraph_from_edge_ids(kept_u, kept_v), stats
 
-    def _initial_edges(self, graph: Graph, target: int, rng: np.random.Generator) -> List[Edge]:
-        """Phase 1: the [P]-edge initial selection."""
-        target = min(target, graph.num_edges)
-        if self.importance == "random":
-            edges = list(graph.edges())
-            picks = rng.choice(len(edges), size=target, replace=False)
-            return [edges[i] for i in picks]
-        if self.importance == "betweenness":
-            return top_edges_by_betweenness(
-                graph,
-                target,
-                num_sources=self.num_betweenness_sources,
-                seed=rng,
-                tie_seed=rng,
-            )
-        # Custom importance: rank by the caller's scores, random ties.
-        scores = dict(self.importance(graph))
-        missing = [edge for edge in graph.edges() if edge not in scores]
-        if missing:
-            raise ValueError(
-                f"importance callable left {len(missing)} edges unscored"
-                f" (e.g. {missing[0]!r}); score every canonical edge"
-            )
-        edges = list(scores)
-        rng.shuffle(edges)
-        edges.sort(key=lambda edge: scores[edge], reverse=True)
-        return edges[:target]
+
+def _rank_by_scores(
+    graph: Graph, importance: ImportanceFn, target: int, rng: np.random.Generator
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Phase 1 for a custom importance: top ``target`` edges by score, random ties."""
+    scores = dict(importance(graph))
+    missing = [edge for edge in graph.edges() if edge not in scores]
+    if missing:
+        raise ValueError(
+            f"importance callable left {len(missing)} edges unscored"
+            f" (e.g. {missing[0]!r}); score every canonical edge"
+        )
+    edges = list(scores)
+    rng.shuffle(edges)
+    edges.sort(key=lambda edge: scores[edge], reverse=True)
+    kept = edges[:target]
+    index_of = graph.csr().index_of
+    kept_u = np.fromiter((index_of[u] for u, _ in kept), np.int64, count=len(kept))
+    kept_v = np.fromiter((index_of[v] for _, v in kept), np.int64, count=len(kept))
+    return kept_u, kept_v
+
+
+def _run_swaps(
+    tracker: ArrayDegreeTracker,
+    rng: np.random.Generator,
+    kept_u: np.ndarray,
+    kept_v: np.ndarray,
+    shed_u: np.ndarray,
+    shed_v: np.ndarray,
+    steps: int,
+) -> int:
+    """Run ``steps`` swap attempts over the array pools; return accepts."""
+    pool_sizes = np.tile(
+        np.array([kept_u.shape[0], shed_u.shape[0]], dtype=np.int64), _DRAW_BLOCK
+    )
+    last = kept_u.shape[0] - 1
+    accepted = 0
+    done = 0
+    chunk = _MIN_CHUNK
+    weighted = tracker.weighted
+    if weighted:
+        # Pool weights are static per edge: resolve them once and mirror
+        # the swap-pop bookkeeping below, instead of a searchsorted
+        # lookup per candidate chunk.  The stored doubles are the same
+        # ones ``swap_change_ids`` would fetch, so scores are identical.
+        kept_w = tracker.edge_weights_ids(kept_u, kept_v)
+        shed_w = tracker.edge_weights_ids(shed_u, shed_v)
+        dis = tracker.dis_array()  # live view; apply_swap_ids updates it
+    while done < steps:
+        block = min(_DRAW_BLOCK, steps - done)
+        # One broadcast call = 2·block alternating scalar
+        # integers(P)/integers(S) draws (one pair per swap), bit for bit.
+        draws = rng.integers(0, pool_sizes[: 2 * block])
+        kept_idx = draws[0::2]
+        shed_idx = draws[1::2]
+        pos = 0
+        while pos < block:
+            end = min(pos + chunk, block)
+            out_u = kept_u[kept_idx[pos:end]]
+            out_v = kept_v[kept_idx[pos:end]]
+            in_u = shed_u[shed_idx[pos:end]]
+            in_v = shed_v[shed_idx[pos:end]]
+            if weighted:
+                change = weighted_swap_change_from_dis(
+                    dis, out_u, out_v, in_u, in_v,
+                    kept_w[kept_idx[pos:end]],
+                    shed_w[shed_idx[pos:end]],
+                )
+            else:
+                change = tracker.swap_change_ids(out_u, out_v, in_u, in_v)
+            accept = change < -_MIN_IMPROVEMENT
+            if not accept.any():
+                # Every decision in the chunk was made from live state.
+                pos = end
+                chunk = min(chunk * 2, _MAX_CHUNK)
+                continue
+            # Decisions are only valid up to the first acceptance: apply
+            # it, then re-evaluate the tail from the mutated state.
+            hit = int(np.argmax(accept))
+            ou, ov = int(out_u[hit]), int(out_v[hit])
+            iu, iv = int(in_u[hit]), int(in_v[hit])
+            tracker.apply_swap_ids(ou, ov, iu, iv)
+            i = int(kept_idx[pos + hit])
+            j = int(shed_idx[pos + hit])
+            # Mirror IndexedEdgePool's swap-pop bookkeeping: the kept
+            # pool's last edge backfills slot i, the incoming edge takes
+            # the last slot, and the outgoing edge lands in shed slot j.
+            kept_u[i] = kept_u[last]
+            kept_v[i] = kept_v[last]
+            kept_u[last] = iu
+            kept_v[last] = iv
+            shed_u[j] = ou
+            shed_v[j] = ov
+            if weighted:
+                w_out_edge = float(kept_w[i])
+                kept_w[i] = kept_w[last]
+                kept_w[last] = shed_w[j]
+                shed_w[j] = w_out_edge
+            accepted += 1
+            pos += hit + 1
+            chunk = max(_MIN_CHUNK, chunk // 2)
+        done += block
+    return accepted
 
 
 # ----------------------------------------------------------------------
-# Id-native CRR core — shared by the whole-graph array engine and the
+# Id-native CRR core — shared by CRRShedder and the
 # per-shard runner (repro.shard), which feeds it CSR *views*.
 # ----------------------------------------------------------------------
 
@@ -384,10 +293,9 @@ def crr_initial_ids(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Phase 1 over a CSR snapshot: the [P]-edge initial selection in id space.
 
-    Consumes the RNG exactly as :meth:`CRRShedder._initial_edges` does for
-    the same ``importance`` setting (``rng.choice`` over the same edge
-    count / identical shuffle-and-sort inside the id-space top-k), so a
-    whole-graph call selects the same edges the label path selects.
+    ``"random"`` draws ``rng.choice`` over the edge-scan order;
+    ``"betweenness"`` ranks by (optionally sampled) edge betweenness with a
+    seeded shuffle-then-stable-sort for the paper's random tie-breaking.
     """
     target = min(target, csr.num_edges)
     if importance == "random":
@@ -424,12 +332,12 @@ def crr_rewire_ids(
     unweighted run.
     """
     n = csr.num_nodes
-    tracker = ArrayDegreeTracker.from_csr(csr, p, weighted=weighted)
+    tracker = ArrayDegreeTracker(csr, p, weighted=weighted)
     tracker.add_edges_ids(kept_u, kept_v)
 
-    # Shed pool = edge-scan order minus the kept set (same positions the
-    # legacy IndexedEdgePool assigns).  Canonical orientation puts the
-    # smaller id first on both sides, so the keys line up.
+    # Shed pool = edge-scan order minus the kept set (the positions an
+    # IndexedEdgePool fed in scan order assigns).  Canonical orientation
+    # puts the smaller id first on both sides, so the keys line up.
     edge_u, edge_v = csr.edge_list_ids()
     shed_mask = ~np.isin(edge_u * n + edge_v, kept_u * n + kept_v)
     shed_u = edge_u[shed_mask]
@@ -439,7 +347,7 @@ def crr_rewire_ids(
     attempted = 0
     if kept_u.shape[0] and shed_u.shape[0]:
         attempted = steps
-        accepted = CRRShedder._run_swaps(tracker, rng, kept_u, kept_v, shed_u, shed_v, steps)
+        accepted = _run_swaps(tracker, rng, kept_u, kept_v, shed_u, shed_v, steps)
 
     stats["attempted_swaps"] = attempted
     stats["accepted_swaps"] = accepted
@@ -454,17 +362,15 @@ def crr_reduce_ids(
     stats: Dict[str, Any],
     steps: Optional[int] = None,
     steps_factor: float = 10.0,
-    importance: str = "betweenness",
+    importance: Union[str, IdRanking] = "betweenness",
     num_sources: Optional[int] = None,
     weighted: bool = False,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Full CRR (rank + rewire) over a CSR snapshot, returning kept edge ids.
 
-    The id-space counterpart of :meth:`CRRShedder._reduce` for the array
-    engine: identical target/steps arithmetic, identical RNG consumption.
-    The per-shard runner calls this on each :class:`CSRView`; calling it on
-    a whole-graph snapshot reproduces ``CRRShedder(engine="array")``'s kept
-    edge arrays bit for bit.
+    The core behind :class:`CRRShedder`; the per-shard runner calls it on
+    each :class:`CSRView`.  ``importance`` is a :func:`crr_initial_ids`
+    setting or an :data:`IdRanking` callable (a custom Phase 1).
 
     ``weighted=True`` rewires against expected-degree mass (see
     :func:`crr_rewire_ids`); Phase 1's betweenness ranking stays purely
@@ -477,7 +383,10 @@ def crr_reduce_ids(
     stats["target_edges"] = target
     stats["steps"] = steps
     with timed_phase(stats, "ranking_seconds"):
-        kept_u, kept_v = crr_initial_ids(csr, target, importance, num_sources, rng)
+        if callable(importance):
+            kept_u, kept_v = importance(target, rng)
+        else:
+            kept_u, kept_v = crr_initial_ids(csr, target, importance, num_sources, rng)
     with timed_phase(stats, "rewiring_seconds"):
         kept_u, kept_v = crr_rewire_ids(
             csr, p, kept_u, kept_v, steps, rng, stats, weighted=weighted

@@ -7,8 +7,9 @@ The paper's quality objective (Section II-A) is built from two quantities:
 * ``Δ = Σ_u |dis(u)|`` — the total absolute discrepancy (Equation 4).
 
 Both CRR's rewiring loop and BM2's bipartite phase mutate the candidate edge
-set thousands of times, so :class:`DegreeTracker` maintains ``dis`` and ``Δ``
-incrementally: adding or removing an edge is O(1).
+set thousands of times, so :class:`ArrayDegreeTracker` maintains ``dis`` and
+``Δ`` incrementally over a CSR snapshot's ids: adding or removing an edge
+is O(1).
 
 The uncertain-graph workload (:mod:`repro.uncertain`) generalises both
 quantities to probability mass: ``dis(u) = E[deg_G'(u)] − p·E[deg_G(u)]``
@@ -24,16 +25,15 @@ property suite pins.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.errors import EdgeNotFoundError, InvalidRatioError, ReductionError
-from repro.graph.graph import Edge, Graph, Node
+from repro.graph.graph import Graph
 
 __all__ = [
     "ArrayDegreeTracker",
-    "DegreeTracker",
     "add_change_from_dis",
     "compute_delta",
     "remove_change_from_dis",
@@ -210,182 +210,21 @@ def weighted_swap_change_from_dis(
     return change
 
 
-class DegreeTracker:
-    """Incremental ``dis(u)`` / ``Δ`` state for a growing/shrinking edge set.
-
-    Construct from the original graph and ratio ``p``; the tracked edge set
-    starts empty (every node sits at ``dis(u) = −p·deg_G(u)``).  Feed edges
-    through :meth:`add_edge` / :meth:`remove_edge`, or evaluate hypothetical
-    moves with the ``*_change`` methods without mutating state.
-    """
-
-    def __init__(self, graph: Graph, p: float) -> None:
-        if not 0.0 < p < 1.0:
-            raise InvalidRatioError(p)
-        self._graph = graph
-        self._p = p
-        #: node -> expected degree in the reduced graph (Equation 1)
-        self._expected: Dict[Node, float] = {
-            node: p * graph.degree(node) for node in graph.nodes()
-        }
-        #: node -> current degree in the tracked edge set
-        self._current: Dict[Node, int] = dict.fromkeys(graph.nodes(), 0)
-        self._edges: set[frozenset] = set()
-        self._delta = sum(self._expected.values())
-
-    # ------------------------------------------------------------------
-    # State
-    # ------------------------------------------------------------------
-
-    @property
-    def p(self) -> float:
-        return self._p
-
-    @property
-    def delta(self) -> float:
-        """Current ``Δ`` over the tracked edge set."""
-        return self._delta
-
-    @property
-    def num_edges(self) -> int:
-        return len(self._edges)
-
-    def expected_degree(self, node: Node) -> float:
-        """``E(deg_G'(node)) = p · deg_G(node)``."""
-        return self._expected[node]
-
-    def current_degree(self, node: Node) -> int:
-        return self._current[node]
-
-    def dis(self, node: Node) -> float:
-        """``dis(node)`` for the tracked edge set (Equation 3)."""
-        return self._current[node] - self._expected[node]
-
-    def has_edge(self, u: Node, v: Node) -> bool:
-        return frozenset((u, v)) in self._edges
-
-    def edges(self) -> Iterable[Tuple[Node, Node]]:
-        """The tracked edges (arbitrary orientation)."""
-        return [tuple(edge) for edge in self._edges]
-
-    def average_delta(self) -> float:
-        """``Δ / |V|`` — the per-node discrepancy the paper plots (Fig. 4/5)."""
-        n = len(self._expected)
-        if n == 0:
-            return 0.0
-        return self._delta / n
-
-    # ------------------------------------------------------------------
-    # Mutation
-    # ------------------------------------------------------------------
-
-    def add_edge(self, u: Node, v: Node) -> None:
-        """Track edge ``(u, v)``; must exist in the original graph."""
-        if not self._graph.has_edge(u, v):
-            raise EdgeNotFoundError(u, v)
-        key = frozenset((u, v))
-        if key in self._edges:
-            raise ReductionError(f"edge ({u!r}, {v!r}) is already tracked")
-        self._delta += self.add_change(u, v)
-        self._edges.add(key)
-        self._current[u] += 1
-        self._current[v] += 1
-
-    def remove_edge(self, u: Node, v: Node) -> None:
-        """Stop tracking edge ``(u, v)``."""
-        key = frozenset((u, v))
-        if key not in self._edges:
-            raise EdgeNotFoundError(u, v)
-        self._delta += self.remove_change(u, v)
-        self._edges.discard(key)
-        self._current[u] -= 1
-        self._current[v] -= 1
-
-    # ------------------------------------------------------------------
-    # Hypothetical moves (no mutation)
-    # ------------------------------------------------------------------
-
-    def add_change(self, u: Node, v: Node) -> float:
-        """Change in ``Δ`` if edge ``(u, v)`` were added.
-
-        This is the paper's ``d_2 = |dis(x)+1| + |dis(y)+1| − (|dis(x)| + |dis(y)|)``.
-        """
-        du, dv = self.dis(u), self.dis(v)
-        return abs(du + 1) + abs(dv + 1) - (abs(du) + abs(dv))
-
-    def remove_change(self, u: Node, v: Node) -> float:
-        """Change in ``Δ`` if edge ``(u, v)`` were removed.
-
-        This is the paper's ``d_1 = |dis(u)−1| + |dis(v)−1| − (|dis(u)| + |dis(v)|)``.
-        """
-        du, dv = self.dis(u), self.dis(v)
-        return abs(du - 1) + abs(dv - 1) - (abs(du) + abs(dv))
-
-    def swap_change(self, edge_out: Edge, edge_in: Edge) -> float:
-        """Exact change in ``Δ`` for removing ``edge_out`` and adding ``edge_in``.
-
-        When the two edges share no endpoint this equals ``d_1 + d_2`` from
-        Algorithm 1 lines 10-11.  When they share an endpoint the independent
-        formulas double-count that node; this method computes the exact joint
-        effect so CRR's accepted swaps can never increase ``Δ``.
-        """
-        (u, v), (x, y) = edge_out, edge_in
-        touched = {u, v, x, y}
-        shift: Dict[Node, int] = dict.fromkeys(touched, 0)
-        shift[u] -= 1
-        shift[v] -= 1
-        shift[x] += 1
-        shift[y] += 1
-        change = 0.0
-        for node in touched:
-            before = self.dis(node)
-            change += abs(before + shift[node]) - abs(before)
-        return change
-
-    def apply_swap(self, edge_out: Edge, edge_in: Edge) -> None:
-        """Remove ``edge_out`` and add ``edge_in`` in one move."""
-        self.remove_edge(*edge_out)
-        self.add_edge(*edge_in)
-
-
-class _TrackerIdsView:
-    """Duck-typed tracker facade whose node handles are CSR integer ids.
-
-    :func:`repro.core.bm2.bipartite_repair` only calls ``dis`` and
-    ``add_edge``; this view lets the array engine feed it id tuples without
-    a label round-trip.  ``dis`` values are bitwise identical to the dict
-    tracker's (same ``int - float`` IEEE subtraction), so the repair heap
-    makes bitwise-identical decisions.
-    """
-
-    __slots__ = ("_tracker",)
-
-    def __init__(self, tracker: "ArrayDegreeTracker") -> None:
-        self._tracker = tracker
-
-    def dis(self, node_id: int) -> float:
-        return float(self._tracker._dis[node_id])
-
-    def add_edge(self, u: int, v: int) -> None:
-        self._tracker.add_edge_ids(u, v)
-
-
 class ArrayDegreeTracker:
-    """Array-native :class:`DegreeTracker`: flat numpy state over CSR ids.
+    """Incremental ``dis(u)`` / ``Δ`` state over a CSR snapshot's integer ids.
 
-    Node labels are mapped to the graph's CSR integer ids once at
-    construction; ``expected``, ``current`` and ``dis`` live in flat arrays,
-    tracked edges are integer keys in a hash set, and the ``*_change_ids``
-    methods evaluate whole batches of hypothetical moves in one vectorized
-    call.  The label-keyed API of :class:`DegreeTracker` is preserved on
-    top (``add_edge``, ``swap_change``, ``dis``, ...), so the two classes
-    are drop-in interchangeable — the dict tracker stays as the scalar
-    oracle the property tests pin this class against.
+    Construct from a snapshot and ratio ``p``; the tracked edge set starts
+    empty (every node sits at ``dis(u) = −p·deg_G(u)``).  ``expected``,
+    ``current`` and ``dis`` live in flat arrays, tracked edges are integer
+    keys in a hash set, and the ``*_change_ids`` methods evaluate whole
+    batches of hypothetical moves in one vectorized call.  The snapshot may
+    be a whole-graph export or a per-shard :class:`repro.graph.csr.CSRView`
+    — expectations are ``p`` times the snapshot's own degree array, so a
+    view tracker scores discrepancy against shard-interior degrees.
 
     Exactness: ``dis`` slots are always written as ``current - expected``
-    (the same ``int - float`` IEEE subtraction the dict tracker performs,
-    never an incremental drift), and the scalar mutation path accumulates
-    ``Δ`` with the dict tracker's exact expression order.  Bulk
+    (never an incremental drift), and the scalar mutation path accumulates
+    ``Δ`` term by term with the paper's ``d_1``/``d_2`` expressions.  Bulk
     :meth:`add_edges_ids` recomputes ``Δ = Σ|dis|`` directly instead —
     bit-identical whenever every ``p·deg`` is exactly representable (e.g.
     ``p = 0.5``), and within float-association noise (≪ 1e-9) otherwise.
@@ -397,32 +236,9 @@ class ArrayDegreeTracker:
     replacing ``1``, so all-ones weights degenerate bit-identically.
     """
 
-    def __init__(self, graph: Graph, p: float, weighted: bool = False) -> None:
+    def __init__(self, csr: "CSRAdjacency", p: float, weighted: bool = False) -> None:
         if not 0.0 < p < 1.0:
             raise InvalidRatioError(p)
-        self._graph = graph
-        self._bind(graph.csr(), p, weighted)
-
-    @classmethod
-    def from_csr(
-        cls, csr: "CSRAdjacency", p: float, weighted: bool = False
-    ) -> "ArrayDegreeTracker":
-        """Build a tracker directly on a CSR snapshot (no :class:`Graph`).
-
-        The snapshot may be a whole-graph export or a per-shard
-        :class:`repro.graph.csr.CSRView` — expectations are ``p`` times the
-        snapshot's own degree array, so a view tracker scores discrepancy
-        against shard-interior degrees.  State and arithmetic are identical
-        to the graph-based constructor.
-        """
-        if not 0.0 < p < 1.0:
-            raise InvalidRatioError(p)
-        tracker = cls.__new__(cls)
-        tracker._graph = None
-        tracker._bind(csr, p, weighted)
-        return tracker
-
-    def _bind(self, csr: "CSRAdjacency", p: float, weighted: bool = False) -> None:
         self._p = p
         self._csr = csr
         self._is_weighted = bool(weighted)
@@ -449,8 +265,8 @@ class ArrayDegreeTracker:
         #: every original-graph edge as an integer key (membership checks;
         #: memoised on the snapshot, shared across trackers).
         self._graph_keys: frozenset = csr.edge_key_set()
-        # Python sum in id (= insertion) order, matching the dict tracker's
-        # ``sum(self._expected.values())`` bit for bit.
+        # Python sum in id (= insertion) order: the same float as summing
+        # the expectations node by node in graph order.
         self._delta = float(sum(self._expected.tolist()))
 
     # ------------------------------------------------------------------
@@ -479,53 +295,12 @@ class ArrayDegreeTracker:
         """Whether this tracker scores probability mass instead of counts."""
         return self._is_weighted
 
-    def expected_degree(self, node: Node) -> float:
-        """``E(deg_G'(node)) = p · deg_G(node)`` (mass when weighted)."""
-        return float(self._expected[self._id_of(node)])
-
-    def current_degree(self, node: Node):
-        """Tracked degree of ``node`` — an int, or a float mass when weighted."""
-        value = self._current[self._id_of(node)]
-        return float(value) if self._is_weighted else int(value)
-
-    def dis(self, node: Node) -> float:
-        """``dis(node)`` for the tracked edge set (Equation 3)."""
-        return float(self._dis[self._id_of(node)])
-
     def dis_array(self) -> np.ndarray:
         """``float64[n]`` of ``dis`` per CSR id.  Treat as read-only."""
         return self._dis
 
-    def has_edge(self, u: Node, v: Node) -> bool:
-        return self._edge_key(self._id_of(u), self._id_of(v)) in self._edge_keys
-
-    def edges(self) -> Iterable[Tuple[Node, Node]]:
-        """The tracked edges (canonical orientation, arbitrary order)."""
-        n = self._n
-        labels = self._csr.labels
-        return [(labels[key // n], labels[key % n]) for key in self._edge_keys]
-
-    def average_delta(self) -> float:
-        """``Δ / |V|`` — the per-node discrepancy the paper plots (Fig. 4/5)."""
-        if self._n == 0:
-            return 0.0
-        return self._delta / self._n
-
-    def ids_view(self) -> _TrackerIdsView:
-        """A tracker facade keyed by CSR ids (for :func:`bipartite_repair`)."""
-        return _TrackerIdsView(self)
-
-    def _id_of(self, node: Node) -> int:
-        return self._csr.index_of[node]
-
     def _edge_key(self, u: int, v: int) -> int:
         return (u * self._n + v) if u < v else (v * self._n + u)
-
-    def edge_weight_ids(self, u: int, v: int) -> float:
-        """Weight of graph edge ``(u, v)`` by CSR ids (1.0 when unweighted)."""
-        if not self._is_weighted:
-            return 1.0
-        return self._weight_of[self._edge_key(u, v)]
 
     def edge_weights_ids(self, edge_u: np.ndarray, edge_v: np.ndarray) -> np.ndarray:
         """``float64`` weights of graph edges given as id arrays."""
@@ -536,24 +311,11 @@ class ArrayDegreeTracker:
         )
 
     # ------------------------------------------------------------------
-    # Mutation (scalar, exact dict-tracker accumulation order)
+    # Mutation (scalar, term-by-term Δ accumulation)
     # ------------------------------------------------------------------
 
-    def add_edge(self, u: Node, v: Node) -> None:
-        """Track edge ``(u, v)``; must exist in the original graph."""
-        self.add_edge_ids(self._id_of(u), self._id_of(v))
-
-    def remove_edge(self, u: Node, v: Node) -> None:
-        """Stop tracking edge ``(u, v)``."""
-        self.remove_edge_ids(self._id_of(u), self._id_of(v))
-
-    def apply_swap(self, edge_out: Edge, edge_in: Edge) -> None:
-        """Remove ``edge_out`` and add ``edge_in`` in one move."""
-        self.remove_edge(*edge_out)
-        self.add_edge(*edge_in)
-
     def add_edge_ids(self, u: int, v: int) -> None:
-        """Id-native :meth:`add_edge`."""
+        """Track graph edge ``(u, v)`` given by CSR ids."""
         key = self._edge_key(u, v)
         if key not in self._graph_keys:
             labels = self._csr.labels
@@ -562,7 +324,7 @@ class ArrayDegreeTracker:
             labels = self._csr.labels
             raise ReductionError(f"edge ({labels[u]!r}, {labels[v]!r}) is already tracked")
         # w is the int literal 1 when unweighted, so the float expressions
-        # below are character-for-character the dict tracker's.
+        # below are the paper's d_2 (and d_1 on removal) term for term.
         w = self._weight_of[key] if self._is_weighted else 1
         dis = self._dis
         du, dv = float(dis[u]), float(dis[v])
@@ -575,7 +337,7 @@ class ArrayDegreeTracker:
         dis[v] = current[v] - expected[v]
 
     def remove_edge_ids(self, u: int, v: int) -> None:
-        """Id-native :meth:`remove_edge`."""
+        """Stop tracking edge ``(u, v)`` given by CSR ids."""
         key = self._edge_key(u, v)
         if key not in self._edge_keys:
             labels = self._csr.labels
@@ -592,7 +354,7 @@ class ArrayDegreeTracker:
         dis[v] = current[v] - expected[v]
 
     def apply_swap_ids(self, out_u: int, out_v: int, in_u: int, in_v: int) -> None:
-        """Id-native :meth:`apply_swap` (remove then add, dict order)."""
+        """Remove edge ``(out_u, out_v)``, then add ``(in_u, in_v)``."""
         self.remove_edge_ids(out_u, out_v)
         self.add_edge_ids(in_u, in_v)
 
@@ -756,29 +518,6 @@ class ArrayDegreeTracker:
     # Hypothetical moves (no mutation)
     # ------------------------------------------------------------------
 
-    def add_change(self, u: Node, v: Node) -> float:
-        """Change in ``Δ`` if edge ``(u, v)`` were added (paper's ``d_2``)."""
-        iu, iv = self._id_of(u), self._id_of(v)
-        dis = self._dis
-        du, dv = float(dis[iu]), float(dis[iv])
-        w = self._weight_of[self._edge_key(iu, iv)] if self._is_weighted else 1
-        return abs(du + w) + abs(dv + w) - (abs(du) + abs(dv))
-
-    def remove_change(self, u: Node, v: Node) -> float:
-        """Change in ``Δ`` if edge ``(u, v)`` were removed (paper's ``d_1``)."""
-        iu, iv = self._id_of(u), self._id_of(v)
-        dis = self._dis
-        du, dv = float(dis[iu]), float(dis[iv])
-        w = self._weight_of[self._edge_key(iu, iv)] if self._is_weighted else 1
-        return abs(du - w) + abs(dv - w) - (abs(du) + abs(dv))
-
-    def swap_change(self, edge_out: Edge, edge_in: Edge) -> float:
-        """Exact joint change in ``Δ`` for ``edge_out`` → ``edge_in``."""
-        (u, v), (x, y) = edge_out, edge_in
-        return self.swap_change_scalar_ids(
-            self._id_of(u), self._id_of(v), self._id_of(x), self._id_of(y)
-        )
-
     def swap_change_scalar_ids(self, out_u: int, out_v: int, in_u: int, in_v: int) -> float:
         """Exact joint swap change for one id quadruple (shared endpoints OK)."""
         if self._is_weighted:
@@ -790,7 +529,7 @@ class ArrayDegreeTracker:
         return swap_change_scalar_from_dis(self._dis, out_u, out_v, in_u, in_v)
 
     def add_change_ids(self, edge_u: np.ndarray, edge_v: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`add_change` over endpoint id arrays."""
+        """Change in ``Δ`` if each edge were added (paper's ``d_2``), vectorized."""
         if self._is_weighted:
             return weighted_add_change_from_dis(
                 self._dis, edge_u, edge_v, self.edge_weights_ids(edge_u, edge_v)
@@ -798,7 +537,7 @@ class ArrayDegreeTracker:
         return add_change_from_dis(self._dis, edge_u, edge_v)
 
     def remove_change_ids(self, edge_u: np.ndarray, edge_v: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`remove_change` over endpoint id arrays."""
+        """Change in ``Δ`` if each edge were removed (paper's ``d_1``), vectorized."""
         if self._is_weighted:
             return weighted_remove_change_from_dis(
                 self._dis, edge_u, edge_v, self.edge_weights_ids(edge_u, edge_v)
@@ -812,10 +551,12 @@ class ArrayDegreeTracker:
         in_u: np.ndarray,
         in_v: np.ndarray,
     ) -> np.ndarray:
-        """Vectorized :meth:`swap_change` over batches of candidate swaps.
+        """Exact joint ``Δ`` change of each candidate swap, vectorized.
 
-        Every entry matches :meth:`swap_change` for the same pair of edges,
-        including shared-endpoint pairs (see :func:`swap_change_from_dis`).
+        Every entry matches :meth:`swap_change_scalar_ids` for the same pair
+        of edges, including shared-endpoint pairs, where the paper's
+        independent ``d_1 + d_2`` would double-count the shared node (see
+        :func:`swap_change_from_dis`).
         """
         if self._is_weighted:
             return weighted_swap_change_from_dis(
@@ -830,8 +571,8 @@ def compute_delta(original: Graph, reduced: Graph, p: float) -> float:
     """``Δ`` of an already-built reduced graph against ``original`` and ``p``.
 
     A from-scratch (non-incremental) computation used to validate trackers
-    and to score reduction methods that do not use :class:`DegreeTracker`
-    internally (e.g. the UDS baseline after reconstruction).
+    and to score reduction methods that do not track ``Δ`` internally
+    (e.g. the UDS baseline after reconstruction).
     """
     if not 0.0 < p < 1.0:
         raise InvalidRatioError(p)

@@ -82,7 +82,7 @@ class IncrementalShedder:
             :meth:`delete`.
         p: edge preservation ratio (the offline engines' ``p``).
         shedder: offline method producing the seed reduction (default:
-            ``BM2Shedder(engine="array")``; BM2's per-node ``dis < 1``
+            ``BM2Shedder()``; BM2's per-node ``dis < 1``
             guarantee is what the default repair threshold preserves).
         rebuild_shedder: method used by drift-triggered rebuilds
             (default: ``shedder``).
@@ -110,7 +110,7 @@ class IncrementalShedder:
     ) -> None:
         self._p = validate_ratio(p)
         self._graph = graph
-        self._shedder = shedder if shedder is not None else BM2Shedder(engine="array")
+        self._shedder = shedder if shedder is not None else BM2Shedder()
         self._rebuild_shedder = (
             rebuild_shedder if rebuild_shedder is not None else self._shedder
         )

@@ -2,8 +2,7 @@
 
 Everything the link-prediction evaluation task needs, implemented in plain
 numpy (no external ML dependencies).  Walk generation and SGNS training
-both run array-native by default (``engine="batched"``) with the original
-scalar implementations kept as ``engine="legacy"`` oracles.
+both run array-native: batched walk epochs and mini-batched SGNS.
 """
 
 from repro.embedding.kmeans import KMeansResult, kmeans

@@ -3,13 +3,10 @@
 Wires the walk generator and SGNS trainer behind one call, keeping the
 label <-> integer-id mapping consistent with the graph's CSR order.
 
-``engine`` selects the whole pipeline: ``"batched"`` (default) feeds the
-dense walk matrix from :func:`repro.embedding.walks.generate_walk_matrix`
-straight into the mini-batched trainer (no list materialisation);
-``"legacy"`` runs the scalar walker + per-center trainer, kept as the
-end-to-end oracle.  ``workers > 1`` fans batched walk epochs out across
-processes with bit-identical output (see
-:func:`repro.graph.parallel.parallel_walk_matrix`).
+The dense walk matrix from :func:`repro.embedding.walks.generate_walk_matrix`
+feeds the mini-batched trainer directly (no list materialisation).
+``workers > 1`` fans walk epochs out across processes with bit-identical
+output (see :func:`repro.graph.parallel.parallel_walk_matrix`).
 """
 
 from __future__ import annotations
@@ -22,7 +19,7 @@ import numpy as np
 
 from repro.errors import EmbeddingError
 from repro.embedding.skipgram import train_skipgram
-from repro.embedding.walks import _legacy_generate_walks, generate_walk_matrix
+from repro.embedding.walks import generate_walk_matrix
 from repro.graph.graph import Graph, Node
 from repro.rng import RandomState, ensure_rng
 
@@ -59,7 +56,6 @@ def node2vec_embed(
     p: float = 1.0,
     q: float = 1.0,
     seed: RandomState = None,
-    engine: str = "batched",
     workers: Optional[int] = None,
 ) -> Node2VecModel:
     """Train node2vec embeddings for every node in ``graph``.
@@ -67,31 +63,20 @@ def node2vec_embed(
     Defaults follow the paper's link-prediction setup (``p = q = 1``);
     the remaining hyperparameters are scaled for laptop-class runs.
     """
-    if engine not in ("batched", "legacy"):
-        raise EmbeddingError(
-            f"engine must be one of ('batched', 'legacy'), got {engine!r}"
-        )
     rng = ensure_rng(seed)
     csr = graph.csr()
     start = time.perf_counter()
-    if engine == "batched":
-        walks = generate_walk_matrix(
-            graph,
-            num_walks=num_walks,
-            walk_length=walk_length,
-            p=p,
-            q=q,
-            seed=rng,
-            workers=workers,
-        )
-        corpus_empty = walks.shape[0] == 0
-    else:
-        walks = _legacy_generate_walks(
-            graph, num_walks=num_walks, walk_length=walk_length, p=p, q=q, seed=rng
-        )
-        corpus_empty = not walks
+    walks = generate_walk_matrix(
+        graph,
+        num_walks=num_walks,
+        walk_length=walk_length,
+        p=p,
+        q=q,
+        seed=rng,
+        workers=workers,
+    )
     walk_seconds = time.perf_counter() - start
-    if corpus_empty:
+    if walks.shape[0] == 0:
         raise EmbeddingError("cannot train on an empty walk corpus")
     start = time.perf_counter()
     embeddings = train_skipgram(
@@ -102,7 +87,6 @@ def node2vec_embed(
         negatives=negatives,
         epochs=epochs,
         seed=rng,
-        engine=engine,
     )
     sgns_seconds = time.perf_counter() - start
     return Node2VecModel(

@@ -4,24 +4,19 @@ Trains node embeddings from random-walk corpora: every (center, context)
 pair inside a sliding window is a positive example; negatives are drawn
 from the unigram^0.75 distribution (the word2vec convention).
 
-Two engines, mirroring the walk generator:
+Training is mini-batched: the full (center, context) pair arrays are
+built once from the walk matrix — one diagonal slice per window offset, no
+per-window Python loop — then trained in shuffled mini-batches: negatives
+are inverse-sampled from the noise distribution's cumsum in one draw per
+batch, scores/gradients are computed for the whole batch, and both
+embedding tables are updated with ``np.add.at`` scatters (duplicate
+centers/targets within a batch accumulate).
 
-* ``engine="batched"`` (default) builds the full (center, context) pair
-  arrays once from the walk matrix — one diagonal slice per window
-  offset, no per-window Python loop — then trains in shuffled
-  mini-batches: negatives are inverse-sampled from the noise
-  distribution's cumsum in one draw per batch, scores/gradients are
-  computed for the whole batch, and both embedding tables are updated
-  with ``np.add.at`` scatters (duplicate centers/targets within a batch
-  accumulate).
-* ``engine="legacy"`` is the original per-center loop
-  (:func:`_legacy_train_skipgram`), kept as the oracle.
-
-Both engines apply the same per-example gradient formula and the same
-linearly-decayed learning rate; they differ in update granularity (a
-mini-batch uses pre-batch parameters for every example in it, the legacy
-loop updates after every center), so equivalence is statistical — the
-link-prediction task pins end-to-end utility agreement.
+The per-example gradient formula and the linearly-decayed learning rate
+are word2vec's.  Only the update granularity differs from the per-center
+loop (a mini-batch uses pre-batch parameters for every example in it), so
+the tests compare the two statistically — the link-prediction task pins
+end-to-end utility agreement.
 """
 
 from __future__ import annotations
@@ -34,8 +29,6 @@ from repro.errors import EmbeddingError
 from repro.rng import RandomState, ensure_rng
 
 __all__ = ["train_skipgram", "build_skipgram_pairs"]
-
-_ENGINES = ("batched", "legacy")
 
 WalkCorpus = Union[Sequence[Sequence[int]], np.ndarray]
 
@@ -66,9 +59,9 @@ def _scatter_rows(table: np.ndarray, rows: np.ndarray, updates: np.ndarray) -> N
 def _as_walk_matrix(walks: WalkCorpus) -> np.ndarray:
     """Walk corpus as a dense ``int64[W, L]`` matrix, padded with ``-1``.
 
-    Batched walk engines already produce the matrix (all rows full
-    length); list-of-lists corpora (e.g. from the legacy walker) are
-    right-padded so the pair builder can slice diagonally.
+    The batched walk generator already produces the matrix (all rows full
+    length); list-of-lists corpora are right-padded so the pair builder can
+    slice diagonally.
     """
     if isinstance(walks, np.ndarray):
         if walks.ndim != 2:
@@ -123,7 +116,6 @@ def train_skipgram(
     epochs: int = 2,
     learning_rate: float = 0.025,
     seed: RandomState = None,
-    engine: str = "batched",
     batch_size: int = 1024,
 ) -> np.ndarray:
     """Train SGNS embeddings; returns ``float64[num_nodes, dimensions]``.
@@ -133,8 +125,6 @@ def train_skipgram(
     appear in ``walks`` keep their small random initialisation (they
     carry no signal either way).
     """
-    if engine not in _ENGINES:
-        raise EmbeddingError(f"engine must be one of {_ENGINES}, got {engine!r}")
     if num_nodes < 1:
         raise EmbeddingError(f"num_nodes must be >= 1, got {num_nodes}")
     if dimensions < 1:
@@ -147,19 +137,6 @@ def train_skipgram(
         raise EmbeddingError(f"batch_size must be >= 1, got {batch_size}")
     if len(walks) == 0:
         raise EmbeddingError("cannot train on an empty walk corpus")
-    if engine == "legacy":
-        if isinstance(walks, np.ndarray):
-            walks = [[node for node in row if node >= 0] for row in walks.tolist()]
-        return _legacy_train_skipgram(
-            walks,
-            num_nodes,
-            dimensions=dimensions,
-            window=window,
-            negatives=negatives,
-            epochs=epochs,
-            learning_rate=learning_rate,
-            seed=seed,
-        )
 
     matrix = _as_walk_matrix(walks)
     present = matrix[matrix >= 0]
@@ -225,61 +202,4 @@ def train_skipgram(
             _scatter_rows(
                 context, targets.ravel(), context_updates.reshape(-1, dimensions)
             )
-    return embeddings
-
-
-def _legacy_train_skipgram(
-    walks: Sequence[Sequence[int]],
-    num_nodes: int,
-    dimensions: int = 32,
-    window: int = 5,
-    negatives: int = 5,
-    epochs: int = 2,
-    learning_rate: float = 0.025,
-    seed: RandomState = None,
-) -> np.ndarray:
-    """Per-center sequential SGNS — the mini-batched engine's oracle."""
-    rng = ensure_rng(seed)
-    embeddings = (rng.random((num_nodes, dimensions)) - 0.5) / dimensions
-    context = np.zeros((num_nodes, dimensions), dtype=np.float64)
-
-    # Unigram^0.75 negative-sampling table.
-    frequency = np.zeros(num_nodes, dtype=np.float64)
-    for walk in walks:
-        for node in walk:
-            if not 0 <= node < num_nodes:
-                raise EmbeddingError(f"walk contains out-of-range node id {node}")
-            frequency[node] += 1.0
-    noise = frequency**0.75
-    noise_total = noise.sum()
-    if noise_total == 0:
-        raise EmbeddingError("walk corpus is empty of nodes")
-    noise /= noise_total
-
-    for epoch in range(epochs):
-        rate = learning_rate * (1.0 - epoch / max(epochs, 1)) + 1e-4
-        for walk in walks:
-            length = len(walk)
-            for position, center in enumerate(walk):
-                lo = max(0, position - window)
-                hi = min(length, position + window + 1)
-                positives = [walk[i] for i in range(lo, hi) if i != position]
-                if not positives:
-                    continue
-                positive_ids = np.asarray(positives, dtype=np.int64)
-                negative_ids = rng.choice(
-                    num_nodes, size=negatives * len(positives), p=noise
-                )
-                targets = np.concatenate([positive_ids, negative_ids])
-                labels = np.zeros(targets.size, dtype=np.float64)
-                labels[: positive_ids.size] = 1.0
-
-                center_vector = embeddings[center]
-                target_vectors = context[targets]
-                scores = _sigmoid(target_vectors @ center_vector)
-                gradient = (labels - scores) * rate  # shape (targets,)
-                center_update = gradient @ target_vectors
-                # Accumulate context updates; np.add.at handles repeats.
-                np.add.at(context, targets, gradient[:, None] * center_vector[None, :])
-                embeddings[center] += center_update
     return embeddings

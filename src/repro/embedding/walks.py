@@ -6,27 +6,21 @@ implement the full second-order bias so the return (``p``) and in-out
 (``q``) parameters are available, matching the reference algorithm
 (Grover & Leskovec, KDD 2016).
 
-Two engines, mirroring the PR 1/2 kernel pattern:
+Walks run batched (:func:`repro.graph.kernels.walk_epoch_matrix`): all
+walks of an epoch advance one step per numpy operation over the cached CSR
+snapshot — a uniform fast path at ``p == q == 1`` and a vectorised
+second-order step (global ``searchsorted`` membership test against the
+previous node's sorted adjacency, per-segment cumsum inverse sampling)
+otherwise.  ``workers > 1`` fans the epochs out across processes via
+:func:`repro.graph.parallel.parallel_walk_matrix`.
 
-* ``engine="batched"`` (default) runs
-  :func:`repro.graph.kernels.walk_epoch_matrix`: all walks of an epoch
-  advance one step per numpy operation over the cached CSR snapshot —
-  a uniform fast path at ``p == q == 1`` and a vectorised second-order
-  step (global ``searchsorted`` membership test against the previous
-  node's sorted adjacency, per-segment cumsum inverse sampling)
-  otherwise.  ``workers > 1`` fans the epochs out across processes via
-  :func:`repro.graph.parallel.parallel_walk_matrix`.
-* ``engine="legacy"`` is the original per-step scalar walker, kept as
-  the statistical oracle (:func:`_legacy_generate_walks`).
-
-Determinism contract: the batched engine derives one child seed per
-epoch from the caller's generator *before* any stepping, and each epoch
-consumes only its own child stream — so ``workers=N`` output is
-bit-identical to serial output, and a fixed integer seed yields a
-bit-identical walk matrix everywhere.  The two engines consume the RNG
-differently and therefore produce *different* (equally distributed)
-walks for the same seed; equivalence is statistical, not bitwise
-(property-tested on per-edge transition frequencies).
+Determinism contract: one child seed per epoch is derived from the
+caller's generator *before* any stepping, and each epoch consumes only its
+own child stream — so ``workers=N`` output is bit-identical to serial
+output, and a fixed integer seed yields a bit-identical walk matrix
+everywhere.  A per-step scalar walker consumes the RNG differently and so
+produces *different* (equally distributed) walks for the same seed; the
+tests compare the two on per-edge transition frequencies.
 """
 
 from __future__ import annotations
@@ -36,14 +30,11 @@ from typing import List, Optional
 import numpy as np
 
 from repro.errors import EmbeddingError
-from repro.graph.csr import CSRAdjacency
 from repro.graph.graph import Graph
 from repro.graph.kernels import walk_epoch_matrix
 from repro.rng import RandomState, ensure_rng
 
 __all__ = ["generate_walks", "generate_walk_matrix"]
-
-_ENGINES = ("batched", "legacy")
 
 
 def _validate(num_walks: int, walk_length: int, p: float, q: float) -> None:
@@ -62,7 +53,6 @@ def generate_walks(
     p: float = 1.0,
     q: float = 1.0,
     seed: RandomState = None,
-    engine: str = "batched",
     workers: Optional[int] = None,
 ) -> List[List[int]]:
     """Generate ``num_walks`` walks from every node with degree >= 1.
@@ -70,28 +60,19 @@ def generate_walks(
     Returns walks over *integer node ids* (CSR order); pair them with
     :class:`CSRAdjacency.labels` to recover original labels.  Isolated
     nodes produce no walks (they have no transitions and contribute no
-    skip-gram pairs anyway).
-
-    ``engine="batched"`` (default) advances all walks of an epoch one
-    step per numpy operation; ``engine="legacy"`` is the scalar oracle.
-    ``workers > 1`` parallelises batched epochs across processes with
-    bit-identical output (ignored by the legacy engine).
+    skip-gram pairs anyway).  The list form of
+    :func:`generate_walk_matrix`; ``workers > 1`` parallelises epochs
+    across processes with bit-identical output.
     """
-    if engine == "batched":
-        return generate_walk_matrix(
-            graph,
-            num_walks=num_walks,
-            walk_length=walk_length,
-            p=p,
-            q=q,
-            seed=seed,
-            workers=workers,
-        ).tolist()
-    if engine == "legacy":
-        return _legacy_generate_walks(
-            graph, num_walks=num_walks, walk_length=walk_length, p=p, q=q, seed=seed
-        )
-    raise EmbeddingError(f"engine must be one of {_ENGINES}, got {engine!r}")
+    return generate_walk_matrix(
+        graph,
+        num_walks=num_walks,
+        walk_length=walk_length,
+        p=p,
+        q=q,
+        seed=seed,
+        workers=workers,
+    ).tolist()
 
 
 def generate_walk_matrix(
@@ -106,7 +87,7 @@ def generate_walk_matrix(
     """Batched walk corpus as one dense matrix ``int64[W, walk_length]``.
 
     Rows are ordered epoch-major (epoch 0's walks first), start-node-minor
-    (ascending non-isolated node id) — the legacy engine's row order.
+    (ascending non-isolated node id).
     Every row is full length: in an undirected simple graph a walk that
     left a degree->=1 start always has a neighbour to continue to.
 
@@ -138,64 +119,3 @@ def generate_walk_matrix(
         for epoch_seed in epoch_seeds
     ]
     return np.vstack(blocks)
-
-
-def _legacy_generate_walks(
-    graph: Graph,
-    num_walks: int = 10,
-    walk_length: int = 40,
-    p: float = 1.0,
-    q: float = 1.0,
-    seed: RandomState = None,
-) -> List[List[int]]:
-    """Scalar per-step walker — the batched engine's statistical oracle."""
-    _validate(num_walks, walk_length, p, q)
-    rng = ensure_rng(seed)
-    csr = graph.csr()
-    uniform = p == 1.0 and q == 1.0
-    walks: List[List[int]] = []
-
-    starts = [node for node in range(csr.num_nodes) if len(csr.neighbors(node)) > 0]
-    for _ in range(num_walks):
-        for start in starts:
-            walk = [start]
-            while len(walk) < walk_length:
-                current = walk[-1]
-                neighbors = csr.neighbors(current)
-                if neighbors.size == 0:
-                    break
-                if uniform or len(walk) < 2:
-                    nxt = int(neighbors[int(rng.integers(neighbors.size))])
-                else:
-                    nxt = _biased_step(csr, walk[-2], current, neighbors, p, q, rng)
-                walk.append(nxt)
-            walks.append(walk)
-    return walks
-
-
-def _biased_step(
-    csr: CSRAdjacency,
-    previous: int,
-    current: int,
-    neighbors: np.ndarray,
-    p: float,
-    q: float,
-    rng: np.random.Generator,
-) -> int:
-    """One second-order step: bias by return/in-out distance to ``previous``."""
-    previous_neighbors = csr.neighbors(previous)
-    weights = np.empty(neighbors.size, dtype=np.float64)
-    for i, candidate in enumerate(neighbors):
-        if candidate == previous:
-            weights[i] = 1.0 / p
-        elif _binary_contains(previous_neighbors, candidate):
-            weights[i] = 1.0
-        else:
-            weights[i] = 1.0 / q
-    weights /= weights.sum()
-    return int(neighbors[rng.choice(neighbors.size, p=weights)])
-
-
-def _binary_contains(sorted_array: np.ndarray, value: int) -> bool:
-    index = int(np.searchsorted(sorted_array, value))
-    return index < sorted_array.size and sorted_array[index] == value

@@ -75,7 +75,6 @@ from repro.graph.io import (
     write_json,
 )
 from repro.graph.matching import (
-    greedy_b_matching,
     greedy_b_matching_ids,
     greedy_weighted_b_matching_ids,
     is_b_matching,
@@ -170,7 +169,6 @@ __all__ = [
     "max_degree",
     "estimate_powerlaw_exponent",
     # matching
-    "greedy_b_matching",
     "greedy_b_matching_ids",
     "greedy_weighted_b_matching_ids",
     "is_b_matching",

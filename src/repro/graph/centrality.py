@@ -10,10 +10,7 @@ figures the paper quotes.
 The public functions here are thin wrappers over the CSR-native array
 kernels in :mod:`repro.graph.kernels`: they grab the graph's cached
 :meth:`Graph.csr` snapshot, run the flat-array accumulation, and map raw
-scores back to node labels / canonical edge keys at the boundary.  The
-original dict-of-sets implementation is retained as ``_legacy_*`` —
-it is the reference oracle for the kernel property tests and the baseline
-the micro-benchmarks measure speedups against.
+scores back to node labels / canonical edge keys at the boundary.
 
 For graphs where exact betweenness is too slow (the resource-constraints
 story), the ``num_sources`` argument switches to source sampling: run the
@@ -30,14 +27,13 @@ once); normalised node scores divide by ``(n-1)(n-2)/2``, edge scores by
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.graph.graph import Edge, Graph, Node
 from repro.graph.kernels import brandes_accumulate
-from repro.graph.sampling import select_source_ids, select_sources
+from repro.graph.sampling import select_source_ids
 from repro.rng import RandomState, ensure_rng
 
 __all__ = [
@@ -167,111 +163,3 @@ def top_edges_by_betweenness(
     )
     labels = graph.csr().labels
     return [(labels[u], labels[v]) for u, v in zip(u_ids.tolist(), v_ids.tolist())]
-
-
-# ----------------------------------------------------------------------
-# Legacy dict-of-sets implementation — reference oracle for the kernels
-# ----------------------------------------------------------------------
-
-
-def _adjacency_lists(graph: Graph) -> Dict[Node, List[Node]]:
-    """Materialise neighbour lists once; list iteration is ~2x faster than
-    set iteration in the accumulation loop, which runs |V| times."""
-    return {node: list(graph.neighbors(node)) for node in graph.nodes()}
-
-
-def _brandes_sssp(
-    adjacency: Dict[Node, List[Node]], source: Node
-) -> Tuple[List[Node], Dict[Node, List[Node]], Dict[Node, float]]:
-    """Brandes BFS stage: returns (stack, predecessors, path counts)."""
-    stack: List[Node] = []
-    predecessors: Dict[Node, List[Node]] = {node: [] for node in adjacency}
-    sigma: Dict[Node, float] = dict.fromkeys(adjacency, 0.0)
-    sigma[source] = 1.0
-    distance: Dict[Node, int] = {source: 0}
-    queue = deque([source])
-    while queue:
-        node = queue.popleft()
-        stack.append(node)
-        node_distance = distance[node]
-        sigma_node = sigma[node]
-        for neighbor in adjacency[node]:
-            neighbor_distance = distance.get(neighbor)
-            if neighbor_distance is None:
-                distance[neighbor] = node_distance + 1
-                queue.append(neighbor)
-                sigma[neighbor] += sigma_node
-                predecessors[neighbor].append(node)
-            elif neighbor_distance == node_distance + 1:
-                sigma[neighbor] += sigma_node
-                predecessors[neighbor].append(node)
-    return stack, predecessors, sigma
-
-
-def _legacy_node_betweenness(
-    graph: Graph,
-    normalized: bool = True,
-    num_sources: Optional[int] = None,
-    seed: RandomState = None,
-) -> Dict[Node, float]:
-    """Pre-kernel node betweenness over Python dicts (reference/benchmark)."""
-    centrality: Dict[Node, float] = dict.fromkeys(graph.nodes(), 0.0)
-    sources, scale = select_sources(graph, num_sources, seed)
-    adjacency = _adjacency_lists(graph)
-    for source in sources:
-        stack, predecessors, sigma = _brandes_sssp(adjacency, source)
-        delta: Dict[Node, float] = dict.fromkeys(stack, 0.0)
-        while stack:
-            node = stack.pop()
-            coefficient = (1.0 + delta[node]) / sigma[node]
-            for predecessor in predecessors[node]:
-                delta[predecessor] += sigma[predecessor] * coefficient
-            if node != source:
-                centrality[node] += delta[node]
-        # ``delta`` only covers reachable nodes; unreachable ones add 0.
-    factor = scale / _node_normalization(graph.num_nodes, normalized)
-    return {node: value * factor for node, value in centrality.items()}
-
-
-def _legacy_edge_betweenness(
-    graph: Graph,
-    normalized: bool = True,
-    num_sources: Optional[int] = None,
-    seed: RandomState = None,
-) -> Dict[Edge, float]:
-    """Pre-kernel edge betweenness over Python dicts (reference/benchmark)."""
-    centrality: Dict[Edge, float] = {edge: 0.0 for edge in graph.edges()}
-    sources, scale = select_sources(graph, num_sources, seed)
-    adjacency = _adjacency_lists(graph)
-    for source in sources:
-        stack, predecessors, sigma = _brandes_sssp(adjacency, source)
-        delta: Dict[Node, float] = dict.fromkeys(stack, 0.0)
-        while stack:
-            node = stack.pop()
-            coefficient = (1.0 + delta[node]) / sigma[node]
-            for predecessor in predecessors[node]:
-                contribution = sigma[predecessor] * coefficient
-                centrality[graph.canonical_edge(predecessor, node)] += contribution
-                delta[predecessor] += contribution
-    factor = scale / _edge_normalization(graph.num_nodes, normalized)
-    return {edge: value * factor for edge, value in centrality.items()}
-
-
-def _legacy_top_edges_by_betweenness(
-    graph: Graph,
-    count: int,
-    num_sources: Optional[int] = None,
-    seed: RandomState = None,
-    tie_seed: RandomState = None,
-) -> List[Edge]:
-    """Pre-kernel top-k selection (reference for bit-for-bit comparisons)."""
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    scores = _legacy_edge_betweenness(
-        graph, normalized=False, num_sources=num_sources, seed=seed
-    )
-    edges = list(scores)
-    rng = ensure_rng(tie_seed)
-    rng.shuffle(edges)
-    edges.sort(key=lambda edge: scores[edge], reverse=True)
-    return edges[:count]

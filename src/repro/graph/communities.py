@@ -30,7 +30,6 @@ def label_propagation(
     graph: Graph,
     max_iterations: int = 100,
     seed: RandomState = None,
-    engine: str = "csr",
 ) -> Dict[Node, int]:
     """Asynchronous label propagation; returns node -> community id.
 
@@ -40,57 +39,6 @@ def label_propagation(
     nodes keep their own singleton label.  Community ids are re-numbered
     densely (0..k-1) in first-appearance order for determinism.
 
-    ``engine="csr"`` (default) runs the sweep as vectorized passes over
-    flat adjacency arrays (:func:`_label_propagation_csr`); the per-node
-    ``engine="legacy"`` scan is retained as the exactness oracle.  Both
-    engines consume identical RNG draws and return identical memberships
-    for the same seed.
-    """
-    if engine not in ("csr", "legacy"):
-        raise ValueError(f"engine must be 'csr' or 'legacy', got {engine!r}")
-    if engine == "csr":
-        return _label_propagation_csr(graph, max_iterations, seed)
-    return _label_propagation_legacy(graph, max_iterations, seed)
-
-
-def _label_propagation_legacy(
-    graph: Graph, max_iterations: int = 100, seed: RandomState = None
-) -> Dict[Node, int]:
-    """The original per-node Python sweep (the CSR engine's oracle)."""
-    rng = ensure_rng(seed)
-    labels: Dict[Node, int] = {node: i for i, node in enumerate(graph.nodes())}
-    nodes = list(graph.nodes())
-    for _ in range(max_iterations):
-        rng.shuffle(nodes)
-        changed = 0
-        for node in nodes:
-            neighbor_labels = Counter(labels[neighbor] for neighbor in graph.neighbors(node))
-            if not neighbor_labels:
-                continue
-            best_count = max(neighbor_labels.values())
-            best = [label for label, count in neighbor_labels.items() if count == best_count]
-            choice = best[int(rng.integers(len(best)))] if len(best) > 1 else best[0]
-            if labels[node] != choice:
-                labels[node] = choice
-                changed += 1
-        if changed == 0:
-            break
-    # Dense re-numbering in node insertion order.
-    remap: Dict[int, int] = {}
-    renumbered: Dict[Node, int] = {}
-    for node in graph.nodes():
-        label = labels[node]
-        if label not in remap:
-            remap[label] = len(remap)
-        renumbered[node] = remap[label]
-    return renumbered
-
-
-def _label_propagation_csr(
-    graph: Graph, max_iterations: int = 100, seed: RandomState = None
-) -> Dict[Node, int]:
-    """Vectorized asynchronous label propagation, RNG-identical to legacy.
-
     Asynchronous sweeps cannot be naively batched — each node must see the
     labels of neighbours already processed *this* sweep.  The trick is a
     conflict-free block decomposition of the shuffled order: a node opens a
@@ -99,13 +47,16 @@ def _label_propagation_csr(
     are frozen and the whole block resolves in one vectorized pass
     (segment counts + ``maximum.reduceat``), with async semantics intact.
 
-    Exactness notes: the per-sweep shuffle permutes a Python list (the
-    same ``Generator.shuffle`` draw stream as the legacy node list), the
-    flat adjacency is built in ``graph.neighbors()`` order (*not* the
-    CSR's sorted slices) so tie candidates enumerate in the legacy
-    ``Counter`` insertion order, and tie draws are batched through
-    ``rng.integers(0, highs)`` — elementwise identical to the legacy
-    scalar draw sequence.  Isolated nodes never draw, as in legacy.
+    Exactness notes: the result is the per-node scan's — shuffle the node
+    list, then let each node count its neighbours' labels in
+    ``graph.neighbors()`` order and draw among tied labels in
+    first-occurrence order.  The per-sweep shuffle permutes a Python list
+    (the same ``Generator.shuffle`` draw stream as shuffling the node
+    list), the flat adjacency is built in ``graph.neighbors()`` order (*not*
+    the CSR's sorted slices) so tie candidates enumerate in first-occurrence
+    order, and tie draws are batched through ``rng.integers(0, highs)`` —
+    elementwise identical to one scalar draw per tied node in sweep order.
+    Isolated nodes never draw.
     """
     rng = ensure_rng(seed)
     node_list = list(graph.nodes())
@@ -196,8 +147,8 @@ def _propagate_block(
     segment = np.repeat(np.arange(block.shape[0], dtype=np.int64), lengths)
 
     # (segment, label) runs: counts plus first-occurrence order (the stable
-    # sort preserves adjacency order within a run, which is the legacy
-    # Counter's insertion order for tie enumeration).
+    # sort preserves adjacency order within a run, which is the per-node
+    # scan's tie enumeration order).
     key = segment * n + neighbor_labels
     sorter = np.argsort(key, kind="stable")
     sorted_key = key[sorter]
@@ -230,7 +181,7 @@ def _propagate_block(
     multi = np.nonzero(~single)[0]
     if multi.shape[0]:
         # Tie groups ordered by first occurrence; one batched draw per
-        # segment, in segment (= sweep-position) order like legacy.
+        # segment, in segment (= sweep-position) order like the scan.
         tie_idx = np.nonzero(tied)[0]
         tie_seg = run_segment[tie_idx]
         keep = ~single[tie_seg]

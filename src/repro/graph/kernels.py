@@ -26,7 +26,7 @@ Key representation choices:
   together only at the API boundary
   (:meth:`CSRAdjacency.undirected_entries`).
 * **Identical arithmetic.**  Each scalar contribution is computed by the
-  same formula as the legacy dict implementation
+  same formula as the textbook dict-of-sets sweep
   (``sigma[v] * (1 + delta[w]) / sigma[w]``); shortest-path counts are
   integers represented exactly in ``float64``, so ``sigma`` is bit-exact
   and only the *summation order* of ``delta`` differs — scores match the
@@ -129,7 +129,7 @@ def brandes_accumulate(
             its deeper endpoint's slice, or ``None`` to skip.  Fold with
             :meth:`CSRAdjacency.undirected_entries` to get per-edge totals.
 
-    Raw scores follow the legacy dict implementation's convention: nothing
+    Raw scores follow the textbook Brandes convention: nothing
     is normalised and each unordered pair contributes from both endpoints.
     """
     indptr, indices = csr.indptr, csr.indices

@@ -10,63 +10,19 @@ b-matching and a 1/2-approximation of the maximum one [Hougardy 2009].
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import Dict, Iterable, Mapping
 
 import numpy as np
 
 from repro.errors import GraphError
 from repro.graph.graph import Edge, Graph, Node
-from repro.rng import RandomState, ensure_rng
 
 __all__ = [
-    "greedy_b_matching",
     "greedy_b_matching_ids",
     "greedy_weighted_b_matching_ids",
     "is_b_matching",
     "is_maximal_b_matching",
 ]
-
-
-def greedy_b_matching(
-    graph: Graph,
-    capacities: Mapping[Node, int],
-    edge_order: Optional[Iterable[Edge]] = None,
-    shuffle_seed: RandomState = None,
-) -> List[Edge]:
-    """Maximal b-matching by a single greedy scan over the edges.
-
-    ``edge_order`` overrides the scan order (ablation hook: input order vs
-    random vs degree-sorted); ``shuffle_seed`` randomises it instead.  The
-    default is the graph's canonical edge order, matching the paper's
-    "for each (u,v) in E" loop.
-
-    Raises :class:`GraphError` on negative or missing capacities.
-    """
-    for node in graph.nodes():
-        capacity = capacities.get(node)
-        if capacity is None:
-            raise GraphError(f"missing capacity for node {node!r}")
-        if capacity < 0:
-            raise GraphError(f"capacity for node {node!r} is negative: {capacity}")
-
-    if edge_order is None:
-        edges = list(graph.edges())
-        if shuffle_seed is not None:
-            ensure_rng(shuffle_seed).shuffle(edges)
-    else:
-        edges = list(edge_order)
-        for u, v in edges:
-            if not graph.has_edge(u, v):
-                raise GraphError(f"edge order contains non-edge ({u!r}, {v!r})")
-
-    load: Dict[Node, int] = dict.fromkeys(graph.nodes(), 0)
-    matched: List[Edge] = []
-    for u, v in edges:
-        if load[u] < capacities[u] and load[v] < capacities[v]:
-            matched.append((u, v))
-            load[u] += 1
-            load[v] += 1
-    return matched
 
 
 def _sequential_greedy_mask(
@@ -156,10 +112,10 @@ def greedy_b_matching_ids(
 ) -> np.ndarray:
     """Array-native greedy maximal b-matching over integer-id edge arrays.
 
-    Semantically identical to :func:`greedy_b_matching`'s sequential scan:
-    edge ``k`` (in input order) is kept iff fewer than ``capacities[u]`` kept
-    edges among positions ``0..k-1`` touch ``u``, and likewise for ``v``.
-    Returns a boolean kept-mask aligned with the input arrays.
+    The paper's sequential scan ("for each (u,v) in E"): edge ``k`` (in
+    input order) is kept iff fewer than ``capacities[u]`` kept edges among
+    positions ``0..k-1`` touch ``u``, and likewise for ``v``.  Returns a
+    boolean kept-mask aligned with the input arrays.
 
     By default the scan runs directly over the id arrays with integer
     load/capacity vectors (:func:`_sequential_greedy_mask`).  The greedy

@@ -87,9 +87,11 @@ class Counter:
 class Histogram:
     """Fixed-bucket histogram with exact count/sum/min/max.
 
-    Quantiles are conservative (the upper bound of the bucket holding the
-    q-th observation), which keeps them deterministic and allocation-free
-    — good enough for the latency telemetry the service reports.
+    Quantiles are conservative — the upper bound of the bucket holding the
+    q-th observation, clamped to the observed maximum — which keeps them
+    deterministic and allocation-free, and never outside ``[min, max]``
+    (the bound is at least the observation it covers, so at least the
+    minimum).  Good enough for the latency telemetry the service reports.
     """
 
     __slots__ = ("name", "_bounds", "_buckets", "_count", "_sum", "_min", "_max", "_lock")
@@ -124,42 +126,48 @@ class Histogram:
     def quantile(self, q: float) -> float:
         """Upper bound of the bucket containing the ``q``-th observation.
 
-        The overflow bucket reports the exact observed maximum.  Returns
-        0.0 when the histogram is empty.
+        Clamped to the observed maximum (the overflow bucket reports it
+        exactly).  Returns 0.0 when the histogram is empty.
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile must be in [0, 1], got {q}")
         with self._lock:
-            if self._count == 0:
-                return 0.0
-            rank = max(1, int(round(q * self._count)))
-            seen = 0
-            for index, bucket_count in enumerate(self._buckets):
-                seen += bucket_count
-                if seen >= rank:
-                    if index < len(self._bounds):
-                        return self._bounds[index]
-                    return self._max
-            return self._max
+            return self._quantile(q)
+
+    def _quantile(self, q: float) -> float:
+        """:meth:`quantile` with the lock already held."""
+        if self._count == 0:
+            return 0.0
+        rank = max(1, int(round(q * self._count)))
+        seen = 0
+        for index, bucket_count in enumerate(self._buckets):
+            seen += bucket_count
+            if seen >= rank:
+                if index < len(self._bounds):
+                    return min(self._bounds[index], self._max)
+                return self._max
+        return self._max
 
     def snapshot(self) -> Dict[str, float]:
-        """Summary dict: count, sum, mean, min/max, p50/p90/p99 estimates."""
+        """Summary dict: count, sum, mean, min/max, p50/p90/p99 estimates.
+
+        Read under one lock acquisition, so the quantiles describe the
+        same observations as the count, min and max beside them.
+        """
         with self._lock:
             if self._count == 0:
                 return {"count": 0, "sum": 0.0, "mean": 0.0, "min": 0.0, "max": 0.0,
                         "p50": 0.0, "p90": 0.0, "p99": 0.0}
-            count, total = self._count, self._sum
-            low, high = self._min, self._max
-        return {
-            "count": count,
-            "sum": total,
-            "mean": total / count,
-            "min": low,
-            "max": high,
-            "p50": self.quantile(0.5),
-            "p90": self.quantile(0.9),
-            "p99": self.quantile(0.99),
-        }
+            return {
+                "count": self._count,
+                "sum": self._sum,
+                "mean": self._sum / self._count,
+                "min": self._min,
+                "max": self._max,
+                "p50": self._quantile(0.5),
+                "p90": self._quantile(0.9),
+                "p99": self._quantile(0.99),
+            }
 
 
 class MetricsRegistry:

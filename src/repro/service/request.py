@@ -54,25 +54,23 @@ def make_shedder(
 ) -> EdgeShedder:
     """Build the shedder for a method key.
 
-    ``engine`` selects the array/legacy implementation for CRR, BM2 and UDS;
     ``num_sources`` switches CRR/UDS to sampled betweenness.  ``sparsify`` /
     ``sparsify_beta`` configure BM2's EDCS candidate pruning (``bm2``
     defaults to ``"off"``, ``bm2-sparse`` to ``"edcs"``; setting them on any
     other method is an error).  ``weighted`` swaps CRR/BM2 for their
-    probability-aware :mod:`repro.uncertain` variants (array engine only;
-    other methods have no weighted form).  Raises :class:`ServiceError`
-    for unknown keys.
+    probability-aware :mod:`repro.uncertain` variants (other methods have
+    no weighted form).  ``engine`` must be ``"array"``, the one
+    implementation every method has; it is accepted so existing callers
+    keep working.  Raises :class:`ServiceError` for unknown keys.
     """
+    if engine != "array":
+        raise ServiceError(f"engine must be 'array', got {engine!r}")
     method = method.lower()
     if method not in ("bm2", "bm2-sparse") and (
         sparsify is not None or sparsify_beta is not None
     ):
         raise ServiceError(f"sparsify options require bm2/bm2-sparse, got {method!r}")
     if weighted:
-        if engine != "array":
-            raise ServiceError(
-                f"weighted shedding requires the array engine, got {engine!r}"
-            )
         if method == "crr":
             return WeightedCRRShedder(seed=seed, num_betweenness_sources=num_sources)
         if method == "bm2":
@@ -93,11 +91,10 @@ def make_shedder(
             f"unknown method {method!r} (expected one of {', '.join(KNOWN_METHODS)})"
         )
     if method == "crr":
-        return CRRShedder(seed=seed, engine=engine, num_betweenness_sources=num_sources)
+        return CRRShedder(seed=seed, num_betweenness_sources=num_sources)
     if method == "bm2":
         return BM2Shedder(
             seed=seed,
-            engine=engine,
             sparsify=sparsify if sparsify is not None else "off",
             sparsify_beta=sparsify_beta,
         )
@@ -105,14 +102,11 @@ def make_shedder(
         # The degradation ladder's middle rung: EDCS-pruned Phase 2.
         return BM2Shedder(
             seed=seed,
-            engine=engine,
             sparsify=sparsify if sparsify is not None else "edcs",
             sparsify_beta=sparsify_beta,
         )
     if method == "uds":
-        return UDSSummarizer(
-            seed=seed, engine=engine, num_betweenness_sources=num_sources
-        )
+        return UDSSummarizer(seed=seed, num_betweenness_sources=num_sources)
     if method == "random":
         return RandomShedder(seed=seed)
     if method == "degree-proportional":
@@ -165,7 +159,6 @@ class ReductionRequest:
     graph: Optional[Graph] = None
     graph_ref: Optional[str] = None
     seed: int = 0
-    engine: str = "array"
     num_sources: Optional[int] = None
     weighted: bool = False
     priority: int = 0
@@ -185,10 +178,6 @@ class ReductionRequest:
             if self.method.lower() not in ("crr", "bm2", "bm2-sparse"):
                 raise ServiceError(
                     f"method {self.method!r} has no weighted variant"
-                )
-            if self.engine != "array":
-                raise ServiceError(
-                    f"weighted shedding requires the array engine, got {self.engine!r}"
                 )
         if self.deadline_seconds is not None and self.deadline_seconds < 0:
             raise ServiceError(f"deadline_seconds must be >= 0, got {self.deadline_seconds}")

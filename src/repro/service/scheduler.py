@@ -15,7 +15,7 @@ Three execution modes, selected by the service:
   the result parent-side.  Because the worker replays nodes in label
   order and edges in ``Graph.edges()`` order, the child's rebuilt graph
   has the *identical* CSR snapshot and edge iteration order — so the
-  array-engine reductions are bit-identical to an inline run.
+  reductions are bit-identical to an inline run.
 
 Determinism does not depend on the mode: every job builds a fresh
 shedder from its own request seed (seed routing), so results are a pure
@@ -221,16 +221,19 @@ def _pool_context() -> multiprocessing.context.BaseContext:
     return multiprocessing.get_context(method)
 
 
-def _reduce_job(payload: Tuple) -> Tuple[np.ndarray, np.ndarray, float, float, Dict, str]:
-    """Worker-side entry: rebuild the graph from flat arrays and reduce.
+def _graph_from_ids(
+    labels: List[Any],
+    u_ids: np.ndarray,
+    v_ids: np.ndarray,
+    edge_w: Optional[np.ndarray],
+) -> Graph:
+    """Rebuild a graph on ``labels`` from edge-id arrays (and weights).
 
-    Nodes are added in label order and edges replayed in the parent's
-    ``Graph.edges()`` iteration order, which reproduces the parent
-    graph's canonical edge iteration exactly (the per-node canonical
-    neighbour subsequences are preserved) — the property the array
-    engines' bit-identity rests on.
+    Nodes are added in label order and edges replayed in array order, so
+    a graph shipped as its ``Graph.edges()`` ids comes back with the
+    identical canonical edge iteration (the per-node canonical neighbour
+    subsequences are preserved) — the property bit-identity rests on.
     """
-    labels, u_ids, v_ids, edge_w, method, p, seed, engine, num_sources, weighted = payload
     graph = Graph(nodes=labels)
     if edge_w is None:
         for i, j in zip(u_ids.tolist(), v_ids.tolist()):
@@ -238,19 +241,38 @@ def _reduce_job(payload: Tuple) -> Tuple[np.ndarray, np.ndarray, float, float, D
     else:
         for i, j, w in zip(u_ids.tolist(), v_ids.tolist(), edge_w.tolist()):
             graph.add_edge(labels[i], labels[j], weight=w)
-    shedder = make_shedder(
-        method, seed=seed, engine=engine, num_sources=num_sources, weighted=weighted
-    )
+    return graph
+
+
+def _edge_ids(
+    graph: Graph, index_of: Dict[Any, int]
+) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """``graph``'s edges as id arrays in ``Graph.edges()`` order, plus weights."""
+    edges = list(graph.edges())
+    count = len(edges)
+    u_ids = np.fromiter((index_of[u] for u, _ in edges), dtype=np.int64, count=count)
+    v_ids = np.fromiter((index_of[v] for _, v in edges), dtype=np.int64, count=count)
+    if not graph.is_weighted:
+        return u_ids, v_ids, None
+    weights = np.fromiter((w for _, _, w in graph.edge_weights()), np.float64, count=count)
+    return u_ids, v_ids, weights
+
+
+def _reduce_job(payload: Tuple) -> Tuple:
+    """Worker-side entry: rebuild the graph from flat arrays and reduce.
+
+    Returns the reduced graph as edge ids over the same labels, plus its
+    weights when it carries any.  Reduced edges need not be edges of the
+    input (UDS reconstructs supernode blocks), so the parent rebuilds
+    them rather than selecting them from its own graph.
+    """
+    labels, u_ids, v_ids, edge_w, method, p, seed, num_sources, weighted = payload
+    graph = _graph_from_ids(labels, u_ids, v_ids, edge_w)
+    shedder = make_shedder(method, seed=seed, num_sources=num_sources, weighted=weighted)
     result = shedder.reduce(graph, p)
     index_of = {node: idx for idx, node in enumerate(labels)}
-    reduced_edges = list(result.reduced.edges())
-    out_u = np.fromiter(
-        (index_of[u] for u, _ in reduced_edges), dtype=np.int64, count=len(reduced_edges)
-    )
-    out_v = np.fromiter(
-        (index_of[v] for _, v in reduced_edges), dtype=np.int64, count=len(reduced_edges)
-    )
-    return out_u, out_v, result.delta, result.elapsed_seconds, result.stats, result.method
+    out_u, out_v, out_w = _edge_ids(result.reduced, index_of)
+    return out_u, out_v, out_w, result.delta, result.elapsed_seconds, result.stats, result.method
 
 
 class ProcessEngine:
@@ -289,7 +311,6 @@ class ProcessEngine:
         method: str,
         p: float,
         seed: Optional[int],
-        engine: str = "array",
         num_sources: Optional[int] = None,
         timeout: Optional[float] = None,
         weighted: bool = False,
@@ -301,28 +322,20 @@ class ProcessEngine:
         # on weighted graphs still need worker-side Δ_E stats); ``weighted``
         # additionally selects the probability-aware shedder.
         edge_w = csr.edge_weights_for(u_ids, v_ids) if csr.is_weighted else None
-        payload = (
-            csr.labels, u_ids, v_ids, edge_w, method, p, seed, engine,
-            num_sources, weighted,
-        )
+        payload = (csr.labels, u_ids, v_ids, edge_w, method, p, seed, num_sources, weighted)
         task = self._ensure_pool().apply_async(_reduce_job, (payload,))
         try:
-            out_u, out_v, delta, elapsed, stats, method_name = task.get(timeout)
+            out_u, out_v, out_w, delta, elapsed, stats, method_name = task.get(timeout)
         except multiprocessing.TimeoutError:
             with self._lock:
                 self.abandoned_tasks += 1
             raise JobTimeoutError(
                 f"{method} reduction exceeded its {timeout:.3f}s budget"
             ) from None
-        labels = csr.labels
-        edges = [
-            (labels[i], labels[j]) for i, j in zip(out_u.tolist(), out_v.tolist())
-        ]
-        reduced = graph.edge_subgraph(edges)
         return ReductionResult(
             method=method_name,
             original=graph,
-            reduced=reduced,
+            reduced=_graph_from_ids(csr.labels, out_u, out_v, out_w),
             p=float(p),
             delta=delta,
             elapsed_seconds=elapsed,

@@ -140,7 +140,6 @@ class SheddingService:
             request.method,
             request.p,
             request.seed,
-            engine=request.engine,
             variant=self._variant(request, request.method),
         )
         cached, hit = self.store.get_with_tier(key, graph)
@@ -387,7 +386,6 @@ class SheddingService:
                     method,
                     request.p,
                     request.seed,
-                    engine=request.engine,
                     num_sources=request.num_sources,
                     timeout=timeout,
                     weighted=runs_weighted,
@@ -422,7 +420,6 @@ class SheddingService:
             shedder = make_shedder(
                 method,
                 seed=request.seed,
-                engine=request.engine if method in ("crr", "bm2") else "array",
                 num_sources=request.num_sources,
                 weighted=runs_weighted,
             )
@@ -454,20 +451,17 @@ class SheddingService:
             method,
             job.request.p,
             job.request.seed,
-            engine=job.request.engine,
             variant=self._variant(job.request, method),
         )
 
     def _runs_sharded(self, method: str, request: ReductionRequest) -> bool:
         """Whether this method executes through the sharded runner here.
 
-        Only the paper kernels shard, and only their array engines — a
-        ``legacy``-engine request is an explicit ask for the scalar oracle.
+        Only the paper kernels shard.
         """
         return (
             self.mode == "sharded"
             and method in ("crr", "bm2", "bm2-sparse")
-            and request.engine == "array"
             # The sharded runner is weight-blind; weighted jobs run the
             # whole-graph probability-aware engines instead.
             and not request.weighted
@@ -535,7 +529,7 @@ class SheddingService:
 
 
 def _variant_of(request: ReductionRequest) -> str:
-    """Extra cache-key discriminators beyond (method, p, seed, engine)."""
+    """Extra cache-key discriminators beyond (method, p, seed)."""
     tags = []
     if request.num_sources is not None:
         tags.append(f"sources={request.num_sources}")

@@ -44,9 +44,12 @@ from repro.graph.io import graph_from_payload, graph_to_payload
 
 __all__ = ["ArtifactKey", "ArtifactStore", "graph_digest"]
 
-#: Bump when the persisted document shape changes; loaders skip files
-#: with a different version rather than guessing.
-ARTIFACT_FORMAT_VERSION = 1
+#: Bump when the persisted document shape or key changes; loaders skip
+#: files with a different version rather than guessing.  Version 2 dropped
+#: the engine component from keys: version-1 documents may hold artifacts
+#: of the scalar reference engines, which must not be served under the
+#: engine-free key.
+ARTIFACT_FORMAT_VERSION = 2
 
 #: Node label types that survive a JSON round-trip unchanged.
 _JSONABLE_LABELS = (int, str)
@@ -102,7 +105,6 @@ class ArtifactKey:
     method: str
     p: float
     seed: Optional[int]
-    engine: str = "array"
     variant: str = ""
 
     @property
@@ -114,7 +116,6 @@ class ArtifactKey:
                 self.method.lower(),
                 repr(float(self.p)),
                 repr(self.seed),
-                self.engine,
                 self.variant,
             )
         )
@@ -180,7 +181,6 @@ class ArtifactStore:
         method: str,
         p: float,
         seed: Optional[int],
-        engine: str = "array",
         variant: str = "",
     ) -> ArtifactKey:
         """Build the content-addressed key for one reduction request."""
@@ -189,7 +189,6 @@ class ArtifactStore:
             method=method.lower(),
             p=float(p),
             seed=seed,
-            engine=engine,
             variant=variant,
         )
 
@@ -272,7 +271,6 @@ class ArtifactStore:
         p: float,
         seed: Optional[int],
         compute: Callable[[], ReductionResult],
-        engine: str = "array",
         variant: str = "",
     ) -> Tuple[ReductionResult, Optional[str]]:
         """Memoised reduction: returns ``(result, hit)``.
@@ -280,7 +278,7 @@ class ArtifactStore:
         ``hit`` is ``"memory"``, ``"disk"``, or ``None`` when ``compute``
         actually ran (also counted in ``stats["computes"]``).
         """
-        key = self.key_for(graph, method, p, seed, engine=engine, variant=variant)
+        key = self.key_for(graph, method, p, seed, variant=variant)
         cached, hit = self.get_with_tier(key, graph)
         if cached is not None:
             return cached, hit
@@ -403,7 +401,6 @@ class ArtifactStore:
                 "method": key.method,
                 "p": key.p,
                 "seed": key.seed,
-                "engine": key.engine,
                 "variant": key.variant,
             },
             "meta": {
@@ -466,7 +463,6 @@ class ArtifactStore:
                     method=raw["method"],
                     p=float(raw["p"]),
                     seed=raw["seed"],
-                    engine=raw.get("engine", "array"),
                     variant=raw.get("variant", ""),
                 )
                 self._disk_index[key] = path

@@ -304,9 +304,7 @@ class SessionManager:
     @staticmethod
     def _build_shedder(graph: Graph, config: SessionConfig) -> IncrementalShedder:
         """Seed the maintainer per the session config (runs off-loop)."""
-        shedder = make_shedder(
-            config.method, seed=config.seed, engine=config.engine
-        )
+        shedder = make_shedder(config.method, seed=config.seed)
         monitor = DriftMonitor(
             config.p,
             drift_ratio=config.drift_ratio,

@@ -85,7 +85,8 @@ class SessionConfig:
         method: offline method seeding the reduction (and used by
             drift-triggered rebuilds) — any :data:`~repro.service.KNOWN_METHODS`
             key.
-        engine: engine for the seed shedder where the method has one.
+        engine: must be ``"array"``, the one engine every method has
+            (accepted so existing configurations keep working).
         seed: routed to the maintainer's reservoir; seeded sessions
             replay identically.
         repair: :class:`~repro.dynamic.RepairConfig` for localized repair,
@@ -128,6 +129,8 @@ class SessionConfig:
         """Raise :class:`~repro.errors.SessionError` for unusable knobs."""
         if not 0.0 < float(self.p) < 1.0:
             raise SessionError(f"p must be in (0, 1), got {self.p!r}")
+        if self.engine != "array":
+            raise SessionError(f"engine must be 'array', got {self.engine!r}")
         if self.inbox_capacity < 1:
             raise SessionError(
                 f"inbox_capacity must be >= 1, got {self.inbox_capacity}"
@@ -403,7 +406,6 @@ class StreamSession:
             result.method,
             self.config.p,
             self.config.seed,
-            engine="array",
             variant=f"session={self.session_id},ops={result.stats['ops']}",
         )
         store.put(key, result)

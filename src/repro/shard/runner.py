@@ -33,7 +33,7 @@ the documented, property-tested bound::
 **Exactness.**  With ``num_shards=1`` there is no boundary, the single
 view's arrays are bit-identical to the whole-graph snapshot's, and every
 reconciliation phase is a no-op — the reduced graph equals the
-``engine="array"`` whole-graph result exactly (CRR and BM2 both).  Each
+whole-graph ``CRRShedder``/``BM2Shedder`` result exactly.  Each
 shard seeds a fresh generator from the same ``seed``, so results are
 independent of worker scheduling and ``num_workers``.
 """
@@ -92,7 +92,6 @@ def _shed_shard_view(view: CSRAdjacency, spec: Dict[str, Any]) -> Tuple[np.ndarr
             seed=spec["seed"],
             sparsify=spec.get("sparsify", "off"),
             sparsify_beta=spec.get("sparsify_beta"),
-            repair=spec.get("repair", "bucket"),
         )
     stats["seconds"] = time.perf_counter() - started
     return kept_u, kept_v, stats
@@ -208,7 +207,7 @@ def reconcile_ids(
     bound is untouched.  Intended for ``target=None`` (BM2) runs — with a
     ``target``, pruning would also shrink the fill pool.
     """
-    tracker = ArrayDegreeTracker.from_csr(csr, p)
+    tracker = ArrayDegreeTracker(csr, p)
     tracker.add_edges_ids(kept_u, kept_v)
     stats["boundary_candidates_pruned"] = 0
     if sparsify_beta is not None and boundary_u.shape[0]:
@@ -280,8 +279,7 @@ class ShardedShedder(EdgeShedder):
     Args:
         method: which array kernel runs per shard — ``"crr"`` or ``"bm2"``.
         num_shards: node groups to partition into (clamped to the node
-            count).  ``1`` reproduces the whole-graph array engine bit for
-            bit.
+            count).  ``1`` reproduces the whole-graph shedder bit for bit.
         num_workers: process fan-out for the per-shard runs.  ``1`` stays
             in-process; results are identical either way.
         partition: ``"community"`` (default) or ``"contiguous"`` — see
@@ -294,7 +292,7 @@ class ShardedShedder(EdgeShedder):
             forwarded to the CRR core (ignored for BM2).
         rounding / accept_zero_gain: forwarded to the BM2 core (ignored
             for CRR).
-        sparsify / sparsify_beta / repair: forwarded to the BM2 core
+        sparsify / sparsify_beta: forwarded to the BM2 core
             (``bm2`` only); ``sparsify="edcs"`` additionally prunes the
             boundary-reconciliation candidates with the same ``β``
             (:func:`repro.core.sparsify.prune_boundary_ids`), keeping the
@@ -318,7 +316,6 @@ class ShardedShedder(EdgeShedder):
         accept_zero_gain: bool = False,
         sparsify: str = "off",
         sparsify_beta: Optional[int] = None,
-        repair: str = "bucket",
     ) -> None:
         if method not in SHARD_METHODS:
             raise ValueError(f"method must be one of {SHARD_METHODS}, got {method!r}")
@@ -343,8 +340,6 @@ class ShardedShedder(EdgeShedder):
             raise ValueError(f"sparsify must be 'off' or 'edcs', got {sparsify!r}")
         if sparsify != "off" and method != "bm2":
             raise ValueError("sparsify requires method='bm2'")
-        if repair not in ("bucket", "heap"):
-            raise ValueError(f"repair must be 'bucket' or 'heap', got {repair!r}")
         if sparsify_beta is not None and sparsify_beta < 1:
             raise ValueError(f"sparsify_beta must be positive, got {sparsify_beta}")
         self.method = method
@@ -359,7 +354,6 @@ class ShardedShedder(EdgeShedder):
         self.accept_zero_gain = accept_zero_gain
         self.sparsify = sparsify
         self.sparsify_beta = sparsify_beta
-        self.repair = repair
         self._seed = None if seed is None else int(seed)
         self.name = f"Sharded{method.upper()}"
 
@@ -376,7 +370,6 @@ class ShardedShedder(EdgeShedder):
             "accept_zero_gain": self.accept_zero_gain,
             "sparsify": self.sparsify,
             "sparsify_beta": self.sparsify_beta,
-            "repair": self.repair,
         }
 
     def _run_shards(
@@ -408,7 +401,6 @@ class ShardedShedder(EdgeShedder):
     def _reduce(self, graph: Graph, p: float) -> Tuple[Graph, Dict[str, Any]]:
         stats: Dict[str, Any] = {
             "method": self.method,
-            "engine": "array",
             "num_shards": self.num_shards,
             "num_workers": self.num_workers,
         }

@@ -38,10 +38,8 @@ class LinkPredictionTask(GraphTask):
     """node2vec + k-means community link prediction on 2-hop pairs.
 
     Embedding hyperparameters default to laptop-scale settings; the
-    clustering count follows the paper (``n_clusters = 5``).  ``engine``
-    selects the embedding pipeline (``"batched"`` array engines by
-    default, ``"legacy"`` scalar oracle) and ``workers`` fans batched
-    walk epochs out across processes (bit-identical output).
+    clustering count follows the paper (``n_clusters = 5``).  ``workers``
+    fans walk epochs out across processes (bit-identical output).
 
     The paper's wording — predictions are made "on all 2-hop vertex pairs
     in G and G' respectively" — is ambiguous about which *pair universe*
@@ -68,7 +66,6 @@ class LinkPredictionTask(GraphTask):
         epochs: int = 1,
         pair_universe: str = "own",
         seed: RandomState = None,
-        engine: str = "batched",
         workers: Optional[int] = None,
     ) -> None:
         if pair_universe not in ("own", "original"):
@@ -81,7 +78,6 @@ class LinkPredictionTask(GraphTask):
         self.walk_length = walk_length
         self.epochs = epochs
         self.pair_universe = pair_universe
-        self.engine = engine
         self.workers = workers
         self._seed = seed
         #: one entry per embedding run, in call order (original first when
@@ -98,7 +94,6 @@ class LinkPredictionTask(GraphTask):
             walk_length=self.walk_length,
             epochs=self.epochs,
             seed=rng,
-            engine=self.engine,
             workers=self.workers,
         )
         self.embedding_timings.append(

@@ -37,7 +37,7 @@ class WeightedCRRShedder(EdgeShedder):
     Phase 1 is unchanged (betweenness is a topological signal); Phase 2
     accepts a swap iff it lowers ``Σ|E[deg_G'(v)] − p·E[deg_G(v)]|``.
     Accepts unweighted graphs too, where it reproduces
-    ``CRRShedder(engine="array")`` bit for bit.
+    :class:`~repro.core.crr.CRRShedder` bit for bit.
 
     Args:
         steps: explicit rewiring iterations; ``None`` uses ``[steps_factor·P]``.
@@ -75,7 +75,6 @@ class WeightedCRRShedder(EdgeShedder):
         csr = graph.csr()
         stats: Dict[str, Any] = {
             "initial_ranking": self.importance,
-            "engine": "array",
             "weighted": True,
         }
         kept_u, kept_v = crr_reduce_ids(
@@ -99,7 +98,7 @@ class WeightedBM2Shedder(EdgeShedder):
     both endpoints can absorb its weight; Phase 2 repairs with the
     weighted Algorithm 3 (:func:`repro.core.bm2.weighted_bipartite_repair_ids`).
     Accepts unweighted graphs too, where it reproduces
-    ``BM2Shedder(engine="array")`` bit for bit.
+    :class:`~repro.core.bm2.BM2Shedder` bit for bit.
 
     Args:
         rounding: capacity rounding rule (see :class:`~repro.core.bm2.BM2Shedder`).
@@ -140,7 +139,6 @@ class WeightedBM2Shedder(EdgeShedder):
         csr = graph.csr()
         stats: Dict[str, Any] = {
             "capacity_rounding": self.rounding,
-            "engine": "array",
             "weighted": True,
         }
         kept_u, kept_v = bm2_reduce_ids(

@@ -4,6 +4,7 @@ import pytest
 
 from repro.baselines import GraphSummary, UDSSummarizer
 from repro.errors import InvalidRatioError
+from tests.oracles.uds import LegacyUDSSummarizer
 
 
 class TestUDSBasics:
@@ -85,7 +86,8 @@ class TestUDSQuality:
 
 
 class TestUDSEngines:
-    """Array engine pinned against the legacy (frozenset) oracle.
+    """Array engine pinned against the legacy (frozenset) oracle in
+    ``tests/oracles``.
 
     The engines scan merge candidates in different orders, so they are
     statistically equivalent (same invariants, comparable trajectories)
@@ -93,21 +95,18 @@ class TestUDSEngines:
     """
 
     def test_invalid_engine(self):
-        with pytest.raises(ValueError):
+        # One implementation: there is no engine to select.
+        with pytest.raises(TypeError):
             UDSSummarizer(engine="bogus")
 
-    def test_default_engine_is_array(self, small_powerlaw):
-        result = UDSSummarizer(seed=0).reduce(small_powerlaw, 0.5)
-        assert result.stats["engine"] == "array"
-
     def test_legacy_engine_selectable(self, small_powerlaw):
-        result = UDSSummarizer(seed=0, engine="legacy").reduce(small_powerlaw, 0.5)
+        result = LegacyUDSSummarizer(seed=0).reduce(small_powerlaw, 0.5)
         assert result.stats["engine"] == "legacy"
 
     def test_engines_agree_statistically(self, small_powerlaw):
         for p in (0.3, 0.6):
-            array = UDSSummarizer(seed=0, engine="array").reduce(small_powerlaw, p)
-            legacy = UDSSummarizer(seed=0, engine="legacy").reduce(small_powerlaw, p)
+            array = UDSSummarizer(seed=0).reduce(small_powerlaw, p)
+            legacy = LegacyUDSSummarizer(seed=0).reduce(small_powerlaw, p)
             for result in (array, legacy):
                 assert result.stats["final_utility"] >= p - 1e-9
             assert array.stats["merges"] == pytest.approx(
@@ -118,7 +117,7 @@ class TestUDSEngines:
             )
 
     def test_array_summary_partitions_nodes(self, small_powerlaw):
-        result = UDSSummarizer(seed=0, engine="array").reduce(small_powerlaw, 0.3)
+        result = UDSSummarizer(seed=0).reduce(small_powerlaw, 0.3)
         summary = result.stats["summary"]
         seen = set()
         for rep in summary.supernodes():
@@ -130,22 +129,20 @@ class TestUDSEngines:
     def test_array_superedges_reference_live_representatives(self, small_powerlaw):
         """The merge-log replay must land superedge keys on the summary's
         current representatives (the survivor rules must match)."""
-        result = UDSSummarizer(seed=0, engine="array").reduce(small_powerlaw, 0.3)
+        result = UDSSummarizer(seed=0).reduce(small_powerlaw, 0.3)
         summary = result.stats["summary"]
         for rep_a, rep_b in summary.superedges():
             assert summary.representative(rep_a) == rep_a
             assert summary.representative(rep_b) == rep_b
 
     def test_array_deterministic_by_seed(self, small_powerlaw):
-        a = UDSSummarizer(seed=9, engine="array").reduce(small_powerlaw, 0.5)
-        b = UDSSummarizer(seed=9, engine="array").reduce(small_powerlaw, 0.5)
+        a = UDSSummarizer(seed=9).reduce(small_powerlaw, 0.5)
+        b = UDSSummarizer(seed=9).reduce(small_powerlaw, 0.5)
         assert a.reduced == b.reduced
         assert a.stats["merges"] == b.stats["merges"]
 
     def test_both_rules_on_array_engine(self, small_powerlaw):
         for rule in ("majority", "cheaper"):
-            result = UDSSummarizer(
-                seed=0, engine="array", superedge_rule=rule
-            ).reduce(small_powerlaw, 0.3)
+            result = UDSSummarizer(seed=0, superedge_rule=rule).reduce(small_powerlaw, 0.3)
             assert result.stats["final_utility"] >= 0.3 - 1e-9
             assert result.reduced.num_edges > 0

@@ -7,6 +7,7 @@ from repro.core.crr import IndexedEdgePool
 from repro.errors import InvalidRatioError, ReductionError
 from repro.graph import Graph
 from repro.rng import ensure_rng
+from tests.oracles.core import LegacyCRRShedder
 
 
 class TestIndexedEdgePool:
@@ -122,7 +123,7 @@ class TestCRRQuality:
 
         ranked = CRRShedder(steps_factor=0.0, seed=5).reduce(medium_powerlaw, 0.3)
         random_init = CRRShedder(
-            steps_factor=0.0, skip_ranking=True, seed=5
+            steps_factor=0.0, importance="random", seed=5
         ).reduce(medium_powerlaw, 0.3)
         assert len(largest_component(ranked.reduced)) > len(
             largest_component(random_init.reduced)
@@ -145,23 +146,25 @@ class TestCRRQuality:
         assert a.reduced == b.reduced
 
     def test_stats_record_ranking_mode(self, small_powerlaw):
-        result = CRRShedder(skip_ranking=True, seed=0).reduce(small_powerlaw, 0.5)
+        result = CRRShedder(importance="random", seed=0).reduce(small_powerlaw, 0.5)
         assert result.stats["initial_ranking"] == "random"
 
 
 class TestCRREngines:
-    """The array rewiring engine must replay the legacy loop exactly."""
+    """The array rewiring engine must replay the scalar loop of the
+    label-space oracle (``tests/oracles``) exactly."""
 
     def test_invalid_engine(self):
-        with pytest.raises(ValueError):
+        # One implementation: there is no engine to select.
+        with pytest.raises(TypeError):
             CRRShedder(engine="gpu")
 
     @pytest.mark.parametrize("p", [0.3, 0.5, 0.7])
     def test_engines_produce_identical_reductions(self, small_powerlaw, p):
-        legacy = CRRShedder(seed=9, num_betweenness_sources=32, engine="legacy").reduce(
+        legacy = LegacyCRRShedder(seed=9, num_betweenness_sources=32).reduce(
             small_powerlaw, p
         )
-        array = CRRShedder(seed=9, num_betweenness_sources=32, engine="array").reduce(
+        array = CRRShedder(seed=9, num_betweenness_sources=32).reduce(
             small_powerlaw, p
         )
         assert array.reduced == legacy.reduced
@@ -172,10 +175,10 @@ class TestCRREngines:
         )
 
     def test_engines_agree_with_random_ranking(self, small_powerlaw):
-        legacy = CRRShedder(seed=3, skip_ranking=True, engine="legacy").reduce(
+        legacy = LegacyCRRShedder(seed=3, importance="random").reduce(
             small_powerlaw, 0.5
         )
-        array = CRRShedder(seed=3, skip_ranking=True, engine="array").reduce(
+        array = CRRShedder(seed=3, importance="random").reduce(
             small_powerlaw, 0.5
         )
         assert array.reduced == legacy.reduced
@@ -183,15 +186,13 @@ class TestCRREngines:
         assert array.stats["tracker_delta"] == legacy.stats["tracker_delta"]
 
     def test_legacy_engine_reaches_paper_optimum(self, figure1):
-        result = CRRShedder(seed=0, engine="legacy").reduce(figure1, 0.4)
+        result = LegacyCRRShedder(seed=0).reduce(figure1, 0.4)
         assert result.delta == pytest.approx(4.4)
 
     @pytest.mark.parametrize("engine", ["array", "legacy"])
     def test_phase_timings_recorded(self, small_powerlaw, engine):
-        result = CRRShedder(seed=0, num_betweenness_sources=32, engine=engine).reduce(
-            small_powerlaw, 0.5
-        )
-        assert result.stats["engine"] == engine
+        shedder = {"array": CRRShedder, "legacy": LegacyCRRShedder}[engine]
+        result = shedder(seed=0, num_betweenness_sources=32).reduce(small_powerlaw, 0.5)
         assert result.stats["ranking_seconds"] >= 0.0
         assert result.stats["rewiring_seconds"] >= 0.0
 

@@ -8,12 +8,11 @@ from repro.core import CRRShedder, round_half_up
 class TestImportanceOptions:
     def test_default_is_betweenness(self):
         assert CRRShedder().importance == "betweenness"
-        assert not CRRShedder().skip_ranking
 
-    def test_skip_ranking_maps_to_random(self):
-        shedder = CRRShedder(skip_ranking=True)
-        assert shedder.importance == "random"
-        assert shedder.skip_ranking
+    def test_skip_ranking_alias_removed(self):
+        # importance="random" is the one way to skip the ranking.
+        with pytest.raises(TypeError):
+            CRRShedder(skip_ranking=True)
 
     def test_invalid_string_rejected(self):
         with pytest.raises(ValueError):

@@ -1,14 +1,19 @@
-"""Tests for the DegreeTracker / ArrayDegreeTracker and Δ computation."""
+"""Tests for the ArrayDegreeTracker and Δ computation.
+
+The label-keyed contract runs against the dict ``DegreeTracker`` oracle
+and against the array tracker addressed by labels (``LabelTracker``).
+"""
 
 import numpy as np
 import pytest
 
-from repro.core import ArrayDegreeTracker, DegreeTracker, compute_delta, round_half_up
+from repro.core import compute_delta, round_half_up
 from repro.errors import EdgeNotFoundError, InvalidRatioError, ReductionError
 from repro.graph import Graph
+from tests.oracles.core import DegreeTracker, IdsView, LabelTracker
 
 
-@pytest.fixture(params=[DegreeTracker, ArrayDegreeTracker], ids=["dict", "array"])
+@pytest.fixture(params=[DegreeTracker, LabelTracker], ids=["dict", "array"])
 def tracker_cls(request):
     """Both tracker flavours must satisfy the same label-keyed contract."""
     return request.param
@@ -148,7 +153,7 @@ class TestArrayTracker:
 
     def test_dis_matches_dict_tracker_bitwise(self, figure1):
         oracle = DegreeTracker(figure1, 0.4)
-        tracker = ArrayDegreeTracker(figure1, 0.4)
+        tracker = LabelTracker(figure1, 0.4)
         for edge in [("u1", "u7"), ("u7", "u9"), ("u8", "u10")]:
             oracle.add_edge(*edge)
             tracker.add_edge(*edge)
@@ -157,8 +162,8 @@ class TestArrayTracker:
         assert tracker.delta == pytest.approx(oracle.delta, abs=1e-9)
 
     def test_id_api_mirrors_label_api(self, figure1):
-        by_label = ArrayDegreeTracker(figure1, 0.4)
-        by_id = ArrayDegreeTracker(figure1, 0.4)
+        by_label = LabelTracker(figure1, 0.4)
+        by_id = LabelTracker(figure1, 0.4)
         u, v = self._ids(by_id, "u1", "u7")
         by_label.add_edge("u1", "u7")
         by_id.add_edge_ids(u, v)
@@ -170,7 +175,7 @@ class TestArrayTracker:
         assert by_id.num_edges == 0
 
     def test_add_edge_ids_validates_like_scalar(self, path5):
-        tracker = ArrayDegreeTracker(path5, 0.5)
+        tracker = LabelTracker(path5, 0.5)
         with pytest.raises(EdgeNotFoundError):
             tracker.add_edge_ids(0, 4)  # not a graph edge
         tracker.add_edge_ids(0, 1)
@@ -180,8 +185,8 @@ class TestArrayTracker:
             tracker.remove_edge_ids(1, 2)  # never tracked
 
     def test_bulk_add_matches_scalar_adds(self, figure1):
-        scalar = ArrayDegreeTracker(figure1, 0.4)
-        bulk = ArrayDegreeTracker(figure1, 0.4)
+        scalar = LabelTracker(figure1, 0.4)
+        bulk = LabelTracker(figure1, 0.4)
         edges = [("u1", "u7"), ("u2", "u7"), ("u7", "u9"), ("u8", "u10")]
         for edge in edges:
             scalar.add_edge(*edge)
@@ -194,25 +199,25 @@ class TestArrayTracker:
         np.testing.assert_array_equal(bulk.dis_array(), scalar.dis_array())
 
     def test_bulk_add_rejects_duplicates_within_batch(self, triangle):
-        tracker = ArrayDegreeTracker(triangle, 0.5)
+        tracker = LabelTracker(triangle, 0.5)
         with pytest.raises(ReductionError):
             tracker.add_edges_ids(np.array([0, 1]), np.array([1, 0]))
 
     def test_bulk_add_rejects_already_tracked(self, triangle):
-        tracker = ArrayDegreeTracker(triangle, 0.5)
+        tracker = LabelTracker(triangle, 0.5)
         tracker.add_edge(0, 1)
         with pytest.raises(ReductionError):
             tracker.add_edges_ids(np.array([1]), np.array([0]))
 
     def test_bulk_add_rejects_foreign_edges(self, path5):
-        tracker = ArrayDegreeTracker(path5, 0.5)
+        tracker = LabelTracker(path5, 0.5)
         with pytest.raises(EdgeNotFoundError):
             tracker.add_edges_ids(np.array([0]), np.array([4]))
 
     def test_admit_matches_scalar_adds_bitwise(self, figure1):
         """Distinct-endpoint admission replays scalar adds exactly (Δ order)."""
-        scalar = ArrayDegreeTracker(figure1, 0.4)
-        batch = ArrayDegreeTracker(figure1, 0.4)
+        scalar = LabelTracker(figure1, 0.4)
+        batch = LabelTracker(figure1, 0.4)
         edges = [("u1", "u7"), ("u8", "u10"), ("u9", "u11")]
         for edge in edges:
             scalar.add_edge(*edge)
@@ -226,8 +231,8 @@ class TestArrayTracker:
 
     def test_admit_repeated_endpoints_falls_back_to_scalar(self, figure1):
         """Shared endpoints in a batch still match the sequential oracle."""
-        scalar = ArrayDegreeTracker(figure1, 0.4)
-        batch = ArrayDegreeTracker(figure1, 0.4)
+        scalar = LabelTracker(figure1, 0.4)
+        batch = LabelTracker(figure1, 0.4)
         edges = [("u1", "u7"), ("u2", "u7"), ("u7", "u9")]  # u7 repeats
         for edge in edges:
             scalar.add_edge(*edge)
@@ -239,7 +244,7 @@ class TestArrayTracker:
         np.testing.assert_array_equal(batch.dis_array(), scalar.dis_array())
 
     def test_admit_empty_batch_is_noop(self, triangle):
-        tracker = ArrayDegreeTracker(triangle, 0.5)
+        tracker = LabelTracker(triangle, 0.5)
         before = tracker.delta
         tracker.admit_edges_ids(
             np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
@@ -249,7 +254,7 @@ class TestArrayTracker:
 
     def test_admit_validates_and_leaves_tracker_untouched(self, path5):
         """On the vectorized (distinct-endpoint) path, a bad batch is atomic."""
-        tracker = ArrayDegreeTracker(path5, 0.5)
+        tracker = LabelTracker(path5, 0.5)
         with pytest.raises(EdgeNotFoundError):
             tracker.admit_edges_ids(np.array([0, 2]), np.array([1, 4]))  # (2,4) foreign
         assert tracker.num_edges == 0  # nothing from the failed batch landed
@@ -259,7 +264,7 @@ class TestArrayTracker:
         assert tracker.num_edges == 1
 
     def test_batched_changes_match_scalar(self, figure1):
-        tracker = ArrayDegreeTracker(figure1, 0.4)
+        tracker = LabelTracker(figure1, 0.4)
         for edge in [("u1", "u7"), ("u7", "u9"), ("u8", "u10")]:
             tracker.add_edge(*edge)
         csr = figure1.csr()
@@ -272,7 +277,7 @@ class TestArrayTracker:
             assert removed[k] == tracker.remove_change(labels[u], labels[v])
 
     def test_batched_swap_change_handles_shared_endpoints(self, figure1):
-        tracker = ArrayDegreeTracker(figure1, 0.4)
+        tracker = LabelTracker(figure1, 0.4)
         tracker.add_edge("u1", "u7")
         tracker.add_edge("u7", "u9")
         u1, u2, u7, u9, u8, u10 = self._ids(
@@ -299,8 +304,8 @@ class TestArrayTracker:
                 assert batched[k] == exact
 
     def test_ids_view_proxies_tracker(self, figure1):
-        tracker = ArrayDegreeTracker(figure1, 0.4)
-        view = tracker.ids_view()
+        tracker = LabelTracker(figure1, 0.4)
+        view = IdsView(tracker.tracker)
         u7, u9 = self._ids(tracker, "u7", "u9")
         assert view.dis(u7) == tracker.dis("u7")
         view.add_edge(u7, u9)
@@ -308,7 +313,7 @@ class TestArrayTracker:
         assert view.dis(u7) == tracker.dis("u7")
 
     def test_edges_returns_labels(self, figure1):
-        tracker = ArrayDegreeTracker(figure1, 0.4)
+        tracker = LabelTracker(figure1, 0.4)
         tracker.add_edge("u7", "u9")
         tracker.add_edge("u8", "u10")
         assert {frozenset(e) for e in tracker.edges()} == {

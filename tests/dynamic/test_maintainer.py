@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.core import BM2Shedder, compute_delta
+from repro.core import compute_delta
 from repro.dynamic import DriftMonitor, IncrementalShedder, RepairConfig
 from repro.errors import EdgeNotFoundError, ReductionError, SelfLoopError
 from repro.graph import Graph, paper_figure1_graph
 from repro.graph.generators import erdos_renyi
+from tests.oracles.core import LegacyBM2Shedder
 
 
 @pytest.fixture
@@ -159,7 +160,7 @@ class TestRebuild:
         assert shed.delta == 0.0
 
     def test_custom_rebuild_shedder_used(self, small_er):
-        legacy = BM2Shedder(engine="legacy")
+        legacy = LegacyBM2Shedder()
         shed = IncrementalShedder(
             small_er, 0.5, rebuild_shedder=legacy, seed=0
         )

@@ -4,6 +4,7 @@ import numpy as np
 
 from repro.embedding import node2vec_embed
 from repro.graph import Graph, stochastic_block_model
+from tests.oracles.embedding import legacy_node2vec_embed
 
 
 class TestNode2VecEmbed:
@@ -49,20 +50,15 @@ class TestNode2VecEmbed:
 
 class TestEnginesAndWorkers:
     def test_legacy_engine_deterministic(self, cycle6):
-        a = node2vec_embed(
-            cycle6, dimensions=4, num_walks=2, walk_length=5, seed=3, engine="legacy"
-        )
-        b = node2vec_embed(
-            cycle6, dimensions=4, num_walks=2, walk_length=5, seed=3, engine="legacy"
-        )
+        a = legacy_node2vec_embed(cycle6, dimensions=4, num_walks=2, walk_length=5, seed=3)
+        b = legacy_node2vec_embed(cycle6, dimensions=4, num_walks=2, walk_length=5, seed=3)
         np.testing.assert_array_equal(a.embeddings, b.embeddings)
 
     def test_unknown_engine_rejected(self, cycle6):
         import pytest
 
-        from repro.errors import EmbeddingError
-
-        with pytest.raises(EmbeddingError):
+        # One implementation: there is no engine to select.
+        with pytest.raises(TypeError):
             node2vec_embed(cycle6, engine="cuda")
 
     def test_workers_bit_identical_to_serial(self):

@@ -13,6 +13,7 @@ import pytest
 
 from repro.embedding import generate_walks
 from repro.graph import CSRAdjacency, Graph, powerlaw_cluster, star_graph
+from tests.oracles.embedding import _legacy_generate_walks
 
 
 class TestWalkStatistics:
@@ -111,8 +112,8 @@ class TestEngineEquivalence:
 
     def test_uniform_transition_frequencies_agree(self, graph):
         kwargs = dict(num_walks=150, walk_length=20)
-        batched = generate_walks(graph, seed=0, engine="batched", **kwargs)
-        legacy = generate_walks(graph, seed=1, engine="legacy", **kwargs)
+        batched = generate_walks(graph, seed=0, **kwargs)
+        legacy = _legacy_generate_walks(graph, seed=1, **kwargs)
         diff = _max_share_difference(
             _first_order_frequencies(batched, min_count=100),
             _first_order_frequencies(legacy, min_count=100),
@@ -124,8 +125,8 @@ class TestEngineEquivalence:
         biased step (return / common neighbour / outward) carries a
         distinct weight, so a wrong weight shows up as a shifted share."""
         kwargs = dict(num_walks=150, walk_length=20, p=0.25, q=4.0)
-        batched = generate_walks(graph, seed=0, engine="batched", **kwargs)
-        legacy = generate_walks(graph, seed=1, engine="legacy", **kwargs)
+        batched = generate_walks(graph, seed=0, **kwargs)
+        legacy = _legacy_generate_walks(graph, seed=1, **kwargs)
         diff = _max_share_difference(
             _second_order_frequencies(batched, min_count=300),
             _second_order_frequencies(legacy, min_count=300),
@@ -136,8 +137,8 @@ class TestEngineEquivalence:
         """Two independent batched samples differ by no more than the
         engines do — the cross-engine tolerance is not hiding a bias."""
         kwargs = dict(num_walks=150, walk_length=20, p=0.25, q=4.0)
-        first = generate_walks(graph, seed=2, engine="batched", **kwargs)
-        second = generate_walks(graph, seed=3, engine="batched", **kwargs)
+        first = generate_walks(graph, seed=2, **kwargs)
+        second = generate_walks(graph, seed=3, **kwargs)
         diff = _max_share_difference(
             _second_order_frequencies(first, min_count=300),
             _second_order_frequencies(second, min_count=300),

@@ -11,6 +11,7 @@ from repro.graph import (
     partition_sizes,
     stochastic_block_model,
 )
+from tests.oracles.graph import _label_propagation_legacy
 
 
 class TestLabelPropagation:
@@ -120,23 +121,23 @@ class TestNMI:
 
 
 class TestLabelPropagationEngines:
-    """The CSR engine must replay the legacy per-node sweep bit-for-bit."""
+    """The CSR sweep must replay the legacy per-node sweep
+    (``tests/oracles``) bit-for-bit."""
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_csr_matches_legacy(self, seed):
         from repro.graph import erdos_renyi
 
         g = erdos_renyi(60, 0.08, seed=seed)
-        legacy = label_propagation(g, seed=seed, engine="legacy")
-        csr = label_propagation(g, seed=seed, engine="csr")
+        legacy = _label_propagation_legacy(g, seed=seed)
+        csr = label_propagation(g, seed=seed)
         assert csr == legacy
 
     def test_csr_matches_legacy_on_blocks(self):
         g = stochastic_block_model([20, 20], [[0.4, 0.02], [0.02, 0.4]], seed=3)
-        assert label_propagation(g, seed=5, engine="csr") == label_propagation(
-            g, seed=5, engine="legacy"
-        )
+        assert label_propagation(g, seed=5) == _label_propagation_legacy(g, seed=5)
 
     def test_unknown_engine_rejected(self, k5):
-        with pytest.raises(ValueError):
+        # One implementation: there is no engine to select.
+        with pytest.raises(TypeError):
             label_propagation(k5, seed=0, engine="numpy")

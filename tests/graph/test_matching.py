@@ -6,13 +6,13 @@ import pytest
 from repro.errors import GraphError
 from repro.graph import (
     Graph,
-    greedy_b_matching,
     greedy_b_matching_ids,
     is_b_matching,
     is_maximal_b_matching,
     paper_figure1_graph,
     star_graph,
 )
+from tests.oracles.core import greedy_b_matching
 
 
 def _id_arrays(graph, capacities):

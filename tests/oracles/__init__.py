@@ -1,0 +1,16 @@
+"""Reference implementations that pin the runtime engines.
+
+Each module holds the scalar, paper-shaped version of an algorithm whose
+runtime implementation in :mod:`repro` is array-native.  Equivalence
+suites under ``tests/`` and the speed gates under ``benchmarks/`` import
+them from here (``from tests.oracles.core import DegreeTracker``); nothing
+in ``src/`` does.
+
+* :mod:`tests.oracles.core` — dict ``DegreeTracker``, greedy b-matching,
+  the Algorithm 3 heap, and label-space CRR/BM2 shedders;
+* :mod:`tests.oracles.graph` — dict Brandes betweenness and per-node
+  label propagation;
+* :mod:`tests.oracles.embedding` — scalar node2vec walks, per-center SGNS
+  and the node2vec pipeline built from them;
+* :mod:`tests.oracles.uds` — the frozenset UDS merge loop.
+"""

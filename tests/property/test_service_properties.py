@@ -6,7 +6,9 @@ Two guarantees are exercised under randomised inputs:
   reduction bit-identically (edge sets, Δ recomputation, isolated nodes,
   string labels);
 * service determinism — submitting a request set through a concurrent
-  service yields reductions bit-identical to serial inline runs.
+  service yields reductions bit-identical to serial inline runs;
+* honest telemetry — histogram quantiles stay inside the observed
+  ``[min, max]`` for any observations and bucket bounds.
 """
 
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 from repro.core.discrepancy import compute_delta
 from repro.graph.graph import Graph
 from repro.service import ReductionRequest, SheddingService, make_shedder
+from repro.service.metrics import Histogram
 from repro.service.store import ArtifactStore
 
 
@@ -104,3 +107,19 @@ def test_concurrent_service_matches_serial(g, specs):
             assert result.status.value == "completed", result.error
             assert list(result.reduction.reduced.edges()) == list(base.reduced.edges())
             assert result.reduction.delta == base.delta
+
+
+_finite = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@given(
+    st.lists(_finite, min_size=1, max_size=40),
+    st.lists(_finite, min_size=1, max_size=12, unique=True),
+)
+@settings(max_examples=200, deadline=None)
+def test_histogram_quantiles_stay_in_observed_range(observations, bounds):
+    histogram = Histogram("latency", sorted(bounds))
+    for value in observations:
+        histogram.observe(value)
+    snap = histogram.snapshot()
+    assert snap["min"] <= snap["p50"] <= snap["p90"] <= snap["p99"] <= snap["max"]

@@ -59,7 +59,7 @@ def test_partition_is_edge_disjoint_node_cover(g, seed, num_shards, method):
 @given(connected_ish_graphs(), ratios, seeds)
 @settings(max_examples=25, deadline=None)
 def test_single_shard_crr_bit_identical(g, p, seed):
-    whole = CRRShedder(seed=seed, engine="array", num_betweenness_sources=4).reduce(g, p)
+    whole = CRRShedder(seed=seed, num_betweenness_sources=4).reduce(g, p)
     sharded = ShardedShedder(
         method="crr", num_shards=1, seed=seed, num_betweenness_sources=4
     ).reduce(g, p)
@@ -70,7 +70,7 @@ def test_single_shard_crr_bit_identical(g, p, seed):
 @given(connected_ish_graphs(), ratios, seeds)
 @settings(max_examples=25, deadline=None)
 def test_single_shard_bm2_bit_identical(g, p, seed):
-    whole = BM2Shedder(seed=seed, engine="array").reduce(g, p)
+    whole = BM2Shedder(seed=seed).reduce(g, p)
     sharded = ShardedShedder(method="bm2", num_shards=1, seed=seed).reduce(g, p)
     assert sharded.reduced == whole.reduced
     assert sharded.delta == whole.delta

@@ -1,10 +1,10 @@
 """Property tests pinning the array shedding engines to their scalar oracles.
 
-The dict-based :class:`DegreeTracker` and the ``engine="legacy"`` code paths
-of CRR/BM2 are the reference semantics; :class:`ArrayDegreeTracker` and the
-``engine="array"`` paths must replay them — identical ``dis`` per node
-(bitwise), ``Δ`` within float-association noise, and identical reduced
-graphs under the same seed.
+The dict-based ``DegreeTracker`` and the label-space CRR/BM2 shedders in
+``tests/oracles`` are the reference semantics; :class:`ArrayDegreeTracker`
+and :class:`CRRShedder` / :class:`BM2Shedder` must replay them — identical
+``dis`` per node (bitwise), ``Δ`` within float-association noise, and
+identical reduced graphs under the same seed.
 """
 
 import hypothesis.strategies as st
@@ -12,8 +12,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.core import ArrayDegreeTracker, BM2Shedder, CRRShedder, DegreeTracker
+from repro.core import BM2Shedder, CRRShedder
 from repro.graph import Graph
+from tests.oracles.core import (
+    DegreeTracker,
+    LabelTracker,
+    LegacyBM2Shedder,
+    LegacyCRRShedder,
+)
 
 _RATIOS = [0.25, 0.4, 0.5, 0.6, 0.75]
 
@@ -57,7 +63,7 @@ def tracker_scenario(draw):
 def test_array_tracker_replays_dict_oracle(scenario):
     g, p, ops = scenario
     oracle = DegreeTracker(g, p)
-    tracker = ArrayDegreeTracker(g, p)
+    tracker = LabelTracker(g, p)
     tracked = []
     untracked = list(g.edges())
     for op, i, j in ops:
@@ -97,10 +103,10 @@ def test_bulk_add_matches_scalar_adds(scenario, subset_bits):
     """add_edges_ids on any edge subset leaves the same state as scalar adds."""
     g, p = scenario
     edges = [e for k, e in enumerate(g.edges()) if (subset_bits >> k) & 1]
-    scalar = ArrayDegreeTracker(g, p)
+    scalar = LabelTracker(g, p)
     for u, v in edges:
         scalar.add_edge(u, v)
-    bulk = ArrayDegreeTracker(g, p)
+    bulk = LabelTracker(g, p)
     index_of = g.csr().index_of
     bulk.add_edges_ids(
         np.array([index_of[u] for u, _ in edges], dtype=np.int64),
@@ -115,8 +121,8 @@ def test_bulk_add_matches_scalar_adds(scenario, subset_bits):
 @settings(max_examples=25, deadline=None)
 def test_crr_engines_agree_end_to_end(scenario, seed):
     g, p = scenario
-    legacy = CRRShedder(seed=seed, engine="legacy").reduce(g, p)
-    array = CRRShedder(seed=seed, engine="array").reduce(g, p)
+    legacy = LegacyCRRShedder(seed=seed).reduce(g, p)
+    array = CRRShedder(seed=seed).reduce(g, p)
     assert array.reduced == legacy.reduced
     assert array.stats["accepted_swaps"] == legacy.stats["accepted_swaps"]
     assert array.stats["attempted_swaps"] == legacy.stats["attempted_swaps"]
@@ -131,12 +137,8 @@ def test_crr_engines_agree_end_to_end(scenario, seed):
 @settings(max_examples=25, deadline=None)
 def test_bm2_engines_agree_end_to_end(scenario, shuffle, rounding):
     g, p = scenario
-    legacy = BM2Shedder(
-        seed=11, shuffle_edges=shuffle, rounding=rounding, engine="legacy"
-    ).reduce(g, p)
-    array = BM2Shedder(
-        seed=11, shuffle_edges=shuffle, rounding=rounding, engine="array"
-    ).reduce(g, p)
+    legacy = LegacyBM2Shedder(seed=11, shuffle_edges=shuffle, rounding=rounding).reduce(g, p)
+    array = BM2Shedder(seed=11, shuffle_edges=shuffle, rounding=rounding).reduce(g, p)
     assert array.reduced == legacy.reduced
     assert array.stats["matched_edges"] == legacy.stats["matched_edges"]
     assert array.stats["repair_edges"] == legacy.stats["repair_edges"]

@@ -5,8 +5,9 @@ from hypothesis import given, settings
 
 from repro.core.discrepancy import round_half_up
 from repro.graph import Graph
-from repro.graph.matching import greedy_b_matching, is_b_matching
+from repro.graph.matching import is_b_matching
 from repro.streaming import count_stream_degrees, reservoir_shed, shed_stream
+from tests.oracles.core import greedy_b_matching
 
 
 @st.composite

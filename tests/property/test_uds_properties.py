@@ -9,6 +9,7 @@ from hypothesis import given, settings
 
 from repro.baselines import UDSSummarizer
 from repro.graph import Graph
+from tests.oracles.uds import LegacyUDSSummarizer
 
 
 @st.composite
@@ -35,12 +36,13 @@ seeds = st.integers(0, 2**31 - 1)
 
 
 engines = st.sampled_from(["array", "legacy"])
+_SUMMARIZERS = {"array": UDSSummarizer, "legacy": LegacyUDSSummarizer}
 
 
 @given(connected_ish_graphs(), ratios, seeds, engines)
 @settings(max_examples=25, deadline=None)
 def test_utility_threshold_respected(g, p, seed, engine):
-    result = UDSSummarizer(seed=seed, engine=engine).reduce(g, p)
+    result = _SUMMARIZERS[engine](seed=seed).reduce(g, p)
     assert result.stats["final_utility"] >= p - 1e-9
 
 

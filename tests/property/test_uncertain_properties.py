@@ -17,10 +17,10 @@ import numpy as np
 from hypothesis import given, settings
 
 from repro.core import BM2Shedder, CRRShedder
-from repro.core.discrepancy import ArrayDegreeTracker
 from repro.graph import Graph
 from repro.graph.generators import erdos_renyi, powerlaw_cluster
 from repro.uncertain import WeightedBM2Shedder, WeightedCRRShedder
+from tests.oracles.core import LabelTracker
 
 
 @st.composite
@@ -38,7 +38,7 @@ def weighted_graphs(draw):
     return graph
 
 
-def _oracle_delta(original: Graph, tracker: ArrayDegreeTracker, p: float) -> float:
+def _oracle_delta(original: Graph, tracker: LabelTracker, p: float) -> float:
     """Recompute Δ_E from the tracker's live edge set, the slow way."""
     csr = original.csr()
     mass = {node: 0.0 for node in csr.labels}
@@ -55,7 +55,7 @@ def _oracle_delta(original: Graph, tracker: ArrayDegreeTracker, p: float) -> flo
 @settings(max_examples=60, deadline=None)
 def test_weighted_tracker_matches_oracle_under_churn(graph, p, op_seed):
     """Incremental Δ bookkeeping equals brute-force recomputation."""
-    tracker = ArrayDegreeTracker.from_csr(graph.csr(), p, weighted=True)
+    tracker = LabelTracker(graph, p, weighted=True)
     edges = list(graph.edges())
     rng = np.random.default_rng(op_seed)
     # The tracker starts from the empty reduction; check there, then fill
@@ -88,7 +88,7 @@ def test_weighted_tracker_matches_oracle_under_churn(graph, p, op_seed):
 @settings(max_examples=40, deadline=None)
 def test_weighted_dis_matches_definition(graph, p):
     """dis(v) = current_mass(v) − p·E[deg(v)] for the full reduction."""
-    tracker = ArrayDegreeTracker.from_csr(graph.csr(), p, weighted=True)
+    tracker = LabelTracker(graph, p, weighted=True)
     for u, v in graph.edges():
         tracker.add_edge(u, v)
     for node in graph.nodes():
@@ -109,8 +109,8 @@ def test_all_ones_tracker_is_bit_identical(seed, p):
     ones = graph.copy()
     for u, v in ones.edges():
         ones.set_edge_weight(u, v, 1.0)
-    plain = ArrayDegreeTracker.from_csr(graph.csr(), p, weighted=False)
-    weighted = ArrayDegreeTracker.from_csr(ones.csr(), p, weighted=True)
+    plain = LabelTracker(graph, p, weighted=False)
+    weighted = LabelTracker(ones, p, weighted=True)
     assert weighted.delta == plain.delta  # bit-equal, not approx
     edges = list(graph.edges())
     for u, v in edges:

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.errors import ServiceError
+from repro.graph.generators import erdos_renyi
 from repro.graph.graph import Graph
 from repro.service import (
+    KNOWN_METHODS,
     JobStatus,
     ReductionRequest,
     SheddingService,
@@ -132,6 +134,21 @@ class TestDeterminism:
                     base.reduced.edges()
                 )
                 assert result.reduction.delta == base.delta
+
+    @pytest.mark.parametrize("method", KNOWN_METHODS)
+    def test_process_mode_matches_inline(self, method):
+        # UDS reconstructs edges outside E, so the parent must rebuild the
+        # returned edges rather than select them from its own graph.
+        graph = erdos_renyi(200, 0.05, seed=1)
+        results = {}
+        for mode in ("inline", "process"):
+            with SheddingService(num_workers=1, mode=mode) as service:
+                request = ReductionRequest(graph=graph, method=method, p=0.4, seed=2)
+                results[mode] = service.submit(request).result(timeout=120)
+        inline, process = results["inline"], results["process"]
+        assert process.status is JobStatus.COMPLETED, process.error
+        assert process.reduction.reduced == inline.reduction.reduced
+        assert process.reduction.delta == inline.reduction.delta
 
     def test_submission_order_irrelevant(self, graph):
         specs = [("bm2", 0.5, 1), ("random", 0.5, 9), ("crr", 0.4, 2)]
@@ -307,15 +324,6 @@ class TestShardedMode:
         assert result.status is JobStatus.COMPLETED
         assert "num_shards" not in result.metadata
         assert "num_shards" not in result.reduction.stats
-
-    def test_legacy_engine_requests_bypass_sharding(self, graph):
-        # engine="legacy" is an explicit ask for the scalar oracle.
-        with SheddingService(mode="sharded", num_workers=2, num_shards=2) as service:
-            result = service.submit(
-                ReductionRequest(graph=graph, method="bm2", p=0.5, seed=3, engine="legacy")
-            ).result(timeout=60)
-        assert result.status is JobStatus.COMPLETED
-        assert "num_shards" not in result.metadata
 
     def test_sharded_artifacts_do_not_poison_unsharded_cache(self, graph, tmp_path):
         """A sharded run and a whole-graph run of the same request are

@@ -5,7 +5,7 @@ import threading
 
 import pytest
 
-from repro.service.metrics import Counter, Histogram, MetricsRegistry
+from repro.service.metrics import OP_LATENCY_BOUNDS, Counter, Histogram, MetricsRegistry
 
 
 class TestCounter:
@@ -57,7 +57,17 @@ class TestHistogram:
             h.observe(0.05)
         h.observe(5.0)
         assert h.quantile(0.5) == 0.1
-        assert h.quantile(1.0) == 10.0
+        # The top bucket's bound (10.0) is past every observation: clamped.
+        assert h.quantile(1.0) == 5.0
+
+    def test_quantiles_never_exceed_observed_max(self):
+        """Three ~10 µs ops in the 20 µs bucket report p99 = max, not 20 µs."""
+        h = Histogram("op_seconds", OP_LATENCY_BOUNDS)
+        for value in (10.0e-6, 10.2e-6, 10.4e-6):
+            h.observe(value)
+        snap = h.snapshot()
+        assert snap["max"] == 10.4e-6
+        assert snap["p50"] == snap["p90"] == snap["p99"] == 10.4e-6
 
     def test_overflow_bucket_reports_exact_max(self):
         h = Histogram("latency", bounds=(0.1,))

@@ -48,6 +48,7 @@ class TestSessionConfig:
             {"p": 0.5, "shed_watermark": 1.5},
             {"p": 0.5, "apply_watermark": 0.8, "shed_watermark": 0.7},
             {"p": 0.5, "ledger_chunk": 0},
+            {"p": 0.5, "engine": "legacy"},
         ],
     )
     def test_bad_knobs_rejected(self, kwargs):

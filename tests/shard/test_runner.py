@@ -130,7 +130,7 @@ class TestReduction:
 
 class TestShardsOneExactness:
     def test_crr_matches_whole_graph_array_engine(self, small_powerlaw):
-        whole = CRRShedder(seed=4, engine="array", num_betweenness_sources=16).reduce(
+        whole = CRRShedder(seed=4, num_betweenness_sources=16).reduce(
             small_powerlaw, 0.5
         )
         sharded = ShardedShedder(
@@ -140,7 +140,7 @@ class TestShardsOneExactness:
         assert sharded.delta == whole.delta
 
     def test_bm2_matches_whole_graph_array_engine(self, small_powerlaw):
-        whole = BM2Shedder(seed=4, engine="array").reduce(small_powerlaw, 0.5)
+        whole = BM2Shedder(seed=4).reduce(small_powerlaw, 0.5)
         sharded = ShardedShedder(method="bm2", num_shards=1, seed=4).reduce(
             small_powerlaw, 0.5
         )
@@ -201,6 +201,6 @@ class TestReconcile:
         assert kept_u.shape[0] == target
         assert stats["demoted"] == small_powerlaw.num_edges - target
         # tracker delta must agree with an independently built tracker
-        tracker = ArrayDegreeTracker(small_powerlaw, p)
+        tracker = ArrayDegreeTracker(csr, p)
         tracker.add_edges_ids(kept_u, kept_v)
         assert stats["tracker_delta"] == pytest.approx(tracker.delta)

@@ -30,7 +30,7 @@ class TestShedStream:
     def test_matches_in_memory_b_matching(self, medium_powerlaw):
         """The streaming pass equals BM2 phase 1 on the same edge order."""
         from repro.core.discrepancy import round_half_up as rhu
-        from repro.graph.matching import greedy_b_matching
+        from tests.oracles.core import greedy_b_matching
 
         p = 0.5
         edges = list(medium_powerlaw.edges())

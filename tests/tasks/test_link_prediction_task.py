@@ -1,10 +1,14 @@
 """Tests for the link prediction task (task 7)."""
 
+from unittest import mock
+
 import pytest
 
 from repro.core import BM2Shedder
+from repro.embedding import node2vec_embed
 from repro.graph import Graph, star_graph, stochastic_block_model
 from repro.tasks import LinkPredictionTask, two_hop_pairs
+from tests.oracles.embedding import legacy_node2vec_embed
 
 
 class TestTwoHopPairs:
@@ -76,7 +80,7 @@ class TestLinkPredictionTask:
 
 class TestEngineParity:
     """The batched pipeline must deliver the same task utility as the
-    legacy oracle pipeline.
+    legacy oracle pipeline (``tests/oracles``).
 
     Engines consume the RNG differently, so single-seed utilities are
     sampling noise (observed spread ~0.1); the pin compares means over
@@ -92,12 +96,12 @@ class TestEngineParity:
         return BM2Shedder(seed=0).reduce(sbm, 0.6)
 
     def _mean_utility(self, sbm, reduction, engine, **kwargs):
-        utilities = [
-            LinkPredictionTask(seed=seed, engine=engine, **kwargs)
-            .evaluate(sbm, reduction)
-            .utility
-            for seed in range(4)
-        ]
+        embed = {"batched": node2vec_embed, "legacy": legacy_node2vec_embed}[engine]
+        with mock.patch("repro.tasks.link_prediction.node2vec_embed", embed):
+            utilities = [
+                LinkPredictionTask(seed=seed, **kwargs).evaluate(sbm, reduction).utility
+                for seed in range(4)
+            ]
         return sum(utilities) / len(utilities)
 
     def test_engine_utilities_agree(self, sbm, reduction):

@@ -73,8 +73,9 @@ class TestRequestValidation:
             ).validate()
 
     def test_weighted_rejects_legacy_engine(self):
+        # Requests no longer carry an engine: there is one implementation.
         graph = uncertain_erdos_renyi(30, 0.2, seed=0)
-        with pytest.raises(ServiceError):
+        with pytest.raises(TypeError):
             ReductionRequest(
                 p=0.5, method="crr", graph=graph, weighted=True, engine="legacy"
             ).validate()

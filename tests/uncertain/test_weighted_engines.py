@@ -134,7 +134,7 @@ class TestWeightedBMatching:
 class TestWeightedRepair:
     def test_requires_weighted_tracker(self, small_powerlaw):
         csr = small_powerlaw.csr()
-        tracker = ArrayDegreeTracker.from_csr(csr, 0.5, weighted=False)
+        tracker = ArrayDegreeTracker(csr, 0.5, weighted=False)
         with pytest.raises(ValueError):
             weighted_bipartite_repair_ids(
                 tracker,
@@ -145,7 +145,7 @@ class TestWeightedRepair:
     def test_repair_never_increases_delta(self):
         graph = uncertain_erdos_renyi(120, 0.08, seed=3)
         csr = graph.csr()
-        tracker = ArrayDegreeTracker.from_csr(csr, 0.5, weighted=True)
+        tracker = ArrayDegreeTracker(csr, 0.5, weighted=True)
         # Start from the empty reduction: every dis(v) = -p*E[deg] <= 0.
         before = tracker.delta
         edge_u, edge_v = csr.edge_list_ids()
