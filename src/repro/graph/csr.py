@@ -16,7 +16,8 @@ to canonical :data:`Edge` keys without consulting the originating graph.
 Snapshots are usually obtained via :meth:`Graph.csr`, which caches one
 per graph and invalidates it on mutation, so back-to-back array
 computations (PageRank, betweenness, BFS sweeps, embeddings) share a
-single build.
+single build.  Graphs built from arrays by :meth:`Graph.from_edge_ids`
+(edge-list files, process-mode payloads) arrive with that cache filled.
 """
 
 from __future__ import annotations
@@ -59,50 +60,60 @@ class CSRAdjacency:
     def from_graph(cls, graph: Graph) -> "CSRAdjacency":
         labels = list(graph.nodes())
         index_of = {node: i for i, node in enumerate(labels)}
-        n = len(labels)
         m = graph.num_edges
-        weighted = graph.is_weighted
-        if m == 0:
-            return cls(
-                indptr=np.zeros(n + 1, dtype=np.int64),
-                indices=np.empty(0, dtype=np.int64),
-                labels=labels,
-                index_of=index_of,
-                weights=np.empty(0, dtype=np.float64) if weighted else None,
-            )
-        # One pass over the edge list, then pure array ops: lexsorting the
-        # 2m half-edges by (head, tail) yields the offsets *and* the
-        # per-slice sorted neighbour order in one shot.
+        # The one Python-speed pass: endpoint ids in Graph.edges() order.
         endpoint_ids = np.fromiter(
             (index_of[endpoint] for edge in graph.edges() for endpoint in edge),
             dtype=np.int64,
             count=2 * m,
         )
-        u, v = endpoint_ids[0::2], endpoint_ids[1::2]
         weights = None
-        if weighted:
+        if graph.is_weighted:
             weights = np.fromiter(
                 (w for _, _, w in graph.edge_weights()),
                 dtype=np.float64,
                 count=m,
             )
-        heads = np.concatenate([u, v])
-        tails = np.concatenate([v, u])
-        order = np.lexsort((tails, heads))
-        indices = np.ascontiguousarray(tails[order])
+        return cls.from_edge_ids(
+            labels,
+            np.ascontiguousarray(endpoint_ids[0::2]),
+            np.ascontiguousarray(endpoint_ids[1::2]),
+            weights,
+        )
+
+    @classmethod
+    def from_edge_ids(
+        cls,
+        labels: List[Node],
+        edge_u: np.ndarray,
+        edge_v: np.ndarray,
+        weights: Optional[np.ndarray] = None,
+        **fields,
+    ) -> "CSRAdjacency":
+        """The snapshot of the edges ``(edge_u, edge_v)`` in scan order.
+
+        The arrays become :meth:`edge_list_ids` as given, so they must be
+        distinct edges oriented lower id first, in the order the
+        originating graph's :meth:`Graph.edges` scan yields them;
+        ``weights`` aligns with them.  Sorting the 2m half-edge keys
+        ``head * n + tail`` yields the per-slice sorted neighbour order
+        in one pass.  ``fields`` passes subclass fields (a view's
+        ``global_ids``).
+        """
+        n = len(labels)
+        heads = np.concatenate((edge_u, edge_v))
+        keys = heads * n + np.concatenate((edge_v, edge_u))
+        keys.sort()
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(heads, minlength=n), out=indptr[1:])
-        # The one Python-speed pass above already produced the endpoint ids
-        # in Graph.edges() iteration order; keep them so edge-scan consumers
-        # (greedy b-matching, the shedding engines) never pay for it again.
-        derived = {"edge_list_ids": (np.ascontiguousarray(u), np.ascontiguousarray(v))}
         return cls(
             indptr=indptr,
-            indices=indices,
+            indices=keys % n,
             labels=labels,
-            index_of=index_of,
-            _derived=derived,
+            index_of={node: i for i, node in enumerate(labels)},
+            _derived={"edge_list_ids": (edge_u, edge_v)},
             weights=weights,
+            **fields,
         )
 
     @property
@@ -319,71 +330,24 @@ class CSRAdjacency:
         weights = None if self.weights is None else self.weights[interior]
         parent_labels = self.labels
         labels = [parent_labels[i] for i in global_ids.tolist()]
-        index_of = {node: i for i, node in enumerate(labels)}
-        if u.shape[0] == 0:
-            return CSRView(
-                indptr=np.zeros(k + 1, dtype=np.int64),
-                indices=np.empty(0, dtype=np.int64),
-                labels=labels,
-                index_of=index_of,
-                weights=weights,
-                global_ids=global_ids,
-            )
-        # Same lexsort construction as from_graph, over the interior edges.
-        heads = np.concatenate([u, v])
-        tails = np.concatenate([v, u])
-        order = np.lexsort((tails, heads))
-        indices = np.ascontiguousarray(tails[order])
-        indptr = np.zeros(k + 1, dtype=np.int64)
-        np.cumsum(np.bincount(heads, minlength=k), out=indptr[1:])
-        return CSRView(
-            indptr=indptr,
-            indices=indices,
-            labels=labels,
-            index_of=index_of,
-            _derived={"edge_list_ids": (u, v)},
-            weights=weights,
-            global_ids=global_ids,
-        )
+        return CSRView.from_edge_ids(labels, u, v, weights, global_ids=global_ids)
 
     def subgraph_from_edge_ids(self, edge_u: np.ndarray, edge_v: np.ndarray) -> Graph:
         """Build the full-node-set subgraph keeping exactly the given edges.
 
         The array-engine counterpart of :meth:`Graph.edge_subgraph` (with
-        ``keep_all_nodes=True``): the adjacency is assembled by one grouped
-        sort over the endpoint arrays instead of per-edge set inserts, and
-        node order is the snapshot's id order, which preserves the
-        originating graph's relative insertion order (so canonical edge
-        orientations are unchanged).  The caller must pass distinct edges of
-        the snapshotted graph — the shedding engines sample their pools from
+        ``keep_all_nodes=True``), built by :meth:`Graph.from_edge_ids`
+        with each node's ``edge_u``-side neighbours first.  Node order is
+        the snapshot's id order, which preserves the originating graph's
+        relative insertion order (so canonical edge orientations are
+        unchanged).  The caller must pass distinct edges of the
+        snapshotted graph — the shedding engines sample their pools from
         :meth:`edge_list_ids`, which guarantees both.
         """
-        n = self.num_nodes
-        labels = self.labels
-        heads = np.concatenate((edge_u, edge_v))
-        tails = np.concatenate((edge_v, edge_u))
-        head_order = np.argsort(heads, kind="stable")
-        tails_sorted = tails[head_order]
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(heads, minlength=n), out=offsets[1:])
-        tail_labels = self.labels_array()[tails_sorted].tolist()
-        bounds = offsets.tolist()
-        graph = Graph()
-        graph._adj = {
-            node: dict.fromkeys(tail_labels[start:end])
-            for node, start, end in zip(labels, bounds, bounds[1:])
-        }
-        if self.weights is not None:
-            edge_w = self.edge_weights_for(edge_u, edge_v)
-            half_w = np.concatenate((edge_w, edge_w))[head_order].tolist()
-            graph._weights = {
-                node: dict(zip(tail_labels[start:end], half_w[start:end]))
-                for node, start, end in zip(labels, bounds, bounds[1:])
-            }
-        graph._order = dict(zip(labels, range(n)))
-        graph._next_order = n
-        graph._num_edges = int(edge_u.shape[0])
-        return graph
+        weights = None if self.weights is None else self.edge_weights_for(edge_u, edge_v)
+        return Graph.from_edge_ids(
+            self.labels, edge_u, edge_v, weights, by_side=True, snapshot=False
+        )
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,9 @@ explicit weight default to ``1.0`` (a certain edge).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Hashable, Iterable, Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, Iterable, Iterator, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import EdgeNotFoundError, NodeNotFoundError, SelfLoopError
 
@@ -89,6 +91,80 @@ class Graph:
             self.add_node(node)
         for u, v in edges:
             self.add_edge(u, v)
+
+    @classmethod
+    def from_edge_ids(
+        cls,
+        labels: Sequence[Node],
+        edge_u: np.ndarray,
+        edge_v: np.ndarray,
+        weights: Optional[np.ndarray] = None,
+        *,
+        by_side: bool = False,
+        snapshot: bool = True,
+    ) -> "Graph":
+        """Build a graph on ``labels`` from edge-id arrays in one bulk pass.
+
+        Node ``i`` is ``labels[i]`` (labels distinct), and nodes keep that
+        order.  The edges must be distinct and free of self-loops;
+        ``weights``, aligned with them, makes the graph weighted.  Each neighbour list follows edge
+        order, exactly as replaying :meth:`add_edge` over the arrays
+        would; ``by_side=True`` lists a node's ``edge_u``-side neighbours
+        before its ``edge_v``-side ones instead.  With ``snapshot`` the
+        CSR snapshot is built from the same sorted arrays and memoised,
+        so :meth:`csr` serves it until the first mutation.
+        """
+        labels = list(labels)
+        n = len(labels)
+        edge_u = np.asarray(edge_u, dtype=np.int64)
+        edge_v = np.asarray(edge_v, dtype=np.int64)
+        if by_side:
+            heads = np.concatenate((edge_u, edge_v))
+            tails = np.concatenate((edge_v, edge_u))
+        else:
+            heads = np.column_stack((edge_u, edge_v)).ravel()
+            tails = np.column_stack((edge_v, edge_u)).ravel()
+        # Sort by head, each node's entries in input order: the keys are
+        # distinct, so the default sort is stable on the head alone.
+        order = np.argsort(heads * heads.shape[0] + np.arange(heads.shape[0]))
+        heads, tails = heads[order], tails[order]
+        bounds = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(heads, minlength=n), out=bounds[1:])
+        bounds = bounds.tolist()
+        label_array = np.empty(n, dtype=object)
+        label_array[:] = labels
+        tail_labels = label_array[tails].tolist()
+        graph = cls()
+        graph._adj = {
+            node: dict.fromkeys(tail_labels[start:end])
+            for node, start, end in zip(labels, bounds, bounds[1:])
+        }
+        half_w = None
+        if weights is not None:
+            weights = np.asarray(weights, dtype=np.float64)
+            half_w = (np.concatenate((weights, weights)) if by_side else np.repeat(weights, 2))[order]
+            half_list = half_w.tolist()
+            graph._weights = {
+                node: dict(zip(tail_labels[start:end], half_list[start:end]))
+                for node, start, end in zip(labels, bounds, bounds[1:])
+            }
+        graph._order = dict(zip(labels, range(n)))
+        graph._next_order = n
+        graph._num_edges = int(edge_u.shape[0])
+        if snapshot:
+            from repro.graph.csr import CSRAdjacency
+
+            # The edges() scan: nodes in id order, each neighbour list in
+            # adjacency order, every edge from its lower-id endpoint.
+            forward = tails > heads
+            graph._csr_cache = CSRAdjacency.from_edge_ids(
+                labels,
+                heads[forward],
+                tails[forward],
+                None if half_w is None else half_w[forward],
+            )
+            graph._csr_version = graph._version
+        return graph
 
     # ------------------------------------------------------------------
     # Mutation

@@ -226,22 +226,21 @@ def _graph_from_ids(
     u_ids: np.ndarray,
     v_ids: np.ndarray,
     edge_w: Optional[np.ndarray],
+    snapshot: bool,
 ) -> Graph:
     """Rebuild a graph on ``labels`` from edge-id arrays (and weights).
 
-    Nodes are added in label order and edges replayed in array order, so
-    a graph shipped as its ``Graph.edges()`` ids comes back with the
-    identical canonical edge iteration (the per-node canonical neighbour
-    subsequences are preserved) — the property bit-identity rests on.
+    :meth:`Graph.from_edge_ids` keeps label order and lists neighbours in
+    array order, so a graph shipped as its ``Graph.edges()`` ids comes
+    back with the identical canonical edge iteration and CSR snapshot —
+    the property bit-identity rests on.  ``snapshot`` memoises that
+    snapshot: the worker's input graph starts its reduction from it,
+    while a returned reduced graph, like one reduced in-process, has none
+    to hold in the artifact cache.
     """
-    graph = Graph(nodes=labels)
-    if edge_w is None:
-        for i, j in zip(u_ids.tolist(), v_ids.tolist()):
-            graph.add_edge(labels[i], labels[j])
-    else:
-        for i, j, w in zip(u_ids.tolist(), v_ids.tolist(), edge_w.tolist()):
-            graph.add_edge(labels[i], labels[j], weight=w)
-    return graph
+    if edge_w is not None and edge_w.shape[0] == 0:
+        edge_w = None  # an edgeless graph never became weighted
+    return Graph.from_edge_ids(labels, u_ids, v_ids, edge_w, snapshot=snapshot)
 
 
 def _edge_ids(
@@ -267,7 +266,7 @@ def _reduce_job(payload: Tuple) -> Tuple:
     them rather than selecting them from its own graph.
     """
     labels, u_ids, v_ids, edge_w, method, p, seed, num_sources, weighted = payload
-    graph = _graph_from_ids(labels, u_ids, v_ids, edge_w)
+    graph = _graph_from_ids(labels, u_ids, v_ids, edge_w, snapshot=True)
     shedder = make_shedder(method, seed=seed, num_sources=num_sources, weighted=weighted)
     result = shedder.reduce(graph, p)
     index_of = {node: idx for idx, node in enumerate(labels)}
@@ -335,7 +334,7 @@ class ProcessEngine:
         return ReductionResult(
             method=method_name,
             original=graph,
-            reduced=_graph_from_ids(csr.labels, out_u, out_v, out_w),
+            reduced=_graph_from_ids(csr.labels, out_u, out_v, out_w, snapshot=False),
             p=float(p),
             delta=delta,
             elapsed_seconds=elapsed,

@@ -1,16 +1,21 @@
 """Tests for graph I/O."""
 
+import numpy as np
 import pytest
 
 from repro.errors import GraphError
 from repro.graph import (
     Graph,
+    graph_from_payload,
     read_edge_list,
     read_edge_list_with_summary,
     read_json,
     write_edge_list,
     write_json,
 )
+from repro.graph.csr import CSRAdjacency
+from repro.service.request import make_shedder
+from repro.service.scheduler import _reduce_job
 
 
 class TestEdgeList:
@@ -124,3 +129,66 @@ class TestJSON:
         path.write_text('{"nodes": [1, 2], "edges": [[1, 2, 3]]}')
         with pytest.raises(GraphError):
             read_json(path)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"nodes": [], "edges": [[[1], [2]]]},  # unhashable labels
+            {"nodes": [[1], 2], "edges": []},
+            {"nodes": [1, 2], "edges": [7]},  # an int edge entry
+            {"nodes": 5, "edges": []},  # non-iterable nodes
+            {"nodes": [1, 2], "edges": [[1, 2]], "weights": 0.5},  # scalar weights
+            {"nodes": [1, 2], "edges": [[1, 2]], "weights": ["heavy"]},
+            {"nodes": [1], "edges": [[1, 1]]},  # a self-loop
+        ],
+    )
+    def test_malformed_payload_shapes_raise_graph_error(self, payload):
+        with pytest.raises(GraphError, match=r"^where: "):
+            graph_from_payload(payload, where="where")
+
+    def test_nan_payload_weight_stored_as_given(self):
+        graph = graph_from_payload({"nodes": [], "edges": [[1, 2]], "weights": [float("nan")]})
+        assert np.isnan(graph.edge_weight(1, 2))
+
+
+class TestSnapshotMemo:
+    """Ingest builds the CSR snapshot once; reductions reuse it."""
+
+    @pytest.fixture
+    def from_graph_calls(self, monkeypatch):
+        calls = []
+        build = CSRAdjacency.from_graph.__func__
+
+        def counting(cls, graph):
+            calls.append(graph)
+            return build(cls, graph)
+
+        monkeypatch.setattr(CSRAdjacency, "from_graph", classmethod(counting))
+        return calls
+
+    @pytest.fixture
+    def path(self, tmp_path, small_powerlaw):
+        path = tmp_path / "g.txt"
+        write_edge_list(small_powerlaw, path)
+        return path
+
+    def test_reader_memoises_snapshot(self, path):
+        assert read_edge_list(path).cached_csr() is not None
+
+    def test_reduce_reuses_reader_snapshot(self, path, from_graph_calls):
+        graph = read_edge_list(path)
+        make_shedder("bm2-sparse", seed=1).reduce(graph, 0.4)
+        assert from_graph_calls == []
+
+    def test_process_worker_reuses_payload_snapshot(self, path, from_graph_calls):
+        csr = read_edge_list(path).csr()
+        u_ids, v_ids = csr.edge_list_ids()
+        payload = (csr.labels, u_ids, v_ids, None, "bm2-sparse", 0.4, 1, None, False)
+        out_u, _, _, delta, _, _, _ = _reduce_job(payload)
+        assert out_u.shape[0] > 0 and delta >= 0.0
+        assert from_graph_calls == []
+
+    def test_mutation_drops_memo(self, path):
+        graph = read_edge_list(path)
+        graph.add_edge("fresh", "node")
+        assert graph.cached_csr() is None

@@ -8,8 +8,9 @@ in ``src/`` does.
 
 * :mod:`tests.oracles.core` — dict ``DegreeTracker``, greedy b-matching,
   the Algorithm 3 heap, and label-space CRR/BM2 shedders;
-* :mod:`tests.oracles.graph` — dict Brandes betweenness and per-node
-  label propagation;
+* :mod:`tests.oracles.graph` — dict Brandes betweenness, per-node
+  label propagation, and the per-edge graph constructions (line-by-line
+  edge-list reader, ``add_edge`` payload replay, grouped-sort subgraph);
 * :mod:`tests.oracles.embedding` — scalar node2vec walks, per-center SGNS
   and the node2vec pipeline built from them;
 * :mod:`tests.oracles.uds` — the frozenset UDS merge loop.

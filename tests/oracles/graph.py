@@ -1,19 +1,31 @@
-"""Scalar oracles for the graph kernels: Brandes and label propagation.
+"""Scalar oracles for the graph kernels and the bulk graph construction.
 
 The dict-of-sets Brandes sweep and the per-node label-propagation scan
 that the CSR kernels in :mod:`repro.graph.centrality`,
 :mod:`repro.graph.kernels` and :mod:`repro.graph.communities` replay.
 Tests pin the kernels against them; micro-benchmarks time them as the
 baseline.
+
+Beside them, the per-edge graph constructions that
+:meth:`repro.graph.Graph.from_edge_ids` replaced: the per-line edge-list
+reader, the ``add_edge`` replay of process-mode payloads, and the
+grouped-sort ``subgraph_from_edge_ids``.  The ingest equivalence suites
+pin the new construction's node order, neighbour order, weights and
+summaries against them.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
+import numpy as np
+
+from repro.errors import GraphError
 from repro.graph.centrality import _edge_normalization, _node_normalization
+from repro.graph.csr import CSRAdjacency
 from repro.graph.graph import Edge, Graph, Node
+from repro.graph.io import EdgeListSummary
 from repro.graph.sampling import select_sources
 from repro.rng import RandomState, ensure_rng
 
@@ -22,6 +34,9 @@ __all__ = [
     "_legacy_edge_betweenness",
     "_legacy_node_betweenness",
     "_legacy_top_edges_by_betweenness",
+    "graph_from_ids_replay",
+    "read_edge_list_per_line",
+    "subgraph_from_edge_ids_grouped",
 ]
 
 
@@ -159,3 +174,122 @@ def _label_propagation_legacy(
             remap[label] = len(remap)
         renumbered[node] = remap[label]
     return renumbered
+
+
+def read_edge_list_per_line(
+    path, weight_col: Optional[int] = None
+) -> Tuple[Graph, EdgeListSummary]:
+    """The per-line ``add_edge`` edge-list reader (``read_edge_list_with_summary``).
+
+    Unlike the runtime reader it accepts a ``nan`` weight token: NaN
+    fails both range checks, so it is neither clamped nor counted.
+    """
+    if weight_col is not None and weight_col < 2:
+        raise GraphError(
+            f"weight_col must be >= 2 (columns 0-1 are the endpoints), got {weight_col}"
+        )
+    graph = Graph()
+    lines_total = comment_lines = self_loops = duplicates = clamped = 0
+    with open(path, "r", encoding="utf-8") as handle:
+        for line_number, raw_line in enumerate(handle, start=1):
+            lines_total += 1
+            line = raw_line.strip()
+            if not line or line.startswith(("#", "%")):
+                comment_lines += 1
+                continue
+            parts = line.split()
+            if len(parts) < 2:
+                raise GraphError(f"{path}:{line_number}: expected two node tokens, got {line!r}")
+            u, v = _parse_node(parts[0]), _parse_node(parts[1])
+            weight = None
+            if weight_col is not None:
+                if len(parts) <= weight_col:
+                    raise GraphError(
+                        f"{path}:{line_number}: no weight column {weight_col} in {line!r}"
+                    )
+                try:
+                    weight = float(parts[weight_col])
+                except ValueError:
+                    raise GraphError(
+                        f"{path}:{line_number}: bad weight token {parts[weight_col]!r}"
+                    ) from None
+                if weight < 0.0 or weight > 1.0:
+                    clamped += 1
+                    weight = min(1.0, max(0.0, weight))
+            if u == v:
+                self_loops += 1
+                continue
+            if not graph.add_edge(u, v, weight=weight):
+                duplicates += 1
+    summary = EdgeListSummary(
+        lines_total=lines_total,
+        comment_lines=comment_lines,
+        edges_added=graph.num_edges,
+        self_loops_skipped=self_loops,
+        duplicates_skipped=duplicates,
+        weights_clamped=clamped,
+    )
+    return graph, summary
+
+
+def _parse_node(token: str):
+    try:
+        return int(token)
+    except ValueError:
+        return token
+
+
+def graph_from_ids_replay(
+    labels: List[Any],
+    u_ids: np.ndarray,
+    v_ids: np.ndarray,
+    edge_w: Optional[np.ndarray],
+) -> Graph:
+    """The per-edge ``add_edge`` replay of a process-mode payload.
+
+    Nodes are added in label order and edges replayed in array order.
+    """
+    graph = Graph(nodes=labels)
+    if edge_w is None:
+        for i, j in zip(u_ids.tolist(), v_ids.tolist()):
+            graph.add_edge(labels[i], labels[j])
+    else:
+        for i, j, w in zip(u_ids.tolist(), v_ids.tolist(), edge_w.tolist()):
+            graph.add_edge(labels[i], labels[j], weight=w)
+    return graph
+
+
+def subgraph_from_edge_ids_grouped(
+    csr: CSRAdjacency, edge_u: np.ndarray, edge_v: np.ndarray
+) -> Graph:
+    """The grouped-sort ``CSRAdjacency.subgraph_from_edge_ids``.
+
+    One stable sort of the concatenated endpoint arrays lists each
+    node's ``edge_u``-side neighbours before its ``edge_v``-side ones.
+    """
+    n = csr.num_nodes
+    labels = csr.labels
+    heads = np.concatenate((edge_u, edge_v))
+    tails = np.concatenate((edge_v, edge_u))
+    head_order = np.argsort(heads, kind="stable")
+    tails_sorted = tails[head_order]
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(heads, minlength=n), out=offsets[1:])
+    tail_labels = csr.labels_array()[tails_sorted].tolist()
+    bounds = offsets.tolist()
+    graph = Graph()
+    graph._adj = {
+        node: dict.fromkeys(tail_labels[start:end])
+        for node, start, end in zip(labels, bounds, bounds[1:])
+    }
+    if csr.weights is not None:
+        edge_w = csr.edge_weights_for(edge_u, edge_v)
+        half_w = np.concatenate((edge_w, edge_w))[head_order].tolist()
+        graph._weights = {
+            node: dict(zip(tail_labels[start:end], half_w[start:end]))
+            for node, start, end in zip(labels, bounds, bounds[1:])
+        }
+    graph._order = dict(zip(labels, range(n)))
+    graph._next_order = n
+    graph._num_edges = int(edge_u.shape[0])
+    return graph

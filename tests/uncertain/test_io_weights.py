@@ -56,3 +56,19 @@ def test_weighted_round_trip_is_exact(tmp_path):
     }
     for u, v, w in graph.edge_weights():
         assert back.edge_weight(u, v) == w  # %.17g is round-trip exact
+
+
+def test_nan_weight_token_rejected_with_line(tmp_path):
+    path = tmp_path / "nan.txt"
+    path.write_text("1 2 nan\n2 3 0.5\n3 4 inf\n")
+    with pytest.raises(GraphError, match=r"nan\.txt:1: bad weight token 'nan'"):
+        read_edge_list(path, weight_col=2)
+
+
+def test_infinite_weight_tokens_still_clamped(tmp_path):
+    path = tmp_path / "inf.txt"
+    path.write_text("1 2 -inf\n2 3 0.5\n3 4 inf\n")
+    graph, summary = read_edge_list_with_summary(path, weight_col=2)
+    assert summary.weights_clamped == 2
+    assert graph.edge_weight(1, 2) == 0.0
+    assert graph.edge_weight(3, 4) == 1.0
