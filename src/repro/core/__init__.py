@@ -23,10 +23,6 @@ from repro.core.discrepancy import (
     round_half_up,
     swap_change_from_dis,
     swap_change_scalar_from_dis,
-    weighted_add_change_from_dis,
-    weighted_remove_change_from_dis,
-    weighted_swap_change_from_dis,
-    weighted_swap_change_scalar_from_dis,
 )
 from repro.core.local_shed import JaccardShedder, LocalDegreeShedder
 from repro.core.progressive import degrade_method, progressive_reduce, rescore_result
@@ -54,10 +50,6 @@ __all__ = [
     "remove_change_from_dis",
     "swap_change_from_dis",
     "swap_change_scalar_from_dis",
-    "weighted_add_change_from_dis",
-    "weighted_remove_change_from_dis",
-    "weighted_swap_change_from_dis",
-    "weighted_swap_change_scalar_from_dis",
     "crr_average_delta_bound",
     "bm2_average_delta_bound",
     "crr_bound_for_graph",

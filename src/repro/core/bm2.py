@@ -34,11 +34,11 @@ from typing import Any, Dict, List, Tuple
 import numpy as np
 
 from repro.core.base import EdgeShedder, timed_phase
-from repro.core.discrepancy import ArrayDegreeTracker
+from repro.core.discrepancy import ArrayDegreeTracker, check_probability_weights
 from repro.core.sparsify import edcs_beta, prune_candidates_ids
 from repro.errors import ReductionError
 from repro.graph.graph import Graph
-from repro.graph.matching import greedy_b_matching_ids, greedy_weighted_b_matching_ids
+from repro.graph.matching import greedy_b_matching_ids
 from repro.rng import RandomState, ensure_rng
 
 __all__ = [
@@ -135,11 +135,7 @@ def bipartite_repair_ids(
 
     # Initial gains: same expression and association order as the heap's
     # per-edge `_snap(abs(dis(a)) + 2*abs(dis(b)) - abs(dis(a) + 1) - 1)`.
-    da = dis[cand_a]
-    gains = np.abs(da) + 2.0 * np.abs(dis[cand_b])
-    gains -= np.abs(da + 1.0)
-    gains -= 1.0
-    gains = _snap_array(gains)
+    gains = _gain_array(dis[cand_a], dis[cand_b], 1.0)
 
     # The heap admits every gain >= 0 edge to the pool (zero-gain edges are
     # only dropped at pop time), so its duplicate check covers them all.
@@ -250,10 +246,7 @@ def bipartite_repair_ids(
             surviving = group[(state[group] == 0) & ~b_dead[cand_b[group]]]
             if surviving.size == 0:
                 continue
-            new_w = abs(dis_a) + 2.0 * np.abs(dis[cand_b[surviving]])
-            new_w -= abs(1 + dis_a)
-            new_w -= 1.0
-            new_w = _snap_array(new_w)
+            new_w = _gain_array(dis_a, dis[cand_b[surviving]], 1.0)
             keep = new_w >= 0.0 if accept_zero_gain else new_w > 0.0
             state[surviving] = np.where(keep, np.int8(1), np.int8(2))
             for weight, edge_idx in zip(new_w[keep].tolist(), surviving[keep].tolist()):
@@ -283,6 +276,26 @@ def _weighted_gain(da: float, db: float, w: float) -> float:
     if db + w >= 0:
         return _snap(abs(da) + 2 * abs(db) - abs(da + w) - w)
     return _snap(abs(da) - abs(da + w) + w)
+
+
+def _gain_array(
+    da: float | np.ndarray, db: np.ndarray, w: float | np.ndarray
+) -> np.ndarray:
+    """Vectorized :func:`_weighted_gain`: snapped gains of A–B edges.
+
+    ``w`` is ``1.0`` or an array of edge weights aligned with ``db``;
+    ``da`` is an array, or one A node's scalar ``dis``.  Both branches are
+    evaluated with :func:`_weighted_gain`'s expressions and association
+    order and selected per edge.  At ``w = 1.0`` every group-B candidate
+    (``|dis(b)| < 0.5``) takes the crossing branch, which is Lemma 1's
+    ``|dis(a)| + 2|dis(b)| − |dis(a)+1| − 1`` term for term.
+    """
+    crossing = np.abs(da) + 2.0 * np.abs(db)
+    crossing -= np.abs(da + w)
+    crossing -= w
+    non_crossing = np.abs(da) - np.abs(da + w)
+    non_crossing += w
+    return _snap_array(np.where(db + w >= 0.0, crossing, non_crossing))
 
 
 def weighted_bipartite_repair_ids(
@@ -327,16 +340,7 @@ def weighted_bipartite_repair_ids(
 
     masses = tracker.edge_weights_ids(cand_a, cand_b)
     max_w = float(masses.max())
-    # Vectorized initial gains: both `_weighted_gain` branches evaluated
-    # with its expressions and association order, selected per edge.
-    da = dis[cand_a]
-    db = dis[cand_b]
-    g_cross = np.abs(da) + 2.0 * np.abs(db)
-    g_cross -= np.abs(da + masses)
-    g_cross -= masses
-    g_non = np.abs(da) - np.abs(da + masses)
-    g_non += masses
-    gains = _snap_array(np.where(db + masses >= 0.0, g_cross, g_non))
+    gains = _gain_array(dis[cand_a], dis[cand_b], masses)
 
     # The per-edge heap's duplicate check covers every gain >= 0 edge.
     eligible = np.nonzero(gains >= 0.0)[0]
@@ -456,12 +460,7 @@ def weighted_bipartite_repair_ids(
             x = cb_l[eidx]
             if not b_alive[x]:
                 continue
-            w_e = w_l[eidx]
-            db_x = dis_l[x]
-            if db_x + w_e >= 0:
-                new_w = _snap(abs(dis_a) + 2 * abs(db_x) - abs(w_e + dis_a) - w_e)
-            else:
-                new_w = _snap(abs(dis_a) - abs(dis_a + w_e) + w_e)
+            new_w = _weighted_gain(dis_a, dis_l[x], w_l[eidx])
             if new_w > 0 or (new_w == 0 and accept_zero_gain):
                 cur_gain[eidx] = new_w
                 heappush(heap, (-new_w, counter, eidx))
@@ -480,7 +479,7 @@ class BM2Shedder(EdgeShedder):
     """Algorithm 2: rounded b-matching plus bipartite deficit repair.
 
     Both phases run over flat CSR-id arrays (:func:`bm2_reduce_ids`):
-    vectorized capacity rounding, the fixpoint greedy b-matching
+    vectorized capacity rounding, the greedy b-matching scan
     (:func:`greedy_b_matching_ids`), boolean-mask A/B grouping and
     candidate orientation, then Algorithm 3 (:func:`bipartite_repair_ids`).
 
@@ -501,6 +500,8 @@ class BM2Shedder(EdgeShedder):
     """
 
     name = "BM2"
+    #: Run both phases in expected-degree mass (set by the weighted subclass).
+    weighted = False
 
     def __init__(
         self,
@@ -529,6 +530,8 @@ class BM2Shedder(EdgeShedder):
     def _reduce(self, graph: Graph, p: float) -> Tuple[Graph, Dict[str, Any]]:
         csr = graph.csr()
         stats: Dict[str, Any] = {"capacity_rounding": self.rounding}
+        if self.weighted:
+            stats["weighted"] = True
         kept_u, kept_v = bm2_reduce_ids(
             csr,
             p,
@@ -539,6 +542,7 @@ class BM2Shedder(EdgeShedder):
             seed=self._seed,
             sparsify=self.sparsify,
             sparsify_beta=self.sparsify_beta,
+            weighted=self.weighted,
         )
         return csr.subgraph_from_edge_ids(kept_u, kept_v), stats
 
@@ -571,16 +575,18 @@ def bm2_reduce_ids(
 
     ``weighted=True`` (uncertain graphs, :mod:`repro.uncertain`) runs the
     whole algorithm in expected-degree mass: capacities round
-    ``p·E[deg]``, Phase 1 admits edges by mass
-    (:func:`greedy_weighted_b_matching_ids`), groups come from a weighted
-    tracker's discrepancies, and Phase 2 runs the weighted repair heap
+    ``p·E[deg]``, Phase 1 admits edges by mass (:func:`greedy_b_matching_ids`
+    with the weights), groups come from a weighted tracker's discrepancies,
+    and Phase 2 runs the weighted repair heap
     (:func:`weighted_bipartite_repair_ids`).  With
     all weights exactly 1.0 every stage degenerates bit-identically, so
-    the kept edge arrays equal the unweighted call's.
+    the kept edge arrays equal the unweighted call's.  Weights outside
+    ``[0, 1]`` raise :class:`~repro.errors.GraphError` before any work.
     """
     if sparsify not in ("off", "edcs"):
         raise ValueError(f"sparsify must be 'off' or 'edcs', got {sparsify!r}")
     if weighted:
+        check_probability_weights(csr)
         capacities = _ROUNDING_RULES[rounding](
             p * csr.weighted_degree_array()
         ).astype(np.float64)
@@ -596,12 +602,12 @@ def bm2_reduce_ids(
         else:
             perm = None
             scan_u, scan_v = edge_u, edge_v
+        scan_w = None
         if weighted:
-            edge_w = csr.edge_weights_array()
-            scan_w = edge_w if perm is None else edge_w[perm]
-            scan_kept = greedy_weighted_b_matching_ids(scan_u, scan_v, scan_w, capacities)
-        else:
-            scan_kept = greedy_b_matching_ids(scan_u, scan_v, capacities)
+            scan_w = csr.edge_weights_array()
+            if perm is not None:
+                scan_w = scan_w[perm]
+        scan_kept = greedy_b_matching_ids(scan_u, scan_v, capacities, scan_w)
         matched_u, matched_v = scan_u[scan_kept], scan_v[scan_kept]
         # Kept-mask over the *unshuffled* scan, for the candidate pass.
         if perm is None:
@@ -632,27 +638,8 @@ def bm2_reduce_ids(
             beta = int(sparsify_beta) if sparsify_beta is not None else edcs_beta()
             if total_candidates:
                 dis = tracker.dis_array()
-                da = dis[cand_a]
-                if weighted:
-                    # Vectorized :func:`_weighted_gain`: the crossing branch
-                    # mirrors the unweighted pipeline with the mass array in
-                    # place of 1.0 (all-ones → every lane crossing →
-                    # bit-identical gains).
-                    w_c = tracker.edge_weights_ids(cand_a, cand_b)
-                    db = dis[cand_b]
-                    crossing_gain = np.abs(da) + 2.0 * np.abs(db)
-                    crossing_gain -= np.abs(da + w_c)
-                    crossing_gain -= w_c
-                    cand_gains = np.where(
-                        db + w_c >= 0.0,
-                        crossing_gain,
-                        np.abs(da) - np.abs(da + w_c) + w_c,
-                    )
-                else:
-                    cand_gains = np.abs(da) + 2.0 * np.abs(dis[cand_b])
-                    cand_gains -= np.abs(da + 1.0)
-                    cand_gains -= 1.0
-                cand_gains = _snap_array(cand_gains)
+                w = tracker.edge_weights_ids(cand_a, cand_b) if weighted else 1.0
+                cand_gains = _gain_array(dis[cand_a], dis[cand_b], w)
                 keep = prune_candidates_ids(cand_a, cand_b, cand_gains, beta)
                 pruned = total_candidates - int(keep.shape[0])
                 cand_a = cand_a[keep]

@@ -33,8 +33,9 @@ import numpy as np
 from repro.core.base import EdgeShedder, timed_phase
 from repro.core.discrepancy import (
     ArrayDegreeTracker,
+    check_probability_weights,
     round_half_up,
-    weighted_swap_change_from_dis,
+    swap_change_from_dis,
 )
 from repro.graph.centrality import top_edge_ids_by_betweenness
 from repro.graph.graph import Edge, Graph
@@ -129,6 +130,8 @@ class CRRShedder(EdgeShedder):
     """
 
     name = "CRR"
+    #: Rewire against expected-degree mass (set by the weighted subclass).
+    weighted = False
 
     def __init__(
         self,
@@ -159,6 +162,8 @@ class CRRShedder(EdgeShedder):
         stats: Dict[str, Any] = {
             "initial_ranking": importance if isinstance(importance, str) else "custom"
         }
+        if self.weighted:
+            stats["weighted"] = True
         if not isinstance(importance, str):
             importance = partial(_rank_by_scores, graph, importance)
         kept_u, kept_v = crr_reduce_ids(
@@ -170,6 +175,7 @@ class CRRShedder(EdgeShedder):
             steps_factor=self.steps_factor,
             importance=importance,
             num_sources=self.num_betweenness_sources,
+            weighted=self.weighted,
         )
         return csr.subgraph_from_edge_ids(kept_u, kept_v), stats
 
@@ -220,7 +226,7 @@ def _run_swaps(
         # ones ``swap_change_ids`` would fetch, so scores are identical.
         kept_w = tracker.edge_weights_ids(kept_u, kept_v)
         shed_w = tracker.edge_weights_ids(shed_u, shed_v)
-        dis = tracker.dis_array()  # live view; apply_swap_ids updates it
+    dis = tracker.dis_array()  # live view; apply_swap_ids updates it
     while done < steps:
         block = min(_DRAW_BLOCK, steps - done)
         # One broadcast call = 2·block alternating scalar
@@ -235,14 +241,11 @@ def _run_swaps(
             out_v = kept_v[kept_idx[pos:end]]
             in_u = shed_u[shed_idx[pos:end]]
             in_v = shed_v[shed_idx[pos:end]]
-            if weighted:
-                change = weighted_swap_change_from_dis(
-                    dis, out_u, out_v, in_u, in_v,
-                    kept_w[kept_idx[pos:end]],
-                    shed_w[shed_idx[pos:end]],
-                )
-            else:
-                change = tracker.swap_change_ids(out_u, out_v, in_u, in_v)
+            change = swap_change_from_dis(
+                dis, out_u, out_v, in_u, in_v,
+                kept_w[kept_idx[pos:end]] if weighted else 1.0,
+                shed_w[shed_idx[pos:end]] if weighted else 1.0,
+            )
             accept = change < -_MIN_IMPROVEMENT
             if not accept.any():
                 # Every decision in the chunk was made from live state.
@@ -375,8 +378,11 @@ def crr_reduce_ids(
     ``weighted=True`` rewires against expected-degree mass (see
     :func:`crr_rewire_ids`); Phase 1's betweenness ranking stays purely
     topological either way — probabilities shape the objective, not the
-    centrality signal.
+    centrality signal.  Weights outside ``[0, 1]`` raise
+    :class:`~repro.errors.GraphError` before any work.
     """
+    if weighted:
+        check_probability_weights(csr)
     target = round_half_up(p * csr.num_edges)
     if steps is None:
         steps = round_half_up(steps_factor * p * csr.num_edges)

@@ -13,13 +13,15 @@ is O(1).
 
 The uncertain-graph workload (:mod:`repro.uncertain`) generalises both
 quantities to probability mass: ``dis(u) = E[deg_G'(u)] − p·E[deg_G(u)]``
-where an edge contributes its weight instead of 1.  The ``weighted_*``
-formula variants and :class:`ArrayDegreeTracker`'s ``weighted=True`` mode
-implement this with the *same* floating-point expression shapes as the
-unweighted paths (``w`` textually replacing ``1.0`` in identical
-association order), so with all weights exactly 1.0 every weighted result
-is bit-identical to the unweighted tracker's — the degeneration the
-property suite pins.
+where an edge contributes its weight instead of 1.  There is one family
+of Δ-change formulas (add, remove, swap and scalar swap), and the weight
+is an argument of each: the float ``1.0`` for unit moves, or an array
+aligned with the edges.  The unit case is the weighted case at ``w = 1``
+in the same association order, so unit results are bit-identical to the
+paper's ``d_1``/``d_2`` expressions.  :class:`ArrayDegreeTracker` with
+``weighted=True`` feeds the formulas its edges' weights; with all
+weights exactly 1.0 it degenerates bit-identically to the unweighted
+tracker (the property suite pins this).
 """
 
 from __future__ import annotations
@@ -29,7 +31,12 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.errors import EdgeNotFoundError, InvalidRatioError, ReductionError
+from repro.errors import (
+    EdgeNotFoundError,
+    GraphError,
+    InvalidRatioError,
+    ReductionError,
+)
 from repro.graph.graph import Graph
 
 __all__ = [
@@ -40,10 +47,6 @@ __all__ = [
     "round_half_up",
     "swap_change_from_dis",
     "swap_change_scalar_from_dis",
-    "weighted_add_change_from_dis",
-    "weighted_remove_change_from_dis",
-    "weighted_swap_change_from_dis",
-    "weighted_swap_change_scalar_from_dis",
 ]
 
 
@@ -58,96 +61,56 @@ def round_half_up(value: float) -> int:
     return int(math.floor(value + 0.5)) if value >= 0 else -int(math.floor(-value + 0.5))
 
 
-def add_change_from_dis(dis: np.ndarray, edge_u: np.ndarray, edge_v: np.ndarray) -> np.ndarray:
+def check_probability_weights(csr: "CSRAdjacency") -> None:
+    """Raise :class:`GraphError` unless every edge weight lies in ``[0, 1]``.
+
+    The weighted engines read weights as edge probabilities, but a
+    ``Graph`` stores any float.  The first offending edge in edge-scan
+    order is named by its labels, with its value (NaN included).
+    """
+    weights = csr.weights
+    if weights is None:
+        return
+    bad = ~((weights >= 0.0) & (weights <= 1.0))
+    if bad.any():
+        k = int(np.argmax(bad))
+        edge_u, edge_v = csr.edge_list_ids()
+        labels = csr.labels
+        raise GraphError(
+            f"edge ({labels[edge_u[k]]!r}, {labels[edge_v[k]]!r}) has weight"
+            f" {weights[k].item()!r}, outside the probability range [0, 1]"
+        )
+
+
+def add_change_from_dis(
+    dis: np.ndarray,
+    edge_u: np.ndarray,
+    edge_v: np.ndarray,
+    weight: float | np.ndarray,
+) -> np.ndarray:
     """Vectorized ``d_2`` (Δ-change of adding each edge) over a ``dis`` array.
 
-    The formula every tracker flavour shares; both
-    :meth:`ArrayDegreeTracker.add_change_ids` and the dynamic-maintenance
-    tracker (:mod:`repro.dynamic`) delegate here so their scores cannot
-    drift apart.
-    """
-    du, dv = dis[edge_u], dis[edge_v]
-    return np.abs(du + 1.0) + np.abs(dv + 1.0) - (np.abs(du) + np.abs(dv))
-
-
-def remove_change_from_dis(dis: np.ndarray, edge_u: np.ndarray, edge_v: np.ndarray) -> np.ndarray:
-    """Vectorized ``d_1`` (Δ-change of removing each edge) over a ``dis`` array."""
-    du, dv = dis[edge_u], dis[edge_v]
-    return np.abs(du - 1.0) + np.abs(dv - 1.0) - (np.abs(du) + np.abs(dv))
-
-
-def swap_change_scalar_from_dis(
-    dis: np.ndarray, out_u: int, out_v: int, in_u: int, in_v: int
-) -> float:
-    """Exact joint swap change for one id quadruple (shared endpoints OK)."""
-    touched = {out_u, out_v, in_u, in_v}
-    shift: Dict[int, int] = dict.fromkeys(touched, 0)
-    shift[out_u] -= 1
-    shift[out_v] -= 1
-    shift[in_u] += 1
-    shift[in_v] += 1
-    change = 0.0
-    for node in touched:
-        before = float(dis[node])
-        change += abs(before + shift[node]) - abs(before)
-    return change
-
-
-def swap_change_from_dis(
-    dis: np.ndarray,
-    out_u: np.ndarray,
-    out_v: np.ndarray,
-    in_u: np.ndarray,
-    in_v: np.ndarray,
-) -> np.ndarray:
-    """Vectorized exact swap change over batches of candidate swaps.
-
-    The vector expression is the disjoint-endpoint ``d_1 + d_2`` sum;
-    positions where the outgoing and incoming edges share an endpoint
-    (where that sum double-counts the shared node) are recomputed with
-    the exact scalar joint formula.
-    """
-    d_ou, d_ov = dis[out_u], dis[out_v]
-    d_iu, d_iv = dis[in_u], dis[in_v]
-    change = (
-        np.abs(d_ou - 1.0)
-        + np.abs(d_ov - 1.0)
-        - (np.abs(d_ou) + np.abs(d_ov))
-        + np.abs(d_iu + 1.0)
-        + np.abs(d_iv + 1.0)
-        - (np.abs(d_iu) + np.abs(d_iv))
-    )
-    shared = (out_u == in_u) | (out_u == in_v) | (out_v == in_u) | (out_v == in_v)
-    if shared.any():
-        for k in np.nonzero(shared)[0].tolist():
-            change[k] = swap_change_scalar_from_dis(
-                dis, int(out_u[k]), int(out_v[k]), int(in_u[k]), int(in_v[k])
-            )
-    return change
-
-
-def weighted_add_change_from_dis(
-    dis: np.ndarray, edge_u: np.ndarray, edge_v: np.ndarray, weight: np.ndarray
-) -> np.ndarray:
-    """Weighted ``d_2``: adding each edge moves both endpoints by its weight.
-
-    The expression is :func:`add_change_from_dis` with ``weight`` in place
-    of ``1.0`` in the same association order, so all-ones weights produce
-    bit-identical scores.
+    Adding an edge moves both endpoints by ``weight``: the float ``1.0``
+    for the paper's unit moves, or a float array aligned with the edges
+    (probability mass on uncertain graphs).  Every tracker delegates here,
+    so offline, dynamic and weighted scores cannot drift apart.
     """
     du, dv = dis[edge_u], dis[edge_v]
     return np.abs(du + weight) + np.abs(dv + weight) - (np.abs(du) + np.abs(dv))
 
 
-def weighted_remove_change_from_dis(
-    dis: np.ndarray, edge_u: np.ndarray, edge_v: np.ndarray, weight: np.ndarray
+def remove_change_from_dis(
+    dis: np.ndarray,
+    edge_u: np.ndarray,
+    edge_v: np.ndarray,
+    weight: float | np.ndarray,
 ) -> np.ndarray:
-    """Weighted ``d_1`` (Δ-change of removing each weighted edge)."""
+    """Vectorized ``d_1`` (Δ-change of removing each edge) over a ``dis`` array."""
     du, dv = dis[edge_u], dis[edge_v]
     return np.abs(du - weight) + np.abs(dv - weight) - (np.abs(du) + np.abs(dv))
 
 
-def weighted_swap_change_scalar_from_dis(
+def swap_change_scalar_from_dis(
     dis: np.ndarray,
     out_u: int,
     out_v: int,
@@ -156,10 +119,10 @@ def weighted_swap_change_scalar_from_dis(
     w_out: float,
     w_in: float,
 ) -> float:
-    """Exact joint weighted swap change for one id quadruple.
+    """Exact joint swap change for one id quadruple (shared endpoints OK).
 
-    With ``w_out == w_in == 1.0`` the per-node shifts equal the integer
-    shifts of :func:`swap_change_scalar_from_dis` exactly.
+    The outgoing edge moves its endpoints by ``-w_out``, the incoming one
+    by ``+w_in``; unit weights give integer-valued shifts, exactly.
     """
     touched = {out_u, out_v, in_u, in_v}
     shift: Dict[int, float] = dict.fromkeys(touched, 0.0)
@@ -174,20 +137,22 @@ def weighted_swap_change_scalar_from_dis(
     return change
 
 
-def weighted_swap_change_from_dis(
+def swap_change_from_dis(
     dis: np.ndarray,
     out_u: np.ndarray,
     out_v: np.ndarray,
     in_u: np.ndarray,
     in_v: np.ndarray,
-    w_out: np.ndarray,
-    w_in: np.ndarray,
+    w_out: float | np.ndarray,
+    w_in: float | np.ndarray,
 ) -> np.ndarray:
-    """Vectorized exact weighted swap change over batches of candidate swaps.
+    """Vectorized exact swap change over batches of candidate swaps.
 
-    Mirrors :func:`swap_change_from_dis` (disjoint ``d_1 + d_2`` with an
-    exact scalar recompute at shared endpoints), with each edge moving its
-    endpoints by its own weight.
+    ``w_out``/``w_in`` are ``1.0`` or float arrays aligned with the swaps.
+    The vector expression is the disjoint-endpoint ``d_1 + d_2`` sum;
+    positions where the outgoing and incoming edges share an endpoint
+    (where that sum double-counts the shared node) are recomputed with
+    the exact scalar joint formula.
     """
     d_ou, d_ov = dis[out_u], dis[out_v]
     d_iu, d_iv = dis[in_u], dis[in_v]
@@ -201,8 +166,10 @@ def weighted_swap_change_from_dis(
     )
     shared = (out_u == in_u) | (out_u == in_v) | (out_v == in_u) | (out_v == in_v)
     if shared.any():
+        w_out = np.broadcast_to(w_out, change.shape)
+        w_in = np.broadcast_to(w_in, change.shape)
         for k in np.nonzero(shared)[0].tolist():
-            change[k] = weighted_swap_change_scalar_from_dis(
+            change[k] = swap_change_scalar_from_dis(
                 dis,
                 int(out_u[k]), int(out_v[k]), int(in_u[k]), int(in_v[k]),
                 float(w_out[k]), float(w_in[k]),
@@ -310,6 +277,40 @@ class ArrayDegreeTracker:
             np.asarray(edge_u, dtype=np.int64), np.asarray(edge_v, dtype=np.int64)
         )
 
+    def _move_weights(
+        self, edge_u: np.ndarray, edge_v: np.ndarray
+    ) -> float | np.ndarray:
+        """What each edge moves its endpoints by: ``1.0``, or its weights."""
+        return self.edge_weights_ids(edge_u, edge_v) if self._is_weighted else 1.0
+
+    def _new_edge_keys(self, edge_u: np.ndarray, edge_v: np.ndarray) -> set:
+        """Validate a batch of edges to start tracking; return their keys.
+
+        Set-level checks first; only a failing batch is walked edge by
+        edge, to raise what :meth:`add_edge_ids` would raise for its first
+        offending edge: a non-graph edge, or one already tracked (earlier
+        in the batch included).
+        """
+        n = self._n
+        keys = (np.minimum(edge_u, edge_v) * n + np.maximum(edge_u, edge_v)).tolist()
+        key_set = set(keys)
+        if (
+            len(key_set) != len(keys)
+            or not key_set <= self._graph_keys
+            or (key_set & self._edge_keys)
+        ):
+            labels = self._csr.labels
+            seen: set = set(self._edge_keys)
+            for key, u, v in zip(keys, edge_u.tolist(), edge_v.tolist()):
+                if key not in self._graph_keys:
+                    raise EdgeNotFoundError(labels[u], labels[v])
+                if key in seen:
+                    raise ReductionError(
+                        f"edge ({labels[u]!r}, {labels[v]!r}) is already tracked"
+                    )
+                seen.add(key)
+        return key_set
+
     # ------------------------------------------------------------------
     # Mutation (scalar, term-by-term Δ accumulation)
     # ------------------------------------------------------------------
@@ -365,37 +366,17 @@ class ArrayDegreeTracker:
         ``current`` is rebuilt with two ``bincount`` calls and ``Δ`` is
         recomputed as ``Σ|dis|`` (see the class docstring for the exactness
         contract).  Raises like the scalar path on non-graph edges, edges
-        already tracked, or duplicates within the batch.
+        already tracked, or duplicates within the batch, and commits
+        nothing before the raise.
         """
         edge_u = np.asarray(edge_u, dtype=np.int64)
         edge_v = np.asarray(edge_v, dtype=np.int64)
-        n = self._n
-        keys = (np.minimum(edge_u, edge_v) * n + np.maximum(edge_u, edge_v)).tolist()
-        new_keys = set(keys)
-        if len(new_keys) != len(keys) or (new_keys & self._edge_keys):
-            seen: set = set(self._edge_keys)
-            for key, u, v in zip(keys, edge_u.tolist(), edge_v.tolist()):
-                if key in seen:
-                    labels = self._csr.labels
-                    raise ReductionError(
-                        f"edge ({labels[u]!r}, {labels[v]!r}) is already tracked"
-                    )
-                seen.add(key)
-        if not new_keys <= self._graph_keys:
-            for key, u, v in zip(keys, edge_u.tolist(), edge_v.tolist()):
-                if key not in self._graph_keys:
-                    labels = self._csr.labels
-                    raise EdgeNotFoundError(labels[u], labels[v])
-        self._edge_keys |= new_keys
-        if self._is_weighted:
-            # Every key is a validated graph edge by now, so the vectorized
-            # snapshot lookup returns the same stored doubles as the dict.
-            w = self._csr.edge_weights_for(edge_u, edge_v)
-            self._current += np.bincount(edge_u, weights=w, minlength=n)
-            self._current += np.bincount(edge_v, weights=w, minlength=n)
-        else:
-            self._current += np.bincount(edge_u, minlength=n)
-            self._current += np.bincount(edge_v, minlength=n)
+        self._edge_keys |= self._new_edge_keys(edge_u, edge_v)
+        # Every key is a validated graph edge by now, so the vectorized
+        # snapshot lookup returns the same stored doubles as the dict.
+        w = self.edge_weights_ids(edge_u, edge_v) if self._is_weighted else None
+        self._current += np.bincount(edge_u, weights=w, minlength=self._n)
+        self._current += np.bincount(edge_v, weights=w, minlength=self._n)
         np.subtract(self._current, self._expected, out=self._dis)
         self._delta = float(np.abs(self._dis).sum())
 
@@ -423,37 +404,20 @@ class ArrayDegreeTracker:
             for u, v in zip(edge_u.tolist(), edge_v.tolist()):
                 self.add_edge_ids(u, v)
             return
-        n = self._n
-        keys = (np.minimum(edge_u, edge_v) * n + np.maximum(edge_u, edge_v)).tolist()
-        key_set = set(keys)
-        if not key_set <= self._graph_keys or (key_set & self._edge_keys):
-            labels = self._csr.labels
-            for key, u, v in zip(keys, edge_u.tolist(), edge_v.tolist()):
-                if key not in self._graph_keys:
-                    raise EdgeNotFoundError(labels[u], labels[v])
-                if key in self._edge_keys:
-                    raise ReductionError(
-                        f"edge ({labels[u]!r}, {labels[v]!r}) is already tracked"
-                    )
-        if self._is_weighted:
-            # Keys are validated graph edges; the vectorized snapshot lookup
-            # returns the same stored doubles as the dict.
-            w = self._csr.edge_weights_for(edge_u, edge_v)
-            terms = weighted_add_change_from_dis(self._dis, edge_u, edge_v, w)
-        else:
-            terms = add_change_from_dis(self._dis, edge_u, edge_v)
+        key_set = self._new_edge_keys(edge_u, edge_v)
+        w = self._move_weights(edge_u, edge_v)
+        terms = add_change_from_dis(self._dis, edge_u, edge_v, w)
         delta = self._delta
         for term in terms.tolist():
             delta += term
         self._delta = delta
         self._edge_keys |= key_set
         current, expected, dis = self._current, self._expected, self._dis
-        if self._is_weighted:
-            current[edge_u] += w
-            current[edge_v] += w
-        else:
-            current[edge_u] += 1
-            current[edge_v] += 1
+        # Unweighted kept degrees are int64, which a float step cannot
+        # update in place.
+        step = w if self._is_weighted else 1
+        current[edge_u] += step
+        current[edge_v] += step
         dis[edge_u] = current[edge_u] - expected[edge_u]
         dis[edge_v] = current[edge_v] - expected[edge_v]
 
@@ -489,27 +453,9 @@ class ArrayDegreeTracker:
         to the mirrors (validated like :meth:`add_edge_ids`: each must be
         an original-graph edge that is not already tracked).
         """
-        n = self._n
-        keys = [
-            (u * n + v) if u < v else (v * n + u)
-            for u, v in zip(added_u, added_v)
-        ]
-        new_keys = set(keys)
-        if len(new_keys) != len(keys) or (new_keys & self._edge_keys):
-            seen: set = set(self._edge_keys)
-            for key, u, v in zip(keys, added_u, added_v):
-                if key in seen:
-                    labels = self._csr.labels
-                    raise ReductionError(
-                        f"edge ({labels[u]!r}, {labels[v]!r}) is already tracked"
-                    )
-                seen.add(key)
-        if not new_keys <= self._graph_keys:
-            for key, u, v in zip(keys, added_u, added_v):
-                if key not in self._graph_keys:
-                    labels = self._csr.labels
-                    raise EdgeNotFoundError(labels[u], labels[v])
-        self._edge_keys |= new_keys
+        self._edge_keys |= self._new_edge_keys(
+            np.asarray(added_u, dtype=np.int64), np.asarray(added_v, dtype=np.int64)
+        )
         self._dis[:] = dis
         self._current[:] = current
         self._delta = delta
@@ -520,29 +466,25 @@ class ArrayDegreeTracker:
 
     def swap_change_scalar_ids(self, out_u: int, out_v: int, in_u: int, in_v: int) -> float:
         """Exact joint swap change for one id quadruple (shared endpoints OK)."""
+        w_out = w_in = 1.0
         if self._is_weighted:
-            return weighted_swap_change_scalar_from_dis(
-                self._dis, out_u, out_v, in_u, in_v,
-                self._weight_of[self._edge_key(out_u, out_v)],
-                self._weight_of[self._edge_key(in_u, in_v)],
-            )
-        return swap_change_scalar_from_dis(self._dis, out_u, out_v, in_u, in_v)
+            w_out = self._weight_of[self._edge_key(out_u, out_v)]
+            w_in = self._weight_of[self._edge_key(in_u, in_v)]
+        return swap_change_scalar_from_dis(
+            self._dis, out_u, out_v, in_u, in_v, w_out, w_in
+        )
 
     def add_change_ids(self, edge_u: np.ndarray, edge_v: np.ndarray) -> np.ndarray:
         """Change in ``Δ`` if each edge were added (paper's ``d_2``), vectorized."""
-        if self._is_weighted:
-            return weighted_add_change_from_dis(
-                self._dis, edge_u, edge_v, self.edge_weights_ids(edge_u, edge_v)
-            )
-        return add_change_from_dis(self._dis, edge_u, edge_v)
+        return add_change_from_dis(
+            self._dis, edge_u, edge_v, self._move_weights(edge_u, edge_v)
+        )
 
     def remove_change_ids(self, edge_u: np.ndarray, edge_v: np.ndarray) -> np.ndarray:
         """Change in ``Δ`` if each edge were removed (paper's ``d_1``), vectorized."""
-        if self._is_weighted:
-            return weighted_remove_change_from_dis(
-                self._dis, edge_u, edge_v, self.edge_weights_ids(edge_u, edge_v)
-            )
-        return remove_change_from_dis(self._dis, edge_u, edge_v)
+        return remove_change_from_dis(
+            self._dis, edge_u, edge_v, self._move_weights(edge_u, edge_v)
+        )
 
     def swap_change_ids(
         self,
@@ -558,13 +500,11 @@ class ArrayDegreeTracker:
         independent ``d_1 + d_2`` would double-count the shared node (see
         :func:`swap_change_from_dis`).
         """
-        if self._is_weighted:
-            return weighted_swap_change_from_dis(
-                self._dis, out_u, out_v, in_u, in_v,
-                self.edge_weights_ids(out_u, out_v),
-                self.edge_weights_ids(in_u, in_v),
-            )
-        return swap_change_from_dis(self._dis, out_u, out_v, in_u, in_v)
+        return swap_change_from_dis(
+            self._dis, out_u, out_v, in_u, in_v,
+            self._move_weights(out_u, out_v),
+            self._move_weights(in_u, in_v),
+        )
 
 
 def compute_delta(original: Graph, reduced: Graph, p: float) -> float:

@@ -31,7 +31,6 @@ tracker's O(1) :attr:`~repro.dynamic.DynamicDegreeTracker.approx_delta`
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 from repro.core.bounds import bm2_average_delta_bound
 from repro.core.base import validate_ratio
@@ -147,41 +146,6 @@ class DriftMonitor:
             rebuild=rebuild,
             armed=self._armed,
         )
-
-    def observe_decide(
-        self, delta: float, num_nodes: int, num_edges: int
-    ) -> Tuple[bool, float, float]:
-        """:meth:`observe` without the :class:`DriftDecision` allocation.
-
-        Returns ``(rebuild, envelope, threshold)`` after performing state
-        transitions identical to :meth:`observe` — the batched churn loop
-        (:meth:`~repro.dynamic.IncrementalShedder.apply_ops`) calls this
-        once per op, so the frozen-dataclass construction cost is paid only
-        when a caller actually wants the full decision record.  The
-        envelope arithmetic mirrors :meth:`envelope` /
-        :func:`~repro.core.bounds.bm2_average_delta_bound` term for term,
-        keeping the rebuild schedule bit-identical to the per-op path.
-        """
-        self._ops_since_rebuild += 1
-        if num_nodes <= 0:
-            envelope = 0.0
-        else:
-            # == bm2_average_delta_bound(p, m, n) * n, inlined (hot path).
-            envelope = (
-                0.5 + (1.0 - self._p) * num_edges / num_nodes
-            ) * num_nodes
-        threshold = self.drift_ratio * envelope
-        if not self._armed and (
-            delta <= self.hysteresis * threshold
-            or self._ops_since_rebuild >= self.cooldown_ops
-        ):
-            self._armed = True
-        rebuild = (
-            self._armed
-            and delta > threshold
-            and self._ops_since_rebuild >= self.cooldown_ops
-        )
-        return rebuild, envelope, threshold
 
     def notify_rebuild(self) -> None:
         """The caller rebuilt: start the cooldown window and disarm.

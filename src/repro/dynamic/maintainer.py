@@ -297,8 +297,10 @@ class IncrementalShedder:
         (float64 math is the same IEEE double either way), the graphs and
         arrays are hoisted into locals, stats are buffered, the version
         handshake runs once per batch instead of once per op, and the drift
-        monitor is consulted through the allocation-free
-        :meth:`~repro.dynamic.DriftMonitor.observe_decide` path.
+        monitor's :meth:`~repro.dynamic.DriftMonitor.observe` is inlined
+        without allocating its :class:`~repro.dynamic.DriftDecision`.  On a
+        weighted ``G`` the batch keeps the weight map exactly as the
+        per-op path does: inserted edges weigh 1.0, deletes drop theirs.
 
         Args:
             ops: iterable of ``("insert" | "delete", u, v)`` tuples.
@@ -318,6 +320,7 @@ class IncrementalShedder:
         graph = self._graph
         adj = graph._adj
         order = graph._order
+        weights = graph._weights  # None unless G is weighted
         tracker = self._tracker
         index_of = tracker._index_of
         ensure_node = tracker.ensure_node
@@ -385,17 +388,24 @@ class IncrementalShedder:
                     # node creation mirrors add_node(u) then add_node(v).
                     if adj_u is None:
                         adj[u] = adj_u = {}
+                        if weights is not None:
+                            weights[u] = {}
                         order[u] = next_order
                         next_order += 1
                         gversion += 1
                     adj_v = adj.get(v)
                     if adj_v is None:
                         adj[v] = adj_v = {}
+                        if weights is not None:
+                            weights[v] = {}
                         order[v] = next_order
                         next_order += 1
                         gversion += 1
                     adj_u[v] = None
                     adj_v[u] = None
+                    if weights is not None:
+                        weights[u][v] = 1.0
+                        weights[v][u] = 1.0
                     m += 1
                     gversion += 1
                     if u not in reduced_adj:
@@ -456,6 +466,9 @@ class IncrementalShedder:
                     # Graph.remove_edge inlined (existence already checked).
                     del adj_u[v]
                     del adj[v][u]
+                    if weights is not None:
+                        del weights[u][v]
+                        del weights[v][u]
                     m -= 1
                     gversion += 1
                     du = deg[tu].item()
@@ -509,9 +522,9 @@ class IncrementalShedder:
                     swapped += counts["swapped"]
                     approx = tracker._approx_delta
                 ops_count += 1
-                # DriftMonitor.observe_decide inlined.  An applied op always
-                # leaves the graph non-empty, so the zero-node envelope
-                # guard is unreachable here.
+                # DriftMonitor.observe inlined, minus the DriftDecision
+                # record.  An applied op always leaves the graph non-empty,
+                # so the zero-node envelope guard is unreachable here.
                 ops_since += 1
                 n_nodes = len(adj)
                 envelope = (0.5 + one_minus_p * m / n_nodes) * n_nodes

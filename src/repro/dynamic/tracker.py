@@ -27,9 +27,11 @@ drift monitor; carries float-association noise of order 1e-12 per op), and
 checkpoint contract the property suite pins.
 
 Scoring (``add_change_ids`` / ``remove_change_ids`` / ``swap_change_ids``)
-delegates to the shared formulas in :mod:`repro.core.discrepancy`, so the
-localized repair pass prices moves with the very arithmetic the offline
-engines use.
+delegates to the shared formulas in :mod:`repro.core.discrepancy` at unit
+weight, so the localized repair pass prices moves with the very arithmetic
+the offline engines use.  This is the unit-weight growable variant: churn
+moves degrees by whole edges, and probability mass stays with the offline
+:class:`~repro.core.discrepancy.ArrayDegreeTracker`.
 """
 
 from __future__ import annotations
@@ -41,12 +43,7 @@ import numpy as np
 from repro.core.discrepancy import (
     add_change_from_dis,
     remove_change_from_dis,
-    round_half_up,
     swap_change_from_dis,
-    swap_change_scalar_from_dis,
-    weighted_add_change_from_dis,
-    weighted_remove_change_from_dis,
-    weighted_swap_change_from_dis,
 )
 from repro.errors import InvalidRatioError
 from repro.graph.graph import Graph, Node
@@ -68,24 +65,19 @@ class DynamicDegreeTracker:
     the graphs and this state in lockstep.
     """
 
-    def __init__(self, graph: Graph, p: float, weighted: bool = False) -> None:
+    def __init__(self, graph: Graph, p: float) -> None:
         if not 0.0 < p < 1.0:
             raise InvalidRatioError(p)
         self._p = float(p)
-        self._weighted = bool(weighted)
         n = graph.num_nodes
         capacity = max(_MIN_CAPACITY, n)
         #: label <-> id in first-seen order (== graph insertion order).
         self._labels: List[Node] = []
         self._index_of: Dict[Node, int] = {}
-        # Weighted mode tracks probability mass, so both degree sides turn
-        # float and every event carries the edge's weight; the unweighted
-        # int64 layout (and arithmetic) is untouched.
-        degree_dtype = np.float64 if weighted else np.int64
-        #: live degree (expected-degree mass when weighted) in G per id.
-        self._deg = np.zeros(capacity, dtype=degree_dtype)
-        #: live degree (mass when weighted) in G' per id.
-        self._current = np.zeros(capacity, dtype=degree_dtype)
+        #: int64 — live degree in G per id.
+        self._deg = np.zeros(capacity, dtype=np.int64)
+        #: int64 — live degree in G' per id.
+        self._current = np.zeros(capacity, dtype=np.int64)
         #: float64 — current − p·deg, rewritten per touched slot.
         self._dis = np.zeros(capacity, dtype=np.float64)
         self._n = 0
@@ -93,16 +85,9 @@ class DynamicDegreeTracker:
         for node in graph.nodes():
             self.ensure_node(node)
         if n:
-            if weighted:
-                degrees = np.fromiter(
-                    (graph.weighted_degree(node) for node in graph.nodes()),
-                    dtype=np.float64,
-                    count=n,
-                )
-            else:
-                degrees = np.fromiter(
-                    (graph.degree(node) for node in graph.nodes()), dtype=np.int64, count=n
-                )
+            degrees = np.fromiter(
+                (graph.degree(node) for node in graph.nodes()), dtype=np.int64, count=n
+            )
             self._deg[:n] = degrees
             self._dis[:n] = self._current[:n] - self._p * degrees
             self._approx_delta = float(np.abs(self._dis[:n]).sum())
@@ -118,11 +103,6 @@ class DynamicDegreeTracker:
     @property
     def num_nodes(self) -> int:
         return self._n
-
-    @property
-    def weighted(self) -> bool:
-        """Whether this tracker scores probability mass instead of counts."""
-        return self._weighted
 
     def ensure_node(self, node: Node) -> int:
         """Return ``node``'s id, assigning the next one on first sight."""
@@ -172,15 +152,13 @@ class DynamicDegreeTracker:
         terms = np.abs(self._current[:n] - self._p * self._deg[:n])
         return float(sum(terms.tolist()))
 
-    def graph_degree(self, node_id: int):
-        """Live degree in ``G`` — an int, or a float mass when weighted."""
-        value = self._deg[node_id]
-        return float(value) if self._weighted else int(value)
+    def graph_degree(self, node_id: int) -> int:
+        """Live degree in ``G``."""
+        return int(self._deg[node_id])
 
-    def kept_degree(self, node_id: int):
-        """Live degree in ``G'`` — an int, or a float mass when weighted."""
-        value = self._current[node_id]
-        return float(value) if self._weighted else int(value)
+    def kept_degree(self, node_id: int) -> int:
+        """Live degree in ``G'``."""
+        return int(self._current[node_id])
 
     def dis(self, node_id: int) -> float:
         return float(self._dis[node_id])
@@ -225,64 +203,53 @@ class DynamicDegreeTracker:
         dis[v] = new_v
         self._approx_delta = delta + abs(new_u) + abs(new_v)
 
-    def graph_edge_added(self, u: int, v: int, weight: float = 1) -> None:
-        """An edge joined ``G``: both expectations rise by ``p`` (·weight).
-
-        ``weight`` (only meaningful on a weighted tracker; the int default
-        keeps the unweighted int64 arithmetic untouched) is the edge's
-        probability mass.
-        """
-        self._deg[u] += weight
-        self._deg[v] += weight
+    def graph_edge_added(self, u: int, v: int) -> None:
+        """An edge joined ``G``: both expectations rise by ``p``."""
+        self._deg[u] += 1
+        self._deg[v] += 1
         self._retouch(u, v)
 
-    def graph_edge_removed(self, u: int, v: int, weight: float = 1) -> None:
-        """An edge left ``G``: both expectations drop by ``p`` (·weight)."""
-        self._deg[u] -= weight
-        self._deg[v] -= weight
+    def graph_edge_removed(self, u: int, v: int) -> None:
+        """An edge left ``G``: both expectations drop by ``p``."""
+        self._deg[u] -= 1
+        self._deg[v] -= 1
         self._retouch(u, v)
 
-    def kept_edge_added(self, u: int, v: int, weight: float = 1) -> None:
+    def kept_edge_added(self, u: int, v: int) -> None:
         """An edge was admitted to ``G'``."""
-        self._current[u] += weight
-        self._current[v] += weight
+        self._current[u] += 1
+        self._current[v] += 1
         self._retouch(u, v)
 
-    def kept_edge_removed(self, u: int, v: int, weight: float = 1) -> None:
+    def kept_edge_removed(self, u: int, v: int) -> None:
         """An edge was evicted from ``G'``."""
-        self._current[u] -= weight
-        self._current[v] -= weight
+        self._current[u] -= 1
+        self._current[v] -= 1
         self._retouch(u, v)
 
     def reset_kept(self, reduced: Graph) -> None:
         """Resynchronise the kept side after a full rebuild replaced ``G'``."""
         n = self._n
         index_of = self._index_of
-        if self._weighted:
-            current = np.zeros(n, dtype=np.float64)
-            for a, b, w in reduced.edge_weights():
-                current[index_of[a]] += w
-                current[index_of[b]] += w
-        else:
-            current = np.zeros(n, dtype=np.int64)
-            for a, b in reduced.edges():
-                current[index_of[a]] += 1
-                current[index_of[b]] += 1
+        current = np.zeros(n, dtype=np.int64)
+        for a, b in reduced.edges():
+            current[index_of[a]] += 1
+            current[index_of[b]] += 1
         self._current[:n] = current
         self._dis[:n] = current - self._p * self._deg[:n]
         self._approx_delta = float(np.abs(self._dis[:n]).sum())
 
     # ------------------------------------------------------------------
-    # Scoring (shared formulas; see repro.core.discrepancy)
+    # Scoring (shared formulas at unit weight; see repro.core.discrepancy)
     # ------------------------------------------------------------------
 
     def add_change_ids(self, edge_u: np.ndarray, edge_v: np.ndarray) -> np.ndarray:
         """Vectorized Δ-change of admitting each edge (paper's ``d_2``)."""
-        return add_change_from_dis(self._dis, edge_u, edge_v)
+        return add_change_from_dis(self._dis, edge_u, edge_v, 1.0)
 
     def remove_change_ids(self, edge_u: np.ndarray, edge_v: np.ndarray) -> np.ndarray:
         """Vectorized Δ-change of evicting each edge (paper's ``d_1``)."""
-        return remove_change_from_dis(self._dis, edge_u, edge_v)
+        return remove_change_from_dis(self._dis, edge_u, edge_v, 1.0)
 
     def swap_change_ids(
         self,
@@ -292,34 +259,4 @@ class DynamicDegreeTracker:
         in_v: np.ndarray,
     ) -> np.ndarray:
         """Vectorized exact swap change (shared-endpoint positions exact)."""
-        return swap_change_from_dis(self._dis, out_u, out_v, in_u, in_v)
-
-    def swap_change_scalar_ids(self, out_u: int, out_v: int, in_u: int, in_v: int) -> float:
-        """Exact joint swap change for one id quadruple."""
-        return swap_change_scalar_from_dis(self._dis, out_u, out_v, in_u, in_v)
-
-    def weighted_add_change_ids(
-        self, edge_u: np.ndarray, edge_v: np.ndarray, weight: np.ndarray
-    ) -> np.ndarray:
-        """Weighted ``d_2``: each edge moves its endpoints by its weight."""
-        return weighted_add_change_from_dis(self._dis, edge_u, edge_v, weight)
-
-    def weighted_remove_change_ids(
-        self, edge_u: np.ndarray, edge_v: np.ndarray, weight: np.ndarray
-    ) -> np.ndarray:
-        """Weighted ``d_1`` over endpoint id arrays."""
-        return weighted_remove_change_from_dis(self._dis, edge_u, edge_v, weight)
-
-    def weighted_swap_change_ids(
-        self,
-        out_u: np.ndarray,
-        out_v: np.ndarray,
-        in_u: np.ndarray,
-        in_v: np.ndarray,
-        w_out: np.ndarray,
-        w_in: np.ndarray,
-    ) -> np.ndarray:
-        """Vectorized exact weighted swap change (shared endpoints exact)."""
-        return weighted_swap_change_from_dis(
-            self._dis, out_u, out_v, in_u, in_v, w_out, w_in
-        )
+        return swap_change_from_dis(self._dis, out_u, out_v, in_u, in_v, 1.0, 1.0)

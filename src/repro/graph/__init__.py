@@ -76,7 +76,6 @@ from repro.graph.io import (
 )
 from repro.graph.matching import (
     greedy_b_matching_ids,
-    greedy_weighted_b_matching_ids,
     is_b_matching,
     is_maximal_b_matching,
 )
@@ -170,7 +169,6 @@ __all__ = [
     "estimate_powerlaw_exponent",
     # matching
     "greedy_b_matching_ids",
-    "greedy_weighted_b_matching_ids",
     "is_b_matching",
     "is_maximal_b_matching",
     # generators

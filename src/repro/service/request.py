@@ -70,37 +70,21 @@ def make_shedder(
         sparsify is not None or sparsify_beta is not None
     ):
         raise ServiceError(f"sparsify options require bm2/bm2-sparse, got {method!r}")
-    if weighted:
-        if method == "crr":
-            return WeightedCRRShedder(seed=seed, num_betweenness_sources=num_sources)
-        if method == "bm2":
-            return WeightedBM2Shedder(
-                seed=seed,
-                sparsify=sparsify if sparsify is not None else "off",
-                sparsify_beta=sparsify_beta,
-            )
-        if method == "bm2-sparse":
-            return WeightedBM2Shedder(
-                seed=seed,
-                sparsify=sparsify if sparsify is not None else "edcs",
-                sparsify_beta=sparsify_beta,
-            )
-        if method in KNOWN_METHODS:
-            raise ServiceError(f"method {method!r} has no weighted variant")
-        raise ServiceError(
-            f"unknown method {method!r} (expected one of {', '.join(KNOWN_METHODS)})"
-        )
+    if weighted and method in ("uds", "random", "degree-proportional"):
+        raise ServiceError(f"method {method!r} has no weighted variant")
+    crr_class = WeightedCRRShedder if weighted else CRRShedder
+    bm2_class = WeightedBM2Shedder if weighted else BM2Shedder
     if method == "crr":
-        return CRRShedder(seed=seed, num_betweenness_sources=num_sources)
+        return crr_class(seed=seed, num_betweenness_sources=num_sources)
     if method == "bm2":
-        return BM2Shedder(
+        return bm2_class(
             seed=seed,
             sparsify=sparsify if sparsify is not None else "off",
             sparsify_beta=sparsify_beta,
         )
     if method == "bm2-sparse":
         # The degradation ladder's middle rung: EDCS-pruned Phase 2.
-        return BM2Shedder(
+        return bm2_class(
             seed=seed,
             sparsify=sparsify if sparsify is not None else "edcs",
             sparsify_beta=sparsify_beta,

@@ -118,20 +118,6 @@ class TestGreedyBMatchingIds:
         with pytest.raises(GraphError):
             greedy_b_matching_ids(edge_u, edge_v, np.array([1, 1, -1], dtype=np.int64))
 
-    @pytest.mark.parametrize("max_rounds", [1, 2, 64])
-    def test_fixpoint_rounds_match_plain_scan(self, max_rounds):
-        from repro.graph import erdos_renyi
-
-        g = erdos_renyi(80, 0.08, seed=7)
-        rng = np.random.default_rng(7)
-        capacities = {node: int(rng.integers(0, 4)) for node in g.nodes()}
-        _, edge_u, edge_v, caps = _id_arrays(g, capacities)
-        baseline = greedy_b_matching_ids(edge_u, edge_v, caps, max_rounds=0)
-        np.testing.assert_array_equal(
-            greedy_b_matching_ids(edge_u, edge_v, caps, max_rounds=max_rounds),
-            baseline,
-        )
-
 
 class TestValidity:
     def test_is_b_matching_detects_overload(self, k5):
@@ -152,34 +138,3 @@ class TestValidity:
 
     def test_empty_is_maximal_under_zero_capacity(self, triangle):
         assert is_maximal_b_matching(triangle, [], dict.fromkeys(triangle.nodes(), 0))
-
-
-class TestBlockedAdmission:
-    """The block-admission path must replay the sequential greedy scan."""
-
-    def _case(self, seed):
-        from repro.graph import erdos_renyi
-
-        g = erdos_renyi(70, 0.1, seed=seed)
-        rng = np.random.default_rng(seed)
-        capacities = {node: int(rng.integers(0, 4)) for node in g.nodes()}
-        return _id_arrays(g, capacities)
-
-    @pytest.mark.parametrize("block_size", [1, 2, 7, 64, 10**6])
-    def test_matches_sequential_scan(self, block_size):
-        for seed in range(4):
-            _, edge_u, edge_v, caps = self._case(seed)
-            baseline = greedy_b_matching_ids(edge_u, edge_v, caps, max_rounds=0)
-            np.testing.assert_array_equal(
-                greedy_b_matching_ids(
-                    edge_u, edge_v, caps, max_rounds=0, block_size=block_size
-                ),
-                baseline,
-            )
-
-    def test_zero_block_size_is_sequential(self, k5):
-        csr, edge_u, edge_v, caps = _id_arrays(k5, dict.fromkeys(k5.nodes(), 2))
-        np.testing.assert_array_equal(
-            greedy_b_matching_ids(edge_u, edge_v, caps, block_size=0),
-            greedy_b_matching_ids(edge_u, edge_v, caps),
-        )

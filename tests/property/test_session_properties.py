@@ -11,6 +11,11 @@ The contracts (ISSUE: streaming sessions acceptance):
 * a paced :class:`StreamSession` fed the same seeded op sequence lands
   on the same fingerprint as the direct drive (sampled more lightly —
   each example spins an event loop).
+
+Scenarios draw weighted and unweighted graphs alike, and the fingerprint
+includes both graphs' weight maps: on a weighted ``G`` the batched path
+must give inserted edges weight 1.0 and drop deleted edges' weights,
+exactly as ``Graph.add_edge``/``remove_edge`` do.
 """
 
 import asyncio
@@ -22,12 +27,15 @@ from repro.dynamic import generate_workload
 from repro.errors import ReproError
 from repro.graph import Graph
 from repro.sessions import SessionConfig, SessionManager
+from repro.uncertain import attach_random_weights
 
 
 def _fingerprint(shedder):
     return {
         "graph_edges": list(shedder.graph.edges()),
         "reduced_edges": list(shedder.reduced.edges()),
+        "graph_weights": list(shedder.graph.edge_weights()),
+        "reduced_weights": list(shedder.reduced.edge_weights()),
         "delta": shedder.delta,
         "stats": dict(shedder.stats),
         "reservoir": sorted(map(repr, shedder.reservoir.items())),
@@ -55,11 +63,20 @@ def churn_scenario(draw):
     num_ops = draw(st.integers(1, 40))
     chunk_sizes = draw(st.lists(st.integers(1, 9), min_size=1, max_size=12))
     drift_ratio = draw(st.sampled_from([0.1, 1.0]))
-    return n, edges, p, workload, workload_seed, num_ops, chunk_sizes, drift_ratio
+    weighted = draw(st.booleans())
+    return (
+        n, edges, p, workload, workload_seed, num_ops, chunk_sizes, drift_ratio,
+        weighted,
+    )
 
 
-def _build(n, edges, p, drift_ratio):
+def _graph(n, edges, weighted):
     graph = Graph(edges=edges, nodes=range(n))
+    return attach_random_weights(graph, seed=0) if weighted else graph
+
+
+def _build(n, edges, p, drift_ratio, weighted):
+    graph = _graph(n, edges, weighted)
     config = SessionConfig(p=p, seed=0, drift_ratio=drift_ratio, drift_cooldown_ops=5)
     return graph, SessionManager._build_shedder(graph, config), config
 
@@ -77,18 +94,21 @@ def _split(ops, chunk_sizes):
 @given(churn_scenario())
 @settings(max_examples=60, deadline=None)
 def test_apply_ops_bit_identical_to_per_op_loop(scenario):
-    n, edges, p, workload, workload_seed, num_ops, chunk_sizes, drift_ratio = scenario
+    (
+        n, edges, p, workload, workload_seed, num_ops, chunk_sizes, drift_ratio,
+        weighted,
+    ) = scenario
     g_ref = Graph(edges=edges, nodes=range(n))
     ops = generate_workload(workload, g_ref, num_ops, seed=workload_seed)
 
-    _, per_op, _ = _build(n, edges, p, drift_ratio)
+    _, per_op, _ = _build(n, edges, p, drift_ratio, weighted)
     for kind, u, v in ops:
         if kind == "insert":
             per_op.insert(u, v)
         else:
             per_op.delete(u, v)
 
-    _, batched, _ = _build(n, edges, p, drift_ratio)
+    _, batched, _ = _build(n, edges, p, drift_ratio, weighted)
     applied = 0
     for batch in _split(ops, chunk_sizes):
         report = batched.apply_ops(batch)
@@ -106,7 +126,10 @@ def test_apply_ops_skip_invalid_equals_per_op_skip_loop(scenario, noise_seed):
     ``skip_invalid=True`` must match a per-op loop that swallows them."""
     import random
 
-    n, edges, p, workload, workload_seed, num_ops, chunk_sizes, drift_ratio = scenario
+    (
+        n, edges, p, workload, workload_seed, num_ops, chunk_sizes, drift_ratio,
+        weighted,
+    ) = scenario
     g_ref = Graph(edges=edges, nodes=range(n))
     ops = list(generate_workload(workload, g_ref, num_ops, seed=workload_seed))
     rng = random.Random(noise_seed)
@@ -119,7 +142,7 @@ def test_apply_ops_skip_invalid_equals_per_op_skip_loop(scenario, noise_seed):
         elif roll < 0.3:
             noisy.append(("delete", "ghost-a", "ghost-b"))  # absent edge
 
-    _, per_op, _ = _build(n, edges, p, drift_ratio)
+    _, per_op, _ = _build(n, edges, p, drift_ratio, weighted)
     skipped_ref = 0
     for kind, u, v in noisy:
         try:
@@ -130,7 +153,7 @@ def test_apply_ops_skip_invalid_equals_per_op_skip_loop(scenario, noise_seed):
         except ReproError:
             skipped_ref += 1
 
-    _, batched, _ = _build(n, edges, p, drift_ratio)
+    _, batched, _ = _build(n, edges, p, drift_ratio, weighted)
     applied = skipped = 0
     for batch in _split(noisy, chunk_sizes):
         report = batched.apply_ops(batch, skip_invalid=True)
@@ -145,16 +168,19 @@ def test_apply_ops_skip_invalid_equals_per_op_skip_loop(scenario, noise_seed):
 @given(churn_scenario())
 @settings(max_examples=15, deadline=None)
 def test_paced_session_matches_direct_drive(scenario):
-    n, edges, p, workload, workload_seed, num_ops, chunk_sizes, drift_ratio = scenario
+    (
+        n, edges, p, workload, workload_seed, num_ops, chunk_sizes, drift_ratio,
+        weighted,
+    ) = scenario
     g_ref = Graph(edges=edges, nodes=range(n))
     ops = generate_workload(workload, g_ref, num_ops, seed=workload_seed)
 
-    graph, direct, config = _build(n, edges, p, drift_ratio)
+    graph, direct, config = _build(n, edges, p, drift_ratio, weighted)
     direct.replay(ops)
     reference = _fingerprint(direct)
 
     async def live():
-        session_graph = Graph(edges=edges, nodes=range(n))
+        session_graph = _graph(n, edges, weighted)
         async with SessionManager() as manager:
             session = await manager.open(config=config, graph=session_graph)
             for batch in _split(ops, chunk_sizes):

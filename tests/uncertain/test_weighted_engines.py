@@ -7,7 +7,8 @@ from repro.core import BM2Shedder, CRRShedder
 from repro.core.bm2 import weighted_bipartite_repair_ids
 from repro.core.discrepancy import ArrayDegreeTracker
 from repro.errors import GraphError
-from repro.graph.matching import greedy_weighted_b_matching_ids
+from repro.graph import Graph
+from repro.graph.matching import greedy_b_matching_ids
 from repro.uncertain import (
     WeightedBM2Shedder,
     WeightedCRRShedder,
@@ -100,20 +101,18 @@ class TestWeightedBMatching:
         edge_v = np.array([1, 2, 2], dtype=np.int64)
         weights = np.array([0.6, 0.6, 0.3])
         caps = np.array([1.0, 0.8, 1.0])
-        kept = greedy_weighted_b_matching_ids(edge_u, edge_v, weights, caps)
+        kept = greedy_b_matching_ids(edge_u, edge_v, caps, weights)
         # (0,1) fits (loads 0.6/0.6); (0,2) would push node 0 to 1.2 > 1.0;
         # (1,2) would push node 1 to 0.9 > 0.8.
         assert kept.tolist() == [True, False, False]
 
     def test_all_ones_matches_integer_matching(self, small_powerlaw):
-        from repro.graph.matching import greedy_b_matching_ids
-
         csr = small_powerlaw.csr()
         edge_u, edge_v = csr.edge_list_ids()
         caps_int = np.full(csr.num_nodes, 3, dtype=np.int64)
         ones = np.ones(edge_u.shape[0])
-        kept_w = greedy_weighted_b_matching_ids(
-            edge_u, edge_v, ones, caps_int.astype(np.float64)
+        kept_w = greedy_b_matching_ids(
+            edge_u, edge_v, caps_int.astype(np.float64), ones
         )
         kept_i = greedy_b_matching_ids(edge_u, edge_v, caps_int)
         assert np.array_equal(kept_w, kept_i)
@@ -122,12 +121,12 @@ class TestWeightedBMatching:
         edge_u = np.array([0], dtype=np.int64)
         edge_v = np.array([1], dtype=np.int64)
         with pytest.raises(GraphError):
-            greedy_weighted_b_matching_ids(
-                edge_u, edge_v, np.array([-0.1]), np.array([1.0, 1.0])
+            greedy_b_matching_ids(
+                edge_u, edge_v, np.array([1.0, 1.0]), np.array([-0.1])
             )
         with pytest.raises(GraphError):
-            greedy_weighted_b_matching_ids(
-                edge_u, edge_v, np.array([0.5]), np.array([-1.0, 1.0])
+            greedy_b_matching_ids(
+                edge_u, edge_v, np.array([-1.0, 1.0]), np.array([0.5])
             )
 
 
@@ -153,3 +152,47 @@ class TestWeightedRepair:
         assert tracker.delta <= before
         assert sel_a.shape == sel_b.shape
         assert sel_a.shape[0] <= edge_u.shape[0]
+
+
+class TestWeightRange:
+    """The weighted engines read weights as probabilities: anything outside
+    [0, 1] is rejected up front, naming the edge and its value."""
+
+    @staticmethod
+    def _graph(bad_edge, bad_value):
+        graph = Graph()
+        for u, v in [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (3, 4), (4, 5)]:
+            graph.add_edge(u, v, weight=0.5)
+        graph.set_edge_weight(*bad_edge, bad_value)
+        return graph
+
+    @pytest.mark.parametrize("engine", [WeightedBM2Shedder, WeightedCRRShedder])
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), float("-inf"), -0.5, 1.5]
+    )
+    def test_out_of_range_weight_rejected(self, engine, value):
+        graph = self._graph((2, 3), value)
+        with pytest.raises(GraphError) as info:
+            engine(seed=0).reduce(graph, 0.5)
+        message = str(info.value)
+        assert "edge (2, 3)" in message
+        assert repr(value) in message
+
+    @pytest.mark.parametrize("engine", [WeightedBM2Shedder, WeightedCRRShedder])
+    def test_first_offender_in_edge_scan_order_is_named(self, engine):
+        graph = self._graph((4, 5), 2.0)
+        graph.set_edge_weight(1, 2, -1.0)
+        with pytest.raises(GraphError, match=r"edge \(1, 2\) has weight -1\.0"):
+            engine(seed=0).reduce(graph, 0.5)
+
+    @pytest.mark.parametrize("value", [0.0, 1.0])
+    def test_interval_endpoints_accepted(self, value):
+        graph = self._graph((2, 3), value)
+        for engine in (WeightedBM2Shedder, WeightedCRRShedder):
+            engine(seed=0).reduce(graph, 0.5)
+
+    def test_weight_blind_engines_unaffected(self):
+        graph = self._graph((2, 3), 1.5)
+        plain = BM2Shedder(seed=0).reduce(graph, 0.5)
+        assert plain.reduced.num_edges > 0
+        CRRShedder(seed=0).reduce(graph, 0.5)
