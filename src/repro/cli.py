@@ -487,9 +487,15 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         print(result.summary())
         if sharded:
             stats = result.stats
+            partition = stats["partition"]
+            planned = partition["method"]
+            if partition["sweeps"]:
+                planned += f", {partition['sweeps']} label-propagation sweeps"
+                if not partition["converged"]:
+                    planned += " (cap hit, not converged)"
             print(
                 f"sharding: {stats['num_shards']} shards "
-                f"({stats['partition']['method']}), {stats['num_workers']} workers, "
+                f"({planned}), {stats['num_workers']} workers, "
                 f"{stats['boundary_edges']} boundary edges "
                 f"(admitted={stats['boundary_admitted']} "
                 f"filled={stats['boundary_filled']} demoted={stats['demoted']})"

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Dict, Hashable, Mapping
+from typing import Dict, Hashable, Mapping, Tuple
 
 import numpy as np
 
@@ -35,9 +35,13 @@ def label_propagation(
 
     Each node starts in its own community; in random order, every node
     adopts the most frequent label among its neighbours (ties broken
-    randomly).  Converges when no node changes in a full sweep.  Isolated
-    nodes keep their own singleton label.  Community ids are re-numbered
-    densely (0..k-1) in first-appearance order for determinism.
+    randomly).  Stops after the first full sweep that leaves every node's
+    label among the most frequent labels of its neighbours — the stopping
+    rule of Raghavan, Albert and Kumara — or after ``max_iterations``
+    sweeps.  A random tie flip between equally frequent labels does not
+    keep it sweeping.  Isolated nodes keep their own singleton label.
+    Community ids are re-numbered densely (0..k-1) in first-appearance
+    order for determinism.
 
     Asynchronous sweeps cannot be naively batched — each node must see the
     labels of neighbours already processed *this* sweep.  The trick is a
@@ -46,6 +50,8 @@ def label_propagation(
     the current block, so within a block every node's neighbourhood labels
     are frozen and the whole block resolves in one vectorized pass
     (segment counts + ``maximum.reduceat``), with async semantics intact.
+    The stopping check is one more segment-count pass over the whole
+    adjacency after each sweep; it draws no random numbers.
 
     Exactness notes: the result is the per-node scan's — shuffle the node
     list, then let each node count its neighbours' labels in
@@ -58,11 +64,24 @@ def label_propagation(
     elementwise identical to one scalar draw per tied node in sweep order.
     Isolated nodes never draw.
     """
+    labels, _, _ = _label_propagation_ids(graph, max_iterations, seed)
+    return dict(zip(graph.nodes(), labels.tolist()))
+
+
+def _label_propagation_ids(
+    graph: Graph, max_iterations: int, seed: RandomState
+) -> Tuple[np.ndarray, int, bool]:
+    """:func:`label_propagation` by node id (``graph.nodes()`` order).
+
+    Returns ``(labels, sweeps, converged)``: the dense community ids as
+    ``int64[n]``, the number of sweeps run, and whether the stopping rule
+    fired (``False`` when ``max_iterations`` ran out first).
+    """
     rng = ensure_rng(seed)
     node_list = list(graph.nodes())
     n = len(node_list)
     if n == 0:
-        return {}
+        return np.empty(0, dtype=np.int64), 0, True
     index_of = {node: i for i, node in enumerate(node_list)}
 
     # Flat adjacency in graph.neighbors() (= insertion) order.
@@ -77,16 +96,20 @@ def label_propagation(
         dtype=np.int64,
         count=total,
     )
+    owner = np.repeat(np.arange(n, dtype=np.int64), degrees)
 
     labels = np.arange(n, dtype=np.int64)
     order_list = list(range(n))
     position = np.empty(n, dtype=np.int64)
     has_neighbors = degrees > 0
-    slice_starts = np.minimum(indptr[:-1], max(total - 1, 0))
+    # reduceat needs non-empty slices: it reads an empty slice's next
+    # entry instead, so only nodes with neighbours get a slice start.
+    slice_starts = indptr[:-1][has_neighbors]
 
-    for _ in range(max_iterations):
+    sweeps = 0
+    converged = False
+    for sweeps in range(1, max_iterations + 1):
         rng.shuffle(order_list)
-        changed = 0
         if total:
             order = np.asarray(order_list, dtype=np.int64)
             position[order] = np.arange(n, dtype=np.int64)
@@ -94,8 +117,8 @@ def label_propagation(
             neighbor_pos = position[adjacency]
             own_pos = np.repeat(position, degrees)
             earlier = np.where(neighbor_pos < own_pos, neighbor_pos, -1)
-            latest_earlier = np.maximum.reduceat(earlier, slice_starts)
-            latest_earlier[~has_neighbors] = -1
+            latest_earlier = np.full(n, -1, dtype=np.int64)
+            latest_earlier[has_neighbors] = np.maximum.reduceat(earlier, slice_starts)
             prev_of_pos = latest_earlier[order]
 
             # Conflict-free blocks over the shuffled order.
@@ -112,10 +135,11 @@ def label_propagation(
                 block = block[has_neighbors[block]]
                 if block.shape[0] == 0:
                     continue
-                changed += _propagate_block(
-                    block, labels, adjacency, indptr, degrees, n, rng
-                )
-        if changed == 0:
+                _propagate_block(block, labels, adjacency, indptr, degrees, n, rng)
+        # A sweep without changes passes this check too: every node chose
+        # its label from the neighbourhood it still has.
+        if _is_settled(labels, owner, adjacency, n):
+            converged = True
             break
 
     # Dense re-numbering in node insertion (= id) order.
@@ -124,8 +148,7 @@ def label_propagation(
     lut[unique_labels[np.argsort(first_index, kind="stable")]] = np.arange(
         unique_labels.shape[0], dtype=np.int64
     )
-    final = lut[labels].tolist()
-    return {node: final[i] for i, node in enumerate(node_list)}
+    return lut[labels], sweeps, converged
 
 
 def _propagate_block(
@@ -136,8 +159,8 @@ def _propagate_block(
     degrees: np.ndarray,
     n: int,
     rng,
-) -> int:
-    """Resolve one conflict-free block in place; returns #label changes."""
+) -> None:
+    """Resolve one conflict-free block in place."""
     lengths = degrees[block]
     offsets = np.zeros(block.shape[0], dtype=np.int64)
     np.cumsum(lengths[:-1], out=offsets[1:])
@@ -151,22 +174,11 @@ def _propagate_block(
     # scan's tie enumeration order).
     key = segment * n + neighbor_labels
     sorter = np.argsort(key, kind="stable")
-    sorted_key = key[sorter]
-    run_start_mask = np.empty(sorted_key.shape[0], dtype=bool)
-    run_start_mask[0] = True
-    run_start_mask[1:] = sorted_key[1:] != sorted_key[:-1]
-    run_starts = np.nonzero(run_start_mask)[0]
-    run_counts = np.diff(np.append(run_starts, sorted_key.shape[0]))
-    run_label = sorted_key[run_starts] % n
-    run_segment = sorted_key[run_starts] // n
+    run_starts, run_counts, run_segment, run_label, seg_starts, best_count = (
+        _label_runs(key[sorter], n)
+    )
     run_first = sorter[run_starts]  # global first-occurrence rank
 
-    # Per-segment best count (every segment has >= 1 run).
-    seg_start_mask = np.empty(run_segment.shape[0], dtype=bool)
-    seg_start_mask[0] = True
-    seg_start_mask[1:] = run_segment[1:] != run_segment[:-1]
-    seg_starts = np.nonzero(seg_start_mask)[0]
-    best_count = np.maximum.reduceat(run_counts, seg_starts)
     tied = run_counts == np.repeat(best_count, np.diff(np.append(seg_starts, run_segment.shape[0])))
     num_tied = np.add.reduceat(tied.astype(np.int64), seg_starts)
 
@@ -198,10 +210,50 @@ def _propagate_block(
         draws = rng.integers(0, highs)
         choice[multi] = run_label[tie_idx[group_starts + draws]]
 
-    current = labels[block]
-    changed_mask = choice != current
     labels[block] = choice
-    return int(np.count_nonzero(changed_mask))
+
+
+def _is_settled(
+    labels: np.ndarray, owner: np.ndarray, adjacency: np.ndarray, n: int
+) -> bool:
+    """Whether every node's label is among its neighbours' most frequent.
+
+    ``owner``/``adjacency`` are the flat (node, neighbour) pairs.  Counts
+    every (node, neighbour label) pair, then compares each node's largest
+    count with the count of its own label; nodes without neighbours pass.
+    """
+    if owner.shape[0] == 0:
+        return True
+    key = owner * n + labels[adjacency]
+    key.sort()
+    _, run_counts, run_owner, run_label, seg_starts, best_count = _label_runs(key, n)
+    own_count = np.maximum.reduceat(
+        np.where(run_label == labels[run_owner], run_counts, 0), seg_starts
+    )
+    return bool(np.array_equal(own_count, best_count))
+
+
+def _label_runs(sorted_key: np.ndarray, n: int) -> Tuple[np.ndarray, ...]:
+    """Runs of equal ``segment * n + label`` keys in a sorted key array.
+
+    Returns ``(run_starts, run_counts, run_segment, run_label, seg_starts,
+    best_count)``: each run's start and length, its segment and label, the
+    first run of each segment, and each segment's largest run length
+    (every segment has at least one run).
+    """
+    run_start_mask = np.empty(sorted_key.shape[0], dtype=bool)
+    run_start_mask[0] = True
+    run_start_mask[1:] = sorted_key[1:] != sorted_key[:-1]
+    run_starts = np.nonzero(run_start_mask)[0]
+    run_counts = np.diff(np.append(run_starts, sorted_key.shape[0]))
+    run_label = sorted_key[run_starts] % n
+    run_segment = sorted_key[run_starts] // n
+    seg_start_mask = np.empty(run_segment.shape[0], dtype=bool)
+    seg_start_mask[0] = True
+    seg_start_mask[1:] = run_segment[1:] != run_segment[:-1]
+    seg_starts = np.nonzero(seg_start_mask)[0]
+    best_count = np.maximum.reduceat(run_counts, seg_starts)
+    return run_starts, run_counts, run_segment, run_label, seg_starts, best_count
 
 
 def partition_sizes(labels: Mapping[Node, int]) -> Dict[int, int]:

@@ -417,6 +417,8 @@ class SheddingService:
             metadata["num_shards"] = self.num_shards
             result = shedder.reduce(graph, request.p)
         else:
+            if self.mode == "sharded":
+                metadata["unsharded"] = self._unsharded_reason(method, request)
             shedder = make_shedder(
                 method,
                 seed=request.seed,
@@ -455,17 +457,20 @@ class SheddingService:
         )
 
     def _runs_sharded(self, method: str, request: ReductionRequest) -> bool:
-        """Whether this method executes through the sharded runner here.
+        """Whether this method executes through the sharded runner here."""
+        return self.mode == "sharded" and self._unsharded_reason(method, request) is None
 
-        Only the paper kernels shard.
-        """
-        return (
-            self.mode == "sharded"
-            and method in ("crr", "bm2", "bm2-sparse")
-            # The sharded runner is weight-blind; weighted jobs run the
-            # whole-graph probability-aware engines instead.
-            and not request.weighted
-        )
+    @staticmethod
+    def _unsharded_reason(method: str, request: ReductionRequest) -> Optional[str]:
+        """Why a sharded service runs ``method`` on the whole graph, or
+        ``None`` when it shards.  Recorded as ``metadata["unsharded"]``."""
+        if method not in ("crr", "bm2", "bm2-sparse"):
+            # Only the paper kernels shard; degraded fallbacks land here.
+            return f"method {method!r} has no sharded runner"
+        if request.weighted:
+            # The whole-graph probability-aware engines run instead.
+            return "weighted request: the sharded runner is weight-blind"
+        return None
 
     def _variant(self, request: ReductionRequest, method: str) -> str:
         """Cache-key variant for ``method`` as this service would run it.

@@ -13,7 +13,10 @@ Two partitioning methods:
   which are then packed into ``num_shards`` bins balanced by total degree
   (largest community first into the lightest bin).  Community-aligned
   shards keep the boundary small on modular graphs — the clique-partition
-  idea of shrinking the working set per unit of work.  Degenerate
+  idea of shrinking the working set per unit of work.  Label propagation
+  stops at the first sweep after which every node's label is a most
+  frequent label of its neighbours, or at ``max_iterations``; the plan
+  reports how many sweeps ran and whether the rule fired.  Degenerate
   outcomes (fewer communities than shards) fall back to ``"contiguous"``.
 * ``"contiguous"`` — deterministic seeded fallback: nodes in id order,
   split at cumulative-degree quantiles.  No randomness beyond the id
@@ -32,7 +35,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import GraphError
-from repro.graph.communities import label_propagation
+from repro.graph.communities import _label_propagation_ids
 from repro.graph.csr import CSRAdjacency, CSRView
 from repro.graph.graph import Graph
 from repro.rng import RandomState
@@ -83,6 +86,10 @@ class ShardPlan:
     #: Method that actually produced the plan (community requests that
     #: degenerate fall back to, and report, ``"contiguous"``).
     method: str
+    #: Label-propagation sweeps run (0 when none ran) and whether its
+    #: stopping rule fired before the cap (``None`` when none ran).
+    sweeps: int
+    converged: Optional[bool]
 
     @property
     def num_shards(self) -> int:
@@ -97,6 +104,8 @@ class ShardPlan:
         return {
             "method": self.method,
             "num_shards": self.num_shards,
+            "sweeps": self.sweeps,
+            "converged": self.converged,
             "boundary_edges": self.num_boundary,
             "shard_nodes": [shard.num_nodes for shard in self.shards],
             "shard_interior_edges": [shard.interior_edges for shard in self.shards],
@@ -127,22 +136,13 @@ def _contiguous_assignment(degrees: np.ndarray, num_shards: int) -> np.ndarray:
 
 
 def _community_assignment(
-    graph: Graph,
-    csr: CSRAdjacency,
-    num_shards: int,
-    seed: RandomState,
-    max_iterations: int,
+    csr: CSRAdjacency, community_of: np.ndarray, num_shards: int
 ) -> Optional[np.ndarray]:
-    """Pack label-propagation communities into degree-balanced bins.
+    """Pack communities (dense ids by CSR id) into degree-balanced bins.
 
     Returns ``None`` when the outcome is degenerate (fewer communities
     than shards) and the caller should fall back to contiguous ranges.
     """
-    membership = label_propagation(graph, max_iterations=max_iterations, seed=seed)
-    index_of = csr.index_of
-    community_of = np.empty(csr.num_nodes, dtype=np.int64)
-    for node, community in membership.items():
-        community_of[index_of[node]] = community
     num_communities = int(community_of.max()) + 1 if community_of.shape[0] else 0
     if num_communities < num_shards:
         return None
@@ -173,9 +173,10 @@ def partition_graph(
     """Plan an edge-disjoint ``num_shards``-way decomposition of ``graph``.
 
     ``num_shards`` is clamped to the node count.  See the module docstring
-    for the two methods; ``method="community"`` silently falls back to the
+    for the two methods; ``method="community"`` falls back to the
     contiguous split when label propagation yields fewer communities than
-    shards (the plan's ``method`` field reports what actually ran).
+    shards (the plan's ``method`` field reports what actually ran, and its
+    ``sweeps``/``converged`` the label propagation behind it).
     """
     if method not in PARTITION_METHODS:
         raise GraphError(
@@ -188,10 +189,16 @@ def partition_graph(
     num_shards = min(num_shards, n) if n else 1
 
     used = method
+    sweeps, converged = 0, None
     if num_shards == 1:
         shard_of = np.zeros(n, dtype=np.int64)
     elif method == "community":
-        assignment = _community_assignment(graph, csr, num_shards, seed, max_iterations)
+        # Label propagation numbers nodes in graph.nodes() order, which
+        # is the CSR id order.
+        community_of, sweeps, converged = _label_propagation_ids(
+            graph, max_iterations, seed
+        )
+        assignment = _community_assignment(csr, community_of, num_shards)
         if assignment is None:
             used = "contiguous"
             shard_of = _contiguous_assignment(csr.degree_array(), num_shards)
@@ -214,4 +221,6 @@ def partition_graph(
         boundary_u=np.ascontiguousarray(edge_u[boundary]),
         boundary_v=np.ascontiguousarray(edge_v[boundary]),
         method=used,
+        sweeps=sweeps,
+        converged=converged,
     )

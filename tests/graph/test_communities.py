@@ -5,13 +5,15 @@ import pytest
 from repro.graph import (
     Graph,
     complete_graph,
+    erdos_renyi,
     label_propagation,
     modularity,
     normalized_mutual_information,
     partition_sizes,
     stochastic_block_model,
 )
-from tests.oracles.graph import _label_propagation_legacy
+from repro.graph.communities import _label_propagation_ids
+from tests.oracles.graph import _label_propagation_legacy, label_propagation_settled
 
 
 class TestLabelPropagation:
@@ -43,6 +45,16 @@ class TestLabelPropagation:
         labels = label_propagation(g, seed=0)
         assert labels[2] != labels[3]
         assert labels[2] not in (labels[0], labels[1])
+
+    def test_trailing_isolated_nodes_match_legacy(self):
+        # Node 4's last neighbour ends the flat adjacency; the isolated
+        # nodes after it must not drop that neighbour from the check that
+        # splits a sweep into blocks.
+        g = Graph(edges=[(0, 4), (2, 4)], nodes=range(7))
+        for seed in range(4):
+            assert label_propagation(g, max_iterations=2, seed=seed) == (
+                _label_propagation_legacy(g, max_iterations=2, seed=seed)
+            )
 
     def test_labels_densely_numbered(self, small_powerlaw):
         labels = label_propagation(small_powerlaw, seed=0)
@@ -141,3 +153,42 @@ class TestLabelPropagationEngines:
         # One implementation: there is no engine to select.
         with pytest.raises(TypeError):
             label_propagation(k5, seed=0, engine="numpy")
+
+
+class TestStoppingRule:
+    """Label propagation stops after the first sweep k* whose labelling is
+    settled: capping it anywhere from k* up returns the same labels, and
+    every cap below k* returns an unsettled labelling (so the capped runs
+    are the uncapped sweep sequence, truncated)."""
+
+    @staticmethod
+    def _graph(family, seed):
+        if family == "er":
+            return erdos_renyi(80, 0.06, seed=seed)
+        probs = [[0.3 if i == j else 0.02 for j in range(3)] for i in range(3)]
+        return stochastic_block_model([25, 25, 25], probs, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    @pytest.mark.parametrize("family", ["er", "sbm"])
+    def test_caps_truncate_at_the_settled_sweep(self, family, seed):
+        g = self._graph(family, seed)
+        _, k_star, converged = _label_propagation_ids(g, 100, seed)
+        assert converged and k_star > 1
+        settled = label_propagation(g, max_iterations=k_star, seed=seed)
+        assert label_propagation_settled(g, settled)
+        assert label_propagation(g, max_iterations=k_star + 1, seed=seed) == settled
+        assert label_propagation(g, max_iterations=100, seed=seed) == settled
+        for cap in range(1, k_star):
+            labels, sweeps, capped_converged = _label_propagation_ids(g, cap, seed)
+            assert (sweeps, capped_converged) == (cap, False)
+            assert not label_propagation_settled(g, dict(zip(g.nodes(), labels.tolist())))
+
+    def test_edgeless_graph_settles_after_one_sweep(self):
+        labels, sweeps, converged = _label_propagation_ids(Graph(nodes=[1, 2, 3]), 100, 0)
+        assert labels.tolist() == [0, 1, 2]
+        assert (sweeps, converged) == (1, True)
+
+    def test_zero_cap_runs_no_sweep(self, k5):
+        labels, sweeps, converged = _label_propagation_ids(k5, 0, 0)
+        assert labels.tolist() == list(range(5))
+        assert (sweeps, converged) == (0, False)

@@ -9,7 +9,8 @@ in ``src/`` does.
 * :mod:`tests.oracles.core` — dict ``DegreeTracker``, greedy b-matching,
   the Algorithm 3 heap, and label-space CRR/BM2 shedders;
 * :mod:`tests.oracles.graph` — dict Brandes betweenness, per-node
-  label propagation, and the per-edge graph constructions (line-by-line
+  label propagation with its ``Counter`` stopping check, and the
+  per-edge graph constructions (line-by-line
   edge-list reader, ``add_edge`` payload replay, grouped-sort subgraph);
 * :mod:`tests.oracles.embedding` — scalar node2vec walks, per-center SGNS
   and the node2vec pipeline built from them;

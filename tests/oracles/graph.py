@@ -35,6 +35,7 @@ __all__ = [
     "_legacy_node_betweenness",
     "_legacy_top_edges_by_betweenness",
     "graph_from_ids_replay",
+    "label_propagation_settled",
     "read_edge_list_per_line",
     "subgraph_from_edge_ids_grouped",
 ]
@@ -146,13 +147,16 @@ def _legacy_top_edges_by_betweenness(
 def _label_propagation_legacy(
     graph: Graph, max_iterations: int = 100, seed: RandomState = None
 ) -> Dict[Node, int]:
-    """The original per-node Python sweep (the CSR engine's oracle)."""
+    """The original per-node Python sweep (the CSR engine's oracle).
+
+    Stops after the first sweep that leaves the labelling settled
+    (:func:`label_propagation_settled`), or after ``max_iterations``.
+    """
     rng = ensure_rng(seed)
     labels: Dict[Node, int] = {node: i for i, node in enumerate(graph.nodes())}
     nodes = list(graph.nodes())
     for _ in range(max_iterations):
         rng.shuffle(nodes)
-        changed = 0
         for node in nodes:
             neighbor_labels = Counter(labels[neighbor] for neighbor in graph.neighbors(node))
             if not neighbor_labels:
@@ -160,10 +164,8 @@ def _label_propagation_legacy(
             best_count = max(neighbor_labels.values())
             best = [label for label, count in neighbor_labels.items() if count == best_count]
             choice = best[int(rng.integers(len(best)))] if len(best) > 1 else best[0]
-            if labels[node] != choice:
-                labels[node] = choice
-                changed += 1
-        if changed == 0:
+            labels[node] = choice
+        if label_propagation_settled(graph, labels):
             break
     # Dense re-numbering in node insertion order.
     remap: Dict[int, int] = {}
@@ -174,6 +176,17 @@ def _label_propagation_legacy(
             remap[label] = len(remap)
         renumbered[node] = remap[label]
     return renumbered
+
+
+def label_propagation_settled(graph: Graph, labels: Dict[Node, int]) -> bool:
+    """Whether every node's label is among its neighbours' most frequent
+    labels (the Raghavan-Albert-Kumara stopping rule); nodes without
+    neighbours always pass."""
+    for node in graph.nodes():
+        counts = Counter(labels[neighbor] for neighbor in graph.neighbors(node))
+        if counts and counts[labels[node]] < max(counts.values()):
+            return False
+    return True
 
 
 def read_edge_list_per_line(

@@ -305,6 +305,7 @@ class TestShardedMode:
             ).result(timeout=60)
         assert result.status is JobStatus.COMPLETED
         assert result.metadata["num_shards"] == 2
+        assert "unsharded" not in result.metadata
         assert _edge_set(result.reduction) == _edge_set(direct)
         assert result.reduction.stats["num_shards"] == 2
 
@@ -324,6 +325,7 @@ class TestShardedMode:
         assert result.status is JobStatus.COMPLETED
         assert "num_shards" not in result.metadata
         assert "num_shards" not in result.reduction.stats
+        assert result.metadata["unsharded"] == "method 'random' has no sharded runner"
 
     def test_sharded_artifacts_do_not_poison_unsharded_cache(self, graph, tmp_path):
         """A sharded run and a whole-graph run of the same request are

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import GraphError
-from repro.graph import Graph
+from repro.graph import Graph, stochastic_block_model
 from repro.shard import PARTITION_METHODS, partition_graph
 
 
@@ -74,6 +74,7 @@ class TestPlanInvariants:
         assert sum(summary["shard_interior_edges"]) + summary["boundary_edges"] == (
             small_powerlaw.num_edges
         )
+        assert (summary["sweeps"], summary["converged"]) == (plan.sweeps, plan.converged)
 
 
 class TestMethods:
@@ -113,3 +114,45 @@ class TestMethods:
         assert community.method == "community"
         assert community.num_boundary < contiguous.num_boundary
         assert community.num_boundary <= 2
+
+
+class TestLabelPropagationReport:
+    """The plan reports the label propagation behind it, so a partition
+    that hit the sweep cap never passes as settled."""
+
+    @staticmethod
+    def _two_blocks():
+        # A seeded 2-block SBM plus 12 bridge nodes, each with one
+        # neighbour in either block: every bridge is tied between the two
+        # block labels for good and flips at random on every sweep.
+        g = stochastic_block_model([60, 60], [[0.2, 0.01], [0.01, 0.2]], seed=4)
+        for i in range(12):
+            g.add_edge(120 + i, i)
+            g.add_edge(120 + i, 60 + i)
+        return g
+
+    def test_community_plan_converges_well_before_the_cap(self):
+        # A rule that counted the bridges' tie flips as changes would run
+        # all 100 sweeps here (it does with LPA seed 0).
+        plan = partition_graph(self._two_blocks(), 2, method="community", seed=0)
+        assert plan.method == "community"
+        assert plan.converged is True
+        assert 1 <= plan.sweeps <= 20
+
+    def test_capped_plan_reports_not_converged(self):
+        plan = partition_graph(
+            self._two_blocks(), 2, method="community", seed=0, max_iterations=1
+        )
+        assert (plan.sweeps, plan.converged) == (1, False)
+
+    @pytest.mark.parametrize(
+        "num_shards, method", [(1, "community"), (2, "contiguous")]
+    )
+    def test_no_label_propagation_reports_none(self, small_powerlaw, num_shards, method):
+        plan = partition_graph(small_powerlaw, num_shards, method=method, seed=0)
+        assert (plan.sweeps, plan.converged) == (0, None)
+
+    def test_fallback_plan_reports_the_propagation_that_ran(self, k5):
+        plan = partition_graph(k5, 3, method="community", seed=0)
+        assert plan.method == "contiguous"
+        assert plan.converged is True and plan.sweeps >= 1

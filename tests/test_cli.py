@@ -118,6 +118,8 @@ class TestCommands:
             assert entry["seconds"] >= 0.0
         for phase in ("partition_seconds", "shard_seconds", "reconcile_seconds"):
             assert sharding[phase] >= 0.0
+        assert sharding["partition"]["converged"] is True
+        assert sharding["partition"]["sweeps"] >= 1
 
     def test_reduce_sharded_text_summary(self, capsys):
         code = main(
@@ -135,6 +137,7 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "sharding: 2 shards" in out
+        assert "label-propagation sweeps)" in out
         assert "2 workers" in out
         assert "shard 0:" in out
 

@@ -129,6 +129,9 @@ class TestServiceWeighted:
             ).result(60)
             assert result.reduction.method == "W-BM2"
             assert "num_shards" not in result.metadata
+            assert result.metadata["unsharded"] == (
+                "weighted request: the sharded runner is weight-blind"
+            )
         finally:
             service.shutdown()
 
