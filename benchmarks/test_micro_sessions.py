@@ -5,7 +5,7 @@ This is the session layer's acceptance measurement: ``NUM_SESSIONS``
 its own seeded Erdos-Renyi graph, stream a seeded mixed-churn workload
 through one :class:`~repro.sessions.SessionManager` drain pool.  The
 sessions run the high-throughput maintainer configuration
-(``repair=None`` — pure capacity-gated admit/evict, the same profile the
+(``repair=False`` — pure capacity-gated admit/evict, the same profile the
 ``apply_ops`` batching was built for).
 
 Gates, following the ``test_micro_dynamic`` convention:
@@ -58,7 +58,7 @@ FULL_SESSIONS = 8
 SESSION_CONFIG = SessionConfig(
     p=ACCEPT_P,
     seed=ACCEPT_SEED,
-    repair=None,
+    repair=False,
     inbox_capacity=8192,
     batch_ops=1024,
 )
@@ -202,7 +202,7 @@ def test_concurrent_sessions_throughput(quick, archive_report):
             ]
         ],
         notes=[
-            "High-throughput maintainer profile (repair=None); every op "
+            "High-throughput maintainer profile (repair=False); every op "
             "accounted for across applied/shed/rejected/stale.",
             f"p = {ACCEPT_P}, per-session ER graphs and churn seeds derived "
             f"from {ACCEPT_SEED}.",
@@ -220,7 +220,7 @@ def test_backpressure_profile_recorded(quick):
     config = SessionConfig(
         p=ACCEPT_P,
         seed=ACCEPT_SEED,
-        repair=None,
+        repair=False,
         inbox_capacity=256,
         batch_ops=64,
         shed_watermark=0.5,

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.graph import (
-    closeness_centrality,
     core_numbers,
     distance_distribution,
     hop_plot,
@@ -36,11 +35,6 @@ def test_distance_distribution_sampled(benchmark, graph):
 def test_hop_plot_sampled(benchmark, graph):
     plot = benchmark(lambda: hop_plot(graph, num_sources=64, seed=0))
     assert plot
-
-
-def test_closeness_sampled(benchmark, graph):
-    centrality = benchmark(lambda: closeness_centrality(graph, num_sources=64, seed=0))
-    assert len(centrality) == 64
 
 
 def test_stream_shedding(benchmark, graph):

@@ -642,6 +642,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_dynamic(args: argparse.Namespace) -> int:
+    import time
+
     from repro.dynamic import DriftMonitor, IncrementalShedder, generate_workload
     from repro.service.metrics import (
         Histogram,
@@ -666,10 +668,11 @@ def _cmd_dynamic(args: argparse.Namespace) -> int:
             f"seed reduction: {graph.num_nodes} nodes / {graph.num_edges} edges, "
             f"delta={seed_delta:.1f}"
         )
-    latencies = maintainer.replay(ops, collect_latencies=True)
     op_hist = Histogram("op_seconds", OP_LATENCY_BOUNDS)
-    for latency in latencies:
-        op_hist.observe(latency)
+    for op in ops:
+        started = time.perf_counter()
+        maintainer.apply(op)
+        op_hist.observe(time.perf_counter() - started)
     latency_us = latency_us_summary(op_hist)
     live_delta = maintainer.delta
     stats = maintainer.stats
@@ -914,11 +917,25 @@ def _spec_graph_ref(spec: Dict[str, Any]) -> str:
     dataset = spec.get("dataset", "ca-grqc")
     scale = spec.get("scale")
     if scale is not None:
-        return f"dataset:{dataset}:{scale:g}"
+        return f"dataset:{dataset}:{float(scale):g}"
     return f"dataset:{dataset}"
 
 
+def _whole(value: Any) -> int:
+    """``int(value)``, refusing values that are not whole numbers."""
+    number = int(value)
+    if number != float(value):
+        raise ValueError(f"{value!r} is not a whole number")
+    return number
+
+
+#: Jobs-file knobs and the conversion the commands apply to each.
+_JOB_KNOBS = (("p", float), ("seed", int), ("scale", float))
+_STREAM_JOB_KNOBS = (("ops", _whole), ("batch", _whole))
+
+
 def _load_job_specs(args: argparse.Namespace) -> List[Dict[str, Any]]:
+    """Read the jobs file; exit before any job runs if one is malformed."""
     try:
         with open(args.jobs, "r", encoding="utf-8") as handle:
             specs = json.load(handle)
@@ -926,9 +943,30 @@ def _load_job_specs(args: argparse.Namespace) -> List[Dict[str, Any]]:
         raise SystemExit(f"could not read jobs file {args.jobs!r}: {error}")
     if not isinstance(specs, list):
         raise SystemExit(f"jobs file {args.jobs!r} must hold a JSON list")
+    stream = args.mode == "stream"
+    knobs = _JOB_KNOBS + (_STREAM_JOB_KNOBS if stream else ())
     for index, spec in enumerate(specs):
         if not isinstance(spec, dict) or "p" not in spec:
             raise SystemExit(f"job #{index} must be an object with at least a 'p' key")
+        for key, convert in knobs:
+            try:
+                if key in spec:
+                    convert(spec[key])
+            except (TypeError, ValueError):
+                kind = "a whole number" if convert is _whole else "a number"
+                raise SystemExit(
+                    f"job #{index}: {key!r} must be {kind}, got {spec[key]!r}"
+                ) from None
+        if stream:
+            from repro.dynamic import WORKLOADS
+
+            if _whole(spec.get("batch", 512)) < 1:
+                raise SystemExit(f"job #{index}: 'batch' must be >= 1, got {spec['batch']!r}")
+            if spec.get("churn", "mixed") not in sorted(WORKLOADS):
+                raise SystemExit(
+                    f"job #{index}: unknown churn shape {spec['churn']!r} "
+                    f"(choose from {', '.join(sorted(WORKLOADS))})"
+                )
     return specs
 
 
@@ -959,8 +997,8 @@ def _cmd_serve_stream(args: argparse.Namespace, specs: List[Dict[str, Any]]) -> 
                     label=spec.get("label", f"job-{index}"),
                 ),
                 "churn": spec.get("churn", "mixed"),
-                "ops": int(spec.get("ops", 2000)),
-                "batch": int(spec.get("batch", 512)),
+                "ops": _whole(spec.get("ops", 2000)),
+                "batch": _whole(spec.get("batch", 512)),
             }
         )
 

@@ -26,6 +26,9 @@ The monitor is pure policy: it never touches the graphs.  It consumes the
 tracker's O(1) :attr:`~repro.dynamic.DynamicDegreeTracker.approx_delta`
 (drift decisions do not need bit-exactness; checkpoints do and use
 :meth:`~repro.dynamic.DynamicDegreeTracker.exact_delta`).
+:meth:`~repro.dynamic.IncrementalShedder.apply_ops` runs an inlined copy of
+:meth:`DriftMonitor.observe` on the monitor's own state; ``observe`` stays
+the policy that copy is tested against.
 """
 
 from __future__ import annotations
@@ -125,6 +128,10 @@ class DriftMonitor:
 
         The caller performs the rebuild itself (it owns the graphs) and then
         reports it via :meth:`notify_rebuild`.
+        :meth:`~repro.dynamic.IncrementalShedder.apply_ops` inlines this
+        method per op and is pinned against the per-op reference in
+        ``tests/oracles/dynamic.py``, which calls it: a change here must
+        be mirrored in the inlined copy.
         """
         self._ops_since_rebuild += 1
         envelope = self.envelope(num_nodes, num_edges)

@@ -6,26 +6,29 @@ deployments face a graph that keeps changing after the answer shipped.
 :class:`~repro.core.EdgeShedder` and keeps ``(G, G', Δ)`` consistent under
 an insert/delete stream without re-running the O(|E|) offline pass per op:
 
-* **insert(u, v)** — the edge joins ``G`` (both expectations ``p·deg``
-  rise) and is admitted to ``G'`` iff both endpoints sit below their live
+* **insert** — the edge joins ``G`` (both expectations ``p·deg`` rise)
+  and is admitted to ``G'`` iff both endpoints sit below their live
   Phase-1 capacities ``b(u) = [p·deg_G(u)]`` — exactly BM2's admission
   invariant, so an admission never increases ``Δ``.  Rejected edges enter
   a bounded :class:`~repro.streaming.EdgeReservoir` for later promotion.
-* **delete(u, v)** — the edge leaves ``G``; if it was kept it leaves
-  ``G'`` too, otherwise it is dropped from the reservoir.
+* **delete** — the edge leaves ``G``; if it was kept it leaves ``G'``
+  too, otherwise it is dropped from the reservoir.
 
-Each op is O(1) amortized for the bookkeeping itself, plus a localized
+:meth:`IncrementalShedder.apply_ops` is the one implementation of both
+ops; :meth:`~IncrementalShedder.insert`, :meth:`~IncrementalShedder.delete`
+and :meth:`~IncrementalShedder.apply` are one-op calls of it.  Each op is
+O(1) amortized for the bookkeeping itself, plus a localized
 :class:`~repro.dynamic.repair.LocalRepairer` pass (O(deg) around the two
 touched endpoints) that restores the per-node guarantee, back-fills freed
-capacity and applies bounded Δ-improving swaps.  A
-:class:`~repro.dynamic.DriftMonitor` watches the running ``Δ`` against
-Theorem 2's envelope at the *live* ``|V|``/``|E|``; when drift crosses the
-configured ratio the maintainer amortizes a full offline re-shed
-(:meth:`IncrementalShedder.rebuild`) and carries on incrementally from the
-fresh seed.
+capacity and applies a bounded Δ-improving swap.  A
+:class:`~repro.dynamic.DriftMonitor` policy watches the running ``Δ``
+against Theorem 2's envelope at the *live* ``|V|``/``|E|``; when drift
+crosses the configured ratio the maintainer amortizes a full offline
+re-shed (:meth:`IncrementalShedder.rebuild`) and carries on incrementally
+from the fresh seed.
 
-The maintainer owns its graphs: mutate ``G`` only through
-:meth:`insert` / :meth:`delete`.  Out-of-band mutations are detected via
+The maintainer owns its graphs: mutate ``G`` only through its churn
+ops.  Out-of-band mutations are detected via
 :attr:`~repro.graph.Graph.version` and rejected with
 :class:`~repro.errors.ReductionError` rather than silently corrupting the
 tracked state.
@@ -33,14 +36,13 @@ tracked state.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.core.base import EdgeShedder, validate_ratio
 from repro.core.bm2 import BM2Shedder
 from repro.dynamic.drift import DriftDecision, DriftMonitor
-from repro.dynamic.repair import LocalRepairer, RepairConfig, _key
+from repro.dynamic.repair import LocalRepairer, _key
 from repro.dynamic.tracker import DynamicDegreeTracker
 from repro.errors import EdgeNotFoundError, ReductionError, SelfLoopError
 from repro.graph.graph import Graph, Node
@@ -63,8 +65,8 @@ class BatchReport:
             inserts, self-loops) — always 0 in strict mode.
         rebuilds: drift-triggered full rebuilds performed inside the batch.
         decision: the drift verdict after the batch's *last applied* op
-            (``None`` for an empty or fully-skipped batch), matching what
-            :meth:`IncrementalShedder.apply` would have returned for it.
+            (``None`` for an empty or fully-skipped batch) — what
+            :meth:`IncrementalShedder.apply` returns for a one-op batch.
     """
 
     applied: int
@@ -78,16 +80,14 @@ class IncrementalShedder:
 
     Args:
         graph: the live original graph.  The maintainer takes ownership —
-            apply all further mutations through :meth:`insert` /
-            :meth:`delete`.
+            apply all further mutations through its churn ops.
         p: edge preservation ratio (the offline engines' ``p``).
-        shedder: offline method producing the seed reduction (default:
-            ``BM2Shedder()``; BM2's per-node ``dis < 1``
-            guarantee is what the default repair threshold preserves).
-        rebuild_shedder: method used by drift-triggered rebuilds
-            (default: ``shedder``).
-        repair: :class:`RepairConfig` for the localized repair pass, or
-            ``None`` to skip repair entirely (pure admit/evict mode).
+        shedder: offline method producing the seed reduction and every
+            drift-triggered rebuild (default: ``BM2Shedder()``; BM2's
+            per-node ``dis < 1`` guarantee is what repair preserves).
+        repair: run the :class:`~repro.dynamic.LocalRepairer` pass after
+            every op (default), or skip it (pure admit/evict mode, the
+            high-throughput profile).
         drift: :class:`DriftMonitor` watching Δ, or ``None`` for the
             default ``DriftMonitor(p)`` (rebuild at 1.0× the Theorem-2
             envelope, hysteresis 0.9).
@@ -102,8 +102,7 @@ class IncrementalShedder:
         p: float,
         shedder: Optional[EdgeShedder] = None,
         *,
-        rebuild_shedder: Optional[EdgeShedder] = None,
-        repair: Optional[RepairConfig] = RepairConfig(),
+        repair: bool = True,
         drift: Optional[DriftMonitor] = None,
         reservoir_size: int = 256,
         seed: RandomState = None,
@@ -111,9 +110,6 @@ class IncrementalShedder:
         self._p = validate_ratio(p)
         self._graph = graph
         self._shedder = shedder if shedder is not None else BM2Shedder()
-        self._rebuild_shedder = (
-            rebuild_shedder if rebuild_shedder is not None else self._shedder
-        )
         self._monitor = drift if drift is not None else DriftMonitor(self._p)
         if self._monitor.p != self._p:
             raise ReductionError(
@@ -126,10 +122,9 @@ class IncrementalShedder:
         self._tracker = DynamicDegreeTracker(graph, self._p)
         self._tracker.reset_kept(self._reduced)
         self._reservoir = EdgeReservoir(reservoir_size, seed=ensure_rng(seed))
-        self._repair_config = repair
         self._repairer = (
-            LocalRepairer(graph, self._reduced, self._tracker, self._reservoir, repair)
-            if repair is not None
+            LocalRepairer(graph, self._reduced, self._tracker, self._reservoir)
+            if repair
             else None
         )
         self._restock_reservoir()
@@ -171,11 +166,6 @@ class IncrementalShedder:
         return self._tracker.exact_delta()
 
     @property
-    def approx_delta(self) -> float:
-        """O(1) running ``Δ`` (what the drift monitor consumes)."""
-        return self._tracker.approx_delta
-
-    @property
     def tracker(self) -> DynamicDegreeTracker:
         return self._tracker
 
@@ -198,109 +188,39 @@ class IncrementalShedder:
         :class:`~repro.errors.ReductionError` if the edge already exists
         (the stream must describe simple-graph mutations).
         """
-        self._check_versions()
-        if u == v:
-            raise SelfLoopError(u)
-        if self._graph.has_edge(u, v):
-            raise ReductionError(f"edge ({u!r}, {v!r}) already in the graph")
-        # Id assignment must mirror Graph.add_edge's add_node(u); add_node(v)
-        # so tracker ids stay in graph insertion order (exact_delta contract).
-        tracker = self._tracker
-        tu = tracker.ensure_node(u)
-        tv = tracker.ensure_node(v)
-        self._graph.add_edge(u, v)
-        self._reduced.add_node(u)
-        self._reduced.add_node(v)
-        cap_u, cap_v = tracker.capacity(tu), tracker.capacity(tv)
-        tracker.graph_edge_added(tu, tv)
-        new_cap_u, new_cap_v = tracker.capacity(tu), tracker.capacity(tv)
-        if (
-            new_cap_u > tracker.kept_degree(tu)
-            and new_cap_v > tracker.kept_degree(tv)
-        ):
-            self._reduced.add_edge(u, v)
-            tracker.kept_edge_added(tu, tv)
-            self.stats["admitted"] += 1
-            # Admission spends the grown capacity: no promotion hint.
-            hints = (False, False)
-        else:
-            self._reservoir.offer(_key(tu, tv))
-            self.stats["rejected"] += 1
-            hints = (new_cap_u > cap_u, new_cap_v > cap_v)
-        self.stats["inserts"] += 1
-        return self._after_op((tu, tv), hints)
+        return self.apply_ops((("insert", u, v),)).decision
 
     def delete(self, u: Node, v: Node) -> DriftDecision:
         """Delete edge ``(u, v)`` from ``G`` (and from ``G'`` if kept).
 
         Raises :class:`~repro.errors.EdgeNotFoundError` if absent.
         """
-        self._check_versions()
-        if not self._graph.has_edge(u, v):
-            raise EdgeNotFoundError(u, v)
-        tracker = self._tracker
-        tu = tracker.id_of(u)
-        tv = tracker.id_of(v)
-        was_kept = self._reduced.has_edge(u, v)
-        self._graph.remove_edge(u, v)
-        cap_u, cap_v = tracker.capacity(tu), tracker.capacity(tv)
-        tracker.graph_edge_removed(tu, tv)
-        if was_kept:
-            self._reduced.remove_edge(u, v)
-            tracker.kept_edge_removed(tu, tv)
-            self.stats["evicted"] += 1
-            # Eviction frees a unit of kept degree; spare grows unless the
-            # capacity shrank with the degree.
-            hints = (
-                tracker.capacity(tu) == cap_u,
-                tracker.capacity(tv) == cap_v,
-            )
-        else:
-            self._reservoir.discard(_key(tu, tv))
-            hints = (False, False)
-        self.stats["deletes"] += 1
-        return self._after_op((tu, tv), hints)
+        return self.apply_ops((("delete", u, v),)).decision
 
     def apply(self, op: ChurnOp) -> DriftDecision:
         """Apply one ``("insert" | "delete", u, v)`` churn operation."""
-        kind, u, v = op
-        if kind == "insert":
-            return self.insert(u, v)
-        if kind == "delete":
-            return self.delete(u, v)
-        raise ReductionError(f"unknown churn op {kind!r} (expected 'insert' or 'delete')")
-
-    def replay(
-        self, ops: Iterable[ChurnOp], collect_latencies: bool = False
-    ) -> Optional[List[float]]:
-        """Apply a churn stream; optionally return per-op latencies (seconds)."""
-        if not collect_latencies:
-            for op in ops:
-                self.apply(op)
-            return None
-        latencies: List[float] = []
-        for op in ops:
-            start = time.perf_counter()
-            self.apply(op)
-            latencies.append(time.perf_counter() - start)
-        return latencies
+        return self.apply_ops((op,)).decision
 
     def apply_ops(
         self, ops: Iterable[ChurnOp], *, skip_invalid: bool = False
     ) -> BatchReport:
-        """Apply a batch of churn ops; bit-identical to the per-op loop.
+        """Apply a batch of churn ops: the one implementation of an op.
 
-        Semantically equivalent to ``for op in ops: self.apply(op)`` — the
-        property suite pins G, G', Δ, stats, reservoir and drift-monitor
-        state equal between the two — but the per-op Python overhead is
-        amortized: the tracker arithmetic is inlined on native scalars
-        (float64 math is the same IEEE double either way), the graphs and
-        arrays are hoisted into locals, stats are buffered, the version
-        handshake runs once per batch instead of once per op, and the drift
-        monitor's :meth:`~repro.dynamic.DriftMonitor.observe` is inlined
-        without allocating its :class:`~repro.dynamic.DriftDecision`.  On a
-        weighted ``G`` the batch keeps the weight map exactly as the
-        per-op path does: inserted edges weigh 1.0, deletes drop theirs.
+        Each op updates ``G``, ``G'``, the tracker and the reservoir, runs
+        the repair pass and consults the drift policy, rebuilding when it
+        says so.  Any batch split of a stream ends in the same G, G', Δ,
+        stats, reservoir and drift-monitor state, bit for bit.  The per-op
+        Python overhead is amortized: the tracker's graph-side arithmetic
+        is inlined on native scalars (float64 math is the same IEEE double
+        either way), the graphs and arrays are hoisted into locals, stats
+        are buffered, the version handshake runs once per batch, and the
+        drift monitor's :meth:`~repro.dynamic.DriftMonitor.observe` is
+        inlined without allocating a :class:`~repro.dynamic.DriftDecision`
+        per op.  The property suite pins this against the per-op
+        reference in ``tests/oracles/dynamic.py``, and
+        ``tests/dynamic/test_churn_golden.py`` pins its outputs.  On a
+        weighted ``G`` inserted edges weigh 1.0 and deletes drop theirs,
+        as ``Graph.add_edge``/``remove_edge`` do.
 
         Args:
             ops: iterable of ``("insert" | "delete", u, v)`` tuples.
@@ -312,9 +232,13 @@ class IncrementalShedder:
                 backpressure.  Malformed kinds still raise: staleness is a
                 stream property, an unknown op kind is a caller bug.
 
-        In strict mode (default) the first invalid op raises exactly what
-        :meth:`apply` would; ops already applied stay applied and their
-        stats are flushed, matching a per-op loop that died at the same op.
+        In strict mode (default) the first invalid op raises
+        :class:`~repro.errors.SelfLoopError`,
+        :class:`~repro.errors.ReductionError` (duplicate insert, unknown
+        kind, out-of-band mutation) or
+        :class:`~repro.errors.EdgeNotFoundError`; ops already applied stay
+        applied and their stats are flushed, matching a per-op loop that
+        died at the same op.
         """
         self._check_versions()
         graph = self._graph
@@ -371,9 +295,9 @@ class IncrementalShedder:
                         raise ReductionError(
                             f"edge ({u!r}, {v!r}) already in the graph"
                         )
-                    # Id assignment mirrors insert(): u first, then v, before
-                    # the graph mutation.  ensure_node may grow (replace) the
-                    # arrays — re-hoist when it does.
+                    # Ids follow graph insertion order: u first, then v,
+                    # before the graph mutation.  ensure_node may grow
+                    # (replace) the arrays — re-hoist when it does.
                     tu = index_of.get(u)
                     if tu is None:
                         tu = ensure_node(u)
@@ -420,7 +344,7 @@ class IncrementalShedder:
                     dv += 1
                     deg[tu] = du
                     deg[tv] = dv
-                    # tracker.graph_edge_added's _retouch, on native scalars.
+                    # The graph-side _retouch, on native scalars.
                     approx = approx - abs(dis[tu].item()) - abs(dis[tv].item())
                     cu = cur[tu].item()
                     cv = cur[tv].item()
@@ -479,7 +403,7 @@ class IncrementalShedder:
                     dv -= 1
                     deg[tu] = du
                     deg[tv] = dv
-                    # tracker.graph_edge_removed's _retouch.
+                    # The graph-side _retouch.
                     approx = approx - abs(dis[tu].item()) - abs(dis[tv].item())
                     cu = cur[tu].item()
                     cv = cur[tv].item()
@@ -512,8 +436,8 @@ class IncrementalShedder:
                     raise ReductionError(
                         f"unknown churn op {kind!r} (expected 'insert' or 'delete')"
                     )
-                # _after_op, inlined.  Repair mutates tracker state through
-                # tracker methods: publish the running Δ first, re-read after.
+                # Repair mutates tracker state through tracker methods:
+                # publish the running Δ first, re-read after.
                 tracker._approx_delta = approx
                 if repair is not None:
                     counts = repair((tu, tv), (hint_u, hint_v))
@@ -601,7 +525,7 @@ class IncrementalShedder:
         """
         if self._graph.num_edges == 0:
             return  # nothing to shed; current (empty) G' is already exact
-        result = self._rebuild_shedder.reduce(self._graph, self._p)
+        result = self._shedder.reduce(self._graph, self._p)
         self._reduced = result.reduced
         for node in self._graph.nodes():
             self._reduced.add_node(node)
@@ -621,29 +545,6 @@ class IncrementalShedder:
         for a, b in self._graph.edges():  # deterministic insertion order
             if not reduced.has_edge(a, b):
                 self._reservoir.offer(_key(tracker.id_of(a), tracker.id_of(b)))
-
-    # ------------------------------------------------------------------
-    # Per-op epilogue
-    # ------------------------------------------------------------------
-
-    def _after_op(
-        self, touched: Tuple[int, int], hints: Tuple[bool, bool]
-    ) -> DriftDecision:
-        """Repair around ``touched``, consult the drift monitor, maybe rebuild."""
-        if self._repairer is not None:
-            counts = self._repairer.repair(touched, hints)
-            self.stats["demoted"] += counts["demoted"]
-            self.stats["promoted"] += counts["promoted"]
-            self.stats["swapped"] += counts["swapped"]
-        self.stats["ops"] += 1
-        decision = self._monitor.observe(
-            self._tracker.approx_delta, self._graph.num_nodes, self._graph.num_edges
-        )
-        if decision.rebuild:
-            self.rebuild()
-        else:
-            self._sync_versions()
-        return decision
 
     # ------------------------------------------------------------------
     # Out-of-band mutation detection

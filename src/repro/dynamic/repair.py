@@ -6,7 +6,7 @@ only at the touched nodes' incident edges plus a bounded random probe of
 the held-back reservoir — so its cost is O(deg) per op, never O(|E|).
 Three moves, applied in invariant-first order:
 
-1. **Demote** (``dis(w) > demote_threshold``): a deletion in ``G`` shrinks
+1. **Demote** (``dis(w) > 1``): a deletion in ``G`` shrinks
    ``p·deg(w)`` under a fixed kept degree, which can push ``dis(w)`` above
    the per-node guarantee a BM2 seed provides (``dis < 1``, Lemmas 1-2).
    Evicting the incident kept edge with the best (most negative) ``d_1``
@@ -17,21 +17,21 @@ Three moves, applied in invariant-first order:
    ``b(u) = [p·deg_G(u)]``.  Below-capacity means ``dis ≤ −1/2`` at both
    ends, so a capacity-based promotion never increases ``Δ`` and keeps
    BM2's Phase-1 admission invariant intact.
-3. **Swap** (``1/2 < dis(w) ≤ demote_threshold``): a bounded batch of
-   (kept incident edge out, reservoir candidate in) pairs is priced with
-   the shared vectorized :meth:`~repro.dynamic.DynamicDegreeTracker
-   .swap_change_ids` (exactly CRR's rewiring arithmetic); the best strictly
-   Δ-improving, capacity-feasible pair is applied.
+3. **Swap** (``1/2 < dis(w) ≤ 1``): a bounded batch of (kept incident
+   edge out, reservoir candidate in) pairs is priced with the shared
+   vectorized :meth:`~repro.dynamic.DynamicDegreeTracker.swap_change_ids`
+   (exactly CRR's rewiring arithmetic); the best strictly Δ-improving,
+   capacity-feasible pair is applied, at most one per repair call.
 
-All candidate orderings are over integer node ids (sorted) or the seeded
-reservoir sample — never raw set iteration order — so a seeded run replays
-identically.
+The move budgets are the module constants below; they are fixed, not
+settable.  All candidate orderings are over integer node ids (sorted) or
+the seeded reservoir sample — never raw set iteration order — so a seeded
+run replays identically.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -39,51 +39,31 @@ from repro.graph.graph import Graph
 from repro.streaming.shedder import EdgeReservoir
 from repro.dynamic.tracker import DynamicDegreeTracker
 
-__all__ = ["LocalRepairer", "RepairConfig"]
+__all__ = ["LocalRepairer"]
 
-#: Float-noise guard mirroring the offline engines' thresholds.
+#: Float-noise guard mirroring the offline engines' thresholds; a swap must
+#: also improve Δ by more than this.
 _EPSILON = 1e-9
-
-
-@dataclass(frozen=True)
-class RepairConfig:
-    """Knobs for :class:`LocalRepairer` (defaults match the benchmarks).
-
-    Attributes:
-        demote_threshold: per-node ``dis`` ceiling restored by demotion;
-            1.0 is the BM2 per-node guarantee (Phase 2 leaves every node
-            with ``dis < 1``), so a BM2-seeded maintainer preserves that
-            guarantee at every step.
-        promote_local: admit held-back incident edges of touched nodes
-            when both endpoints have spare capacity.
-        reservoir_probes: reservoir candidates probed for promotion per
-            repair call (bounded; stale entries found probing are dropped).
-            Local promotion does most of the Δ work under churn, so the
-            default probe budget is small.
-        probe_interval: reservoir probing runs on every ``probe_interval``-th
-            repair call (1 = every call).  Probing is a background drain of
-            leftover promotable edges — anything an op *newly* enables is
-            incident to a hinted node and caught by local promotion — so it
-            amortizes cleanly.
-        max_swaps_per_op: Δ-improving swaps applied per repair call.
-        swap_interval: surplus-node swap pricing runs on every
-            ``swap_interval``-th repair call (1 = every call).  Pricing is
-            the most expensive repair move and improving pairs are rare, so
-            it amortizes like probing does.
-        swap_out_candidates: kept incident edges priced per surplus node.
-        swap_in_candidates: reservoir candidates priced per surplus node.
-        min_improvement: a swap must beat this Δ gain (float-noise guard).
-    """
-
-    demote_threshold: float = 1.0
-    promote_local: bool = True
-    reservoir_probes: int = 2
-    probe_interval: int = 4
-    max_swaps_per_op: int = 1
-    swap_interval: int = 8
-    swap_out_candidates: int = 32
-    swap_in_candidates: int = 16
-    min_improvement: float = 1e-9
+#: Per-node ``dis`` ceiling restored by demotion.  1.0 is the BM2 per-node
+#: guarantee (Phase 2 leaves every node with ``dis < 1``), so a BM2-seeded
+#: maintainer preserves that guarantee at every step.
+_DEMOTE_THRESHOLD = 1.0
+#: Reservoir candidates probed for promotion per probing call (stale
+#: entries found probing are dropped).  Local promotion does most of the Δ
+#: work under churn, so the probe budget is small.
+_RESERVOIR_PROBES = 2
+#: Reservoir probing runs on every 4th repair call.  Probing is a
+#: background drain of leftover promotable edges — anything an op *newly*
+#: enables is incident to a hinted node and caught by local promotion — so
+#: it amortizes cleanly.
+_PROBE_INTERVAL = 4
+#: Surplus-node swap pricing runs on every 8th repair call.  Pricing is the
+#: most expensive repair move and improving pairs are rare, so it amortizes
+#: like probing does.
+_SWAP_INTERVAL = 8
+#: Kept incident edges and reservoir candidates priced per surplus node.
+_SWAP_OUT_CANDIDATES = 32
+_SWAP_IN_CANDIDATES = 16
 
 
 class LocalRepairer:
@@ -101,13 +81,11 @@ class LocalRepairer:
         reduced: Graph,
         tracker: DynamicDegreeTracker,
         reservoir: EdgeReservoir,
-        config: RepairConfig,
     ) -> None:
         self._graph = graph
         self._reduced = reduced
         self._tracker = tracker
         self._reservoir = reservoir
-        self._config = config
         self._calls = 0  # drives the probe/swap amortization intervals
 
     def rebind(self, reduced: Graph) -> None:
@@ -119,9 +97,7 @@ class LocalRepairer:
     # ------------------------------------------------------------------
 
     def repair(
-        self,
-        touched: Tuple[int, ...],
-        promote_hints: Optional[Tuple[bool, ...]] = None,
+        self, touched: Tuple[int, ...], promote_hints: Tuple[bool, ...]
     ) -> Dict[str, int]:
         """Run demote → promote → swap around ``touched``; return move counts.
 
@@ -129,9 +105,7 @@ class LocalRepairer:
         operation *increased* — only those (plus any node demotion freed
         capacity at) can have newly become able to admit a held-back
         incident edge, so the local-promotion scan is skipped elsewhere.
-        ``None`` scans every touched node (standalone use).
         """
-        config = self._config
         self._calls += 1
         counts = {"demoted": 0, "promoted": 0, "swapped": 0}
         demote_freed = []
@@ -140,22 +114,15 @@ class LocalRepairer:
             demote_freed.append(demoted > 0)
             counts["demoted"] += demoted
         for index, node_id in enumerate(touched):
-            if (
-                promote_hints is None
-                or promote_hints[index]
-                or demote_freed[index]
-            ):
+            if promote_hints[index] or demote_freed[index]:
                 counts["promoted"] += self._promote_local(node_id)
-        if self._calls % config.probe_interval == 0:
+        if self._calls % _PROBE_INTERVAL == 0:
             counts["promoted"] += self._promote_reservoir()
-        if self._calls % config.swap_interval == 0:
-            swaps_left = config.max_swaps_per_op
+        if self._calls % _SWAP_INTERVAL == 0:
             for node_id in touched:
-                if swaps_left <= 0:
+                if self._swap(node_id):
+                    counts["swapped"] += 1
                     break
-                applied = self._swap(node_id, swaps_left)
-                counts["swapped"] += applied
-                swaps_left -= applied
         return counts
 
     # ------------------------------------------------------------------
@@ -170,9 +137,9 @@ class LocalRepairer:
         return np.sort(np.asarray(ids, dtype=np.int64))
 
     def _demote(self, node_id: int) -> int:
-        """Evict best-``d_1`` kept edges until ``dis ≤ demote_threshold``."""
+        """Evict best-``d_1`` kept edges until ``dis ≤ 1``."""
         tracker = self._tracker
-        threshold = self._config.demote_threshold + _EPSILON
+        threshold = _DEMOTE_THRESHOLD + _EPSILON
         demoted = 0
         while tracker.dis(node_id) > threshold and tracker.kept_degree(node_id) > 0:
             neighbor_ids = self._kept_neighbor_ids(node_id)
@@ -186,8 +153,6 @@ class LocalRepairer:
 
     def _promote_local(self, node_id: int) -> int:
         """Admit held-back incident edges while capacities allow (best first)."""
-        if not self._config.promote_local:
-            return 0
         tracker = self._tracker
         spare = tracker.spare_capacity(node_id)
         if spare <= 0:
@@ -230,16 +195,15 @@ class LocalRepairer:
         Runs on every op, so the validity test is inlined over the graphs'
         adjacency dicts rather than going through :meth:`_valid_candidate`.
         """
-        probes = self._config.reservoir_probes
         reservoir = self._reservoir
-        if probes <= 0 or len(reservoir) == 0:
+        if len(reservoir) == 0:
             return 0
         tracker = self._tracker
         labels = tracker._labels
         graph_adj = self._graph._adj
         reduced_adj = self._reduced._adj
         promoted = 0
-        for key in reservoir.probe(probes):
+        for key in reservoir.probe(_RESERVOIR_PROBES):
             u, v = key
             lu, lv = labels[u], labels[v]
             if lv not in graph_adj[lu] or lv in reduced_adj[lu]:
@@ -251,44 +215,36 @@ class LocalRepairer:
                 promoted += 1
         return promoted
 
-    def _swap(self, node_id: int, budget: int) -> int:
-        """Best Δ-improving capacity-feasible (kept-out, reservoir-in) swaps."""
-        config = self._config
+    def _swap(self, node_id: int) -> bool:
+        """Apply the best Δ-improving capacity-feasible (kept-out, reservoir-in) swap."""
         tracker = self._tracker
-        applied = 0
-        while applied < budget and tracker.dis(node_id) > 0.5 + _EPSILON:
-            out_ids = self._kept_neighbor_ids(node_id)[: config.swap_out_candidates]
-            in_keys = [
-                key
-                for key in self._reservoir.probe(config.swap_in_candidates)
-                if self._valid_candidate(*key)
-            ]
-            if out_ids.shape[0] == 0 or not in_keys:
-                break
-            num_out, num_in = out_ids.shape[0], len(in_keys)
-            out_u = np.repeat(np.full(num_out, node_id, dtype=np.int64), num_in)
-            out_v = np.repeat(out_ids, num_in)
-            in_u = np.tile(np.asarray([a for a, _ in in_keys], dtype=np.int64), num_out)
-            in_v = np.tile(np.asarray([b for _, b in in_keys], dtype=np.int64), num_out)
-            changes = tracker.swap_change_ids(out_u, out_v, in_u, in_v)
-            best = None
-            for k in np.argsort(changes, kind="stable").tolist():
-                if changes[k] >= -config.min_improvement:
-                    break
-                if self._swap_feasible(
-                    int(out_u[k]), int(out_v[k]), int(in_u[k]), int(in_v[k])
-                ):
-                    best = k
-                    break
-            if best is None:
-                break
-            ou, ov = int(out_u[best]), int(out_v[best])
-            iu, iv = int(in_u[best]), int(in_v[best])
-            self._evict(ou, ov)
-            self._reservoir.discard(_key(iu, iv))
-            self._admit(iu, iv)
-            applied += 1
-        return applied
+        if tracker.dis(node_id) <= 0.5 + _EPSILON:
+            return False
+        out_ids = self._kept_neighbor_ids(node_id)[:_SWAP_OUT_CANDIDATES]
+        in_keys = [
+            key
+            for key in self._reservoir.probe(_SWAP_IN_CANDIDATES)
+            if self._valid_candidate(*key)
+        ]
+        if out_ids.shape[0] == 0 or not in_keys:
+            return False
+        num_out, num_in = out_ids.shape[0], len(in_keys)
+        out_u = np.repeat(np.full(num_out, node_id, dtype=np.int64), num_in)
+        out_v = np.repeat(out_ids, num_in)
+        in_u = np.tile(np.asarray([a for a, _ in in_keys], dtype=np.int64), num_out)
+        in_v = np.tile(np.asarray([b for _, b in in_keys], dtype=np.int64), num_out)
+        changes = tracker.swap_change_ids(out_u, out_v, in_u, in_v)
+        for k in np.argsort(changes, kind="stable").tolist():
+            if changes[k] >= -_EPSILON:
+                return False
+            ou, ov = int(out_u[k]), int(out_v[k])
+            iu, iv = int(in_u[k]), int(in_v[k])
+            if self._swap_feasible(ou, ov, iu, iv):
+                self._evict(ou, ov)
+                self._reservoir.discard(_key(iu, iv))
+                self._admit(iu, iv)
+                return True
+        return False
 
     # ------------------------------------------------------------------
     # Shared mutation plumbing

@@ -13,9 +13,11 @@ mirror the live graph's insertion order) and maintains both sides of
 ``dis`` per operation:
 
 * a **graph-side** event (edge inserted into / deleted from ``G``) moves
-  ``p·deg``;
+  ``p·deg``; :meth:`~repro.dynamic.IncrementalShedder.apply_ops` writes
+  these inline, on the arrays, as its hot path;
 * a **kept-side** event (edge admitted to / evicted from ``G'``) moves
-  ``current``.
+  ``current`` through :meth:`DynamicDegreeTracker.kept_edge_added` /
+  :meth:`DynamicDegreeTracker.kept_edge_removed`.
 
 Every touched ``dis`` slot is rewritten as ``current − p·deg`` — the exact
 product-and-subtract a from-scratch :func:`repro.core.compute_delta` would
@@ -57,9 +59,10 @@ _MIN_CAPACITY = 16
 class DynamicDegreeTracker:
     """Per-node ``deg_G`` / ``deg_G'`` / ``dis`` arrays under live churn.
 
-    Construct from the *current* original graph and the reduced edge set
-    (any iterable of edges); thereafter the owner reports every mutation
-    through the four event methods.  The tracker never touches the graphs
+    Construct from the *current* original graph, then seed the kept side
+    with :meth:`reset_kept`; thereafter the owner reports every mutation
+    (graph-side ones inline on the arrays, kept-side ones through the two
+    event methods).  The tracker never touches the graphs
     themselves — it is pure bookkeeping, and
     :class:`~repro.dynamic.IncrementalShedder` is the component that keeps
     the graphs and this state in lockstep.
@@ -185,15 +188,14 @@ class DynamicDegreeTracker:
         return np.floor(self._p * self._deg[ids] + 0.5).astype(np.int64)
 
     # ------------------------------------------------------------------
-    # Events (the owner reports each graph / kept-set mutation once)
+    # Kept-side events (the owner reports each G' mutation once)
     # ------------------------------------------------------------------
 
     def _retouch(self, u: int, v: int) -> None:
         """Rewrite two dis slots from their exact sides; update running Δ.
 
         The ``.item()`` pulls convert numpy scalars to native Python numbers
-        up front so the arithmetic below runs on the fast scalar path — this
-        is the single most-called method under churn.
+        up front so the arithmetic below runs on the fast scalar path.
         """
         dis, current, deg, p = self._dis, self._current, self._deg, self._p
         delta = self._approx_delta - abs(dis[u].item()) - abs(dis[v].item())
@@ -202,18 +204,6 @@ class DynamicDegreeTracker:
         dis[u] = new_u
         dis[v] = new_v
         self._approx_delta = delta + abs(new_u) + abs(new_v)
-
-    def graph_edge_added(self, u: int, v: int) -> None:
-        """An edge joined ``G``: both expectations rise by ``p``."""
-        self._deg[u] += 1
-        self._deg[v] += 1
-        self._retouch(u, v)
-
-    def graph_edge_removed(self, u: int, v: int) -> None:
-        """An edge left ``G``: both expectations drop by ``p``."""
-        self._deg[u] -= 1
-        self._deg[v] -= 1
-        self._retouch(u, v)
 
     def kept_edge_added(self, u: int, v: int) -> None:
         """An edge was admitted to ``G'``."""

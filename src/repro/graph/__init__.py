@@ -24,7 +24,6 @@ from repro.graph.clustering import (
     local_clustering,
     triangle_count,
 )
-from repro.graph.centrality_extra import closeness_centrality, eigenvector_centrality
 from repro.graph.communities import (
     label_propagation,
     modularity,
@@ -136,8 +135,6 @@ __all__ = [
     "top_edges_by_betweenness",
     "parallel_edge_betweenness",
     "parallel_node_betweenness",
-    "closeness_centrality",
-    "eigenvector_centrality",
     # communities
     "label_propagation",
     "modularity",

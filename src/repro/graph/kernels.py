@@ -35,8 +35,7 @@ Key representation choices:
 The functions here speak integer node ids and raw (unnormalised,
 both-directions) scores.  Normalisation conventions, label mapping, and
 seeded source sampling live in the wrappers
-(:mod:`repro.graph.centrality`, :mod:`repro.graph.shortest_paths`,
-:mod:`repro.graph.centrality_extra`).
+(:mod:`repro.graph.centrality`, :mod:`repro.graph.shortest_paths`).
 """
 
 from __future__ import annotations

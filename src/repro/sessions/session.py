@@ -48,12 +48,12 @@ from typing import Any, Dict, List, Optional
 
 from repro.core.base import ReductionResult
 from repro.core.progressive import rescore_result
-from repro.dynamic.drift import DriftDecision
+from repro.dynamic.drift import DriftDecision, DriftMonitor
 from repro.dynamic.maintainer import ChurnOp, IncrementalShedder
-from repro.dynamic.repair import RepairConfig
 from repro.errors import SessionError
 from repro.graph.io import graph_from_payload, graph_to_payload
 from repro.service.admission import BudgetLedger
+from repro.service.request import KNOWN_METHODS
 from repro.service.store import ArtifactKey, ArtifactStore
 from repro.service.metrics import (
     MetricsRegistry,
@@ -75,6 +75,9 @@ APPLY = "apply"
 SHED = "shed"
 REJECT = "reject"
 
+#: The churn op kinds :meth:`StreamSession.submit` accepts.
+_OP_KINDS = frozenset(("insert", "delete"))
+
 
 @dataclass(frozen=True)
 class SessionConfig:
@@ -89,9 +92,9 @@ class SessionConfig:
             (accepted so existing configurations keep working).
         seed: routed to the maintainer's reservoir; seeded sessions
             replay identically.
-        repair: :class:`~repro.dynamic.RepairConfig` for localized repair,
-            or ``None`` for pure admit/evict mode (the high-throughput
-            configuration).
+        repair: run the maintainer's localized repair pass after every op
+            (default), or switch it off for pure admit/evict mode (the
+            high-throughput configuration).
         drift_ratio / drift_hysteresis / drift_cooldown_ops: the
             :class:`~repro.dynamic.DriftMonitor` policy.
         reservoir_size: held-back edge pool capacity.
@@ -113,7 +116,7 @@ class SessionConfig:
     method: str = "bm2"
     engine: str = "array"
     seed: int = 0
-    repair: Optional[RepairConfig] = RepairConfig()
+    repair: bool = True
     drift_ratio: float = 1.0
     drift_hysteresis: float = 0.9
     drift_cooldown_ops: int = 0
@@ -126,9 +129,27 @@ class SessionConfig:
     label: str = ""
 
     def validate(self) -> None:
-        """Raise :class:`~repro.errors.SessionError` for unusable knobs."""
-        if not 0.0 < float(self.p) < 1.0:
-            raise SessionError(f"p must be in (0, 1), got {self.p!r}")
+        """Raise :class:`~repro.errors.SessionError` for unusable knobs.
+
+        ``p`` and the drift knobs go through
+        :class:`~repro.dynamic.DriftMonitor`'s own range checks, and
+        ``method`` must be a :data:`~repro.service.KNOWN_METHODS` key, so
+        a bad config fails here, before any graph is loaded or budgeted.
+        """
+        try:
+            DriftMonitor(
+                self.p,
+                drift_ratio=self.drift_ratio,
+                hysteresis=self.drift_hysteresis,
+                cooldown_ops=self.drift_cooldown_ops,
+            )
+        except (TypeError, ValueError) as error:
+            raise SessionError(f"unusable p or drift policy: {error}") from None
+        if not isinstance(self.method, str) or self.method.lower() not in KNOWN_METHODS:
+            raise SessionError(
+                f"unknown method {self.method!r} "
+                f"(expected one of {', '.join(KNOWN_METHODS)})"
+            )
         if self.engine != "array":
             raise SessionError(f"engine must be 'array', got {self.engine!r}")
         if self.inbox_capacity < 1:
@@ -148,6 +169,10 @@ class SessionConfig:
             )
         if self.ledger_chunk < 1:
             raise SessionError(f"ledger_chunk must be >= 1, got {self.ledger_chunk}")
+        if self.reservoir_size < 0:
+            raise SessionError(
+                f"reservoir_size must be >= 0, got {self.reservoir_size}"
+            )
 
 
 @dataclass
@@ -249,13 +274,34 @@ class StreamSession:
 
         Returns a :class:`SubmitReceipt` accounting for every op — the
         session never drops silently.  Raises
-        :class:`~repro.errors.SessionError` on a closed or failed session.
+        :class:`~repro.errors.SessionError` on a closed or failed session,
+        and for a batch holding a malformed op: anything but an
+        ``("insert" | "delete", u, v)`` triple with hashable ``u`` and
+        ``v``.  A malformed batch is refused whole — nothing is enqueued
+        and the session stays healthy.  Well-formed ops are enqueued as
+        tuples; self-loops and deletes of absent edges are well-formed,
+        and the drain counts them as skipped.
         """
         self._ensure_healthy()
+        triples: List[ChurnOp] = []
+        for index, op in enumerate(ops):
+            try:
+                kind, u, v = op
+                if kind in _OP_KINDS:
+                    hash(u)
+                    hash(v)
+                    triples.append((kind, u, v))
+                    continue
+            except (TypeError, ValueError):
+                pass
+            raise SessionError(
+                f"session {self.session_id}: op #{index} {op!r} is not an "
+                "('insert' | 'delete', u, v) churn op with hashable u, v"
+            )
         receipt = SubmitReceipt(state=self._state)
         inbox = self._inbox
         put = inbox.put_nowait
-        for op in ops:
+        for op in triples:
             state = self._advance_state(inbox.qsize())
             if state is REJECT:
                 receipt.rejected += 1

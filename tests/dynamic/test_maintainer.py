@@ -3,10 +3,11 @@
 import pytest
 
 from repro.core import compute_delta
-from repro.dynamic import DriftMonitor, IncrementalShedder, RepairConfig
+from repro.dynamic import DriftMonitor, IncrementalShedder
 from repro.errors import EdgeNotFoundError, ReductionError, SelfLoopError
 from repro.graph import Graph, paper_figure1_graph
 from repro.graph.generators import erdos_renyi
+from tests.oracles import dynamic as oracle
 from tests.oracles.core import LegacyBM2Shedder
 
 
@@ -102,13 +103,21 @@ class TestApplyAndReplay:
         with pytest.raises(ReductionError):
             shed.apply(("frobnicate", 1, 2))
 
-    def test_replay_collects_latencies(self, small_er):
+    def test_apply_ops_reports_batch(self, small_er):
         shed = IncrementalShedder(small_er, 0.5, seed=0)
         ops = [("insert", "a", "b"), ("insert", "b", "c"), ("delete", "a", "b")]
-        latencies = shed.replay(ops, collect_latencies=True)
-        assert len(latencies) == 3
-        assert all(t >= 0 for t in latencies)
-        assert shed.replay([], collect_latencies=False) is None
+        report = shed.apply_ops(ops)
+        assert (report.applied, report.skipped, report.rebuilds) == (3, 0, 0)
+        assert report.decision.delta == shed.tracker.approx_delta
+        assert shed.stats["ops"] == 3
+        empty = shed.apply_ops([])
+        assert (empty.applied, empty.decision) == (0, None)
+
+    def test_apply_returns_the_per_op_decision(self, small_er):
+        shed = IncrementalShedder(small_er, 0.5, seed=0)
+        twin = IncrementalShedder(small_er.copy(), 0.5, seed=0)
+        for op in [("insert", "a", "b"), ("delete", "a", "b")]:
+            assert shed.apply(op) == oracle.apply(twin, op)
 
 
 class TestRepairAndStats:
@@ -121,7 +130,7 @@ class TestRepairAndStats:
         assert stats["admitted"] + stats["rejected"] == 20
 
     def test_no_repair_mode(self, small_er):
-        shed = IncrementalShedder(small_er, 0.5, repair=None, seed=0)
+        shed = IncrementalShedder(small_er, 0.5, repair=False, seed=0)
         u, v = next(iter(shed.reduced.edges()))
         shed.delete(u, v)
         assert shed.stats["promoted"] == 0
@@ -160,11 +169,13 @@ class TestRebuild:
         assert shed.delta == 0.0
 
     def test_custom_rebuild_shedder_used(self, small_er):
+        """Rebuilds re-run the shedder that produced the seed reduction."""
         legacy = LegacyBM2Shedder()
-        shed = IncrementalShedder(
-            small_er, 0.5, rebuild_shedder=legacy, seed=0
-        )
+        shed = IncrementalShedder(small_er, 0.5, legacy, seed=0)
+        shed.delete(*next(iter(small_er.edges())))
         shed.rebuild()
+        expected = legacy.reduce(shed.graph, 0.5).reduced
+        assert list(shed.reduced.edges()) == list(expected.edges())
         assert shed.delta == compute_delta(shed.graph, shed.reduced, 0.5)
 
 

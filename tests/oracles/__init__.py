@@ -8,6 +8,8 @@ in ``src/`` does.
 
 * :mod:`tests.oracles.core` — dict ``DegreeTracker``, greedy b-matching,
   the Algorithm 3 heap, and label-space CRR/BM2 shedders;
+* :mod:`tests.oracles.dynamic` — the per-op churn ``insert``/``delete``
+  that ``IncrementalShedder.apply_ops`` is pinned against;
 * :mod:`tests.oracles.graph` — dict Brandes betweenness, per-node
   label propagation with its ``Counter`` stopping check, and the
   per-edge graph constructions (line-by-line

@@ -101,7 +101,7 @@ def test_seeded_replay_is_deterministic(scenario):
     runs = []
     for _ in range(2):
         shed = IncrementalShedder(g.copy(), p, seed=7)
-        shed.replay(list(ops))
+        shed.apply_ops(list(ops))
         runs.append(
             (shed.delta, sorted(map(repr, shed.reduced.edges())), dict(shed.stats))
         )
@@ -115,7 +115,7 @@ def test_tracker_matches_graphs_after_churn(scenario):
     g, p, workload, workload_seed, num_ops = scenario
     ops = generate_workload(workload, g, num_ops, seed=workload_seed)
     shed = IncrementalShedder(g, p, seed=0)
-    shed.replay(ops)
+    shed.apply_ops(ops)
     tracker = shed.tracker
     assert tracker.num_nodes == shed.graph.num_nodes
     for node in shed.graph.nodes():
@@ -134,7 +134,7 @@ def test_fresh_tracker_agrees_with_maintained_one(scenario):
     g, p, workload, workload_seed, num_ops = scenario
     ops = generate_workload(workload, g, num_ops, seed=workload_seed)
     shed = IncrementalShedder(g, p, seed=0)
-    shed.replay(ops)
+    shed.apply_ops(ops)
     fresh = DynamicDegreeTracker(shed.graph, p)
     fresh.reset_kept(shed.reduced)
     assert fresh.exact_delta() == shed.tracker.exact_delta()

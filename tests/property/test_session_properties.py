@@ -3,14 +3,17 @@
 The contracts (ISSUE: streaming sessions acceptance):
 
 * :meth:`IncrementalShedder.apply_ops` is **bit-identical** to the
-  per-op ``insert``/``delete`` loop for every workload shape and every
-  batch split — same ``G``, same ``G'``, same Δ, same stats, same
-  reservoir, same drift-monitor state;
-* ``skip_invalid=True`` equals a per-op loop that swallows the same
-  per-op exceptions, with the skip count surfaced in the report;
+  per-op ``insert``/``delete`` reference in :mod:`tests.oracles.dynamic`
+  for every workload shape and every batch split — same ``G``, same
+  ``G'``, same Δ, same stats, same reservoir, same drift-monitor state;
+* ``skip_invalid=True`` equals a per-op reference loop that swallows the
+  same per-op exceptions, with the skip count surfaced in the report;
 * a paced :class:`StreamSession` fed the same seeded op sequence lands
   on the same fingerprint as the direct drive (sampled more lightly —
-  each example spins an event loop).
+  each example spins an event loop);
+* a fuzzed submit either refuses its whole batch with ``SessionError``
+  and enqueues nothing, or is applied with the session healthy and its
+  ledger charge intact.
 
 Scenarios draw weighted and unweighted graphs alike, and the fingerprint
 includes both graphs' weight maps: on a weighted ``G`` the batched path
@@ -24,10 +27,12 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.dynamic import generate_workload
-from repro.errors import ReproError
+from repro.errors import ReproError, SessionError
 from repro.graph import Graph
+from repro.graph.generators import erdos_renyi
 from repro.sessions import SessionConfig, SessionManager
 from repro.uncertain import attach_random_weights
+from tests.oracles import dynamic as oracle
 
 
 def _fingerprint(shedder):
@@ -104,9 +109,9 @@ def test_apply_ops_bit_identical_to_per_op_loop(scenario):
     _, per_op, _ = _build(n, edges, p, drift_ratio, weighted)
     for kind, u, v in ops:
         if kind == "insert":
-            per_op.insert(u, v)
+            oracle.insert(per_op, u, v)
         else:
-            per_op.delete(u, v)
+            oracle.delete(per_op, u, v)
 
     _, batched, _ = _build(n, edges, p, drift_ratio, weighted)
     applied = 0
@@ -147,9 +152,9 @@ def test_apply_ops_skip_invalid_equals_per_op_skip_loop(scenario, noise_seed):
     for kind, u, v in noisy:
         try:
             if kind == "insert":
-                per_op.insert(u, v)
+                oracle.insert(per_op, u, v)
             else:
-                per_op.delete(u, v)
+                oracle.delete(per_op, u, v)
         except ReproError:
             skipped_ref += 1
 
@@ -176,7 +181,7 @@ def test_paced_session_matches_direct_drive(scenario):
     ops = generate_workload(workload, g_ref, num_ops, seed=workload_seed)
 
     graph, direct, config = _build(n, edges, p, drift_ratio, weighted)
-    direct.replay(ops)
+    oracle.replay(direct, ops)
     reference = _fingerprint(direct)
 
     async def live():
@@ -191,3 +196,46 @@ def test_paced_session_matches_direct_drive(scenario):
             return fingerprint
 
     assert asyncio.run(live()) == reference
+
+
+_LABEL = st.integers(0, 11)
+_KIND = st.sampled_from(["insert", "delete"])
+_FUZZ_OP = st.one_of(
+    # Well-formed: fresh or duplicate inserts, live or stale deletes, self-loops.
+    st.tuples(_KIND, _LABEL, _LABEL),
+    st.tuples(st.sampled_from(["upsert", "INSERT", "", None, 3]), _LABEL, _LABEL),
+    st.tuples(_KIND, _LABEL),
+    st.tuples(_KIND, _LABEL, _LABEL, _LABEL),
+    st.tuples(_KIND, st.lists(_LABEL, max_size=2), _LABEL),
+    st.tuples(_KIND, _LABEL, st.sets(_LABEL, max_size=2)),
+    st.text(max_size=4),
+    st.none(),
+)
+
+
+@given(st.lists(st.lists(_FUZZ_OP, max_size=8), min_size=1, max_size=6))
+@settings(max_examples=40, deadline=None)
+def test_fuzzed_submit_refuses_whole_batch_or_applies_it(batches):
+    async def live():
+        async with SessionManager() as manager:
+            session = await manager.open(
+                config=SessionConfig(p=0.5, seed=0), graph=erdos_renyi(12, 0.3, seed=1)
+            )
+            try:
+                for batch in batches:
+                    depth = session.telemetry()["backpressure"]["depth"]
+                    try:
+                        session.submit(batch)
+                    except SessionError:
+                        assert session.telemetry()["backpressure"]["depth"] == depth
+                        assert session.failed is None
+                        continue
+                    await session.flush(timeout=10.0)
+                    assert session.failed is None
+                    assert manager.ledger.in_use == session.charge
+            finally:
+                # Forced: a drain worker killed by a bad op must not hang the close.
+                await manager.close_session(session, force=True)
+            assert manager.ledger.in_use == 0
+
+    asyncio.run(live())

@@ -2,7 +2,8 @@
 
 * a paced session (never trips backpressure) produces ``G``/``G'``/Δ/
   stats **bit-identical** to driving :class:`IncrementalShedder`
-  directly with the same op sequence;
+  directly, one op at a time through the per-op reference in
+  :mod:`tests.oracles.dynamic`, with the same op sequence;
 * concurrent sessions produce exactly their serial per-session results;
 * drift monitors re-arm independently: interleaving sessions does not
   perturb any session's rebuild schedule.
@@ -17,6 +18,7 @@ from repro.graph import Graph
 from repro.graph.generators import erdos_renyi, powerlaw_cluster
 from repro.graph.io import graph_from_payload, graph_to_payload
 from repro.sessions import SessionConfig, SessionManager
+from tests.oracles import dynamic as oracle
 
 
 def _fingerprint(shedder):
@@ -37,7 +39,7 @@ def _fingerprint(shedder):
 def _direct_drive(graph: Graph, config: SessionConfig, ops):
     """The reference run: the manager's own construction, per-op replay."""
     shedder = SessionManager._build_shedder(graph, config)
-    shedder.replay(ops)
+    oracle.replay(shedder, ops)
     return _fingerprint(shedder)
 
 
@@ -82,7 +84,7 @@ class TestSessionEqualsDirect:
 
     def test_no_repair_config_also_identical(self):
         base = erdos_renyi(70, 0.1, seed=4)
-        config = SessionConfig(p=0.4, seed=1, repair=None)
+        config = SessionConfig(p=0.4, seed=1, repair=False)
         g1, g2 = _copies(base, 2)
         ops = generate_workload("mixed", g1, 500, seed=31)
         direct = _direct_drive(g1, config, ops)

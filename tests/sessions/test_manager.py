@@ -120,6 +120,27 @@ class TestBudgetAudit:
 
         run(main())
 
+    def test_bad_config_refused_before_graph_or_ledger(self):
+        calls = []
+
+        def loader(ref, seed):
+            calls.append(ref)
+            return erdos_renyi(60, 0.1, seed=42)
+
+        async def main():
+            async with SessionManager(graph_loader=loader) as manager:
+                for config in (
+                    SessionConfig(p=0.5, method="nope"),
+                    SessionConfig(p=0.5, drift_ratio=-1.0),
+                    SessionConfig(p=0.5, reservoir_size=-1),
+                ):
+                    with pytest.raises(SessionError):
+                        await manager.open(config=config, graph_ref="dataset:x")
+                assert manager.ledger.in_use == 0
+
+        run(main())
+        assert calls == []
+
     def test_failed_build_releases_charge(self, small_er, monkeypatch):
         def boom(graph, config):
             raise RuntimeError("seed reduction exploded")

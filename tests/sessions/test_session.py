@@ -49,11 +49,55 @@ class TestSessionConfig:
             {"p": 0.5, "apply_watermark": 0.8, "shed_watermark": 0.7},
             {"p": 0.5, "ledger_chunk": 0},
             {"p": 0.5, "engine": "legacy"},
+            {"p": "half"},
+            {"p": 0.5, "method": "nope"},
+            {"p": 0.5, "method": None},
+            {"p": 0.5, "reservoir_size": -1},
+            {"p": 0.5, "drift_ratio": 0.0},
+            {"p": 0.5, "drift_ratio": "high"},
+            {"p": 0.5, "drift_hysteresis": 0.0},
+            {"p": 0.5, "drift_hysteresis": 1.5},
+            {"p": 0.5, "drift_cooldown_ops": -1},
         ],
     )
     def test_bad_knobs_rejected(self, kwargs):
         with pytest.raises(SessionError):
             SessionConfig(**kwargs).validate()
+
+
+class TestSubmitChecks:
+    @pytest.mark.parametrize(
+        "bad_op",
+        [
+            ("upsert", 1, 2),
+            ("insert", 1),
+            ("delete", 1, 2, 3),
+            ("insert", [1], 2),
+            ("delete", 1, {2: 3}),
+            "insert",
+            None,
+        ],
+    )
+    def test_malformed_op_refuses_whole_batch(self, small_er, bad_op):
+        session, ledger = _make_session(small_er, SessionConfig(p=0.5))
+        with pytest.raises(SessionError, match="op #1"):
+            session.submit([("insert", 100, 101), bad_op])
+        assert session.telemetry()["backpressure"]["depth"] == 0
+        assert session.failed is None
+        assert session.submit([("insert", 100, 101)]).accepted == 1
+
+    def test_list_ops_are_enqueued_as_tuples(self, small_er):
+        session, _ = _make_session(small_er, SessionConfig(p=0.5))
+        session.submit([["insert", 100, 101]])
+        assert session._drain_batch() == [("insert", 100, 101)]
+
+    def test_stale_ops_are_well_formed(self, small_er):
+        session, _ = _make_session(small_er, SessionConfig(p=0.5))
+        receipt = session.submit([("insert", 7, 7), ("delete", "ghost", "edge")])
+        assert receipt.accepted == 2
+        session._apply_batch(session._drain_batch())
+        assert session.failed is None
+        assert session.telemetry()["ops"]["skipped_stale"] == 2
 
 
 class TestBackpressure:

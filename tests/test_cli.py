@@ -457,6 +457,40 @@ class TestSessionCommand:
         assert [job["label"] for job in payload["jobs"]] == ["alpha", "beta"]
         assert payload["jobs"][0]["ops"]["applied"] == 150
 
+    @staticmethod
+    def _jobs_with_bad_second(tmp_path, **bad):
+        good = {"dataset": "ca-grqc", "scale": 0.02, "p": 0.5, "ops": 100}
+        jobs = tmp_path / "jobs.json"
+        jobs.write_text(
+            json.dumps([dict(good, label="good"), dict(good, label="bad", **bad)])
+        )
+        return ["serve", "--jobs", str(jobs), "--mode", "stream"]
+
+    def test_serve_stream_bad_method_fails_only_its_job(self, tmp_path, capsys):
+        argv = self._jobs_with_bad_second(tmp_path, method="nope")
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert "[good] ok: applied=100" in out
+        assert "[bad] open failed: unknown method 'nope'" in out
+        assert "served 2 streaming jobs (1 failed)" in out
+
+    def test_serve_stream_bad_churn_exits_before_any_job(self, tmp_path, capsys):
+        argv = self._jobs_with_bad_second(tmp_path, churn="bogus")
+        with pytest.raises(SystemExit, match="job #1: unknown churn shape 'bogus'"):
+            main(argv)
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "bad",
+        [{"p": "half"}, {"seed": "x"}, {"scale": "big"}, {"ops": 2.5}, {"batch": "k"}],
+    )
+    def test_serve_stream_non_numeric_knob_exits(self, tmp_path, capsys, bad):
+        argv = self._jobs_with_bad_second(tmp_path, **bad)
+        (key,) = bad
+        with pytest.raises(SystemExit, match=f"job #1: '{key}' must be"):
+            main(argv)
+        assert capsys.readouterr().out == ""
+
     def test_submit_rejects_stream_mode(self):
         with pytest.raises(SystemExit, match="serve"):
             main(
@@ -545,6 +579,14 @@ class TestServiceCommands:
     def test_serve_missing_jobs_file(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["serve", "--jobs", str(tmp_path / "nope.json")])
+
+    def test_serve_non_numeric_p_exits_before_any_job(self, tmp_path, capsys):
+        jobs = tmp_path / "jobs.json"
+        good = {"dataset": "ca-grqc", "scale": 0.02, "method": "random"}
+        jobs.write_text(json.dumps([dict(good, p=0.5), dict(good, p="half")]))
+        with pytest.raises(SystemExit, match="job #1: 'p' must be a number"):
+            main(["serve", "--jobs", str(jobs)])
+        assert capsys.readouterr().out == ""
 
     def test_serve_rejects_non_list(self, tmp_path):
         jobs = tmp_path / "jobs.json"
