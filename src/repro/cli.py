@@ -930,7 +930,14 @@ def _whole(value: Any) -> int:
 
 
 #: Jobs-file knobs and the conversion the commands apply to each.
-_JOB_KNOBS = (("p", float), ("seed", int), ("scale", float))
+_JOB_KNOBS = (
+    ("p", float),
+    ("seed", int),
+    ("scale", float),
+    ("priority", _whole),
+    ("deadline_seconds", float),
+    ("sources", _whole),
+)
 _STREAM_JOB_KNOBS = (("ops", _whole), ("batch", _whole))
 
 
@@ -1059,9 +1066,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 method=spec.get("method", "bm2"),
                 graph_ref=ref,
                 seed=int(spec.get("seed", args.seed)),
-                num_sources=spec.get("sources"),
-                priority=int(spec.get("priority", 0)),
-                deadline_seconds=spec.get("deadline_seconds"),
+                num_sources=_whole(spec["sources"]) if "sources" in spec else None,
+                priority=_whole(spec.get("priority", 0)),
+                deadline_seconds=(
+                    float(spec["deadline_seconds"]) if "deadline_seconds" in spec else None
+                ),
                 label=spec.get("label", f"job-{index}"),
             )
         )

@@ -478,7 +478,8 @@ def weighted_bipartite_repair_ids(
 class BM2Shedder(EdgeShedder):
     """Algorithm 2: rounded b-matching plus bipartite deficit repair.
 
-    Both phases run over flat CSR-id arrays (:func:`bm2_reduce_ids`):
+    Both phases run over flat CSR-id arrays (:meth:`reduce_ids`, which
+    calls :func:`bm2_reduce_ids` with this shedder's settings):
     vectorized capacity rounding, the greedy b-matching scan
     (:func:`greedy_b_matching_ids`), boolean-mask A/B grouping and
     candidate orientation, then Algorithm 3 (:func:`bipartite_repair_ids`).
@@ -527,12 +528,19 @@ class BM2Shedder(EdgeShedder):
         self.sparsify_beta = sparsify_beta
         self._seed = seed
 
-    def _reduce(self, graph: Graph, p: float) -> Tuple[Graph, Dict[str, Any]]:
-        csr = graph.csr()
-        stats: Dict[str, Any] = {"capacity_rounding": self.rounding}
+    def reduce_ids(
+        self, csr: "CSRAdjacency", p: float, stats: Dict[str, Any]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Both phases over a CSR snapshot, returning kept edge ids.
+
+        :func:`bm2_reduce_ids` bound to this shedder's settings; ``csr`` is
+        a whole-graph snapshot or a per-shard
+        :class:`~repro.graph.csr.CSRView` (the sharded runner's case).
+        """
+        stats["capacity_rounding"] = self.rounding
         if self.weighted:
             stats["weighted"] = True
-        kept_u, kept_v = bm2_reduce_ids(
+        return bm2_reduce_ids(
             csr,
             p,
             stats,
@@ -544,6 +552,11 @@ class BM2Shedder(EdgeShedder):
             sparsify_beta=self.sparsify_beta,
             weighted=self.weighted,
         )
+
+    def _reduce(self, graph: Graph, p: float) -> Tuple[Graph, Dict[str, Any]]:
+        csr = graph.csr()
+        stats: Dict[str, Any] = {}
+        kept_u, kept_v = self.reduce_ids(csr, p, stats)
         return csr.subgraph_from_edge_ids(kept_u, kept_v), stats
 
 
@@ -561,8 +574,9 @@ def bm2_reduce_ids(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Both BM2 phases over a CSR snapshot, returning kept edge ids.
 
-    The id-native core behind :class:`BM2Shedder`; the snapshot may equally be a per-shard :class:`repro.graph.csr.CSRView`,
-    in which case capacities round the shard's interior degrees and the
+    The id-native core behind :meth:`BM2Shedder.reduce_ids`; the snapshot
+    may equally be a per-shard :class:`repro.graph.csr.CSRView`, in
+    which case capacities round the shard's interior degrees and the
     repair runs against shard-local discrepancies.  Kept edges come back
     as ``(u_ids, v_ids)`` — matched edges in scan order followed by the
     repair selections (repair pairs are oriented A-side first, which

@@ -25,8 +25,7 @@ Faithfulness notes:
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -41,13 +40,7 @@ from repro.graph.centrality import top_edge_ids_by_betweenness
 from repro.graph.graph import Edge, Graph
 from repro.rng import RandomState, ensure_rng
 
-__all__ = ["CRRShedder", "IndexedEdgePool", "ImportanceFn", "crr_reduce_ids"]
-
-#: Custom Phase-1 ranking signal: maps a graph to per-edge scores.
-ImportanceFn = Callable[[Graph], Mapping[Edge, float]]
-
-#: Phase-1 selection in id space: ``(target, rng) -> (kept_u, kept_v)``.
-IdRanking = Callable[[int, np.random.Generator], Tuple[np.ndarray, np.ndarray]]
+__all__ = ["CRRShedder", "IndexedEdgePool"]
 
 #: A swap must improve Δ by more than this to be accepted; filters float
 #: noise that would otherwise let mathematically-zero-change swaps through.
@@ -110,9 +103,10 @@ class IndexedEdgePool:
 class CRRShedder(EdgeShedder):
     """Algorithm 1: betweenness-ranked selection + Δ-reducing rewiring.
 
-    Both phases run over the graph's CSR snapshot (:func:`crr_reduce_ids`):
-    Phase 1 ranks edge ids, and Phase 2 rewires flat id arrays with
-    block-drawn swap candidates and batched Δ-change evaluation.
+    Both phases run over the graph's CSR snapshot (:meth:`reduce_ids`):
+    Phase 1 ranks edge ids (:func:`crr_initial_ids`), and Phase 2 rewires
+    flat id arrays with block-drawn swap candidates and batched Δ-change
+    evaluation (:func:`crr_rewire_ids`).
 
     Args:
         steps: explicit number of rewiring iterations.  ``None`` (default)
@@ -121,10 +115,8 @@ class CRRShedder(EdgeShedder):
         num_betweenness_sources: if set, estimate edge betweenness from this
             many sampled sources instead of exactly (for large graphs).
         importance: Phase 1's edge-importance signal — ``"betweenness"``
-            (the paper's choice, default), ``"random"`` (the ablation that
-            isolates what the ranking buys), or a callable
-            ``Graph -> {edge: score}`` for custom criteria (edges are then
-            ranked by score, ties broken randomly).
+            (the paper's choice, default) or ``"random"`` (the ablation that
+            isolates what the ranking buys).
         seed: randomness for tie-breaking, swap sampling, and the sampled
             betweenness estimator.
     """
@@ -138,17 +130,16 @@ class CRRShedder(EdgeShedder):
         steps: Optional[int] = None,
         steps_factor: float = 10.0,
         num_betweenness_sources: Optional[int] = None,
-        importance: "str | ImportanceFn" = "betweenness",
+        importance: str = "betweenness",
         seed: RandomState = None,
     ) -> None:
         if steps is not None and steps < 0:
             raise ValueError(f"steps must be non-negative, got {steps}")
         if steps_factor < 0:
             raise ValueError(f"steps_factor must be non-negative, got {steps_factor}")
-        if isinstance(importance, str) and importance not in ("betweenness", "random"):
+        if importance not in ("betweenness", "random"):
             raise ValueError(
-                f"importance must be 'betweenness', 'random', or a callable,"
-                f" got {importance!r}"
+                f"importance must be 'betweenness' or 'random', got {importance!r}"
             )
         self.steps = steps
         self.steps_factor = steps_factor
@@ -156,49 +147,45 @@ class CRRShedder(EdgeShedder):
         self.importance = importance
         self._seed = seed
 
-    def _reduce(self, graph: Graph, p: float) -> Tuple[Graph, Dict[str, Any]]:
-        csr = graph.csr()
-        importance = self.importance
-        stats: Dict[str, Any] = {
-            "initial_ranking": importance if isinstance(importance, str) else "custom"
-        }
+    def reduce_ids(
+        self, csr: "CSRAdjacency", p: float, stats: Dict[str, Any]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Both phases over a CSR snapshot, returning kept edge ids.
+
+        ``csr`` is a whole-graph snapshot or a per-shard
+        :class:`~repro.graph.csr.CSRView` (the sharded runner's case); each
+        call draws a fresh generator from the seed.  The weighted subclass
+        rewires against expected-degree mass (see :func:`crr_rewire_ids`);
+        Phase 1's betweenness ranking stays purely topological either way.
+        Weights outside ``[0, 1]`` raise :class:`~repro.errors.GraphError`
+        before any work.
+        """
+        stats["initial_ranking"] = self.importance
         if self.weighted:
             stats["weighted"] = True
-        if not isinstance(importance, str):
-            importance = partial(_rank_by_scores, graph, importance)
-        kept_u, kept_v = crr_reduce_ids(
-            csr,
-            p,
-            ensure_rng(self._seed),
-            stats,
-            steps=self.steps,
-            steps_factor=self.steps_factor,
-            importance=importance,
-            num_sources=self.num_betweenness_sources,
-            weighted=self.weighted,
-        )
+            check_probability_weights(csr)
+        target = round_half_up(p * csr.num_edges)
+        steps = self.steps
+        if steps is None:
+            steps = round_half_up(self.steps_factor * p * csr.num_edges)
+        stats["target_edges"] = target
+        stats["steps"] = steps
+        rng = ensure_rng(self._seed)
+        with timed_phase(stats, "ranking_seconds"):
+            kept_u, kept_v = crr_initial_ids(
+                csr, target, self.importance, self.num_betweenness_sources, rng
+            )
+        with timed_phase(stats, "rewiring_seconds"):
+            kept_u, kept_v = crr_rewire_ids(
+                csr, p, kept_u, kept_v, steps, rng, stats, weighted=self.weighted
+            )
+        return kept_u, kept_v
+
+    def _reduce(self, graph: Graph, p: float) -> Tuple[Graph, Dict[str, Any]]:
+        csr = graph.csr()
+        stats: Dict[str, Any] = {}
+        kept_u, kept_v = self.reduce_ids(csr, p, stats)
         return csr.subgraph_from_edge_ids(kept_u, kept_v), stats
-
-
-def _rank_by_scores(
-    graph: Graph, importance: ImportanceFn, target: int, rng: np.random.Generator
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Phase 1 for a custom importance: top ``target`` edges by score, random ties."""
-    scores = dict(importance(graph))
-    missing = [edge for edge in graph.edges() if edge not in scores]
-    if missing:
-        raise ValueError(
-            f"importance callable left {len(missing)} edges unscored"
-            f" (e.g. {missing[0]!r}); score every canonical edge"
-        )
-    edges = list(scores)
-    rng.shuffle(edges)
-    edges.sort(key=lambda edge: scores[edge], reverse=True)
-    kept = edges[:target]
-    index_of = graph.csr().index_of
-    kept_u = np.fromiter((index_of[u] for u, _ in kept), np.int64, count=len(kept))
-    kept_v = np.fromiter((index_of[v] for _, v in kept), np.int64, count=len(kept))
-    return kept_u, kept_v
 
 
 def _run_swaps(
@@ -282,8 +269,8 @@ def _run_swaps(
 
 
 # ----------------------------------------------------------------------
-# Id-native CRR core — shared by CRRShedder and the
-# per-shard runner (repro.shard), which feeds it CSR *views*.
+# Id-native CRR phases — run by CRRShedder.reduce_ids over a whole-graph
+# snapshot or a per-shard CSR *view* (repro.shard).
 # ----------------------------------------------------------------------
 
 
@@ -355,46 +342,4 @@ def crr_rewire_ids(
     stats["attempted_swaps"] = attempted
     stats["accepted_swaps"] = accepted
     stats["tracker_delta"] = tracker.delta
-    return kept_u, kept_v
-
-
-def crr_reduce_ids(
-    csr: "CSRAdjacency",
-    p: float,
-    rng: np.random.Generator,
-    stats: Dict[str, Any],
-    steps: Optional[int] = None,
-    steps_factor: float = 10.0,
-    importance: Union[str, IdRanking] = "betweenness",
-    num_sources: Optional[int] = None,
-    weighted: bool = False,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Full CRR (rank + rewire) over a CSR snapshot, returning kept edge ids.
-
-    The core behind :class:`CRRShedder`; the per-shard runner calls it on
-    each :class:`CSRView`.  ``importance`` is a :func:`crr_initial_ids`
-    setting or an :data:`IdRanking` callable (a custom Phase 1).
-
-    ``weighted=True`` rewires against expected-degree mass (see
-    :func:`crr_rewire_ids`); Phase 1's betweenness ranking stays purely
-    topological either way — probabilities shape the objective, not the
-    centrality signal.  Weights outside ``[0, 1]`` raise
-    :class:`~repro.errors.GraphError` before any work.
-    """
-    if weighted:
-        check_probability_weights(csr)
-    target = round_half_up(p * csr.num_edges)
-    if steps is None:
-        steps = round_half_up(steps_factor * p * csr.num_edges)
-    stats["target_edges"] = target
-    stats["steps"] = steps
-    with timed_phase(stats, "ranking_seconds"):
-        if callable(importance):
-            kept_u, kept_v = importance(target, rng)
-        else:
-            kept_u, kept_v = crr_initial_ids(csr, target, importance, num_sources, rng)
-    with timed_phase(stats, "rewiring_seconds"):
-        kept_u, kept_v = crr_rewire_ids(
-            csr, p, kept_u, kept_v, steps, rng, stats, weighted=weighted
-        )
     return kept_u, kept_v

@@ -79,7 +79,6 @@ from repro.graph.matching import (
     is_maximal_b_matching,
 )
 from repro.graph.pagerank import pagerank, top_k_nodes
-from repro.graph.parallel import parallel_edge_betweenness, parallel_node_betweenness
 from repro.graph.shortest_paths import (
     average_shortest_path_length,
     distance_distribution,
@@ -133,8 +132,6 @@ __all__ = [
     "node_betweenness",
     "edge_betweenness",
     "top_edges_by_betweenness",
-    "parallel_edge_betweenness",
-    "parallel_node_betweenness",
     # communities
     "label_propagation",
     "modularity",

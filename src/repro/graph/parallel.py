@@ -1,58 +1,34 @@
-"""Multiprocess graph kernels: betweenness centrality and walk fan-out.
+"""Multiprocess walk fan-out and the shared pool context.
 
-Brandes' accumulation is embarrassingly parallel over sources: each
-worker processes a slice of the source set and partial scores sum.  On a
-multi-core machine this divides CRR's dominant cost by the worker count
-without changing any result — a practical lever for the paper's
-resource-constraints setting.
+:func:`parallel_walk_matrix` runs the batched node2vec walk engine across
+processes.  Workers do not receive the :class:`Graph` at all: the pool
+initializer ships the two flat CSR arrays (``indptr`` and ``indices``)
+exactly once, and each worker runs
+:func:`repro.graph.kernels.walk_epoch_matrix` for a slice of epochs.
+Epochs are independent given their child seeds (one per epoch, drawn by
+the caller before any stepping), so the parent stacks the blocks in
+epoch order and concurrent output is bit-identical to serial output —
+the same determinism contract as the service's process mode.
 
-Workers do not receive the :class:`Graph` at all: the pool initializer
-ships the three flat CSR arrays (``indptr``, ``indices``, and the node
-count they imply) exactly once, each worker runs the array kernel
-(:func:`repro.graph.kernels.brandes_accumulate`) over its source-id
-slice, and the returned partial ``float64`` arrays are summed with
-``np.add``.  Labels and canonical edge keys only appear in the parent,
-at the API boundary — the same mapping the serial wrappers use.
-
-:func:`parallel_walk_matrix` reuses the same worker shipping for the
-batched node2vec walk engine: epochs are independent given their child
-seeds (one per epoch, drawn by the caller before any stepping), so each
-worker runs :func:`repro.graph.kernels.walk_epoch_matrix` for a slice of
-epochs and the parent stacks the blocks in epoch order — concurrent
-output is bit-identical to serial output, the same determinism contract
-as the service's process mode.
-
-The pool uses an explicit start method: ``fork`` where the platform
-offers it (cheapest — the arrays are inherited copy-on-write), falling
-back to ``spawn`` elsewhere (macOS, Windows), where the two arrays are
-pickled once per worker.
+:func:`_pool_context` is the one start-method choice for every process
+pool in the package (this fan-out, the sharded runner and the service's
+process engine): ``fork`` where the platform offers it (cheapest — the
+arrays are inherited copy-on-write), falling back to ``spawn`` elsewhere
+(macOS, Windows), where the arrays are pickled once per worker.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-from functools import reduce
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.graph.centrality import (
-    _edge_normalization,
-    _node_normalization,
-    edge_betweenness,
-    node_betweenness,
-)
 from repro.graph.csr import CSRAdjacency
-from repro.graph.graph import Edge, Graph, Node
-from repro.graph.kernels import brandes_accumulate, walk_epoch_matrix
-from repro.graph.sampling import select_source_ids
-from repro.rng import RandomState, ensure_rng
+from repro.graph.kernels import walk_epoch_matrix
+from repro.rng import ensure_rng
 
-__all__ = [
-    "parallel_edge_betweenness",
-    "parallel_node_betweenness",
-    "parallel_walk_matrix",
-]
+__all__ = ["parallel_walk_matrix"]
 
 # Module-level worker state: set once per worker via the pool initializer
 # so the CSR arrays are shipped a single time rather than per task.
@@ -74,82 +50,15 @@ def _worker_snapshot() -> CSRAdjacency:
     )
 
 
-# Shard-worker state: the parent snapshot's arrays, shipped once by the
-# sharded runner's pool initializer.  The scan-order edge list rides along
-# because workers rebuild views from it — falling back to the snapshot's
-# lexicographic edge enumeration would silently reorder shard edge scans
-# and break the serial/parallel bit-identity contract.
-_WORKER_SHARD_CSR: Optional[
-    Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-] = None
-
-
-def _init_shard_worker(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    edge_u: np.ndarray,
-    edge_v: np.ndarray,
-) -> None:
-    global _WORKER_SHARD_CSR
-    _WORKER_SHARD_CSR = (indptr, indices, edge_u, edge_v)
-
-
-def shard_worker_snapshot() -> CSRAdjacency:
-    """The parent CSR snapshot inside a shard worker (ids as labels).
-
-    The reconstructed snapshot's :meth:`CSRAdjacency.edge_list_ids` is the
-    parent's scan order, so ``snapshot.view_of(node_ids)`` builds the very
-    same view arrays the parent holds — the property the workers=N
-    bit-identity test pins.
-    """
-    assert _WORKER_SHARD_CSR is not None, "worker initialised without shard arrays"
-    indptr, indices, edge_u, edge_v = _WORKER_SHARD_CSR
-    n = indptr.shape[0] - 1
-    return CSRAdjacency(
-        indptr=indptr,
-        indices=indices,
-        labels=list(range(n)),
-        index_of={},
-        _derived={"edge_list_ids": (edge_u, edge_v)},
-    )
-
-
-def _edge_chunk(source_ids: np.ndarray) -> np.ndarray:
-    csr = _worker_snapshot()
-    partial = np.zeros(csr.indices.shape[0], dtype=np.float64)
-    brandes_accumulate(csr, source_ids, edge_scores=partial)
-    return partial
-
-
-def _node_chunk(source_ids: np.ndarray) -> np.ndarray:
-    csr = _worker_snapshot()
-    partial = np.zeros(csr.num_nodes, dtype=np.float64)
-    brandes_accumulate(csr, source_ids, node_scores=partial)
-    return partial
-
-
-def _split(source_ids: np.ndarray, chunks: int) -> List[np.ndarray]:
-    size = max(1, (len(source_ids) + chunks - 1) // chunks)
-    return [source_ids[i : i + size] for i in range(0, len(source_ids), size)]
+def _split(values: np.ndarray, chunks: int) -> List[np.ndarray]:
+    size = max(1, (len(values) + chunks - 1) // chunks)
+    return [values[i : i + size] for i in range(0, len(values), size)]
 
 
 def _pool_context() -> multiprocessing.context.BaseContext:
     """Fork where available (cheap COW inheritance), spawn elsewhere."""
     method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
     return multiprocessing.get_context(method)
-
-
-def _run_parallel(
-    csr: CSRAdjacency, source_ids: np.ndarray, num_workers: int, worker
-) -> np.ndarray:
-    context = _pool_context()
-    with context.Pool(
-        processes=num_workers,
-        initializer=_init_worker,
-        initargs=(csr.indptr, csr.indices),
-    ) as pool:
-        partials = pool.map(worker, _split(source_ids, num_workers))
-    return reduce(np.add, partials)
 
 
 def _walk_epoch_chunk(args: Tuple[List[int], int, float, float]) -> np.ndarray:
@@ -210,53 +119,3 @@ def _run_epochs_serial(
             for seed in seeds
         ]
     )
-
-
-def parallel_edge_betweenness(
-    graph: Graph,
-    num_workers: int = 2,
-    normalized: bool = True,
-    num_sources: Optional[int] = None,
-    seed: RandomState = None,
-) -> Dict[Edge, float]:
-    """Edge betweenness, identical to the serial result, across processes."""
-    if num_workers < 1:
-        raise ValueError(f"num_workers must be >= 1, got {num_workers}")
-    csr = graph.csr()
-    source_ids, scale = select_source_ids(csr.num_nodes, num_sources, seed)
-    if num_workers == 1 or len(source_ids) <= 1:
-        return edge_betweenness(
-            graph, normalized=normalized, num_sources=num_sources, seed=seed
-        )
-    half = _run_parallel(csr, source_ids, num_workers, _edge_chunk)
-    forward, backward = csr.undirected_entries()
-    totals = half[forward] + half[backward]
-    totals *= scale / _edge_normalization(graph.num_nodes, normalized)
-    u_ids, v_ids = csr.canonical_edge_ids()
-    labels = csr.labels
-    score_of: Dict[Edge, float] = {
-        (labels[u], labels[v]): value
-        for u, v, value in zip(u_ids.tolist(), v_ids.tolist(), totals.tolist())
-    }
-    return {edge: score_of[edge] for edge in graph.edges()}
-
-
-def parallel_node_betweenness(
-    graph: Graph,
-    num_workers: int = 2,
-    normalized: bool = True,
-    num_sources: Optional[int] = None,
-    seed: RandomState = None,
-) -> Dict[Node, float]:
-    """Node betweenness, identical to the serial result, across processes."""
-    if num_workers < 1:
-        raise ValueError(f"num_workers must be >= 1, got {num_workers}")
-    csr = graph.csr()
-    source_ids, scale = select_source_ids(csr.num_nodes, num_sources, seed)
-    if num_workers == 1 or len(source_ids) <= 1:
-        return node_betweenness(
-            graph, normalized=normalized, num_sources=num_sources, seed=seed
-        )
-    scores = _run_parallel(csr, source_ids, num_workers, _node_chunk)
-    scores *= scale / _node_normalization(graph.num_nodes, normalized)
-    return {label: float(scores[i]) for i, label in enumerate(csr.labels)}

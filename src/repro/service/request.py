@@ -16,6 +16,8 @@ key means the same thing everywhere.
 
 from __future__ import annotations
 
+import math
+import numbers
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
@@ -100,6 +102,20 @@ def make_shedder(
     )
 
 
+def _is_int(value: Any) -> bool:
+    """An integer (numpy integers included), not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_number(value: Any) -> bool:
+    """A finite real number (numpy scalars included), not a bool."""
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
 class JobStatus(str, Enum):
     """Lifecycle of one service job."""
 
@@ -110,14 +126,6 @@ class JobStatus(str, Enum):
     REJECTED = "rejected"
     FAILED = "failed"
     CANCELLED = "cancelled"
-
-    def is_terminal(self) -> bool:
-        return self in (
-            JobStatus.COMPLETED,
-            JobStatus.REJECTED,
-            JobStatus.FAILED,
-            JobStatus.CANCELLED,
-        )
 
 
 @dataclass
@@ -151,23 +159,49 @@ class ReductionRequest:
     label: str = ""
 
     def validate(self) -> None:
-        """Raise :class:`ServiceError` for an unusable request."""
+        """Raise :class:`ServiceError`, naming the field, for an unusable request.
+
+        Every field the service reads is checked for type and range, so a
+        malformed request is rejected at submit — before it is queued,
+        charged to the budget ledger or computed.
+        """
         if (self.graph is None) == (self.graph_ref is None):
             raise ServiceError("exactly one of graph / graph_ref must be set")
-        if not 0.0 < float(self.p) < 1.0:
-            raise ServiceError(f"p must be in (0, 1), got {self.p!r}")
-        if self.method.lower() not in KNOWN_METHODS:
+        if self.graph is not None and not isinstance(self.graph, Graph):
+            raise ServiceError(f"graph must be a Graph, got {type(self.graph).__name__}")
+        if self.graph_ref is not None and not isinstance(self.graph_ref, str):
+            raise ServiceError(f"graph_ref must be a str, got {self.graph_ref!r}")
+        if not (_is_number(self.p) and 0.0 < self.p < 1.0):
+            raise ServiceError(f"p must be a number in (0, 1), got {self.p!r}")
+        if not isinstance(self.method, str) or self.method.lower() not in KNOWN_METHODS:
             raise ServiceError(f"unknown method {self.method!r}")
-        if self.weighted:
-            if self.method.lower() not in ("crr", "bm2", "bm2-sparse"):
-                raise ServiceError(
-                    f"method {self.method!r} has no weighted variant"
-                )
-        if self.deadline_seconds is not None and self.deadline_seconds < 0:
-            raise ServiceError(f"deadline_seconds must be >= 0, got {self.deadline_seconds}")
-        if self.max_resident_edges is not None and self.max_resident_edges <= 0:
+        if self.seed is not None and not _is_int(self.seed):
+            raise ServiceError(f"seed must be an int or None, got {self.seed!r}")
+        if not _is_int(self.priority):
+            raise ServiceError(f"priority must be an int, got {self.priority!r}")
+        if self.num_sources is not None and not (
+            _is_int(self.num_sources) and self.num_sources >= 1
+        ):
             raise ServiceError(
-                f"max_resident_edges must be positive, got {self.max_resident_edges}"
+                f"num_sources must be None or an int >= 1, got {self.num_sources!r}"
+            )
+        if not isinstance(self.weighted, bool):
+            raise ServiceError(f"weighted must be a bool, got {self.weighted!r}")
+        if self.weighted and self.method.lower() not in ("crr", "bm2", "bm2-sparse"):
+            raise ServiceError(f"method {self.method!r} has no weighted variant")
+        if self.deadline_seconds is not None and not (
+            _is_number(self.deadline_seconds) and self.deadline_seconds >= 0
+        ):
+            raise ServiceError(
+                "deadline_seconds must be None or a finite number >= 0, "
+                f"got {self.deadline_seconds!r}"
+            )
+        if self.max_resident_edges is not None and not (
+            _is_int(self.max_resident_edges) and self.max_resident_edges >= 1
+        ):
+            raise ServiceError(
+                "max_resident_edges must be None or an int >= 1, "
+                f"got {self.max_resident_edges!r}"
             )
 
     def describe(self) -> str:

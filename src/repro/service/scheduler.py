@@ -44,6 +44,7 @@ import numpy as np
 from repro.core.base import ReductionResult
 from repro.errors import ServiceError
 from repro.graph.graph import Graph
+from repro.graph.parallel import _pool_context
 from repro.service.request import (
     JobHandle,
     JobStatus,
@@ -134,10 +135,6 @@ class Scheduler:
         with self._condition:
             return len(self._heap)
 
-    @property
-    def active_jobs(self) -> int:
-        return self._active
-
     # ------------------------------------------------------------------
     # Worker lifecycle
     # ------------------------------------------------------------------
@@ -213,12 +210,6 @@ class Scheduler:
 # ----------------------------------------------------------------------
 # Process execution
 # ----------------------------------------------------------------------
-
-
-def _pool_context() -> multiprocessing.context.BaseContext:
-    """Fork where available (cheap COW inheritance), spawn elsewhere."""
-    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-    return multiprocessing.get_context(method)
 
 
 def _graph_from_ids(

@@ -5,13 +5,13 @@ stitches the results back into one reduction:
 
 1. **Partition** (:func:`repro.shard.partition.partition_graph`): nodes
    split into ``num_shards`` groups; edges classified interior/boundary.
-2. **Shed** each shard's interior edges with the id-native kernel cores
-   (:func:`repro.core.crr.crr_reduce_ids` /
-   :func:`repro.core.bm2.bm2_reduce_ids`) over its
+2. **Shed** each shard's interior edges with one configured engine's id
+   core (:meth:`repro.core.crr.CRRShedder.reduce_ids` /
+   :meth:`repro.core.bm2.BM2Shedder.reduce_ids`) over its
    :class:`~repro.graph.csr.CSRView` — optionally fanned out across
-   processes via the flat-CSR worker shipping in
-   :mod:`repro.graph.parallel`.  Worker results are deterministic given
-   the seed, so ``num_workers`` never changes the output.
+   processes, whose pool initializer ships the parent snapshot's flat
+   arrays once per worker.  Worker results are deterministic given the
+   seed, so ``num_workers`` never changes the output.
 3. **Reconcile** boundary edges against a merged whole-graph tracker:
    admit every boundary edge that strictly lowers ``Δ``; CRR runs — whose
    whole-graph engine pins exactly ``[p·m]`` kept edges — then demote /
@@ -46,14 +46,13 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.base import EdgeShedder, timed_phase
-from repro.core.bm2 import bm2_reduce_ids
-from repro.core.crr import crr_reduce_ids
+from repro.core.bm2 import BM2Shedder
+from repro.core.crr import CRRShedder
 from repro.core.discrepancy import ArrayDegreeTracker, round_half_up
 from repro.core.sparsify import edcs_beta, prune_boundary_ids
 from repro.graph.csr import CSRAdjacency
 from repro.graph.graph import Graph
-from repro.graph.parallel import _init_shard_worker, _pool_context, shard_worker_snapshot
-from repro.rng import ensure_rng
+from repro.graph.parallel import _pool_context
 from repro.shard.partition import PARTITION_METHODS, ShardPlan, partition_graph
 
 __all__ = ["SHARD_METHODS", "ShardedShedder", "reconcile_ids"]
@@ -66,45 +65,65 @@ SHARD_METHODS = ("crr", "bm2")
 _MIN_IMPROVEMENT = 1e-9
 
 
-def _shed_shard_view(view: CSRAdjacency, spec: Dict[str, Any]) -> Tuple[np.ndarray, np.ndarray, Dict[str, Any]]:
-    """Run the spec'd kernel over one shard view; returns local kept ids."""
+# Shard-worker state: the parent snapshot's arrays, shipped once per
+# worker by the pool initializer.  The scan-order edge list rides along
+# because workers rebuild views from it — falling back to the snapshot's
+# lexicographic edge enumeration would silently reorder shard edge scans
+# and break the serial/parallel bit-identity contract.
+_WORKER_SHARD_CSR: Optional[
+    Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+] = None
+
+
+def _init_shard_worker(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    edge_u: np.ndarray,
+    edge_v: np.ndarray,
+) -> None:
+    global _WORKER_SHARD_CSR
+    _WORKER_SHARD_CSR = (indptr, indices, edge_u, edge_v)
+
+
+def shard_worker_snapshot() -> CSRAdjacency:
+    """The parent CSR snapshot inside a shard worker (ids as labels).
+
+    The reconstructed snapshot's :meth:`CSRAdjacency.edge_list_ids` is the
+    parent's scan order, so ``snapshot.view_of(node_ids)`` builds the very
+    same view arrays the parent holds — the property the workers=N
+    bit-identity test pins.
+    """
+    assert _WORKER_SHARD_CSR is not None, "worker initialised without shard arrays"
+    indptr, indices, edge_u, edge_v = _WORKER_SHARD_CSR
+    n = indptr.shape[0] - 1
+    return CSRAdjacency(
+        indptr=indptr,
+        indices=indices,
+        labels=list(range(n)),
+        index_of={},
+        _derived={"edge_list_ids": (edge_u, edge_v)},
+    )
+
+
+def _shed_shard_view(
+    view: CSRAdjacency, shedder: CRRShedder | BM2Shedder, p: float
+) -> Tuple[np.ndarray, np.ndarray, Dict[str, Any]]:
+    """Run the shedder's id core over one shard view; returns local kept ids."""
     stats: Dict[str, Any] = {}
     started = time.perf_counter()
-    if spec["method"] == "crr":
-        rng = ensure_rng(spec["seed"])
-        kept_u, kept_v = crr_reduce_ids(
-            view,
-            spec["p"],
-            rng,
-            stats,
-            steps=spec["steps"],
-            steps_factor=spec["steps_factor"],
-            importance=spec["importance"],
-            num_sources=spec["num_sources"],
-        )
-    else:
-        kept_u, kept_v = bm2_reduce_ids(
-            view,
-            spec["p"],
-            stats,
-            rounding=spec["rounding"],
-            accept_zero_gain=spec["accept_zero_gain"],
-            seed=spec["seed"],
-            sparsify=spec.get("sparsify", "off"),
-            sparsify_beta=spec.get("sparsify_beta"),
-        )
+    kept_u, kept_v = shedder.reduce_ids(view, p, stats)
     stats["seconds"] = time.perf_counter() - started
     return kept_u, kept_v, stats
 
 
 def _shard_job(
-    payload: Tuple[int, np.ndarray, Dict[str, Any]]
+    payload: Tuple[int, np.ndarray, CRRShedder | BM2Shedder, float]
 ) -> Tuple[int, np.ndarray, np.ndarray, Dict[str, Any]]:
     """Process-pool task: rebuild the shard view from the initializer-shipped
     parent arrays and shed it.  Local ids only — the parent lifts them."""
-    index, node_ids, spec = payload
+    index, node_ids, shedder, p = payload
     view = shard_worker_snapshot().view_of(node_ids)
-    kept_u, kept_v, stats = _shed_shard_view(view, spec)
+    kept_u, kept_v, stats = _shed_shard_view(view, shedder, p)
     return index, kept_u, kept_v, stats
 
 
@@ -276,8 +295,12 @@ def reconcile_ids(
 class ShardedShedder(EdgeShedder):
     """Partition → per-shard CRR/BM2 → boundary reconciliation.
 
+    Every shard runs :attr:`shard_shedder`, one :class:`CRRShedder` or
+    :class:`BM2Shedder` built from the values below (the engine's defaults
+    for everything else), through its :meth:`reduce_ids` id core.
+
     Args:
-        method: which array kernel runs per shard — ``"crr"`` or ``"bm2"``.
+        method: which engine runs per shard — ``"crr"`` or ``"bm2"``.
         num_shards: node groups to partition into (clamped to the node
             count).  ``1`` reproduces the whole-graph shedder bit for bit.
         num_workers: process fan-out for the per-shard runs.  ``1`` stays
@@ -288,11 +311,9 @@ class ShardedShedder(EdgeShedder):
             generator from it, so the reduction is independent of shard
             scheduling; generators are not accepted because they cannot be
             replayed per shard (or shipped to workers).
-        steps / steps_factor / importance / num_betweenness_sources:
-            forwarded to the CRR core (ignored for BM2).
-        rounding / accept_zero_gain: forwarded to the BM2 core (ignored
-            for CRR).
-        sparsify / sparsify_beta: forwarded to the BM2 core
+        num_betweenness_sources: the CRR engine's sampled-betweenness
+            source count (ignored for BM2).
+        sparsify / sparsify_beta: the BM2 engine's candidate pruning
             (``bm2`` only); ``sparsify="edcs"`` additionally prunes the
             boundary-reconciliation candidates with the same ``β``
             (:func:`repro.core.sparsify.prune_boundary_ids`), keeping the
@@ -308,12 +329,7 @@ class ShardedShedder(EdgeShedder):
         num_workers: int = 1,
         partition: str = "community",
         seed: Optional[int] = None,
-        steps: Optional[int] = None,
-        steps_factor: float = 10.0,
-        importance: str = "betweenness",
         num_betweenness_sources: Optional[int] = None,
-        rounding: str = "half_up",
-        accept_zero_gain: bool = False,
         sparsify: str = "off",
         sparsify_beta: Optional[int] = None,
     ) -> None:
@@ -332,58 +348,31 @@ class ShardedShedder(EdgeShedder):
                 "ShardedShedder requires an int (or None) seed: each shard"
                 " replays it independently"
             )
-        if importance not in ("betweenness", "random"):
-            raise ValueError(
-                f"importance must be 'betweenness' or 'random', got {importance!r}"
-            )
-        if sparsify not in ("off", "edcs"):
-            raise ValueError(f"sparsify must be 'off' or 'edcs', got {sparsify!r}")
         if sparsify != "off" and method != "bm2":
             raise ValueError("sparsify requires method='bm2'")
-        if sparsify_beta is not None and sparsify_beta < 1:
-            raise ValueError(f"sparsify_beta must be positive, got {sparsify_beta}")
         self.method = method
         self.num_shards = num_shards
         self.num_workers = num_workers
         self.partition = partition
-        self.steps = steps
-        self.steps_factor = steps_factor
-        self.importance = importance
-        self.num_betweenness_sources = num_betweenness_sources
-        self.rounding = rounding
-        self.accept_zero_gain = accept_zero_gain
-        self.sparsify = sparsify
-        self.sparsify_beta = sparsify_beta
         self._seed = None if seed is None else int(seed)
+        self.shard_shedder: CRRShedder | BM2Shedder = (
+            CRRShedder(num_betweenness_sources=num_betweenness_sources, seed=self._seed)
+            if method == "crr"
+            else BM2Shedder(seed=self._seed, sparsify=sparsify, sparsify_beta=sparsify_beta)
+        )
         self.name = f"Sharded{method.upper()}"
 
-    def _spec(self, p: float) -> Dict[str, Any]:
-        return {
-            "method": self.method,
-            "p": p,
-            "seed": self._seed,
-            "steps": self.steps,
-            "steps_factor": self.steps_factor,
-            "importance": self.importance,
-            "num_sources": self.num_betweenness_sources,
-            "rounding": self.rounding,
-            "accept_zero_gain": self.accept_zero_gain,
-            "sparsify": self.sparsify,
-            "sparsify_beta": self.sparsify_beta,
-        }
-
     def _run_shards(
-        self, plan: ShardPlan, spec: Dict[str, Any]
+        self, plan: ShardPlan, p: float
     ) -> List[Tuple[np.ndarray, np.ndarray, Dict[str, Any]]]:
         """Shed every shard; serial or process fan-out, identical results."""
+        shedder = self.shard_shedder
         workers = min(self.num_workers, plan.num_shards)
         if workers <= 1:
-            return [
-                _shed_shard_view(shard.view, spec) for shard in plan.shards
-            ]
+            return [_shed_shard_view(shard.view, shedder, p) for shard in plan.shards]
         csr = plan.csr
         edge_u, edge_v = csr.edge_list_ids()
-        payloads = [(shard.index, shard.node_ids, spec) for shard in plan.shards]
+        payloads = [(shard.index, shard.node_ids, shedder, p) for shard in plan.shards]
         context = _pool_context()
         with context.Pool(
             processes=workers,
@@ -410,9 +399,8 @@ class ShardedShedder(EdgeShedder):
             )
         stats["partition"] = plan.describe()
 
-        spec = self._spec(p)
         with timed_phase(stats, "shard_seconds"):
-            shard_results = self._run_shards(plan, spec)
+            shard_results = self._run_shards(plan, p)
 
         per_shard: List[Dict[str, Any]] = []
         global_u: List[np.ndarray] = []
@@ -438,12 +426,14 @@ class ShardedShedder(EdgeShedder):
         # CRR pins the whole-graph edge count [p·m]; BM2's count is
         # emergent (matched + repaired), so its reconciliation must not
         # force one — see reconcile_ids.
-        target = round_half_up(p * plan.csr.num_edges) if self.method == "crr" else None
+        shedder = self.shard_shedder
+        target: Optional[int] = None
         boundary_beta: Optional[int] = None
-        if self.method == "bm2" and self.sparsify == "edcs":
-            boundary_beta = (
-                int(self.sparsify_beta) if self.sparsify_beta is not None else edcs_beta()
-            )
+        if isinstance(shedder, CRRShedder):
+            target = round_half_up(p * plan.csr.num_edges)
+        elif shedder.sparsify == "edcs":
+            beta = shedder.sparsify_beta
+            boundary_beta = int(beta) if beta is not None else edcs_beta()
         with timed_phase(stats, "reconcile_seconds"):
             kept_u, kept_v = reconcile_ids(
                 plan.csr,

@@ -4,14 +4,14 @@ Both algorithms carry over to uncertain graphs by replacing every unit of
 degree with an edge's existence probability: a node's expectation becomes
 ``p·E[deg_G(u)]``, Phase-1 capacities round expected mass, and every
 Δ-change in the rewiring/repair loops moves endpoints by the edge's
-weight.  The id cores (:func:`repro.core.crr.crr_reduce_ids`,
-:func:`repro.core.bm2.bm2_reduce_ids`) take that as ``weighted=True``, and
-with all weights 1.0 they degenerate bit-identically to the unweighted
-runs.  So the two classes here are subclasses of
-:class:`~repro.core.crr.CRRShedder` / :class:`~repro.core.bm2.BM2Shedder`
-that only set ``name`` and the class-level ``weighted`` flag: same
-keyword parameters (in the same positional order), same stats plus
-``"weighted": True``.
+weight.  The engines' id cores (:meth:`repro.core.crr.CRRShedder.reduce_ids`,
+:meth:`repro.core.bm2.BM2Shedder.reduce_ids`) read that from the
+class-level ``weighted`` flag, and with all weights 1.0 they degenerate
+bit-identically to the unweighted runs.  So the two classes here are
+subclasses of :class:`~repro.core.crr.CRRShedder` /
+:class:`~repro.core.bm2.BM2Shedder` that only set ``name`` and that
+flag: same keyword parameters (in the same positional order), same
+stats plus ``"weighted": True``.
 
 The weight-blind counterparts remain the natural baseline: run
 ``BM2Shedder`` on the same weighted graph and compare
@@ -35,8 +35,8 @@ class WeightedCRRShedder(CRRShedder):
     accepts a swap iff it lowers ``Σ|E[deg_G'(v)] − p·E[deg_G(v)]|``.
     Accepts unweighted graphs too, where it reproduces
     :class:`~repro.core.crr.CRRShedder` bit for bit.  Takes
-    :class:`~repro.core.crr.CRRShedder`'s parameters, a callable
-    ``importance`` included.  Edge weights must lie in ``[0, 1]``.
+    :class:`~repro.core.crr.CRRShedder`'s parameters in its positional
+    order.  Edge weights must lie in ``[0, 1]``.
     """
 
     name = "W-CRR"

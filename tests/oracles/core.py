@@ -470,9 +470,7 @@ class LegacyCRRShedder(CRRShedder):
         stats: Dict[str, Any] = {
             "target_edges": target,
             "steps": steps,
-            "initial_ranking": (
-                self.importance if isinstance(self.importance, str) else "custom"
-            ),
+            "initial_ranking": self.importance,
             "engine": self.engine,
         }
         with timed_phase(stats, "ranking_seconds"):
@@ -526,26 +524,13 @@ class LegacyCRRShedder(CRRShedder):
             edges = list(graph.edges())
             picks = rng.choice(len(edges), size=target, replace=False)
             return [edges[i] for i in picks]
-        if self.importance == "betweenness":
-            return top_edges_by_betweenness(
-                graph,
-                target,
-                num_sources=self.num_betweenness_sources,
-                seed=rng,
-                tie_seed=rng,
-            )
-        # Custom importance: rank by the caller's scores, random ties.
-        scores = dict(self.importance(graph))
-        missing = [edge for edge in graph.edges() if edge not in scores]
-        if missing:
-            raise ValueError(
-                f"importance callable left {len(missing)} edges unscored"
-                f" (e.g. {missing[0]!r}); score every canonical edge"
-            )
-        edges = list(scores)
-        rng.shuffle(edges)
-        edges.sort(key=lambda edge: scores[edge], reverse=True)
-        return edges[:target]
+        return top_edges_by_betweenness(
+            graph,
+            target,
+            num_sources=self.num_betweenness_sources,
+            seed=rng,
+            tie_seed=rng,
+        )
 
 
 class LegacyBM2Shedder(BM2Shedder):

@@ -8,8 +8,12 @@ Two guarantees are exercised under randomised inputs:
 * service determinism — submitting a request set through a concurrent
   service yields reductions bit-identical to serial inline runs;
 * honest telemetry — histogram quantiles stay inside the observed
-  ``[min, max]`` for any observations and bucket bounds.
+  ``[min, max]`` for any observations and bucket bounds;
+* request checks — a request with one malformed field is rejected at
+  submit, naming that field, before anything is computed or charged.
 """
+
+import re
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -123,3 +127,53 @@ def test_histogram_quantiles_stay_in_observed_range(observations, bounds):
         histogram.observe(value)
     snap = histogram.snapshot()
     assert snap["min"] <= snap["p50"] <= snap["p90"] <= snap["p99"] <= snap["max"]
+
+
+#: Per request field: (valid values, invalid values) for the request fuzz.
+#: Every valid method has a weighted variant, so any draw of valid values
+#: makes a runnable request.
+_REQUEST_FIELDS = {
+    "p": ([0.3, 0.5], ["half", None, 0.0, 1.0, float("nan"), True]),
+    "method": (["bm2", "crr", "BM2-sparse"], [None, "nope", 3]),
+    "seed": ([0, 7, None], ["x", 1.5, True]),
+    "priority": ([0, -2, 5], ["high", None, 1.5]),
+    "num_sources": ([None, 1, 8], [0, -3, "many", 2.0]),
+    "weighted": ([False, True], ["no", 1, None]),
+    "deadline_seconds": ([None, 0, 2.5], ["5", -1.0, float("nan"), float("inf")]),
+    "max_resident_edges": ([None, 1, 10_000], ["10", 0, 2.5]),
+}
+#: Malformed (graph, graph_ref) pairs, by the field the rejection names;
+#: exactly one must be set, ``graph`` to a Graph or ``graph_ref`` to a str.
+_BAD_GRAPHS = {
+    "graph": [("edges.txt", None), ("g", "dataset:ca-grqc"), (None, None)],
+    "graph_ref": [(None, 42)],
+}
+
+
+@given(
+    graphs(),
+    st.sampled_from([None, *_BAD_GRAPHS, *_REQUEST_FIELDS]),
+    st.data(),
+    st.sampled_from(["inline", "thread"]),
+)
+@settings(max_examples=60, deadline=None)
+def test_fuzzed_request_is_rejected_at_submit_or_completes(g, bad, data, mode):
+    fields = {
+        name: data.draw(st.sampled_from(invalid if name == bad else valid), label=name)
+        for name, (valid, invalid) in _REQUEST_FIELDS.items()
+    }
+    graph, graph_ref = (g, None)
+    if bad in _BAD_GRAPHS:
+        graph, graph_ref = data.draw(st.sampled_from(_BAD_GRAPHS[bad]), label=bad)
+    fields["graph"] = g if graph == "g" else graph
+    fields["graph_ref"] = graph_ref
+    with SheddingService(num_workers=2, mode=mode) as service:
+        handle = service.submit(ReductionRequest(**fields))
+        result = handle.result(timeout=60)
+        if bad is None:
+            assert result.status.value == "completed", result.error
+        else:
+            assert result.status.value == "rejected"
+            assert re.search(rf"\b{bad}\b", result.error), result.error
+            assert service.store.stats["computes"] == 0
+        assert service.ledger.in_use == 0

@@ -95,7 +95,7 @@ def test_multi_shard_bm2_within_delta_bound(g, p, seed, num_shards):
 @settings(max_examples=15, deadline=None)
 def test_multi_shard_crr_hits_target_within_delta_bound(g, p, seed, num_shards):
     result = ShardedShedder(
-        method="crr", num_shards=num_shards, seed=seed, importance="random"
+        method="crr", num_shards=num_shards, seed=seed, num_betweenness_sources=4
     ).reduce(g, p)
     assert result.reduced.num_edges == round_half_up(p * g.num_edges)
     assert result.delta <= result.stats["delta_bound"] + 1e-6

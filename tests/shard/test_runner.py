@@ -36,9 +36,27 @@ class TestValidation:
         with pytest.raises(ValueError):
             ShardedShedder(seed=np.random.default_rng(0))
 
-    def test_bad_importance(self):
+    def test_engine_checks_apply(self):
+        # The built engine's own checks guard the values it receives.
         with pytest.raises(ValueError):
-            ShardedShedder(importance="bogus")
+            ShardedShedder(method="bm2", sparsify="bogus")
+        with pytest.raises(ValueError):
+            ShardedShedder(method="bm2", sparsify="edcs", sparsify_beta=0)
+        with pytest.raises(ValueError):
+            ShardedShedder(method="crr", sparsify="edcs")
+
+    def test_shard_shedder_is_built_from_the_values(self):
+        crr = ShardedShedder(method="crr", seed=3, num_betweenness_sources=16)
+        assert type(crr.shard_shedder) is CRRShedder
+        assert crr.shard_shedder.num_betweenness_sources == 16
+        bm2 = ShardedShedder(method="bm2", seed=3, sparsify="edcs", sparsify_beta=2)
+        assert type(bm2.shard_shedder) is BM2Shedder
+        assert (bm2.shard_shedder.sparsify, bm2.shard_shedder.sparsify_beta) == ("edcs", 2)
+
+    def test_engine_settings_not_mirrored(self):
+        for knob in ("steps", "steps_factor", "importance", "rounding", "accept_zero_gain"):
+            with pytest.raises(TypeError):
+                ShardedShedder(**{knob: None})
 
     def test_name_carries_method(self):
         assert ShardedShedder(method="crr").name == "ShardedCRR"

@@ -588,6 +588,19 @@ class TestServiceCommands:
             main(["serve", "--jobs", str(jobs)])
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize(
+        "bad",
+        [{"priority": "high"}, {"deadline_seconds": "soon"}, {"sources": "many"}],
+    )
+    def test_serve_bad_request_knob_exits_before_any_job(self, tmp_path, capsys, bad):
+        jobs = tmp_path / "jobs.json"
+        good = {"dataset": "ca-grqc", "scale": 0.02, "method": "random", "p": 0.5}
+        jobs.write_text(json.dumps([good, dict(good, **bad)]))
+        (key,) = bad
+        with pytest.raises(SystemExit, match=f"job #1: '{key}' must be"):
+            main(["serve", "--jobs", str(jobs)])
+        assert capsys.readouterr().out == ""
+
     def test_serve_rejects_non_list(self, tmp_path):
         jobs = tmp_path / "jobs.json"
         jobs.write_text('{"p": 0.5}')
