@@ -61,6 +61,7 @@ class Graph:
         "_next_order",
         "_csr_cache",
         "_csr_version",
+        "_digest",
         "_version",
         "_weights",
     )
@@ -85,6 +86,11 @@ class Graph:
         #: snapshot into array consumers (shard reconciliation would be
         #: silently corrupted by one).
         self._csr_version = -1
+        #: ``(version, digest)`` memo owned by
+        #: :func:`repro.service.store.graph_digest`, served only while
+        #: ``version == _version``, as the snapshot is.  One tuple, so no
+        #: reader pairs one thread's version with another's digest.
+        self._digest: Optional[Tuple[int, str]] = None
         #: monotonic mutation counter (the dynamic-maintenance hook).
         self._version = 0
         for node in nodes:
@@ -452,10 +458,11 @@ class Graph:
         clone._next_order = self._next_order
         clone._num_edges = self._num_edges
         clone._version = self._version
-        # The snapshot is immutable and describes the same structure, so
-        # the clone can share it until either side mutates.
+        # The snapshot and the digest memo describe the same structure, so
+        # the clone can share them until either side mutates.
         clone._csr_cache = self._csr_cache
         clone._csr_version = self._csr_version
+        clone._digest = self._digest
         return clone
 
     def edge_subgraph(self, edges: Iterable[Edge], keep_all_nodes: bool = True) -> "Graph":

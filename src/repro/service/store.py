@@ -6,7 +6,10 @@ service requests.  :class:`ArtifactStore` memoises
 :class:`~repro.core.base.ReductionResult` objects under a key derived
 from the *content* of the input graph (:func:`graph_digest`), so two
 structurally identical graphs share one artifact no matter how or where
-they were built.
+they were built.  The digest is memoised on the :class:`Graph` object
+under the graph version it was computed at (the rule the CSR snapshot
+follows), so repeated requests for one graph hash it once, and a
+mutated graph is hashed afresh.
 
 Two tiers:
 
@@ -18,7 +21,8 @@ Two tiers:
   document (reduced graph via the :func:`repro.graph.io.graph_to_payload`
   wire shape plus Δ/timing/stats metadata), and a fresh store pointed at
   the same directory serves those artifacts as *disk hits* — warm
-  restarts skip the algorithms entirely.
+  restarts skip the algorithms entirely.  A document is renamed into
+  place only once fully written, so a failed write leaves no file.
 
 Evicting an artifact drops only the in-memory object; the persisted copy
 (if any) keeps serving disk hits, and reloading it reconstructs a graph
@@ -30,6 +34,7 @@ bit-identical (property-tested in
 from __future__ import annotations
 
 import json
+import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -72,7 +77,16 @@ def graph_digest(graph: Graph) -> str:
     into its token via ``repr``, so the same topology under two weight
     fields caches separately; the byte stream for unweighted graphs is
     unchanged from before weights existed, preserving old disk caches.
+
+    The digest is memoised on the graph with the :attr:`Graph.version`
+    read before hashing, and served only while the version is unchanged,
+    so repeat requests for one graph object hash it once and any mutation
+    (or a concurrent one mid-scan) forces a fresh hash.
     """
+    version = graph._version
+    memo = graph._digest
+    if memo is not None and memo[0] == version:
+        return memo[1]
     weighted = graph.is_weighted
     hasher = sha256(b"repro-graph-v1\0")
     for token in sorted(_node_token(node) for node in graph.nodes()):
@@ -89,7 +103,9 @@ def graph_digest(graph: Graph) -> str:
     for token in sorted(edge_tokens):
         hasher.update(token.encode("utf-8"))
         hasher.update(b"\0")
-    return hasher.hexdigest()
+    digest = hasher.hexdigest()
+    graph._digest = (version, digest)
+    return digest
 
 
 @dataclass(frozen=True)
@@ -412,12 +428,18 @@ class ArtifactStore:
             "graph": graph_to_payload(result.reduced),
         }
         path = self.persist_dir / f"{key.token}.json"
+        # Written under a per-writer sibling name that the ``*.json`` scan
+        # skips, then renamed into place: no reader, in this process or
+        # another, ever sees a half-written document.
+        partial = path.with_suffix(f".{os.getpid()}-{threading.get_ident()}.tmp")
         try:
             data = json.dumps(document, default=_json_fallback)
-            path.write_text(data, encoding="utf-8")
+            partial.write_text(data, encoding="utf-8")
+            os.replace(partial, path)
         except (TypeError, ValueError, OSError):
             # Unserialisable stats or a failed write (disk full,
             # permissions): the in-memory tier still serves this key.
+            partial.unlink(missing_ok=True)
             with self._lock:
                 self.stats["persist_skipped"] += 1
             return None

@@ -1,10 +1,14 @@
 """End-to-end service behaviour: caching, budgets, degradation, determinism."""
 
+import errno
+from pathlib import Path
+
 import pytest
 
 from repro.errors import ServiceError
 from repro.graph.generators import erdos_renyi
 from repro.graph.graph import Graph
+from repro.graph.io import write_edge_list
 from repro.service import (
     KNOWN_METHODS,
     JobStatus,
@@ -12,6 +16,8 @@ from repro.service import (
     SheddingService,
     make_shedder,
 )
+from repro.service import store as store_module
+from repro.service.store import ArtifactStore
 
 
 def _tree_graph(n=60, extra=15):
@@ -104,6 +110,71 @@ class TestCaching:
             assert fresh.store.stats["computes"] == 0
             assert _edge_set(warm.reduction) == _edge_set(cold.reduction)
             assert warm.reduction.delta == cold.reduction.delta
+
+    def test_failed_persist_leaves_no_partial_artifact(self, graph, tmp_path, monkeypatch):
+        """A disk that fills mid-write keeps the result, the ledger and the
+        directory consistent: no truncated document is left for later
+        stores to trip over."""
+        real_write = Path.write_text
+
+        def half_write(self, data, *args, **kwargs):
+            real_write(self, data[: len(data) // 2], *args, **kwargs)
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        request = ReductionRequest(graph=graph, method="bm2", p=0.5, seed=3)
+        with SheddingService(mode="thread", num_workers=1, cache_dir=tmp_path) as service:
+            monkeypatch.setattr(Path, "write_text", half_write)
+            first = service.submit(request).result(timeout=30)
+            monkeypatch.undo()
+            assert first.status is JobStatus.COMPLETED
+            assert service.ledger.in_use == 0
+            assert service.store.stats["persist_skipped"] == 1
+            assert service.submit(request).result(timeout=30).cache_hit == "memory"
+        assert list(tmp_path.iterdir()) == []
+        fresh = ArtifactStore(persist_dir=tmp_path)
+        assert fresh.stats["load_errors"] == 0
+        assert len(fresh) == 0
+
+
+class TestDigestOnce:
+    """The cache key hashes each graph version once, however often it is
+    requested, and never serves a digest of an earlier version."""
+
+    def test_repeat_requests_for_one_file_digest_it_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "graph.txt"
+        write_edge_list(_tree_graph(), path)
+        tokens = []
+        real_token = store_module._node_token
+
+        def counting_token(node):
+            tokens.append(node)
+            return real_token(node)
+
+        monkeypatch.setattr(store_module, "_node_token", counting_token)
+        requests = [
+            ReductionRequest(graph_ref=f"file:{path}", method=method, p=p, seed=0)
+            for method in ("random", "bm2", "crr")
+            for p in (0.3, 0.5)
+        ]
+        with SheddingService(mode="inline") as service:
+            results = [service.submit(r).result(timeout=60) for r in requests * 2]
+            graph = service._resolve_graph(requests[0])
+        assert [r.status for r in results] == [JobStatus.COMPLETED] * 12
+        assert [r.cache_hit for r in results[6:]] == ["memory"] * 6
+        assert len(tokens) == graph.num_nodes + 2 * graph.num_edges
+
+    def test_mutated_inline_graph_is_a_miss(self, graph):
+        request = ReductionRequest(graph=graph, method="bm2", p=0.5, seed=3)
+        with SheddingService(mode="inline") as service:
+            first = service.submit(request).result(timeout=30)
+            first_nodes = set(first.reduction.reduced.nodes())
+            graph.add_edge(0, graph.num_nodes)
+            second = service.submit(request).result(timeout=30)
+            assert first.cache_hit is None
+            assert second.cache_hit is None
+            assert service.store.stats["computes"] == 2
+        assert set(second.reduction.reduced.nodes()) == set(graph.nodes()) != first_nodes
+        assert all(graph.has_edge(u, v) for u, v in second.reduction.reduced.edges())
 
 
 class TestDeterminism:
