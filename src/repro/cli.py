@@ -436,6 +436,7 @@ def _shard_stats_dict(stats: Dict[str, Any]) -> Dict[str, Any]:
         "boundary_edges": stats["boundary_edges"],
         "boundary_admitted": stats["boundary_admitted"],
         "boundary_filled": stats["boundary_filled"],
+        "interior_filled": stats["interior_filled"],
         "demoted": stats["demoted"],
         "boundary_candidates_pruned": stats.get("boundary_candidates_pruned", 0),
         "delta_bound": stats["delta_bound"],
@@ -498,7 +499,8 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
                 f"({planned}), {stats['num_workers']} workers, "
                 f"{stats['boundary_edges']} boundary edges "
                 f"(admitted={stats['boundary_admitted']} "
-                f"filled={stats['boundary_filled']} demoted={stats['demoted']})"
+                f"filled={stats['boundary_filled']} demoted={stats['demoted']}"
+                f" interior_filled={stats['interior_filled']})"
             )
             for shard in stats["per_shard"]:
                 print(

@@ -9,6 +9,8 @@ stats).  The benchmark harness is written against this interface only.
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
@@ -35,6 +37,20 @@ def timed_phase(stats: Dict[str, Any], key: str) -> Iterator[None]:
         yield
     finally:
         stats[key] = time.perf_counter() - start
+
+
+def is_int(value: Any) -> bool:
+    """An integer (numpy integers included), not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_finite_number(value: Any) -> bool:
+    """A finite real number (numpy scalars included), not a bool."""
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
 
 
 def validate_ratio(p: float) -> float:

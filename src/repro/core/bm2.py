@@ -468,7 +468,7 @@ def weighted_bipartite_repair_ids(
             else:
                 alive[eidx] = 0
 
-    tracker.absorb_scalar_state(dis_l, current_l, delta_acc, sel_a, sel_b)
+    tracker.absorb_scalar_state(dis_l, current_l, delta_acc, sel_a, sel_b, [], [])
     return (
         np.asarray(sel_a, dtype=np.int64),
         np.asarray(sel_b, dtype=np.int64),

@@ -13,9 +13,16 @@ Faithfulness notes:
 * The paper accepts a swap when ``d₁ + d₂ < 0`` with ``d₁``/``d₂`` computed
   independently (lines 10-11).  When ``e₁`` and ``e₂`` share an endpoint the
   independent sum double-counts that node; we evaluate the *exact* joint
-  change (:meth:`ArrayDegreeTracker.swap_change_ids`), which is identical whenever
-  the edges are disjoint — the overwhelmingly common case — and guarantees
-  the invariant that an accepted swap never increases ``Δ``.
+  change (:func:`~repro.core.discrepancy.swap_change_scalar_from_dis`),
+  which is identical whenever the edges are disjoint — the overwhelmingly
+  common case — and guarantees the invariant that an accepted swap never
+  increases ``Δ``.
+* Phase 2 walks the swap attempts one at a time over Python list mirrors
+  of the pools and the tracker state (:func:`_run_swaps`).  Acceptances
+  cluster in the first steps, and each one changes what the next attempt
+  reads, so scoring candidates in vectorised batches pays off only in
+  long runs of rejections (``steps_factor`` well above the paper's 10;
+  measurements in ``docs/algorithms.md``).
 * ``steps`` defaults to ``[10·P]``, the setting the paper selects from its
   Figure 4 sweep; the ``steps_factor`` knob reproduces that sweep.
 * For large graphs, exact Brandes betweenness is the bottleneck; pass
@@ -29,13 +36,14 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.base import EdgeShedder, timed_phase
+from repro.core.base import EdgeShedder, is_finite_number, is_int, timed_phase
 from repro.core.discrepancy import (
     ArrayDegreeTracker,
     check_probability_weights,
     round_half_up,
-    swap_change_from_dis,
+    swap_change_scalar_from_dis,
 )
+from repro.errors import EdgeNotFoundError, ReductionError
 from repro.graph.centrality import top_edge_ids_by_betweenness
 from repro.graph.graph import Edge, Graph
 from repro.rng import RandomState, ensure_rng
@@ -49,13 +57,6 @@ _MIN_IMPROVEMENT = 1e-9
 #: Swap-candidate index pairs are pre-drawn from the RNG this many steps at
 #: a time (bounds memory for huge ``steps`` without changing the stream).
 _DRAW_BLOCK = 65536
-
-#: Adaptive evaluation chunk bounds for the array rewiring loop: chunks
-#: double after an all-reject chunk and halve after an acceptance, so the
-#: loop spends large vectorized batches where acceptances are rare and
-#: small ones where every acceptance invalidates the tail of the batch.
-_MIN_CHUNK = 64
-_MAX_CHUNK = 4096
 
 
 class IndexedEdgePool:
@@ -104,16 +105,19 @@ class CRRShedder(EdgeShedder):
     """Algorithm 1: betweenness-ranked selection + Δ-reducing rewiring.
 
     Both phases run over the graph's CSR snapshot (:meth:`reduce_ids`):
-    Phase 1 ranks edge ids (:func:`crr_initial_ids`), and Phase 2 rewires
-    flat id arrays with block-drawn swap candidates and batched Δ-change
-    evaluation (:func:`crr_rewire_ids`).
+    Phase 1 ranks edge ids (:func:`crr_initial_ids`), and Phase 2 walks
+    block-drawn swap candidates one at a time, scoring each with the exact
+    joint Δ change (:func:`crr_rewire_ids`).
 
     Args:
-        steps: explicit number of rewiring iterations.  ``None`` (default)
-            uses the paper's recommendation ``[steps_factor · P]``.
-        steps_factor: the ``x`` in ``steps = [x·P]`` (paper: 10).
-        num_betweenness_sources: if set, estimate edge betweenness from this
-            many sampled sources instead of exactly (for large graphs).
+        steps: explicit number of rewiring iterations, an int ``>= 0``.
+            ``None`` (default) uses the paper's recommendation
+            ``[steps_factor · P]``.
+        steps_factor: the ``x`` in ``steps = [x·P]`` (paper: 10), a finite
+            number ``>= 0``.
+        num_betweenness_sources: if set, an int ``>= 1``: estimate edge
+            betweenness from this many sampled sources instead of exactly
+            (for large graphs).
         importance: Phase 1's edge-importance signal — ``"betweenness"``
             (the paper's choice, default) or ``"random"`` (the ablation that
             isolates what the ranking buys).
@@ -133,10 +137,19 @@ class CRRShedder(EdgeShedder):
         importance: str = "betweenness",
         seed: RandomState = None,
     ) -> None:
-        if steps is not None and steps < 0:
-            raise ValueError(f"steps must be non-negative, got {steps}")
-        if steps_factor < 0:
-            raise ValueError(f"steps_factor must be non-negative, got {steps_factor}")
+        if steps is not None and not (is_int(steps) and steps >= 0):
+            raise ValueError(f"steps must be None or an int >= 0, got {steps!r}")
+        if not (is_finite_number(steps_factor) and steps_factor >= 0):
+            raise ValueError(
+                f"steps_factor must be a finite number >= 0, got {steps_factor!r}"
+            )
+        if num_betweenness_sources is not None and not (
+            is_int(num_betweenness_sources) and num_betweenness_sources >= 1
+        ):
+            raise ValueError(
+                "num_betweenness_sources must be None or an int >= 1,"
+                f" got {num_betweenness_sources!r}"
+            )
         if importance not in ("betweenness", "random"):
             raise ValueError(
                 f"importance must be 'betweenness' or 'random', got {importance!r}"
@@ -189,6 +202,7 @@ class CRRShedder(EdgeShedder):
 
 
 def _run_swaps(
+    csr: "CSRAdjacency",
     tracker: ArrayDegreeTracker,
     rng: np.random.Generator,
     kept_u: np.ndarray,
@@ -197,74 +211,108 @@ def _run_swaps(
     shed_v: np.ndarray,
     steps: int,
 ) -> int:
-    """Run ``steps`` swap attempts over the array pools; return accepts."""
-    pool_sizes = np.tile(
-        np.array([kept_u.shape[0], shed_u.shape[0]], dtype=np.int64), _DRAW_BLOCK
+    """Run ``steps`` swap attempts one at a time; return the accepted count.
+
+    Walks the pools, their weights and the tracker state as Python list
+    mirrors.  An attempt is scored with :func:`swap_change_from_dis`'s
+    expression in the same association order, or with
+    :func:`swap_change_scalar_from_dis` when the two edges share an
+    endpoint; an accepted swap applies
+    :meth:`ArrayDegreeTracker.remove_edge_ids`'s and then
+    :meth:`~ArrayDegreeTracker.add_edge_ids`'s terms and membership
+    checks.  Decisions and ``Δ`` are therefore bit-identical to the
+    per-edge tracker path.  ``kept_u``/``kept_v`` receive the final kept
+    pool in place, and the tracker absorbs the mirrors once at the end.
+    """
+    n = csr.num_nodes
+    labels = csr.labels
+    graph_keys = csr.edge_key_set()
+    ku, kv = kept_u.tolist(), kept_v.tolist()
+    su, sv = shed_u.tolist(), shed_v.tolist()
+    if tracker.weighted:
+        kw = tracker.edge_weights_ids(kept_u, kept_v).tolist()
+        sw = tracker.edge_weights_ids(shed_u, shed_v).tolist()
+    else:
+        # The int 1, as in the per-edge path: unit ``current`` counts stay
+        # ints, and every float expression equals its 1.0 form.
+        kw = [1] * len(ku)
+        sw = [1] * len(su)
+    dis, current, expected, delta = tracker.export_scalar_state()
+    before = frozenset(
+        (np.minimum(kept_u, kept_v) * n + np.maximum(kept_u, kept_v)).tolist()
     )
-    last = kept_u.shape[0] - 1
+    tracked = set(before)
+    pool_sizes = np.tile(np.array([len(ku), len(su)], dtype=np.int64), _DRAW_BLOCK)
+    last = len(ku) - 1
     accepted = 0
+    abs_ = abs  # a local name: each attempt calls it 8 times
+    threshold = -_MIN_IMPROVEMENT
     done = 0
-    chunk = _MIN_CHUNK
-    weighted = tracker.weighted
-    if weighted:
-        # Pool weights are static per edge: resolve them once and mirror
-        # the swap-pop bookkeeping below, instead of a searchsorted
-        # lookup per candidate chunk.  The stored doubles are the same
-        # ones ``swap_change_ids`` would fetch, so scores are identical.
-        kept_w = tracker.edge_weights_ids(kept_u, kept_v)
-        shed_w = tracker.edge_weights_ids(shed_u, shed_v)
-    dis = tracker.dis_array()  # live view; apply_swap_ids updates it
     while done < steps:
         block = min(_DRAW_BLOCK, steps - done)
         # One broadcast call = 2·block alternating scalar
         # integers(P)/integers(S) draws (one pair per swap), bit for bit.
-        draws = rng.integers(0, pool_sizes[: 2 * block])
-        kept_idx = draws[0::2]
-        shed_idx = draws[1::2]
-        pos = 0
-        while pos < block:
-            end = min(pos + chunk, block)
-            out_u = kept_u[kept_idx[pos:end]]
-            out_v = kept_v[kept_idx[pos:end]]
-            in_u = shed_u[shed_idx[pos:end]]
-            in_v = shed_v[shed_idx[pos:end]]
-            change = swap_change_from_dis(
-                dis, out_u, out_v, in_u, in_v,
-                kept_w[kept_idx[pos:end]] if weighted else 1.0,
-                shed_w[shed_idx[pos:end]] if weighted else 1.0,
-            )
-            accept = change < -_MIN_IMPROVEMENT
-            if not accept.any():
-                # Every decision in the chunk was made from live state.
-                pos = end
-                chunk = min(chunk * 2, _MAX_CHUNK)
+        draws = iter(rng.integers(0, pool_sizes[: 2 * block]).tolist())
+        for i, j in zip(draws, draws):
+            ou, ov, w_out = ku[i], kv[i], kw[i]
+            iu, iv, w_in = su[j], sv[j], sw[j]
+            if ou == iu or ou == iv or ov == iu or ov == iv:
+                change = swap_change_scalar_from_dis(dis, ou, ov, iu, iv, w_out, w_in)
+            else:
+                d_ou, d_ov = dis[ou], dis[ov]
+                d_iu, d_iv = dis[iu], dis[iv]
+                change = (
+                    abs_(d_ou - w_out)
+                    + abs_(d_ov - w_out)
+                    - (abs_(d_ou) + abs_(d_ov))
+                    + abs_(d_iu + w_in)
+                    + abs_(d_iv + w_in)
+                    - (abs_(d_iu) + abs_(d_iv))
+                )
+            if not change < threshold:
                 continue
-            # Decisions are only valid up to the first acceptance: apply
-            # it, then re-evaluate the tail from the mutated state.
-            hit = int(np.argmax(accept))
-            ou, ov = int(out_u[hit]), int(out_v[hit])
-            iu, iv = int(in_u[hit]), int(in_v[hit])
-            tracker.apply_swap_ids(ou, ov, iu, iv)
-            i = int(kept_idx[pos + hit])
-            j = int(shed_idx[pos + hit])
-            # Mirror IndexedEdgePool's swap-pop bookkeeping: the kept
-            # pool's last edge backfills slot i, the incoming edge takes
-            # the last slot, and the outgoing edge lands in shed slot j.
-            kept_u[i] = kept_u[last]
-            kept_v[i] = kept_v[last]
-            kept_u[last] = iu
-            kept_v[last] = iv
-            shed_u[j] = ou
-            shed_v[j] = ov
-            if weighted:
-                w_out_edge = float(kept_w[i])
-                kept_w[i] = kept_w[last]
-                kept_w[last] = shed_w[j]
-                shed_w[j] = w_out_edge
+            # remove_edge_ids(ou, ov), then add_edge_ids(iu, iv).
+            key = ou * n + ov if ou < ov else ov * n + ou
+            if key not in tracked:
+                raise EdgeNotFoundError(labels[ou], labels[ov])
+            du, dv = dis[ou], dis[ov]
+            delta += abs_(du - w_out) + abs_(dv - w_out) - (abs_(du) + abs_(dv))
+            tracked.discard(key)
+            current[ou] -= w_out
+            current[ov] -= w_out
+            dis[ou] = current[ou] - expected[ou]
+            dis[ov] = current[ov] - expected[ov]
+            key = iu * n + iv if iu < iv else iv * n + iu
+            if key not in graph_keys:
+                raise EdgeNotFoundError(labels[iu], labels[iv])
+            if key in tracked:
+                raise ReductionError(
+                    f"edge ({labels[iu]!r}, {labels[iv]!r}) is already tracked"
+                )
+            du, dv = dis[iu], dis[iv]
+            delta += abs_(du + w_in) + abs_(dv + w_in) - (abs_(du) + abs_(dv))
+            tracked.add(key)
+            current[iu] += w_in
+            current[iv] += w_in
+            dis[iu] = current[iu] - expected[iu]
+            dis[iv] = current[iv] - expected[iv]
+            # IndexedEdgePool's swap-pop bookkeeping: the kept pool's last
+            # edge backfills slot i, the incoming edge takes the last slot,
+            # and the outgoing edge lands in shed slot j.
+            ku[i], kv[i], kw[i] = ku[last], kv[last], kw[last]
+            ku[last], kv[last], kw[last] = iu, iv, w_in
+            su[j], sv[j], sw[j] = ou, ov, w_out
             accepted += 1
-            pos += hit + 1
-            chunk = max(_MIN_CHUNK, chunk // 2)
         done += block
+    added = list(tracked - before)
+    removed = list(before - tracked)
+    tracker.absorb_scalar_state(
+        dis, current, delta,
+        [key // n for key in added], [key % n for key in added],
+        [key // n for key in removed], [key % n for key in removed],
+    )
+    kept_u[:] = ku
+    kept_v[:] = kv
     return accepted
 
 
@@ -307,7 +355,7 @@ def crr_rewire_ids(
     stats: Dict[str, Any],
     weighted: bool = False,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Phase 2 over a CSR snapshot: the array rewiring loop in id space.
+    """Phase 2 over a CSR snapshot: the rewiring walk in id space.
 
     ``kept_u``/``kept_v`` are mutated in place (swap-pop pool layout) and
     returned.  The tracker scores discrepancy against the snapshot's own
@@ -337,7 +385,7 @@ def crr_rewire_ids(
     attempted = 0
     if kept_u.shape[0] and shed_u.shape[0]:
         attempted = steps
-        accepted = _run_swaps(tracker, rng, kept_u, kept_v, shed_u, shed_v, steps)
+        accepted = _run_swaps(csr, tracker, rng, kept_u, kept_v, shed_u, shed_v, steps)
 
     stats["attempted_swaps"] = attempted
     stats["accepted_swaps"] = accepted

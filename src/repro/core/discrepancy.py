@@ -311,6 +311,24 @@ class ArrayDegreeTracker:
                 seen.add(key)
         return key_set
 
+    def _tracked_edge_keys(self, edge_u: np.ndarray, edge_v: np.ndarray) -> set:
+        """Validate a batch of tracked edges to stop tracking; return their keys.
+
+        Raises what :meth:`remove_edge_ids` would raise for the first edge
+        that is not tracked (or repeats earlier in the batch).
+        """
+        n = self._n
+        keys = (np.minimum(edge_u, edge_v) * n + np.maximum(edge_u, edge_v)).tolist()
+        key_set = set(keys)
+        if len(key_set) != len(keys) or not key_set <= self._edge_keys:
+            labels = self._csr.labels
+            seen: set = set()
+            for key, u, v in zip(keys, edge_u.tolist(), edge_v.tolist()):
+                if key not in self._edge_keys or key in seen:
+                    raise EdgeNotFoundError(labels[u], labels[v])
+                seen.add(key)
+        return key_set
+
     # ------------------------------------------------------------------
     # Mutation (scalar, term-by-term Δ accumulation)
     # ------------------------------------------------------------------
@@ -353,11 +371,6 @@ class ArrayDegreeTracker:
         current[v] -= w
         dis[u] = current[u] - expected[u]
         dis[v] = current[v] - expected[v]
-
-    def apply_swap_ids(self, out_u: int, out_v: int, in_u: int, in_v: int) -> None:
-        """Remove edge ``(out_u, out_v)``, then add ``(in_u, in_v)``."""
-        self.remove_edge_ids(out_u, out_v)
-        self.add_edge_ids(in_u, in_v)
 
     def add_edges_ids(self, edge_u: np.ndarray, edge_v: np.ndarray) -> None:
         """Bulk-track a batch of edges given as endpoint id arrays.
@@ -424,13 +437,14 @@ class ArrayDegreeTracker:
     def export_scalar_state(self) -> Tuple[List[float], List[float], List[float], float]:
         """Python-list mirrors of ``(dis, current, expected)`` plus ``Δ``.
 
-        For scalar-heavy phases (the weighted repair heap) that interleave
-        thousands of single-edge adds with scalar ``dis`` reads: plain-list
-        arithmetic runs several times faster than numpy scalar indexing,
-        and running :meth:`add_edge_ids`'s expressions over the mirrors
-        keeps every intermediate bit-identical to the per-edge path.
-        Mutated mirrors commit back via :meth:`absorb_scalar_state`; the
-        tracker's own arrays must not be touched in between.
+        For scalar-heavy phases (the weighted repair heap, CRR's rewiring
+        walk) that interleave thousands of single-edge moves with scalar
+        ``dis`` reads: plain-list arithmetic runs several times faster than
+        numpy scalar indexing, and running :meth:`add_edge_ids`'s and
+        :meth:`remove_edge_ids`'s expressions over the mirrors keeps every
+        intermediate bit-identical to the per-edge path.  Mutated mirrors
+        commit back via :meth:`absorb_scalar_state`; the tracker's own
+        arrays must not be touched in between.
         """
         return (
             self._dis.tolist(),
@@ -446,16 +460,25 @@ class ArrayDegreeTracker:
         delta: float,
         added_u: List[int],
         added_v: List[int],
+        removed_u: List[int],
+        removed_v: List[int],
     ) -> None:
-        """Commit mirrors from :meth:`export_scalar_state` plus edges added.
+        """Commit mirrors from :meth:`export_scalar_state` plus the net edge change.
 
-        ``added_u``/``added_v`` list the ids of the edges the caller added
-        to the mirrors (validated like :meth:`add_edge_ids`: each must be
-        an original-graph edge that is not already tracked).
+        ``removed_u``/``removed_v`` list the ids of the tracked edges the
+        caller took out of the mirrors (validated like
+        :meth:`remove_edge_ids`), and ``added_u``/``added_v`` the edges it
+        put in that were not tracked before (validated like
+        :meth:`add_edge_ids`).  Nothing is committed if either check raises.
         """
-        self._edge_keys |= self._new_edge_keys(
+        removed = self._tracked_edge_keys(
+            np.asarray(removed_u, dtype=np.int64), np.asarray(removed_v, dtype=np.int64)
+        )
+        added = self._new_edge_keys(
             np.asarray(added_u, dtype=np.int64), np.asarray(added_v, dtype=np.int64)
         )
+        self._edge_keys -= removed
+        self._edge_keys |= added
         self._dis[:] = dis
         self._current[:] = current
         self._delta = delta
@@ -484,26 +507,6 @@ class ArrayDegreeTracker:
         """Change in ``Δ`` if each edge were removed (paper's ``d_1``), vectorized."""
         return remove_change_from_dis(
             self._dis, edge_u, edge_v, self._move_weights(edge_u, edge_v)
-        )
-
-    def swap_change_ids(
-        self,
-        out_u: np.ndarray,
-        out_v: np.ndarray,
-        in_u: np.ndarray,
-        in_v: np.ndarray,
-    ) -> np.ndarray:
-        """Exact joint ``Δ`` change of each candidate swap, vectorized.
-
-        Every entry matches :meth:`swap_change_scalar_ids` for the same pair
-        of edges, including shared-endpoint pairs, where the paper's
-        independent ``d_1 + d_2`` would double-count the shared node (see
-        :func:`swap_change_from_dis`).
-        """
-        return swap_change_from_dis(
-            self._dis, out_u, out_v, in_u, in_v,
-            self._move_weights(out_u, out_v),
-            self._move_weights(in_u, in_v),
         )
 
 

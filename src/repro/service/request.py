@@ -16,15 +16,13 @@ key means the same thing everywhere.
 
 from __future__ import annotations
 
-import math
-import numbers
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Dict, List, Optional
 
 from repro.baselines.uds import UDSSummarizer
-from repro.core.base import EdgeShedder, ReductionResult
+from repro.core.base import EdgeShedder, ReductionResult, is_finite_number, is_int
 from repro.core.bm2 import BM2Shedder
 from repro.core.crr import CRRShedder
 from repro.core.random_shed import DegreeProportionalShedder, RandomShedder
@@ -102,20 +100,6 @@ def make_shedder(
     )
 
 
-def _is_int(value: Any) -> bool:
-    """An integer (numpy integers included), not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_number(value: Any) -> bool:
-    """A finite real number (numpy scalars included), not a bool."""
-    return (
-        isinstance(value, numbers.Real)
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-    )
-
-
 class JobStatus(str, Enum):
     """Lifecycle of one service job."""
 
@@ -171,16 +155,16 @@ class ReductionRequest:
             raise ServiceError(f"graph must be a Graph, got {type(self.graph).__name__}")
         if self.graph_ref is not None and not isinstance(self.graph_ref, str):
             raise ServiceError(f"graph_ref must be a str, got {self.graph_ref!r}")
-        if not (_is_number(self.p) and 0.0 < self.p < 1.0):
+        if not (is_finite_number(self.p) and 0.0 < self.p < 1.0):
             raise ServiceError(f"p must be a number in (0, 1), got {self.p!r}")
         if not isinstance(self.method, str) or self.method.lower() not in KNOWN_METHODS:
             raise ServiceError(f"unknown method {self.method!r}")
-        if self.seed is not None and not _is_int(self.seed):
+        if self.seed is not None and not is_int(self.seed):
             raise ServiceError(f"seed must be an int or None, got {self.seed!r}")
-        if not _is_int(self.priority):
+        if not is_int(self.priority):
             raise ServiceError(f"priority must be an int, got {self.priority!r}")
         if self.num_sources is not None and not (
-            _is_int(self.num_sources) and self.num_sources >= 1
+            is_int(self.num_sources) and self.num_sources >= 1
         ):
             raise ServiceError(
                 f"num_sources must be None or an int >= 1, got {self.num_sources!r}"
@@ -190,14 +174,14 @@ class ReductionRequest:
         if self.weighted and self.method.lower() not in ("crr", "bm2", "bm2-sparse"):
             raise ServiceError(f"method {self.method!r} has no weighted variant")
         if self.deadline_seconds is not None and not (
-            _is_number(self.deadline_seconds) and self.deadline_seconds >= 0
+            is_finite_number(self.deadline_seconds) and self.deadline_seconds >= 0
         ):
             raise ServiceError(
                 "deadline_seconds must be None or a finite number >= 0, "
                 f"got {self.deadline_seconds!r}"
             )
         if self.max_resident_edges is not None and not (
-            _is_int(self.max_resident_edges) and self.max_resident_edges >= 1
+            is_int(self.max_resident_edges) and self.max_resident_edges >= 1
         ):
             raise ServiceError(
                 "max_resident_edges must be None or an int >= 1, "

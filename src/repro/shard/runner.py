@@ -15,9 +15,11 @@ stitches the results back into one reduction:
 3. **Reconcile** boundary edges against a merged whole-graph tracker:
    admit every boundary edge that strictly lowers ``Δ``; CRR runs — whose
    whole-graph engine pins exactly ``[p·m]`` kept edges — then demote /
-   fill to land on that global target, while BM2 runs — whose edge count
-   is emergent from matching + repair — stop after the improving
-   admissions (the sharded analog of BM2's repair phase).
+   fill to land on that global target (filling from the boundary first,
+   then from the shards' shed interior edges once the boundary is used
+   up), while BM2 runs — whose edge count is emergent from matching +
+   repair — stop after the improving admissions (the sharded analog of
+   BM2's repair phase).
 
 **Δ accounting.**  With per-shard discrepancies ``Δ_s`` (scored against
 shard-interior degrees) and boundary set ``B``, the merged tracker obeys
@@ -28,7 +30,7 @@ improving phase only lower ``Δ``, and every demote/fill changes ``Δ`` by
 at most ``+2`` (one endpoint's ``|dis|`` moves by at most 1 each).  Hence
 the documented, property-tested bound::
 
-    Δ_final ≤ Σ_s Δ_s + 2·p·|B| + 2·(boundary_filled + demoted)
+    Δ_final ≤ Σ_s Δ_s + 2·p·|B| + 2·(boundary_filled + interior_filled + demoted)
 
 **Exactness.**  With ``num_shards=1`` there is no boundary, the single
 view's arrays are bit-identical to the whole-graph snapshot's, and every
@@ -129,15 +131,16 @@ def _shard_job(
 
 def _admission_rounds(
     tracker: ArrayDegreeTracker,
-    boundary_u: np.ndarray,
-    boundary_v: np.ndarray,
+    edge_u: np.ndarray,
+    edge_v: np.ndarray,
     remaining: np.ndarray,
     improving_only: bool,
     limit: Optional[int],
 ) -> Tuple[List[int], List[int]]:
-    """Greedy boundary admission in batch rounds.
+    """Greedy admission of candidate edges in batch rounds.
 
-    Each round evaluates every remaining boundary edge's ``Δ``-change in
+    ``remaining`` masks the candidates still untaken and is updated in
+    place.  Each round evaluates every remaining candidate's ``Δ``-change in
     one vectorized call, walks candidates best-first, and defers edges
     sharing an endpoint with a this-round admission (their gain is stale
     after it).  ``improving_only`` restricts admissions to strict
@@ -152,8 +155,8 @@ def _admission_rounds(
         if limit is not None and len(added_u) >= limit:
             break
         positions = np.nonzero(remaining)[0]
-        batch_u = boundary_u[positions]
-        batch_v = boundary_v[positions]
+        batch_u = edge_u[positions]
+        batch_v = edge_v[positions]
         gains = tracker.add_change_ids(batch_u, batch_v)
         if improving_only:
             candidates = np.nonzero(gains < -_MIN_IMPROVEMENT)[0]
@@ -206,8 +209,10 @@ def reconcile_ids(
     shard results, then (a) admits every boundary edge that strictly
     lowers the global ``Δ`` and — when ``target`` is given — (b) demotes
     worst-scoring kept edges while the count exceeds it and (c) fills
-    with least-harm boundary edges while it falls short.  Steps (b)/(c)
-    are mutually exclusive and land the reduction on exactly ``target``
+    with least-harm boundary edges while it falls short, then, once the
+    boundary is used up, with least-harm edges that are neither kept nor
+    boundary (the shards' shed interior edges).  Steps (b)/(c) are
+    mutually exclusive and land the reduction on exactly ``target``
     edges.
 
     ``target`` is the *method's* contract, not a universal one: CRR pins
@@ -215,14 +220,14 @@ def reconcile_ids(
     emergent (matched + repaired), so its sharded runs pass ``None`` and
     reconcile with the improving-admission phase alone — the sharded
     analog of its repair phase.  Stats gain ``boundary_admitted``,
-    ``boundary_filled``, ``demoted``, ``reconcile_target`` and the final
-    ``tracker_delta``.
+    ``boundary_filled``, ``interior_filled``, ``demoted``,
+    ``reconcile_target`` and the final ``tracker_delta``.
 
     ``sparsify_beta`` opts the improving phase into EDCS-style candidate
     pruning (:func:`repro.core.sparsify.prune_boundary_ids`): each
     boundary edge must rank inside its endpoints' top-``β`` most-improving
     candidates.  Admissions over the pruned subset still only lower
-    ``Δ``, so the documented ``Σ_s Δ_s + 2p|B| + 2(filled+demoted)``
+    ``Δ``, so the documented ``Σ_s Δ_s + 2p|B| + 2(fills + demoted)``
     bound is untouched.  Intended for ``target=None`` (BM2) runs — with a
     ``target``, pruning would also shrink the fill pool.
     """
@@ -284,9 +289,33 @@ def reconcile_ids(
         current_u = np.concatenate((current_u, np.asarray(filled_u, dtype=np.int64)))
         current_v = np.concatenate((current_v, np.asarray(filled_v, dtype=np.int64)))
 
+    interior_u: List[int] = []
+    interior_v: List[int] = []
+    if target is not None and tracker.num_edges < target:
+        # The boundary is used up: fill from the edges no shard kept.
+        n = csr.num_nodes
+        edge_u, edge_v = csr.edge_list_ids()
+        taken_u = np.concatenate((current_u, boundary_u))
+        taken_v = np.concatenate((current_v, boundary_v))
+        spare = ~np.isin(
+            np.minimum(edge_u, edge_v) * n + np.maximum(edge_u, edge_v),
+            np.minimum(taken_u, taken_v) * n + np.maximum(taken_u, taken_v),
+        )
+        interior_u, interior_v = _admission_rounds(
+            tracker,
+            edge_u,
+            edge_v,
+            spare,
+            improving_only=False,
+            limit=target - tracker.num_edges,
+        )
+        current_u = np.concatenate((current_u, np.asarray(interior_u, dtype=np.int64)))
+        current_v = np.concatenate((current_v, np.asarray(interior_v, dtype=np.int64)))
+
     stats["reconcile_target"] = target
     stats["boundary_admitted"] = len(admitted_u)
     stats["boundary_filled"] = len(filled_u)
+    stats["interior_filled"] = len(interior_u)
     stats["demoted"] = demoted
     stats["tracker_delta"] = tracker.delta
     return current_u, current_v
@@ -455,7 +484,8 @@ class ShardedShedder(EdgeShedder):
         stats["delta_bound"] = (
             sum(shard_deltas)
             + 2.0 * p * plan.num_boundary
-            + 2.0 * (stats["boundary_filled"] + stats["demoted"])
+            + 2.0
+            * (stats["boundary_filled"] + stats["interior_filled"] + stats["demoted"])
         )
         reduced = plan.csr.subgraph_from_edge_ids(kept_u, kept_v)
         return reduced, stats

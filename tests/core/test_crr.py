@@ -1,5 +1,6 @@
 """Tests for the CRR shedder (Algorithm 1)."""
 
+import numpy as np
 import pytest
 
 from repro.core import CRRShedder, compute_delta, crr_bound_for_graph, round_half_up
@@ -87,6 +88,33 @@ class TestCRRBasics:
     def test_invalid_steps_factor(self):
         with pytest.raises(ValueError):
             CRRShedder(steps_factor=-2.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("steps", 2.5),
+            ("steps", True),
+            ("steps", "3"),
+            ("steps_factor", float("nan")),
+            ("steps_factor", float("inf")),
+            ("steps_factor", False),
+            ("steps_factor", "10"),
+            ("num_betweenness_sources", 2.5),
+            ("num_betweenness_sources", 0),
+            ("num_betweenness_sources", True),
+        ],
+    )
+    def test_malformed_setting_rejected_at_construction(self, field, value):
+        # Each would otherwise fail late: after Phase 1 (steps), in
+        # round_half_up (steps_factor) or inside the source sampler.
+        with pytest.raises(ValueError, match=field):
+            CRRShedder(**{field: value})
+
+    def test_numpy_numbers_accepted(self):
+        shedder = CRRShedder(
+            steps=np.int64(3), steps_factor=np.float32(2.0), num_betweenness_sources=np.int32(4)
+        )
+        assert shedder.steps == 3
 
     def test_delta_reported_matches_recomputation(self, small_powerlaw):
         result = CRRShedder(seed=2, num_betweenness_sources=32).reduce(small_powerlaw, 0.4)

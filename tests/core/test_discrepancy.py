@@ -7,7 +7,7 @@ and against the array tracker addressed by labels (``LabelTracker``).
 import numpy as np
 import pytest
 
-from repro.core import compute_delta, round_half_up
+from repro.core import compute_delta, round_half_up, swap_change_from_dis
 from repro.errors import EdgeNotFoundError, InvalidRatioError, ReductionError
 from repro.graph import Graph
 from tests.oracles.core import DegreeTracker, IdsView, LabelTracker
@@ -263,6 +263,43 @@ class TestArrayTracker:
             tracker.admit_edges_ids(np.array([1]), np.array([0]))  # already tracked
         assert tracker.num_edges == 1
 
+    def test_absorb_commits_removals_and_additions(self, figure1):
+        """Mirrors moved by remove/add expressions commit like per-edge calls."""
+        scalar = LabelTracker(figure1, 0.4)
+        mirrored = LabelTracker(figure1, 0.4)
+        for tracker in (scalar, mirrored):
+            tracker.add_edge("u1", "u7")
+            tracker.add_edge("u7", "u9")
+        scalar.remove_edge("u1", "u7")
+        scalar.add_edge("u8", "u10")
+        u1, u7, u8, u10 = self._ids(mirrored, "u1", "u7", "u8", "u10")
+        dis, current, expected, delta = mirrored.export_scalar_state()
+        for (u, v), step in (((u1, u7), -1), ((u8, u10), 1)):
+            du, dv = dis[u], dis[v]
+            delta += abs(du + step) + abs(dv + step) - (abs(du) + abs(dv))
+            for node in (u, v):
+                current[node] += step
+                dis[node] = current[node] - expected[node]
+        mirrored.absorb_scalar_state(dis, current, delta, [u8], [u10], [u1], [u7])
+        assert mirrored.delta == scalar.delta  # bitwise, not approx
+        np.testing.assert_array_equal(mirrored.dis_array(), scalar.dis_array())
+        assert sorted(mirrored.edges()) == sorted(scalar.edges())
+
+    def test_absorb_validates_and_commits_nothing(self, path5):
+        tracker = LabelTracker(path5, 0.5)
+        tracker.add_edge_ids(0, 1)
+        dis, current, _, delta = tracker.export_scalar_state()
+        with pytest.raises(EdgeNotFoundError):  # (1, 2) is not tracked
+            tracker.absorb_scalar_state(dis, current, delta, [], [], [1], [2])
+        with pytest.raises(EdgeNotFoundError):  # removed twice
+            tracker.absorb_scalar_state(dis, current, delta, [], [], [0, 1], [1, 0])
+        with pytest.raises(ReductionError):  # added while still tracked
+            tracker.absorb_scalar_state(dis, current, delta, [0], [1], [], [])
+        with pytest.raises(EdgeNotFoundError):  # removal fine, addition foreign
+            tracker.absorb_scalar_state(dis, current, delta, [0], [4], [0], [1])
+        assert tracker.num_edges == 1
+        tracker.remove_edge_ids(0, 1)  # still tracked after the failed commits
+
     def test_batched_changes_match_scalar(self, figure1):
         tracker = LabelTracker(figure1, 0.4)
         for edge in [("u1", "u7"), ("u7", "u9"), ("u8", "u10")]:
@@ -288,7 +325,9 @@ class TestArrayTracker:
         out_v = np.array([u7, u7, u9])
         in_u = np.array([u8, u2, u2])
         in_v = np.array([u10, u7, u7])
-        batched = tracker.swap_change_ids(out_u, out_v, in_u, in_v)
+        batched = swap_change_from_dis(
+            tracker.dis_array(), out_u, out_v, in_u, in_v, 1.0, 1.0
+        )
         for k in range(3):
             exact = tracker.swap_change_scalar_ids(
                 int(out_u[k]), int(out_v[k]), int(in_u[k]), int(in_v[k])

@@ -1,10 +1,13 @@
 """Tests for the sharded runner: reconciliation, stats, fan-out."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from repro.core import BM2Shedder, CRRShedder, compute_delta, round_half_up
 from repro.core.discrepancy import ArrayDegreeTracker
+from repro.graph import Graph
 from repro.shard import SHARD_METHODS, ShardedShedder, partition_graph, reconcile_ids
 
 
@@ -87,6 +90,26 @@ class TestReduction:
         assert stats["boundary_filled"] == 0
         shard_kept = sum(entry["kept_edges"] for entry in stats["per_shard"])
         assert result.reduced.num_edges == shard_kept + stats["boundary_admitted"]
+
+    @pytest.mark.parametrize("partition", ["community", "contiguous"])
+    def test_every_six_node_tree_hits_crr_target(self, partition):
+        # All 120 trees whose node i hangs off a node in 0..i-1.  On some,
+        # the shards keep so few edges that the boundary cannot cover
+        # [p·m] (parents (0, 0, 0, 3, 3) kept 3 edges, not 4), so the fill
+        # must reach the shed interior edges.
+        target = round_half_up(0.7 * 5)
+        interior_fills = 0
+        for parents in itertools.product(*(range(i) for i in range(1, 6))):
+            graph = Graph(nodes=range(6))
+            for child, parent in enumerate(parents, start=1):
+                graph.add_edge(child, parent)
+            result = ShardedShedder(
+                method="crr", num_shards=2, seed=1, partition=partition
+            ).reduce(graph, 0.7)
+            assert result.reduced.num_edges == target, parents
+            assert result.delta <= result.stats["delta_bound"] + 1e-9, parents
+            interior_fills += result.stats["interior_filled"]
+        assert interior_fills > 0
 
     @pytest.mark.parametrize("method", SHARD_METHODS)
     def test_delta_within_documented_bound(self, small_powerlaw, method):
@@ -190,19 +213,43 @@ class TestReconcile:
     def test_reconcile_hits_target_and_reports(self, small_powerlaw):
         p = 0.5
         plan = partition_graph(small_powerlaw, 3, seed=0)
-        # Degenerate shard results: every shard kept nothing — reconcile
-        # must fill from interior-less state using boundary edges only up
-        # to what exists, then stop.
+        # Degenerate shard results: every shard kept nothing.  The 239
+        # boundary edges cover the 176-edge target, so reconcile fills
+        # from the boundary alone.
         empty = np.empty(0, dtype=np.int64)
         stats = {}
         target = round_half_up(p * small_powerlaw.num_edges)
+        assert plan.num_boundary >= target
         kept_u, kept_v = reconcile_ids(
             plan.csr, p, empty, empty, plan.boundary_u, plan.boundary_v, stats,
             target=target,
         )
-        assert kept_u.shape[0] == min(target, plan.num_boundary)
+        assert kept_u.shape[0] == target
         assert stats["reconcile_target"] == target
         assert stats["boundary_admitted"] + stats["boundary_filled"] == kept_u.shape[0]
+        assert stats["interior_filled"] == 0
+
+    def test_reconcile_fills_interior_once_boundary_is_used_up(self, small_powerlaw):
+        p = 0.9
+        plan = partition_graph(small_powerlaw, 3, seed=0)
+        empty = np.empty(0, dtype=np.int64)
+        stats = {}
+        target = round_half_up(p * small_powerlaw.num_edges)
+        assert plan.num_boundary < target
+        kept_u, kept_v = reconcile_ids(
+            plan.csr, p, empty, empty, plan.boundary_u, plan.boundary_v, stats,
+            target=target,
+        )
+        assert kept_u.shape[0] == target
+        assert stats["boundary_admitted"] + stats["boundary_filled"] == plan.num_boundary
+        assert stats["interior_filled"] == target - plan.num_boundary
+        n = plan.csr.num_nodes
+        keys = set((np.minimum(kept_u, kept_v) * n + np.maximum(kept_u, kept_v)).tolist())
+        assert len(keys) == target  # no edge kept twice
+        assert keys <= plan.csr.edge_key_set()
+        tracker = ArrayDegreeTracker(plan.csr, p)
+        tracker.add_edges_ids(kept_u, kept_v)
+        assert stats["tracker_delta"] == pytest.approx(tracker.delta)
 
     def test_reconcile_demotes_over_budget_input(self, small_powerlaw):
         p = 0.3
