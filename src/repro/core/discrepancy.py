@@ -524,14 +524,18 @@ def compute_delta(original: Graph, reduced: Graph, p: float) -> float:
         # Array path when a current CSR snapshot already exists (every
         # engine run leaves one behind): same per-node terms and the same
         # left-to-right summation order as the scalar loop, so the result
-        # is bit-identical.
-        reduced_adj = reduced._adj
-        empty: set = set()
-        reduced_degrees = np.fromiter(
-            (len(reduced_adj.get(node, empty)) for node in csr.labels),
-            dtype=np.int64,
-            count=csr.num_nodes,
-        )
+        # is bit-identical.  An engine result still holds its edge ids
+        # over the same node order and counts degrees from them.
+        reduced_degrees = reduced._id_degrees(csr.labels)
+        if reduced_degrees is None:
+            reduced._build_dicts()  # the loop holds the dict, not a stand-in
+            reduced_adj = reduced._adj
+            empty: set = set()
+            reduced_degrees = np.fromiter(
+                (len(reduced_adj.get(node, empty)) for node in csr.labels),
+                dtype=np.int64,
+                count=csr.num_nodes,
+            )
         terms = np.abs(reduced_degrees - p * csr.degree_array())
         return float(sum(terms.tolist()))
     delta = 0.0

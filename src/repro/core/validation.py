@@ -15,9 +15,12 @@ from typing import List
 
 from repro.core.base import ReductionResult
 from repro.core.bounds import bm2_average_delta_bound, crr_average_delta_bound
-from repro.core.discrepancy import compute_delta
+from repro.core.discrepancy import compute_delta, round_half_up
 
 __all__ = ["ValidationReport", "validate_reduction"]
+
+#: Methods whose result keeps exactly ``round_half_up(p·m)`` edges.
+EXACT_COUNT_METHODS = ("CRR", "W-CRR", "ShardedCRR")
 
 
 @dataclass
@@ -48,7 +51,9 @@ def validate_reduction(
       legitimately reconstruct spurious edges; those downgrade to a
       warning);
     * the recorded ``delta`` disagrees with a recomputation;
-    * a CRR/BM2 result violates its theorem bound.
+    * a CRR/BM2 result violates its theorem bound;
+    * a CRR result (``CRR``, ``W-CRR`` or ``ShardedCRR``) does not keep
+      exactly ``[p·m]`` edges, the count Algorithm 1 fixes.
 
     Warnings (``ok`` unaffected):
 
@@ -115,5 +120,13 @@ def validate_reduction(
                 failures.append(
                     f"BM2 average delta {average:.4f} violates Theorem 2 bound {bound:.4f}"
                 )
+
+    if result.method in EXACT_COUNT_METHODS:
+        target = round_half_up(result.p * original.num_edges)
+        if reduced.num_edges != target:
+            failures.append(
+                f"{result.method} kept {reduced.num_edges} edges, not"
+                f" [p·m] = {target}"
+            )
 
     return ValidationReport(ok=not failures, failures=failures, warnings=warnings)

@@ -16,8 +16,13 @@ to canonical :data:`Edge` keys without consulting the originating graph.
 Snapshots are usually obtained via :meth:`Graph.csr`, which caches one
 per graph and invalidates it on mutation, so back-to-back array
 computations (PageRank, betweenness, BFS sweeps, embeddings) share a
-single build.  Graphs built from arrays by :meth:`Graph.from_edge_ids`
-(edge-list files, process-mode payloads) arrive with that cache filled.
+single build.  A dict graph's snapshot costs one Python pass over its
+edges; a graph built from arrays by :meth:`Graph.from_edge_ids` builds it
+from those arrays instead, and edge-list files and process-mode payloads
+arrive with it memoised.  Reduction results
+(:meth:`CSRAdjacency.subgraph_from_edge_ids`) are such graphs without a
+memoised snapshot: writing, scoring or shipping one reads its arrays and
+builds neither a snapshot nor adjacency dicts.
 """
 
 from __future__ import annotations
@@ -58,28 +63,8 @@ class CSRAdjacency:
 
     @classmethod
     def from_graph(cls, graph: Graph) -> "CSRAdjacency":
-        labels = list(graph.nodes())
-        index_of = {node: i for i, node in enumerate(labels)}
-        m = graph.num_edges
-        # The one Python-speed pass: endpoint ids in Graph.edges() order.
-        endpoint_ids = np.fromiter(
-            (index_of[endpoint] for edge in graph.edges() for endpoint in edge),
-            dtype=np.int64,
-            count=2 * m,
-        )
-        weights = None
-        if graph.is_weighted:
-            weights = np.fromiter(
-                (w for _, _, w in graph.edge_weights()),
-                dtype=np.float64,
-                count=m,
-            )
-        return cls.from_edge_ids(
-            labels,
-            np.ascontiguousarray(endpoint_ids[0::2]),
-            np.ascontiguousarray(endpoint_ids[1::2]),
-            weights,
-        )
+        """The snapshot of ``graph``, built from its :meth:`Graph.edge_arrays` scan."""
+        return cls.from_edge_ids(*graph.edge_arrays())
 
     @classmethod
     def from_edge_ids(

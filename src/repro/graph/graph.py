@@ -15,6 +15,18 @@ Nodes may be arbitrary hashable labels (SNAP-style integer ids, strings, ...).
 Insertion order is preserved for nodes *and* neighbours, which makes every
 iteration order — and hence every seeded experiment — deterministic.
 
+A graph built from edge-id arrays (:meth:`Graph.from_edge_ids`: edge-list
+files, reduction results, process-mode payloads) keeps its head-sorted
+half-edge arrays and builds the dicts on first need: the first mutation or
+dict read (:meth:`Graph.neighbors`, :meth:`Graph.degree`,
+:meth:`Graph.has_edge`, ``==``, :meth:`Graph.copy`, ...).  Node labels,
+counts, the :meth:`Graph.edges` scan and the CSR snapshot answer from the
+arrays, so a read-only pipeline (read, reduce, score, write) never builds
+them.  Until then each dict slot holds a stand-in whose first use builds
+all three dicts into the slots.  ``Graph`` itself defines no attribute
+hook, so a graph built through :meth:`Graph.add_edge` reads its slots
+exactly as it would without deferred graphs.
+
 Edges may optionally carry a weight (an existence probability in the
 uncertain-graph workload).  Weights live in a separate mirrored mapping
 that is only allocated once the first weighted edge arrives, so an
@@ -25,7 +37,10 @@ explicit weight default to ``1.0`` (a certain edge).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Hashable, Iterable, Iterator, Optional, Sequence, Tuple
+import threading
+import weakref
+from itertools import repeat
+from typing import TYPE_CHECKING, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,6 +57,9 @@ Edge = Tuple[Node, Node]
 
 class Graph:
     """An undirected simple graph backed by insertion-ordered adjacency dicts.
+
+    A graph from :meth:`from_edge_ids` builds those dicts on first need
+    (see the module docstring); until then it reads from its edge arrays.
 
     >>> g = Graph()
     >>> g.add_edge(1, 2)
@@ -64,6 +82,8 @@ class Graph:
         "_digest",
         "_version",
         "_weights",
+        "_ids",
+        "__weakref__",  # held by the stand-ins of unbuilt dict slots
     )
 
     def __init__(self, edges: Iterable[Edge] = (), nodes: Iterable[Node] = ()) -> None:
@@ -93,6 +113,10 @@ class Graph:
         self._digest: Optional[Tuple[int, str]] = None
         #: monotonic mutation counter (the dynamic-maintenance hook).
         self._version = 0
+        #: ``(labels, heads, tails, half-edge weights)`` of a graph from
+        #: :meth:`from_edge_ids` whose dicts are not built yet (its dict
+        #: slots hold :class:`_Unbuilt` stand-ins), else ``None``.
+        self._ids: Optional[_EdgeIds] = None
         for node in nodes:
             self.add_node(node)
         for u, v in edges:
@@ -113,15 +137,16 @@ class Graph:
 
         Node ``i`` is ``labels[i]`` (labels distinct), and nodes keep that
         order.  The edges must be distinct and free of self-loops;
-        ``weights``, aligned with them, makes the graph weighted.  Each neighbour list follows edge
-        order, exactly as replaying :meth:`add_edge` over the arrays
-        would; ``by_side=True`` lists a node's ``edge_u``-side neighbours
-        before its ``edge_v``-side ones instead.  With ``snapshot`` the
-        CSR snapshot is built from the same sorted arrays and memoised,
-        so :meth:`csr` serves it until the first mutation.
+        ``weights``, aligned with them, makes the graph weighted.  Each
+        neighbour list follows edge order, exactly as replaying
+        :meth:`add_edge` over the arrays would; ``by_side=True`` lists a
+        node's ``edge_u``-side neighbours before its ``edge_v``-side ones
+        instead.  The graph keeps the head-sorted half-edge arrays and
+        builds its dicts on first need (see the module docstring).  With
+        ``snapshot`` the CSR snapshot is built from the same arrays and
+        memoised, so :meth:`csr` serves it until the first mutation.
         """
         labels = list(labels)
-        n = len(labels)
         edge_u = np.asarray(edge_u, dtype=np.int64)
         edge_v = np.asarray(edge_v, dtype=np.int64)
         if by_side:
@@ -133,44 +158,55 @@ class Graph:
         # Sort by head, each node's entries in input order: the keys are
         # distinct, so the default sort is stable on the head alone.
         order = np.argsort(heads * heads.shape[0] + np.arange(heads.shape[0]))
-        heads, tails = heads[order], tails[order]
-        bounds = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(heads, minlength=n), out=bounds[1:])
-        bounds = bounds.tolist()
-        label_array = np.empty(n, dtype=object)
-        label_array[:] = labels
-        tail_labels = label_array[tails].tolist()
-        graph = cls()
-        graph._adj = {
-            node: dict.fromkeys(tail_labels[start:end])
-            for node, start, end in zip(labels, bounds, bounds[1:])
-        }
         half_w = None
         if weights is not None:
             weights = np.asarray(weights, dtype=np.float64)
             half_w = (np.concatenate((weights, weights)) if by_side else np.repeat(weights, 2))[order]
-            half_list = half_w.tolist()
-            graph._weights = {
-                node: dict(zip(tail_labels[start:end], half_list[start:end]))
-                for node, start, end in zip(labels, bounds, bounds[1:])
-            }
-        graph._order = dict(zip(labels, range(n)))
-        graph._next_order = n
+        graph = cls()
+        graph._adj = _Unbuilt(graph, "_adj")
+        graph._order = _Unbuilt(graph, "_order")
+        if half_w is not None:
+            graph._weights = _Unbuilt(graph, "_weights")
+        graph._ids = (labels, heads[order], tails[order], half_w)
+        graph._next_order = len(labels)
         graph._num_edges = int(edge_u.shape[0])
         if snapshot:
-            from repro.graph.csr import CSRAdjacency
-
-            # The edges() scan: nodes in id order, each neighbour list in
-            # adjacency order, every edge from its lower-id endpoint.
-            forward = tails > heads
-            graph._csr_cache = CSRAdjacency.from_edge_ids(
-                labels,
-                heads[forward],
-                tails[forward],
-                None if half_w is None else half_w[forward],
-            )
-            graph._csr_version = graph._version
+            graph.csr()
         return graph
+
+    def _build_dicts(self) -> None:
+        """Build ``_adj``/``_weights``/``_order`` from the arrays, if not built.
+
+        Each node's neighbours follow its run of entries, which is the
+        order :meth:`from_edge_ids` documents.  Filling the dicts changes
+        no structure, so ``_version`` (and every memo keyed on it) stays.
+        Builds run under one lock and re-check ``_ids`` there, so a thread
+        that reached the build second never publishes its dicts over ones
+        another thread has built and mutated since.
+        """
+        with _BUILD_LOCK:
+            ids = self._ids
+            if ids is None:
+                return
+            labels, heads, tails, half_w = ids
+            n = len(labels)
+            bounds = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(heads, minlength=n), out=bounds[1:])
+            bounds = bounds.tolist()
+            tail_labels = _label_array(labels)[tails].tolist()
+            adj = {
+                node: dict.fromkeys(tail_labels[start:end])
+                for node, start, end in zip(labels, bounds, bounds[1:])
+            }
+            weights = None
+            if half_w is not None:
+                half_list = half_w.tolist()
+                weights = {
+                    node: dict(zip(tail_labels[start:end], half_list[start:end]))
+                    for node, start, end in zip(labels, bounds, bounds[1:])
+                }
+            self._adj, self._weights, self._order = adj, weights, dict(zip(labels, range(n)))
+            self._ids = None
 
     # ------------------------------------------------------------------
     # Mutation
@@ -292,7 +328,8 @@ class Graph:
     @property
     def num_nodes(self) -> int:
         """Number of nodes, ``|V|``."""
-        return len(self._adj)
+        ids = self._ids
+        return len(self._adj if ids is None else ids[0])
 
     @property
     def num_edges(self) -> int:
@@ -341,9 +378,15 @@ class Graph:
 
     def edge_weights(self) -> Iterator[Tuple[Node, Node, float]]:
         """Iterate ``(u, v, weight)`` triples in :meth:`edges` order."""
+        ids = self._ids
+        if ids is not None:
+            labels, edge_u, edge_v, weights = _scan(ids)
+            edge_w = repeat(1.0) if weights is None else weights.tolist()
+            return zip(*_endpoint_labels(labels, edge_u, edge_v), edge_w)
         weights = self._weights
-        for u, v in self.edges():
-            yield (u, v, 1.0 if weights is None else weights[u][v])
+        return (
+            (u, v, 1.0 if weights is None else weights[u][v]) for u, v in self._edge_scan()
+        )
 
     def has_node(self, node: Node) -> bool:
         return node in self._adj
@@ -369,7 +412,8 @@ class Graph:
 
     def nodes(self) -> Iterator[Node]:
         """Iterate over nodes in insertion order."""
-        return iter(self._adj)
+        ids = self._ids
+        return iter(self._adj if ids is None else ids[0])
 
     def edges(self) -> Iterator[Edge]:
         """Iterate over edges, each reported once in canonical orientation.
@@ -378,6 +422,14 @@ class Graph:
         so the same graph always yields the same edge tuples regardless of
         how the edges were originally spelled.
         """
+        ids = self._ids
+        if ids is not None:
+            labels, edge_u, edge_v, _ = _scan(ids)
+            return zip(*_endpoint_labels(labels, edge_u, edge_v))
+        return self._edge_scan()
+
+    def _edge_scan(self) -> Iterator[Edge]:
+        """The :meth:`edges` scan over the dicts."""
         order = self._order
         for u, neighbors in self._adj.items():
             for v in neighbors:
@@ -398,15 +450,27 @@ class Graph:
         """Return a node -> degree mapping (insertion order)."""
         return {node: len(neighbors) for node, neighbors in self._adj.items()}
 
+    def _id_degrees(self, labels: List[Node]) -> Optional[np.ndarray]:
+        """``int64`` degrees in ``labels`` order, if answerable from arrays.
+
+        ``None`` unless this is a :meth:`from_edge_ids` graph whose dicts
+        are not built and whose node order is exactly ``labels``.
+        """
+        ids = self._ids
+        if ids is None or ids[0] != labels:
+            return None
+        return np.bincount(ids[1], minlength=len(labels))
+
     def average_degree(self) -> float:
         """Mean degree ``2|E| / |V|`` (0.0 for the empty graph)."""
-        if not self._adj:
+        n = self.num_nodes
+        if not n:
             return 0.0
-        return 2.0 * self._num_edges / len(self._adj)
+        return 2.0 * self._num_edges / n
 
     def density(self) -> float:
         """Edge density ``2|E| / (|V| (|V|-1))`` (0.0 for < 2 nodes)."""
-        n = len(self._adj)
+        n = self.num_nodes
         if n < 2:
             return 0.0
         return 2.0 * self._num_edges / (n * (n - 1))
@@ -427,7 +491,12 @@ class Graph:
         if self._csr_cache is None or self._csr_version != self._version:
             from repro.graph.csr import CSRAdjacency
 
-            self._csr_cache = CSRAdjacency.from_graph(self)
+            ids = self._ids
+            self._csr_cache = (
+                CSRAdjacency.from_graph(self)
+                if ids is None
+                else CSRAdjacency.from_edge_ids(*_scan(ids))
+            )
             self._csr_version = self._version
         return self._csr_cache
 
@@ -441,6 +510,45 @@ class Graph:
         if self._csr_cache is not None and self._csr_version == self._version:
             return self._csr_cache
         return None
+
+    def edge_arrays(
+        self,
+    ) -> Tuple[List[Node], np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        """The :meth:`edges` scan in id space, without memoising a snapshot.
+
+        Returns ``(labels, edge_u, edge_v, weights)``: node ``i`` is
+        ``labels[i]`` in :meth:`nodes` order, the ``int64`` endpoint ids
+        run in :meth:`edges` order and orientation (so ``edge_u < edge_v``),
+        and ``weights`` aligns with them (``None`` when unweighted).  A
+        current snapshot or a :meth:`from_edge_ids` graph answers from its
+        arrays; otherwise this is one Python pass over the dicts.  Treat
+        the results as read-only: they may be shared with the graph.
+        """
+        csr = self.cached_csr()
+        if csr is not None:
+            return (csr.labels, *csr.edge_list_ids(), csr.weights)
+        ids = self._ids
+        if ids is not None:
+            return _scan(ids)
+        labels = list(self._adj)
+        index_of = {node: i for i, node in enumerate(labels)}
+        m = self._num_edges
+        endpoint_ids = np.fromiter(
+            (index_of[endpoint] for edge in self._edge_scan() for endpoint in edge),
+            dtype=np.int64,
+            count=2 * m,
+        )
+        weights = None
+        if self._weights is not None:
+            weights = np.fromiter(
+                (w for _, _, w in self.edge_weights()), dtype=np.float64, count=m
+            )
+        return (
+            labels,
+            np.ascontiguousarray(endpoint_ids[0::2]),
+            np.ascontiguousarray(endpoint_ids[1::2]),
+            weights,
+        )
 
     # ------------------------------------------------------------------
     # Derived graphs
@@ -475,6 +583,7 @@ class Graph:
         Raises :class:`EdgeNotFoundError` if an edge is not in this graph,
         so a "reduced graph" can never silently invent edges.
         """
+        self._build_dicts()  # the loops below hold the dicts, not stand-ins
         sub = Graph()
         self_weights = self._weights
         if not keep_all_nodes:
@@ -542,10 +651,10 @@ class Graph:
         return node in self._adj
 
     def __len__(self) -> int:
-        return len(self._adj)
+        return self.num_nodes
 
     def __iter__(self) -> Iterator[Node]:
-        return iter(self._adj)
+        return self.nodes()
 
     def __eq__(self, other: object) -> bool:
         """Structural equality: same node set, edge set and (if any) weights."""
@@ -567,3 +676,84 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(num_nodes={self.num_nodes}, num_edges={self.num_edges})"
+
+
+#: ``(labels, heads, tails, half-edge weights or None)``: the half-edge
+#: arrays of a :meth:`Graph.from_edge_ids` graph, sorted by head.
+_EdgeIds = Tuple[List[Node], np.ndarray, np.ndarray, Optional[np.ndarray]]
+
+#: Serialises first dict builds (see :meth:`Graph._build_dicts`).
+_BUILD_LOCK = threading.Lock()
+
+
+class _Unbuilt:
+    """Stands in a dict slot of a :meth:`Graph.from_edge_ids` graph.
+
+    Its first use builds the graph's dicts, which replaces every stand-in
+    in the slots, and is answered by the built dict, as is any later use
+    of a stand-in that a caller still holds.
+    """
+
+    __slots__ = ("_graph", "_name")
+
+    def __init__(self, graph: Graph, name: str) -> None:
+        # Weak, so a graph whose dicts are never built is freed by refcount.
+        self._graph = weakref.ref(graph)
+        self._name = name
+
+    def _built(self) -> dict:
+        graph = self._graph()
+        graph._build_dicts()
+        return getattr(graph, self._name)
+
+    def __getattr__(self, name: str):  # get, items, keys, values, setdefault, ...
+        if name.startswith("__"):
+            raise AttributeError(name)
+        return getattr(self._built(), name)
+
+    def __getitem__(self, key):
+        return self._built()[key]
+
+    def __setitem__(self, key, value) -> None:
+        self._built()[key] = value
+
+    def __delitem__(self, key) -> None:
+        del self._built()[key]
+
+    def __contains__(self, key) -> bool:
+        return key in self._built()
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def __len__(self) -> int:
+        return len(self._built())
+
+    def __reduce__(self):
+        return _Unbuilt, (self._graph(), self._name)
+
+
+def _scan(ids: _EdgeIds) -> Tuple[List[Node], np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """The :meth:`Graph.edges` scan of head-sorted half-edge arrays.
+
+    Nodes in id order, each neighbour run in adjacency order, every edge
+    from its lower-id endpoint: exactly the forward (tail > head) entries.
+    """
+    labels, heads, tails, half_w = ids
+    forward = tails > heads
+    return labels, heads[forward], tails[forward], None if half_w is None else half_w[forward]
+
+
+def _label_array(labels: List[Node]) -> np.ndarray:
+    """``object[n]`` of labels (filled in place, so tuples stay scalars)."""
+    array = np.empty(len(labels), dtype=object)
+    array[:] = labels
+    return array
+
+
+def _endpoint_labels(
+    labels: List[Node], edge_u: np.ndarray, edge_v: np.ndarray
+) -> Tuple[List[Node], List[Node]]:
+    """The labels of each edge's endpoints, as two lists."""
+    label_array = _label_array(labels)
+    return label_array[edge_u].tolist(), label_array[edge_v].tolist()

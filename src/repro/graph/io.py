@@ -20,11 +20,14 @@ A ``nan`` token is rejected like any other non-number.
 Ingest is array-first.  The reader parses the file in bounded chunks of
 lines into endpoint-id arrays, numbering nodes in order of first
 appearance, then hands the distinct edges to :meth:`Graph.from_edge_ids`
-— the one array-to-``Graph`` constructor — which fills the adjacency dicts
-and memoises the CSR snapshot in the same pass.  The graph comes back
+— the one array-to-``Graph`` constructor — which keeps the sorted edge
+arrays and memoises the CSR snapshot; the adjacency dicts are built only
+when something first mutates the graph or reads them.  The graph behaves
 exactly as replaying ``add_edge`` line by line would build it, and a
-reduction starts from the ready snapshot instead of converting the dicts;
-the first mutation drops the snapshot, as for any graph.
+reduction starts from the ready snapshot; the first mutation drops the
+snapshot, as for any graph.  :func:`write_edge_list` writes a graph's edge
+scan from the same kind of arrays, so reading, reducing and writing a file
+builds no adjacency dict at all.
 
 :func:`graph_to_payload` / :func:`graph_from_payload` expose the JSON
 wire shape ``{"nodes": [...], "edges": [[u, v], ...]}`` directly, so the
@@ -60,9 +63,10 @@ __all__ = [
 
 PathLike = Union[str, Path]
 
-#: Lines parsed per chunk.  One chunk's lines and token lists are the
-#: parse's only per-line Python objects, so the chunk bounds its transient
-#: memory — which fork-pool workers inherit as their high-water mark.
+#: Lines parsed or written per chunk.  One chunk's lines and token lists
+#: are the parse's (and the writer's) only per-line Python objects, so the
+#: chunk bounds their transient memory — which fork-pool workers inherit
+#: as their high-water mark.
 _CHUNK_LINES = 4096
 
 
@@ -277,17 +281,49 @@ def write_edge_list(graph: Graph, path: PathLike, header: str = "") -> None:
 
     Weighted graphs gain a third weight column (``%.17g``, round-trip
     exact), which :func:`read_edge_list` reads back with ``weight_col=2``.
+    Each label is formatted once and the :meth:`Graph.edge_arrays` scan
+    is written from those tokens.  A label whose token
+    :func:`read_edge_list` would not read back as that label (empty,
+    holding whitespace, starting a comment, or parsing to another value,
+    as the str ``"7"`` parses to the int ``7``), or a header holding a
+    line break, raises :class:`GraphError` before ``path`` is opened.
     """
+    if "\n" in header or "\r" in header:
+        raise GraphError(f"edge-list header {header!r} contains a line break")
+    labels, edge_u, edge_v, weights = graph.edge_arrays()
+    tokens = np.empty(len(labels), dtype=object)
+    tokens[:] = _label_tokens(labels)
     with open(path, "w", encoding="utf-8") as handle:
         if header:
             handle.write(f"# {header}\n")
-        handle.write(f"# nodes: {graph.num_nodes} edges: {graph.num_edges}\n")
-        if graph.is_weighted:
-            for u, v, w in graph.edge_weights():
-                handle.write(f"{u}\t{v}\t{w:.17g}\n")
-        else:
-            for u, v in graph.edges():
-                handle.write(f"{u}\t{v}\n")
+        handle.write(f"# nodes: {len(labels)} edges: {edge_u.shape[0]}\n")
+        for start in range(0, edge_u.shape[0], _CHUNK_LINES):
+            chunk = slice(start, start + _CHUNK_LINES)
+            columns = [tokens[edge_u[chunk]].tolist(), tokens[edge_v[chunk]].tolist()]
+            if weights is not None:
+                columns.append(list(map("{:.17g}".format, weights[chunk].tolist())))
+            handle.write("\n".join(map("\t".join, zip(*columns))))
+            handle.write("\n")
+
+
+def _label_tokens(labels: List[Node]) -> List[str]:
+    """Each label's edge-list token, refusing one that would not read back.
+
+    A plain ``int`` always reads back as itself, so only other labels
+    pay for the check.
+    """
+    tokens = list(map(format, labels))
+    for label, token in zip(labels, tokens):
+        if type(label) is not int and (
+            token.split() != [token]
+            or token[0] in "#%"
+            or _parse_node(token) != label
+        ):
+            raise GraphError(
+                f"node label {label!r} cannot be written to an edge list:"
+                f" its token {token!r} would not read back as the same node"
+            )
+    return tokens
 
 
 def graph_to_payload(graph: Graph) -> dict:

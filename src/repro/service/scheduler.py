@@ -15,7 +15,10 @@ Three execution modes, selected by the service:
   the result parent-side.  Because the worker replays nodes in label
   order and edges in ``Graph.edges()`` order, the child's rebuilt graph
   has the *identical* CSR snapshot and edge iteration order — so the
-  reductions are bit-identical to an inline run.
+  reductions are bit-identical to an inline run.  The reduced graph
+  comes back the same way, as its edge scan in ids: graphs on both sides
+  are built by :meth:`Graph.from_edge_ids` and hold arrays, and a CRR or
+  BM2 job builds no adjacency dict in either process.
 
 Determinism does not depend on the mode: every job builds a fresh
 shedder from its own request seed (seed routing), so results are a pure
@@ -222,46 +225,39 @@ def _graph_from_ids(
     """Rebuild a graph on ``labels`` from edge-id arrays (and weights).
 
     :meth:`Graph.from_edge_ids` keeps label order and lists neighbours in
-    array order, so a graph shipped as its ``Graph.edges()`` ids comes
-    back with the identical canonical edge iteration and CSR snapshot —
-    the property bit-identity rests on.  ``snapshot`` memoises that
-    snapshot: the worker's input graph starts its reduction from it,
-    while a returned reduced graph, like one reduced in-process, has none
-    to hold in the artifact cache.
+    array order, so a graph shipped as its :meth:`Graph.edge_arrays` scan
+    comes back with the identical canonical edge iteration and CSR
+    snapshot — the property bit-identity rests on.  The rebuilt graph
+    holds the arrays and builds adjacency dicts only if something reads
+    them.  ``snapshot`` memoises that snapshot: the worker's input graph
+    starts its reduction from it, while a returned reduced graph, like one
+    reduced in-process, has none to hold in the artifact cache.
     """
     if edge_w is not None and edge_w.shape[0] == 0:
         edge_w = None  # an edgeless graph never became weighted
     return Graph.from_edge_ids(labels, u_ids, v_ids, edge_w, snapshot=snapshot)
 
 
-def _edge_ids(
-    graph: Graph, index_of: Dict[Any, int]
-) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """``graph``'s edges as id arrays in ``Graph.edges()`` order, plus weights."""
-    edges = list(graph.edges())
-    count = len(edges)
-    u_ids = np.fromiter((index_of[u] for u, _ in edges), dtype=np.int64, count=count)
-    v_ids = np.fromiter((index_of[v] for _, v in edges), dtype=np.int64, count=count)
-    if not graph.is_weighted:
-        return u_ids, v_ids, None
-    weights = np.fromiter((w for _, _, w in graph.edge_weights()), np.float64, count=count)
-    return u_ids, v_ids, weights
-
-
 def _reduce_job(payload: Tuple) -> Tuple:
     """Worker-side entry: rebuild the graph from flat arrays and reduce.
 
-    Returns the reduced graph as edge ids over the same labels, plus its
-    weights when it carries any.  Reduced edges need not be edges of the
-    input (UDS reconstructs supernode blocks), so the parent rebuilds
+    Returns the reduced graph's :meth:`Graph.edge_arrays` scan as ids over
+    the input's labels, plus its weights when it carries any.  A CRR or
+    BM2 result is still held as edge ids, so neither the worker nor the
+    parent builds an adjacency dict.  Reduced edges need not be edges of
+    the input (UDS reconstructs supernode blocks), so the parent rebuilds
     them rather than selecting them from its own graph.
     """
     labels, u_ids, v_ids, edge_w, method, p, seed, num_sources, weighted = payload
     graph = _graph_from_ids(labels, u_ids, v_ids, edge_w, snapshot=True)
     shedder = make_shedder(method, seed=seed, num_sources=num_sources, weighted=weighted)
     result = shedder.reduce(graph, p)
-    index_of = {node: idx for idx, node in enumerate(labels)}
-    out_u, out_v, out_w = _edge_ids(result.reduced, index_of)
+    out_labels, out_u, out_v, out_w = result.reduced.edge_arrays()
+    if out_labels != labels:
+        # A method that reordered the nodes: map its ids onto the input's.
+        index_of = {node: idx for idx, node in enumerate(labels)}
+        to_input = np.array([index_of[node] for node in out_labels], dtype=np.int64)
+        out_u, out_v = to_input[out_u], to_input[out_v]
     return out_u, out_v, out_w, result.delta, result.elapsed_seconds, result.stats, result.method
 
 

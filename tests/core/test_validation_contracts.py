@@ -1,0 +1,115 @@
+"""The validator's contracts: CRR's edge count and E' ⊆ E.
+
+These tests pin the edge-count rule for the CRR family (Algorithm 1
+keeps exactly ``[p·m]`` edges) and check that the invented-edge report
+counts every invented edge, foreign endpoints included, and names the
+one the ``edges()`` scan meets first.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.core import CRRShedder, ReductionResult, compute_delta
+from repro.core.discrepancy import round_half_up
+from repro.core.validation import validate_reduction
+from repro.graph import powerlaw_cluster
+from repro.shard import ShardedShedder
+from repro.uncertain import WeightedCRRShedder
+
+GRAPH = powerlaw_cluster(300, 3, 0.1, seed=2)
+
+
+@pytest.mark.parametrize("shedder_class", [CRRShedder, WeightedCRRShedder])
+@pytest.mark.parametrize("p, kept", [(0.3, 267), (0.5, 446), (0.7, 624)])
+def test_crr_family_keeps_exact_count_and_validates(shedder_class, p, kept):
+    result = shedder_class(seed=1, num_betweenness_sources=16).reduce(GRAPH, p)
+    assert result.reduced.num_edges == kept == round_half_up(p * GRAPH.num_edges)
+    report = validate_reduction(result)
+    assert report.ok, report.describe()
+
+
+def test_sharded_crr_validates():
+    shedder = ShardedShedder(
+        method="crr", num_shards=2, num_workers=1, num_betweenness_sources=16, seed=1
+    )
+    result = shedder.reduce(GRAPH, 0.5)
+    assert result.method == "ShardedCRR"
+    report = validate_reduction(result)
+    assert report.ok, report.describe()
+
+
+@pytest.mark.parametrize("method", ["CRR", "W-CRR", "ShardedCRR"])
+def test_crr_result_missing_one_edge_fails(method):
+    result = CRRShedder(seed=1, num_betweenness_sources=16).reduce(GRAPH, 0.5)
+    reduced = result.reduced.copy()
+    reduced.remove_edge(*next(iter(reduced.edges())))
+    bad = ReductionResult(
+        method=method,
+        original=GRAPH,
+        reduced=reduced,
+        p=0.5,
+        delta=compute_delta(GRAPH, reduced, 0.5),
+        elapsed_seconds=0.0,
+    )
+    report = validate_reduction(bad)
+    assert not report.ok
+    assert report.failures == [f"{method} kept 445 edges, not [p·m] = 446"]
+
+
+def test_count_rule_does_not_apply_to_other_methods():
+    result = CRRShedder(seed=1, num_betweenness_sources=16).reduce(GRAPH, 0.5)
+    reduced = result.reduced.copy()
+    reduced.remove_edge(*next(iter(reduced.edges())))
+    report = validate_reduction(
+        ReductionResult(
+            method="CRR (progressive)",
+            original=GRAPH,
+            reduced=reduced,
+            p=0.5,
+            delta=compute_delta(GRAPH, reduced, 0.5),
+            elapsed_seconds=0.0,
+        )
+    )
+    assert report.ok, report.describe()
+
+
+def test_invented_edges_counted_and_first_named_in_scan_order():
+    result = CRRShedder(seed=1, num_betweenness_sources=16).reduce(GRAPH, 0.5)
+    reduced = result.reduced.copy()
+    nodes = list(GRAPH.nodes())
+    fresh = [(u, v) for u in nodes[-40:] for v in nodes[-40:] if u < v and not GRAPH.has_edge(u, v)]
+    for u, v in fresh[:3]:
+        reduced.add_edge(v, u)
+    first = next(edge for edge in reduced.edges() if not GRAPH.has_edge(*edge))
+    report = validate_reduction(
+        ReductionResult(
+            method="Random",
+            original=GRAPH,
+            reduced=reduced,
+            p=0.5,
+            delta=compute_delta(GRAPH, reduced, 0.5),
+            elapsed_seconds=0.0,
+        )
+    )
+    assert report.failures == [
+        f"3 reduced edges are not in the original graph (e.g. {first!r})"
+    ]
+
+
+def test_foreign_node_edges_are_invented():
+    result = CRRShedder(seed=1, num_betweenness_sources=16).reduce(GRAPH, 0.5)
+    reduced = result.reduced.copy()
+    reduced.add_edge(0, "stranger")
+    report = validate_reduction(
+        ReductionResult(
+            method="Random",
+            original=GRAPH,
+            reduced=reduced,
+            p=0.5,
+            delta=result.delta,
+            elapsed_seconds=0.0,
+        )
+    )
+    assert "node set mismatch: 0 original nodes missing, 1 foreign nodes present" in report.failures
+    assert "1 reduced edges are not in the original graph (e.g. (0, 'stranger'))" in report.failures

@@ -7,12 +7,16 @@ exactly: node order, every neighbour sequence, edge order, weights bit
 for bit, the parse summary and error messages, and a memoised snapshot
 whose arrays equal ``CSRAdjacency.from_graph`` of the oracle graph.
 Neighbour order is invisible to ``Graph.__eq__``, so it is compared
-sequence by sequence.  ``graph_from_payload`` is fuzzed over JSON-shaped
-payloads.  CI runs this file under two ``PYTHONHASHSEED`` values, because
+sequence by sequence.  A ``from_edge_ids`` graph must answer labels, the
+edge scan, its snapshot, Δ and the written file from its arrays, equal to
+the oracle's, before its dicts exist, and match it after they are built.
+``graph_from_payload`` is fuzzed over JSON-shaped payloads.  CI runs this file under two ``PYTHONHASHSEED`` values, because
 string labels expose a hash-ordered container only across processes.
 """
 
 from __future__ import annotations
+
+import pickle
 
 import hypothesis.strategies as st
 import numpy as np
@@ -20,10 +24,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 import repro.graph.io as graph_io
+from repro.core.discrepancy import compute_delta
 from repro.errors import GraphError
 from repro.graph import Graph, erdos_renyi
 from repro.graph.csr import CSRAdjacency
-from repro.graph.io import graph_from_payload, read_edge_list_with_summary
+from repro.graph.io import graph_from_payload, read_edge_list_with_summary, write_edge_list
 from repro.service.scheduler import _graph_from_ids
 from tests.oracles.graph import (
     graph_from_ids_replay,
@@ -290,3 +295,90 @@ def test_graph_from_payload_returns_graph_or_graph_error(payload):
         assert str(error).startswith("fuzz: ")
         return
     assert isinstance(graph, Graph)
+
+
+# ----------------------------------------------------------------------
+# Deferred dicts: a from_edge_ids graph answers from its arrays
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def deferred_cases(draw):
+    """(labels, edge_u, edge_v, weights, by_side) over int or shuffled str labels."""
+    n = draw(st.integers(0, 12))
+    if draw(st.booleans()):
+        labels = draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n, unique=True))
+    else:
+        labels = draw(st.permutations([f"n{i}" for i in range(n)]))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    flips = draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))
+    edges = [(j, i) if flip else (i, j) for (i, j), flip in zip(chosen, flips)]
+    edge_u = np.array([u for u, _ in edges], dtype=np.int64)
+    edge_v = np.array([v for _, v in edges], dtype=np.int64)
+    weights = None
+    if edges and draw(st.booleans()):
+        weights = np.array(
+            draw(st.lists(st.floats(0.0, 1.0), min_size=len(edges), max_size=len(edges))),
+            dtype=np.float64,
+        )
+    return labels, edge_u, edge_v, weights, draw(st.booleans())
+
+
+def _deferred_and_oracle(labels, edge_u, edge_v, weights, by_side):
+    graph = Graph.from_edge_ids(labels, edge_u, edge_v, weights, by_side=by_side, snapshot=False)
+    oracle = graph_from_ids_replay(labels, edge_u, edge_v, weights)
+    if by_side:
+        oracle = subgraph_from_edge_ids_grouped(oracle.csr(), edge_u, edge_v)
+    return graph, oracle
+
+
+def _complete(labels):
+    n = len(labels)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return Graph.from_edge_ids(
+        labels,
+        np.array([i for i, _ in pairs], dtype=np.int64),
+        np.array([j for _, j in pairs], dtype=np.int64),
+    )
+
+
+@SETTINGS
+@given(deferred_cases())
+def test_deferred_graph_matches_oracle_before_and_after_dicts(tmp_path, case):
+    labels, edge_u, edge_v, weights, by_side = case
+    graph, oracle = _deferred_and_oracle(labels, edge_u, edge_v, weights, by_side)
+    # Array reads: nothing here may build the dicts.
+    assert _typed(graph.nodes()) == _typed(oracle.nodes()) == _typed(graph)
+    assert graph.num_nodes == len(graph) == oracle.num_nodes
+    assert graph.is_weighted == oracle.is_weighted
+    assert list(graph.edges()) == list(oracle.edges())
+    assert [(u, v, np.float64(w).tobytes()) for u, v, w in graph.edge_weights()] == [
+        (u, v, np.float64(w).tobytes()) for u, v, w in oracle.edge_weights()
+    ]
+    complete = _complete(labels)
+    assert compute_delta(complete, graph, 0.4) == compute_delta(complete, oracle, 0.4)
+    written, expected = tmp_path / "graph.txt", tmp_path / "oracle.txt"
+    write_edge_list(graph, written)
+    write_edge_list(oracle, expected)
+    assert written.read_bytes() == expected.read_bytes()
+    assert graph.cached_csr() is None
+    graph.csr()
+    assert_snapshot_matches(graph, oracle)
+    assert graph._ids is not None  # still no dicts
+    fresh = Graph.from_edge_ids(labels, edge_u, edge_v, weights, by_side=by_side)
+    pickled = pickle.loads(pickle.dumps(fresh))
+    # Dict reads: neighbour order, equality, copies, pickles and mutation.
+    for node in oracle.nodes():
+        assert _typed(graph.neighbors(node)) == _typed(oracle.neighbors(node))
+    assert graph == oracle
+    assert graph._ids is None
+    for other in (graph.copy(), pickle.loads(pickle.dumps(graph)), pickled):
+        assert_same_graph(other, oracle)
+        assert other == oracle
+    version = graph.version
+    weight = None if weights is None else 0.5
+    graph.add_edge("fresh", labels[0] if labels else "other", weight=weight)
+    oracle.add_edge("fresh", labels[0] if labels else "other", weight=weight)
+    assert_same_graph(graph, oracle)
+    assert graph.version > version and graph.cached_csr() is None
