@@ -53,7 +53,8 @@ def validate_reduction(
     * the recorded ``delta`` disagrees with a recomputation;
     * a CRR/BM2 result violates its theorem bound;
     * a CRR result (``CRR``, ``W-CRR`` or ``ShardedCRR``) does not keep
-      exactly ``[p·m]`` edges, the count Algorithm 1 fixes.
+      exactly ``[p·m]`` edges, the count Algorithm 1 fixes;
+    * Δ exceeds ``stats["delta_bound"]`` (every sharded result's bound).
 
     Warnings (``ok`` unaffected):
 
@@ -120,6 +121,10 @@ def validate_reduction(
                 failures.append(
                     f"BM2 average delta {average:.4f} violates Theorem 2 bound {bound:.4f}"
                 )
+
+    bound = result.stats.get("delta_bound")
+    if bound is not None and result.delta > bound + 1e-9:
+        failures.append(f"delta {result.delta:.6f} exceeds its recorded bound {bound:.6f}")
 
     if result.method in EXACT_COUNT_METHODS:
         target = round_half_up(result.p * original.num_edges)

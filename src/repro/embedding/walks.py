@@ -31,7 +31,6 @@ import numpy as np
 
 from repro.errors import EmbeddingError
 from repro.graph.graph import Graph
-from repro.graph.kernels import walk_epoch_matrix
 from repro.rng import RandomState, ensure_rng
 
 __all__ = ["generate_walks", "generate_walk_matrix"]
@@ -101,21 +100,10 @@ def generate_walk_matrix(
     # streams are independent of scheduling, so serial and parallel
     # fan-out produce bit-identical matrices.
     epoch_seeds = rng.integers(0, 2**63 - 1, size=num_walks, dtype=np.int64)
-    starts = np.nonzero(csr.degree_array() > 0)[0].astype(np.int64)
-    if starts.size == 0:
+    if csr.num_edges == 0:
         return np.empty((0, walk_length), dtype=np.int64)
     if workers is not None and workers < 1:
         raise EmbeddingError(f"workers must be >= 1, got {workers}")
-    if workers is not None and workers > 1 and num_walks > 1:
-        from repro.graph.parallel import parallel_walk_matrix
+    from repro.graph.parallel import parallel_walk_matrix
 
-        return parallel_walk_matrix(
-            csr, epoch_seeds, walk_length, p=p, q=q, num_workers=workers
-        )
-    blocks = [
-        walk_epoch_matrix(
-            csr, ensure_rng(int(epoch_seed)), walk_length, p=p, q=q, starts=starts
-        )
-        for epoch_seed in epoch_seeds
-    ]
-    return np.vstack(blocks)
+    return parallel_walk_matrix(csr, epoch_seeds, walk_length, p=p, q=q, num_workers=workers or 1)

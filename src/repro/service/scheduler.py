@@ -9,16 +9,18 @@ Three execution modes, selected by the service:
   CPU-bound Python, so threads serialise on the GIL — this mode buys
   queueing/backpressure semantics, not parallel speedup.
 * ``process`` — worker threads hand the actual reduction to a bounded
-  ``multiprocessing`` pool via :class:`ProcessEngine`, which ships the
-  flat CSR edge arrays (the :mod:`repro.graph.parallel` pattern: numpy
-  id arrays plus the label list, never the adjacency dicts) and rebuilds
+  process pool (:class:`~repro.graph.parallel.WorkerPool`) via
+  :class:`ProcessEngine`, which ships the flat CSR edge arrays (numpy id
+  arrays plus the label list, never the adjacency dicts) and rebuilds
   the result parent-side.  Because the worker replays nodes in label
   order and edges in ``Graph.edges()`` order, the child's rebuilt graph
   has the *identical* CSR snapshot and edge iteration order — so the
   reductions are bit-identical to an inline run.  The reduced graph
   comes back the same way, as its edge scan in ids: graphs on both sides
   are built by :meth:`Graph.from_edge_ids` and hold arrays, and a CRR or
-  BM2 job builds no adjacency dict in either process.
+  BM2 job builds no adjacency dict in either process.  A dead worker
+  fails its jobs (the service marks them FAILED and releases their
+  ledger charge), and the engine replaces the pool once.
 
 Determinism does not depend on the mode: every job builds a fresh
 shedder from its own request seed (seed routing), so results are a pure
@@ -36,9 +38,10 @@ from __future__ import annotations
 import heapq
 import itertools
 import multiprocessing
-import multiprocessing.pool
 import threading
 import time
+from concurrent.futures import TimeoutError as FutureTimeoutError
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -47,7 +50,7 @@ import numpy as np
 from repro.core.base import ReductionResult
 from repro.errors import ServiceError
 from repro.graph.graph import Graph
-from repro.graph.parallel import _pool_context
+from repro.graph.parallel import WorkerPool
 from repro.service.request import (
     JobHandle,
     JobStatus,
@@ -265,31 +268,30 @@ class ProcessEngine:
     """Bounded process pool running reductions out-of-process.
 
     Ships ``(labels, edge-id arrays, optional weights, method, p, seed)``
-    per job — the
-    flat-array pattern of :mod:`repro.graph.parallel` — and rebuilds the
-    :class:`ReductionResult` parent-side from the returned edge ids.
+    per job to a :class:`~repro.graph.parallel.WorkerPool` and rebuilds
+    the :class:`ReductionResult` parent-side from the returned edge ids.
+    A dead worker fails each job in flight with a :class:`ServiceError`
+    naming its method and ``p``; the first job to notice (or the next
+    submit, if the worker died idle) replaces the pool (:attr:`rebuilds`).
     """
 
     def __init__(self, num_workers: int = 2) -> None:
         if num_workers < 1:
             raise ServiceError(f"num_workers must be >= 1, got {num_workers}")
         self.num_workers = num_workers
-        self._pool: Optional[multiprocessing.pool.Pool] = None
         self._lock = threading.Lock()
         #: Tasks whose result was abandoned after a timeout (the pool
         #: worker still finishes them; their output is discarded).
         self.abandoned_tasks = 0
-        # Create the pool eagerly, while the constructing thread is (in
-        # the service's lifecycle) still the only one running: forking a
-        # multi-threaded process can deadlock children that inherit held
-        # locks, so never fork lazily from a scheduler worker thread.
-        self._ensure_pool()
-
-    def _ensure_pool(self) -> multiprocessing.pool.Pool:
-        with self._lock:
-            if self._pool is None:
-                self._pool = _pool_context().Pool(processes=self.num_workers)
-            return self._pool
+        #: Broken pools replaced after a worker died.
+        self.rebuilds = 0
+        self._pool: Optional[WorkerPool] = WorkerPool(num_workers)
+        # Fork the workers now, while the constructing thread is (in the
+        # service's lifecycle) the only one: forking a multi-threaded
+        # process can deadlock children that inherit held locks.  The first
+        # submit forks every worker (3.10: one per submit); none is awaited.
+        for _ in range(num_workers):
+            self._pool.submit(int)
 
     def execute(
         self,
@@ -301,7 +303,7 @@ class ProcessEngine:
         timeout: Optional[float] = None,
         weighted: bool = False,
     ) -> ReductionResult:
-        """Run one reduction in the pool; raise on deadline expiry."""
+        """Run one reduction in the pool; raise on deadline expiry or a dead worker."""
         csr = graph.csr()
         u_ids, v_ids = csr.edge_list_ids()
         # Weights ship whenever the graph carries them (weight-blind runs
@@ -309,14 +311,29 @@ class ProcessEngine:
         # additionally selects the probability-aware shedder.
         edge_w = csr.edge_weights_for(u_ids, v_ids) if csr.is_weighted else None
         payload = (csr.labels, u_ids, v_ids, edge_w, method, p, seed, num_sources, weighted)
-        task = self._ensure_pool().apply_async(_reduce_job, (payload,))
+        with self._lock:
+            if self._pool is None:
+                raise ServiceError("process engine is closed")
+            try:
+                task = self._pool.submit(_reduce_job, payload)
+            except BrokenProcessPool:  # a worker died while the pool was idle
+                self._rebuild()
+                task = self._pool.submit(_reduce_job, payload)
+            pool = self._pool
         try:
-            out_u, out_v, out_w, delta, elapsed, stats, method_name = task.get(timeout)
-        except multiprocessing.TimeoutError:
+            out_u, out_v, out_w, delta, elapsed, stats, method_name = task.result(timeout)
+        except FutureTimeoutError:
             with self._lock:
                 self.abandoned_tasks += 1
             raise JobTimeoutError(
                 f"{method} reduction exceeded its {timeout:.3f}s budget"
+            ) from None
+        except BrokenProcessPool:
+            with self._lock:
+                if self._pool is pool:
+                    self._rebuild()
+            raise ServiceError(
+                f"{method} reduction at p={p:g} failed: its pool worker died"
             ) from None
         return ReductionResult(
             method=method_name,
@@ -328,9 +345,21 @@ class ProcessEngine:
             stats=stats,
         )
 
+    def _rebuild(self) -> None:
+        """Replace the broken pool; the caller holds the lock.
+
+        The service runs scheduler threads by now, so the new pool starts
+        its workers with ``spawn``, never ``fork``.  Spawned workers import
+        the main module by path, so a script that runs a process-mode
+        service needs the usual ``if __name__ == "__main__"`` guard.
+        """
+        self._pool.terminate()
+        self._pool = WorkerPool(self.num_workers, context=multiprocessing.get_context("spawn"))
+        self.rebuilds += 1
+
     def close(self) -> None:
+        """End the workers, running and abandoned tasks included."""
         with self._lock:
-            if self._pool is not None:
-                self._pool.terminate()
-                self._pool.join()
-                self._pool = None
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.terminate()

@@ -219,7 +219,10 @@ class SheddingService:
             "waits": self.ledger.waits,
         }
         if self._engine is not None:
-            snapshot["process_pool"] = {"abandoned_tasks": self._engine.abandoned_tasks}
+            snapshot["process_pool"] = {
+                "abandoned_tasks": self._engine.abandoned_tasks,
+                "rebuilds": self._engine.rebuilds,
+            }
         return snapshot
 
     # ------------------------------------------------------------------

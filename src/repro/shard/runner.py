@@ -8,10 +8,12 @@ stitches the results back into one reduction:
 2. **Shed** each shard's interior edges with one configured engine's id
    core (:meth:`repro.core.crr.CRRShedder.reduce_ids` /
    :meth:`repro.core.bm2.BM2Shedder.reduce_ids`) over its
-   :class:`~repro.graph.csr.CSRView` — optionally fanned out across
-   processes, whose pool initializer ships the parent snapshot's flat
-   arrays once per worker.  Worker results are deterministic given the
-   seed, so ``num_workers`` never changes the output.
+   :class:`~repro.graph.csr.CSRView` — optionally fanned out across a
+   :class:`~repro.graph.parallel.WorkerPool`, whose initializer ships the
+   parent snapshot's flat arrays once per worker.  Worker results are
+   deterministic given the seed and come back in shard order, so
+   ``num_workers`` never changes the output.  A worker that dies fails
+   the reduction with one error naming the shards left unfinished.
 3. **Reconcile** boundary edges against a merged whole-graph tracker:
    admit every boundary edge that strictly lowers ``Δ``; CRR runs — whose
    whole-graph engine pins exactly ``[p·m]`` kept edges — then demote /
@@ -54,7 +56,7 @@ from repro.core.discrepancy import ArrayDegreeTracker, round_half_up
 from repro.core.sparsify import edcs_beta, prune_boundary_ids
 from repro.graph.csr import CSRAdjacency
 from repro.graph.graph import Graph
-from repro.graph.parallel import _pool_context
+from repro.graph.parallel import WorkerPool, worker_snapshot
 from repro.shard.partition import PARTITION_METHODS, ShardPlan, partition_graph
 
 __all__ = ["SHARD_METHODS", "ShardedShedder", "reconcile_ids"]
@@ -65,46 +67,6 @@ SHARD_METHODS = ("crr", "bm2")
 #: Improvement threshold for boundary admissions (same float-noise filter
 #: as the CRR rewiring loop).
 _MIN_IMPROVEMENT = 1e-9
-
-
-# Shard-worker state: the parent snapshot's arrays, shipped once per
-# worker by the pool initializer.  The scan-order edge list rides along
-# because workers rebuild views from it — falling back to the snapshot's
-# lexicographic edge enumeration would silently reorder shard edge scans
-# and break the serial/parallel bit-identity contract.
-_WORKER_SHARD_CSR: Optional[
-    Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-] = None
-
-
-def _init_shard_worker(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    edge_u: np.ndarray,
-    edge_v: np.ndarray,
-) -> None:
-    global _WORKER_SHARD_CSR
-    _WORKER_SHARD_CSR = (indptr, indices, edge_u, edge_v)
-
-
-def shard_worker_snapshot() -> CSRAdjacency:
-    """The parent CSR snapshot inside a shard worker (ids as labels).
-
-    The reconstructed snapshot's :meth:`CSRAdjacency.edge_list_ids` is the
-    parent's scan order, so ``snapshot.view_of(node_ids)`` builds the very
-    same view arrays the parent holds — the property the workers=N
-    bit-identity test pins.
-    """
-    assert _WORKER_SHARD_CSR is not None, "worker initialised without shard arrays"
-    indptr, indices, edge_u, edge_v = _WORKER_SHARD_CSR
-    n = indptr.shape[0] - 1
-    return CSRAdjacency(
-        indptr=indptr,
-        indices=indices,
-        labels=list(range(n)),
-        index_of={},
-        _derived={"edge_list_ids": (edge_u, edge_v)},
-    )
 
 
 def _shed_shard_view(
@@ -119,14 +81,12 @@ def _shed_shard_view(
 
 
 def _shard_job(
-    payload: Tuple[int, np.ndarray, CRRShedder | BM2Shedder, float]
-) -> Tuple[int, np.ndarray, np.ndarray, Dict[str, Any]]:
-    """Process-pool task: rebuild the shard view from the initializer-shipped
-    parent arrays and shed it.  Local ids only — the parent lifts them."""
-    index, node_ids, shedder, p = payload
-    view = shard_worker_snapshot().view_of(node_ids)
-    kept_u, kept_v, stats = _shed_shard_view(view, shedder, p)
-    return index, kept_u, kept_v, stats
+    payload: Tuple[np.ndarray, CRRShedder | BM2Shedder, float]
+) -> Tuple[np.ndarray, np.ndarray, Dict[str, Any]]:
+    """Pool job: build the shard's view from the worker's copy of the
+    parent snapshot and shed it.  Local ids only — the parent lifts them."""
+    node_ids, shedder, p = payload
+    return _shed_shard_view(worker_snapshot().view_of(node_ids), shedder, p)
 
 
 def _admission_rounds(
@@ -399,22 +359,9 @@ class ShardedShedder(EdgeShedder):
         workers = min(self.num_workers, plan.num_shards)
         if workers <= 1:
             return [_shed_shard_view(shard.view, shedder, p) for shard in plan.shards]
-        csr = plan.csr
-        edge_u, edge_v = csr.edge_list_ids()
-        payloads = [(shard.index, shard.node_ids, shedder, p) for shard in plan.shards]
-        context = _pool_context()
-        with context.Pool(
-            processes=workers,
-            initializer=_init_shard_worker,
-            initargs=(csr.indptr, csr.indices, edge_u, edge_v),
-        ) as pool:
-            results = pool.map(_shard_job, payloads)
-        ordered: List[Optional[Tuple[np.ndarray, np.ndarray, Dict[str, Any]]]] = [
-            None
-        ] * plan.num_shards
-        for index, kept_u, kept_v, stats in results:
-            ordered[index] = (kept_u, kept_v, stats)
-        return ordered  # type: ignore[return-value]
+        jobs = {f"shard {shard.index}": (shard.node_ids, shedder, p) for shard in plan.shards}
+        with WorkerPool(workers, plan.csr) as pool:
+            return pool.map_jobs(_shard_job, jobs)
 
     def _reduce(self, graph: Graph, p: float) -> Tuple[Graph, Dict[str, Any]]:
         stats: Dict[str, Any] = {

@@ -1,12 +1,15 @@
-"""The validator's contracts: CRR's edge count and E' ⊆ E.
+"""The validator's contracts: CRR's edge count, the shard Δ bound and E' ⊆ E.
 
 These tests pin the edge-count rule for the CRR family (Algorithm 1
-keeps exactly ``[p·m]`` edges) and check that the invented-edge report
-counts every invented edge, foreign endpoints included, and names the
-one the ``edges()`` scan meets first.
+keeps exactly ``[p·m]`` edges) and the sharded runner's recorded Δ
+bound, and check that the invented-edge report counts every invented
+edge, foreign endpoints included, and names the one the ``edges()`` scan
+meets first.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
@@ -37,6 +40,25 @@ def test_sharded_crr_validates():
     assert result.method == "ShardedCRR"
     report = validate_reduction(result)
     assert report.ok, report.describe()
+
+
+@pytest.mark.parametrize("method", ["crr", "bm2"])
+def test_sharded_result_carries_and_meets_its_delta_bound(method):
+    shedder = ShardedShedder(
+        method=method, num_shards=3, num_workers=1, num_betweenness_sources=16, seed=1
+    )
+    result = shedder.reduce(GRAPH, 0.5)
+    assert result.delta <= result.stats["delta_bound"]
+    report = validate_reduction(result)
+    assert report.ok, report.describe()
+
+    lowered = result.delta - 0.5
+    bad = dataclasses.replace(result, stats={**result.stats, "delta_bound": lowered})
+    report = validate_reduction(bad)
+    assert not report.ok
+    assert report.failures == [
+        f"delta {result.delta:.6f} exceeds its recorded bound {lowered:.6f}"
+    ]
 
 
 @pytest.mark.parametrize("method", ["CRR", "W-CRR", "ShardedCRR"])

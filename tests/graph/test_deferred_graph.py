@@ -17,6 +17,7 @@ import sys
 import threading
 import time
 import weakref
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -84,7 +85,7 @@ class TestDictFreePipelines:
     def test_process_engine_result_builds_no_dicts(
         self, edge_file, monkeypatch, dict_builds, method
     ):
-        monkeypatch.setattr(scheduler, "_pool_context", lambda: _InlinePoolContext())
+        monkeypatch.setattr(scheduler, "WorkerPool", _InlinePool)
         graph = read_edge_list(edge_file)
         engine = ProcessEngine(num_workers=1)
         result = engine.execute(graph, method, 0.4, seed=1, num_sources=16)
@@ -114,27 +115,18 @@ class TestDictFreePipelines:
         )
 
 
-class _InlinePoolContext:
-    """A ``multiprocessing`` context whose pool runs each task in-process."""
-
-    def Pool(self, processes):
-        return _InlinePool()
-
-
 class _InlinePool:
-    """Runs each task when it is submitted; ``get`` returns its outcome."""
+    """A stand-in ``WorkerPool`` that runs each task when it is submitted."""
 
-    def apply_async(self, function, args):
-        self._outcome = function(*args)
-        return self
-
-    def get(self, timeout=None):
-        return self._outcome
-
-    def terminate(self):
+    def __init__(self, num_workers):
         pass
 
-    def join(self):
+    def submit(self, function, *args):
+        future = Future()
+        future.set_result(function(*args))
+        return future
+
+    def terminate(self):
         pass
 
 

@@ -1,11 +1,13 @@
 """Scheduler ordering, worker lifecycle, and the process engine."""
 
+import multiprocessing
 import threading
 import time
 
 import pytest
 
 from repro.errors import ServiceError
+from repro.graph import powerlaw_cluster
 from repro.graph.graph import Graph
 from repro.service.request import JobHandle, JobStatus, ReductionRequest, make_shedder
 from repro.service.scheduler import (
@@ -146,3 +148,23 @@ class TestProcessEngine:
             assert engine.abandoned_tasks == 1
         finally:
             engine.close()
+
+    def test_close_after_timeout_ends_the_running_task(self):
+        # CRR with every betweenness source runs for seconds on this graph.
+        graph = powerlaw_cluster(6000, 4, 0.1, seed=1)
+        before = set(multiprocessing.active_children())
+        engine = ProcessEngine(num_workers=1)
+        with pytest.raises(JobTimeoutError):
+            engine.execute(graph, "crr", 0.5, seed=0, timeout=0.2)
+        started = time.perf_counter()
+        engine.close()
+        assert time.perf_counter() - started < 2.0
+        assert set(multiprocessing.active_children()) == before
+
+    def test_execute_after_close_raises(self, graph):
+        before = set(multiprocessing.active_children())
+        engine = ProcessEngine(num_workers=1)
+        engine.close()
+        with pytest.raises(ServiceError, match="closed"):
+            engine.execute(graph, "crr", 0.5, seed=0)
+        assert set(multiprocessing.active_children()) == before
