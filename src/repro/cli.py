@@ -114,10 +114,9 @@ def _reduction_dict(result: ReductionResult) -> Dict[str, Any]:
         "average_delta": result.average_delta,
         "elapsed_seconds": result.elapsed_seconds,
     }
-    # BM2-specific provenance: which Phase-2 engine ran and how hard the
-    # EDCS sparsifier pruned the candidate pool.
+    # BM2-specific provenance: how hard the EDCS sparsifier pruned the
+    # Phase-2 candidate pool.
     for key in (
-        "repair_engine",
         "sparsify",
         "sparsify_beta",
         "phase2_candidate_edges_pruned",

@@ -6,7 +6,7 @@ theoretical bounds from Theorems 1-2, and structure-blind ablation shedders.
 """
 
 from repro.core.base import EdgeShedder, ReductionResult, timed_phase, validate_ratio
-from repro.core.bm2 import BM2Shedder, bipartite_repair_ids, weighted_bipartite_repair_ids
+from repro.core.bm2 import BM2Shedder, bipartite_repair_ids
 from repro.core.bounds import (
     bm2_average_delta_bound,
     bm2_bound_for_graph,
@@ -39,7 +39,6 @@ __all__ = [
     "IndexedEdgePool",
     "BM2Shedder",
     "bipartite_repair_ids",
-    "weighted_bipartite_repair_ids",
     "edcs_beta",
     "prune_candidates_ids",
     "prune_boundary_ids",

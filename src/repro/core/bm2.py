@@ -45,7 +45,6 @@ __all__ = [
     "BM2Shedder",
     "bipartite_repair_ids",
     "bm2_reduce_ids",
-    "weighted_bipartite_repair_ids",
 ]
 
 #: Tolerance for float noise in gain/discrepancy comparisons.  Expected
@@ -80,183 +79,6 @@ _ROUNDING_RULES = {
     "floor": lambda x: x.astype(np.int64),
     "ceil": lambda x: np.ceil(x).astype(np.int64),
 }
-
-
-def bipartite_repair_ids(
-    tracker: ArrayDegreeTracker,
-    cand_a: np.ndarray,
-    cand_b: np.ndarray,
-    accept_zero_gain: bool = False,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Algorithm 3: greedy weighted semi-matching between groups A and B.
-
-    ``cand_a``/``cand_b`` are int64 CSR-id arrays oriented A-side first
-    under ``tracker``'s current state.  Returns the selected ``(a_ids,
-    b_ids)`` in selection order; the tracker is mutated — every selected
-    edge is added to it.
-
-    The paper's algorithm is a max-priority queue: pop the highest-gain
-    A–B edge, admit it, retire ``b`` (it left group B), and re-weight or
-    retire ``a``'s remaining edges as its deficit shrinks.  Lazy deletion
-    is safe because gains only ever decrease.  This is that queue replayed
-    in gain buckets, and why it is *exactly* the queue, not an
-    approximation of it:
-
-    * The queue pops entries in ``(gain desc, counter asc)`` order, where
-      counters number pool insertions.  Initial insertions happen in
-      candidate order and every re-weight push gets a fresh, larger
-      counter — so one ``lexsort`` over (−gain, candidate index) replays
-      the initial pool, and a small ``heapq`` of demoted entries replays
-      the pushes.  Within one gain value ("bucket") all initial entries
-      precede all demoted ones.
-    * A re-weight strictly *lowers* an edge's gain (the demoting A node's
-      deficit offset ``φ = dis(a)+1`` is > ε after snapping, so the new
-      weight ``old − 2φ`` cannot snap back up), hence a bucket never
-      grows while being processed and descending-run iteration is safe.
-    * Gains, re-weights and ``Δ`` accumulation use Lemma 1's expression
-      ``|dis(a)| + 2|dis(b)| − |dis(a)+1| − 1`` in one fixed association
-      order and one :func:`_snap` pipeline, evaluated over the in-place
-      ``dis`` array, so every comparison is deterministic.
-
-    Initial gains are one vectorized pass, never-selected candidates (the
-    dominant case) cost no queue operations, stale entries are skipped by
-    an int8 state array, and each A-node re-weight is one vectorized
-    batch.  ``tests/oracles`` keeps the lazy-heap form; the two select the
-    same edges in the same order.
-    """
-    cand_a = np.asarray(cand_a, dtype=np.int64)
-    cand_b = np.asarray(cand_b, dtype=np.int64)
-    empty = np.empty(0, dtype=np.int64)
-    k = int(cand_a.shape[0])
-    if k == 0:
-        return empty, empty.copy()
-    dis = tracker.dis_array()
-    n = tracker.num_nodes
-
-    # Initial gains: same expression and association order as the heap's
-    # per-edge `_snap(abs(dis(a)) + 2*abs(dis(b)) - abs(dis(a) + 1) - 1)`.
-    gains = _gain_array(dis[cand_a], dis[cand_b], 1.0)
-
-    # The heap admits every gain >= 0 edge to the pool (zero-gain edges are
-    # only dropped at pop time), so its duplicate check covers them all.
-    eligible = np.nonzero(gains >= 0.0)[0]
-    if eligible.size:
-        keys = cand_a[eligible] * n + cand_b[eligible]
-        if np.unique(keys).shape[0] != keys.shape[0]:
-            seen: set = set()
-            for i in eligible.tolist():
-                key = (int(cand_a[i]), int(cand_b[i]))
-                if key in seen:
-                    raise ReductionError(f"duplicate candidate edge {key!r}")
-                seen.add(key)
-
-    # Zero-gain edges, when rejected, are dropped by the heap at pop time
-    # with no side effect (a re-weight could only delete them: the new
-    # weight is strictly below zero) — so they can be excluded up front.
-    if accept_zero_gain:
-        alive = eligible
-    else:
-        alive = np.nonzero(gains > 0.0)[0]
-    if alive.size == 0:
-        return empty, empty.copy()
-
-    #: 0 = pool (initial weight), 1 = pool (demoted weight), 2 = gone.
-    state = np.full(k, 2, dtype=np.int8)
-    state[alive] = 0
-    b_dead = np.zeros(n, dtype=bool)
-    a_retired = np.zeros(n, dtype=bool)
-
-    # Main replay order: descending gain, candidate order within a gain.
-    order = np.lexsort((alive, -gains[alive]))
-    ms_idx = alive[order]
-    ms_gain = gains[alive][order]
-    run_starts = np.nonzero(np.concatenate(([True], ms_gain[1:] != ms_gain[:-1])))[0]
-    run_ends = np.append(run_starts[1:], ms_gain.shape[0])
-    run_gains = ms_gain[run_starts]
-
-    # Pool edges grouped by A node (ascending candidate index within a
-    # group — the heap's `edges_by_a` scan order) for re-weight batches.
-    by_a = alive[np.argsort(cand_a[alive], kind="stable")]
-    uniq_a, group_starts = np.unique(cand_a[by_a], return_index=True)
-    group_bounds = np.append(group_starts, by_a.shape[0])
-    a_slices = {
-        int(node): (int(group_starts[j]), int(group_bounds[j + 1]))
-        for j, node in enumerate(uniq_a.tolist())
-    }
-
-    ca = cand_a.tolist()
-    cb = cand_b.tolist()
-    add_edge_ids = tracker.add_edge_ids
-    sel_a: List[int] = []
-    sel_b: List[int] = []
-    demoted: List[Tuple[float, int, int]] = []  # (-gain, counter, cand idx)
-    counter = k
-    run = 0
-    num_runs = int(run_gains.shape[0])
-
-    while run < num_runs or demoted:
-        gain_main = float(run_gains[run]) if run < num_runs else None
-        gain_dem = -demoted[0][0] if demoted else None
-        bucket_gain = (
-            gain_main
-            if gain_dem is None or (gain_main is not None and gain_main >= gain_dem)
-            else gain_dem
-        )
-        bucket: List[int] = []
-        dem_from = 0
-        if gain_main is not None and gain_main == bucket_gain:
-            seg = ms_idx[run_starts[run] : run_ends[run]]
-            seg = seg[
-                (state[seg] == 0)
-                & ~b_dead[cand_b[seg]]
-                & ~a_retired[cand_a[seg]]
-            ]
-            bucket.extend(seg.tolist())
-            dem_from = len(bucket)
-            run += 1
-        while demoted and -demoted[0][0] == bucket_gain:
-            bucket.append(heapq.heappop(demoted)[2])
-
-        for pos, idx in enumerate(bucket):
-            # Initial-weight entries require state 0, demoted ones state 1
-            # (an entry demoted mid-bucket must not also admit at its old
-            # weight); counters guarantee initial entries come first.
-            if state[idx] != (0 if pos < dem_from else 1):
-                continue
-            a = ca[idx]
-            b = cb[idx]
-            if b_dead[b] or a_retired[a]:
-                continue
-
-            state[idx] = 2
-            add_edge_ids(a, b)
-            sel_a.append(a)
-            sel_b.append(b)
-            b_dead[b] = True
-
-            dis_a = _snap(float(dis[a]))
-            if dis_a <= -1:
-                continue  # Lemma 2 zone: a's other gains are unchanged.
-            if dis_a > -0.5:
-                a_retired[a] = True
-                continue
-            # -1 < dis(a) <= -0.5: re-weight a's surviving pool edges.
-            lo, hi = a_slices[a]
-            group = by_a[lo:hi]
-            surviving = group[(state[group] == 0) & ~b_dead[cand_b[group]]]
-            if surviving.size == 0:
-                continue
-            new_w = _gain_array(dis_a, dis[cand_b[surviving]], 1.0)
-            keep = new_w >= 0.0 if accept_zero_gain else new_w > 0.0
-            state[surviving] = np.where(keep, np.int8(1), np.int8(2))
-            for weight, edge_idx in zip(new_w[keep].tolist(), surviving[keep].tolist()):
-                heapq.heappush(demoted, (-weight, counter, edge_idx))
-                counter += 1
-
-    return (
-        np.asarray(sel_a, dtype=np.int64),
-        np.asarray(sel_b, dtype=np.int64),
-    )
 
 
 def _weighted_gain(da: float, db: float, w: float) -> float:
@@ -298,18 +120,28 @@ def _gain_array(
     return _snap_array(np.where(db + w >= 0.0, crossing, non_crossing))
 
 
-def weighted_bipartite_repair_ids(
+def bipartite_repair_ids(
     tracker: ArrayDegreeTracker,
     cand_a: np.ndarray,
     cand_b: np.ndarray,
     accept_zero_gain: bool = False,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Algorithm 3 over *expected-degree mass*: the uncertain-graph repair.
+    """Algorithm 3: greedy weighted semi-matching between groups A and B.
 
-    Algorithm 3's lazy max-heap (see :func:`bipartite_repair_ids`), with
-    every unit move replaced by the edge's weight (:func:`_weighted_gain`).  Two behaviours
-    appear that the unit-weight algorithm cannot exhibit, both dormant at
-    all-ones weights:
+    ``cand_a``/``cand_b`` are int64 CSR-id arrays oriented A-side first
+    under ``tracker``'s current state.  Returns the selected ``(a_ids,
+    b_ids)`` in selection order; the tracker is mutated — every selected
+    edge is added to it.  A candidate edge listed twice raises
+    :class:`~repro.errors.ReductionError`.
+
+    The paper's algorithm is a max-priority queue: pop the highest-gain
+    A–B edge, admit it, retire ``b`` (it left group B), and re-weight or
+    retire ``a``'s remaining edges as its deficit shrinks.  Lazy deletion
+    is safe because a re-weight never raises a gain.  One loop serves unit
+    and weighted trackers: on a weighted tracker (uncertain graphs, after
+    Parchas et al.'s expected-degree sparsification) every unit move is
+    the edge's weight (:func:`_weighted_gain`), and two behaviours appear
+    that are dormant at all-ones weights:
 
     * a selected edge of weight ``w < |dis(b)|`` leaves ``b`` *inside*
       group B — ``b`` survives with a smaller deficit and its remaining
@@ -318,17 +150,23 @@ def weighted_bipartite_repair_ids(
       candidate weight) rather than ``−1``: below it, every incident gain
       is independent of ``dis(a)``, so no re-weight is needed.
 
-    With all weights exactly 1.0, ``b`` always leaves group B on selection,
-    ``max_w`` is 1.0, and every gain/re-weight expression evaluates the
-    unweighted heap's arithmetic bit for bit — including heap-counter
-    consumption — so the selections and their order are identical to
-    :func:`bipartite_repair_ids`.  Requires ``tracker.weighted`` (weights
-    in ``[0, 1]``; :mod:`repro.graph.io` clamps on read).  The tracker is
-    mutated: every selected edge is added.  Returns selected ``(a_ids,
-    b_ids)`` in selection order.
+    A lazy heap pops entries in ``(gain desc, counter asc)`` order, where
+    counters number pool insertions: the initial pool in candidate order,
+    then each re-weight push.  Here the initial pool is popped from one
+    ``lexsort`` pass (gain descending, then candidate order) merged with a
+    heap that holds only re-weighted entries.  The merge pops exactly the
+    lazy heap's order because a re-weighted entry always has a larger
+    counter than every initial entry, so a tie in gain goes to the initial
+    entry, and never a higher gain than the entry just popped, so pops
+    still come in non-increasing gain.  ``tests/oracles`` keeps the plain
+    lazy heaps (unit and weighted) as references; they select the same
+    edges in the same order with the same ``Δ``.
+
+    Gains and re-weights use one fixed association order and one
+    :func:`_snap` pipeline, and each selection runs
+    :meth:`ArrayDegreeTracker.add_edge_ids`'s expressions, so every
+    comparison and the final tracker state are deterministic.
     """
-    if not tracker.weighted:
-        raise ValueError("weighted_bipartite_repair_ids requires a weighted tracker")
     cand_a = np.asarray(cand_a, dtype=np.int64)
     cand_b = np.asarray(cand_b, dtype=np.int64)
     empty = np.empty(0, dtype=np.int64)
@@ -363,10 +201,9 @@ def weighted_bipartite_repair_ids(
         return empty, empty.copy()
 
     # Lazy-heap bookkeeping by candidate index: `cur_gain` is the single
-    # source of truth (a popped entry is live iff its gain still matches
-    # — the dict-of-weights staleness rule, array-indexed), `alive` marks
-    # pool membership, `b_alive` group-B survival.  The replay loop is
-    # scalar Python over plain lists: candidate groups per endpoint are
+    # source of truth (a popped entry is live iff its gain still matches),
+    # `alive` marks pool membership, `b_alive` group-B survival.  The loop
+    # is scalar Python over plain lists: candidate groups per endpoint are
     # tiny (~1 edge), where list indexing beats numpy fancy indexing.
     cur_gain = gains.tolist()
     ca_l = cand_a.tolist()
@@ -375,8 +212,7 @@ def weighted_bipartite_repair_ids(
     alive = bytearray(k)
     b_alive = bytearray(n)
 
-    # Incident pool edges grouped by endpoint, ascending candidate index —
-    # the `edges_by_*` insertion order.
+    # Incident pool edges grouped by endpoint, ascending candidate index.
     by_a_node: Dict[int, List[int]] = {}
     by_b_node: Dict[int, List[int]] = {}
     for idx in pool.tolist():
@@ -385,11 +221,13 @@ def weighted_bipartite_repair_ids(
         by_a_node.setdefault(ca_l[idx], []).append(idx)
         by_b_node.setdefault(cb_l[idx], []).append(idx)
 
-    heap: List[Tuple[float, int, int]] = [
-        (-cur_gain[idx], i, idx) for i, idx in enumerate(pool.tolist())
-    ]
-    heapq.heapify(heap)
-    counter = int(pool.shape[0])
+    initial = pool[np.lexsort((pool, -gains[pool]))]
+    initial_idx = initial.tolist()
+    initial_gain = gains[initial].tolist()
+    num_initial = len(initial_idx)
+    next_initial = 0
+    reweighted: List[Tuple[float, int, int]] = []  # (-gain, counter, cand idx)
+    counter = 0
     heappop, heappush = heapq.heappop, heapq.heappush
 
     # Scalar mirrors of the tracker state: each selection runs
@@ -400,16 +238,22 @@ def weighted_bipartite_repair_ids(
 
     sel_a: List[int] = []
     sel_b: List[int] = []
-    while heap:
-        negative_w, _, idx = heappop(heap)
-        w = -negative_w
+    while True:
+        if next_initial < num_initial and (
+            not reweighted or initial_gain[next_initial] >= -reweighted[0][0]
+        ):
+            idx = initial_idx[next_initial]
+            w = initial_gain[next_initial]
+            next_initial += 1
+        elif reweighted:
+            negative_w, _, idx = heappop(reweighted)
+            w = -negative_w
+        else:
+            break
         if not alive[idx] or cur_gain[idx] != w:
             continue  # stale or retired entry
         b = cb_l[idx]
         if not b_alive[b]:
-            continue
-        if w == 0 and not accept_zero_gain:
-            alive[idx] = 0
             continue
         a = ca_l[idx]
 
@@ -437,15 +281,15 @@ def weighted_bipartite_repair_ids(
                 new_w = _weighted_gain(dis_l[ca_l[eidx]], dis_b, w_l[eidx])
                 if new_w > 0 or (new_w == 0 and accept_zero_gain):
                     cur_gain[eidx] = new_w
-                    heappush(heap, (-new_w, counter, eidx))
+                    heappush(reweighted, (-new_w, counter, eidx))
                     counter += 1
                 else:
                     alive[eidx] = 0
 
         dis_a = _snap(dis_l[a])
         if dis_a <= -max_w:
-            # Weighted Lemma 2 zone: with dis(a) ≤ −w for every incident
-            # weight w, each gain reduces to a dis(a)-free expression.
+            # Lemma 2 zone: with dis(a) ≤ −w for every incident weight w,
+            # each gain reduces to a dis(a)-free expression.
             continue
         edges_a = by_a_node.get(a, ())
         if dis_a > -0.5:
@@ -463,7 +307,7 @@ def weighted_bipartite_repair_ids(
             new_w = _weighted_gain(dis_a, dis_l[x], w_l[eidx])
             if new_w > 0 or (new_w == 0 and accept_zero_gain):
                 cur_gain[eidx] = new_w
-                heappush(heap, (-new_w, counter, eidx))
+                heappush(reweighted, (-new_w, counter, eidx))
                 counter += 1
             else:
                 alive[eidx] = 0
@@ -590,11 +434,11 @@ def bm2_reduce_ids(
     ``weighted=True`` (uncertain graphs, :mod:`repro.uncertain`) runs the
     whole algorithm in expected-degree mass: capacities round
     ``p·E[deg]``, Phase 1 admits edges by mass (:func:`greedy_b_matching_ids`
-    with the weights), groups come from a weighted tracker's discrepancies,
-    and Phase 2 runs the weighted repair heap
-    (:func:`weighted_bipartite_repair_ids`).  With
-    all weights exactly 1.0 every stage degenerates bit-identically, so
-    the kept edge arrays equal the unweighted call's.  Weights outside
+    with the weights), and groups and Phase 2's gains come from a weighted
+    tracker's discrepancies; Phase 2 is the same
+    :func:`bipartite_repair_ids` call either way.  With all weights
+    exactly 1.0 every stage degenerates bit-identically, so the kept edge
+    arrays equal the unweighted call's.  Weights outside
     ``[0, 1]`` raise :class:`~repro.errors.GraphError` before any work.
     """
     if sparsify not in ("off", "edcs"):
@@ -659,14 +503,9 @@ def bm2_reduce_ids(
                 cand_a = cand_a[keep]
                 cand_b = cand_b[keep]
 
-        if weighted:
-            sel_a, sel_b = weighted_bipartite_repair_ids(
-                tracker, cand_a, cand_b, accept_zero_gain=accept_zero_gain
-            )
-        else:
-            sel_a, sel_b = bipartite_repair_ids(
-                tracker, cand_a, cand_b, accept_zero_gain=accept_zero_gain
-            )
+        sel_a, sel_b = bipartite_repair_ids(
+            tracker, cand_a, cand_b, accept_zero_gain=accept_zero_gain
+        )
 
     kept_u = np.concatenate((matched_u, sel_a))
     kept_v = np.concatenate((matched_v, sel_b))
@@ -678,7 +517,6 @@ def bm2_reduce_ids(
             "group_b_size": int(np.count_nonzero(group_b)),
             "candidate_edges": total_candidates,
             "tracker_delta": tracker.delta,
-            "repair_engine": "weighted-heap" if weighted else "bucket",
             "sparsify": sparsify,
             "sparsify_beta": beta,
             "phase2_candidate_edges_pruned": pruned,

@@ -54,6 +54,8 @@ def validate_reduction(
     * a CRR/BM2 result violates its theorem bound;
     * a CRR result (``CRR``, ``W-CRR`` or ``ShardedCRR``) does not keep
       exactly ``[p·m]`` edges, the count Algorithm 1 fixes;
+    * a ``BM2`` result has a node with ``deg'(u) − p·deg(u) ≥ 1``
+      (+1e-9), which BM2's capacities and repair rule out;
     * Δ exceeds ``stats["delta_bound"]`` (every sharded result's bound).
 
     Warnings (``ok`` unaffected):
@@ -121,6 +123,18 @@ def validate_reduction(
                 failures.append(
                     f"BM2 average delta {average:.4f} violates Theorem 2 bound {bound:.4f}"
                 )
+        if result.method == "BM2":
+            # Phase 1 keeps deg' ≤ b(u) < p·deg + 1 under every rounding
+            # rule; Phase 2 adds edges at a group-A node only while its dis
+            # is ≤ −½, and at most one at a group-B node.  So dis(u) < 1.
+            for node in original.nodes():
+                excess = reduced.degree(node) - result.p * original.degree(node)
+                if excess >= 1.0 + 1e-9:
+                    failures.append(
+                        f"BM2 node {node!r} has deg' − p·deg = {excess:.6f},"
+                        " not below its capacity/repair bound 1"
+                    )
+                    break
 
     bound = result.stats.get("delta_bound")
     if bound is not None and result.delta > bound + 1e-9:

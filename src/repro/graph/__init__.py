@@ -56,7 +56,6 @@ from repro.graph.generators import (
 from repro.graph.graph import Edge, Graph, Node
 from repro.graph.hopplot import hop_plot, reachable_pair_fraction
 from repro.graph.kernels import (
-    bfs_distance_array,
     bfs_level_sizes,
     brandes_accumulate,
     component_ids,
@@ -84,7 +83,6 @@ from repro.graph.shortest_paths import (
     distance_distribution,
     effective_diameter,
     pairwise_distance_counts,
-    single_source_distances,
 )
 from repro.graph.traversal import (
     bfs_distances,
@@ -103,7 +101,6 @@ __all__ = [
     "CSRAdjacency",
     # array kernels + shared source sampling
     "brandes_accumulate",
-    "bfs_distance_array",
     "bfs_level_sizes",
     "distance_histogram",
     "component_ids",
@@ -123,7 +120,6 @@ __all__ = [
     "num_connected_components",
     "is_connected",
     # shortest paths
-    "single_source_distances",
     "pairwise_distance_counts",
     "distance_distribution",
     "average_shortest_path_length",

@@ -48,7 +48,6 @@ from repro.graph.csr import CSRAdjacency
 
 __all__ = [
     "brandes_accumulate",
-    "bfs_distance_array",
     "bfs_level_sizes",
     "distance_histogram",
     "component_ids",
@@ -193,30 +192,6 @@ def brandes_accumulate(
         if node_scores is not None:
             for frontier in levels[1:]:
                 node_scores[frontier] += delta[frontier]
-
-
-def bfs_distance_array(
-    csr: CSRAdjacency, source: int, cutoff: Optional[int] = None
-) -> np.ndarray:
-    """Hop distances from ``source`` as ``int64[n]`` (-1 for unreachable).
-
-    ``cutoff`` bounds the search depth (inclusive), matching
-    :func:`repro.graph.traversal.bfs_distances`.
-    """
-    n = csr.num_nodes
-    dist = np.full(n, -1, dtype=np.int64)
-    dist[source] = 0
-    frontier = np.array([source], dtype=np.int64)
-    depth = 0
-    while frontier.size and (cutoff is None or depth < cutoff):
-        _, targets, _ = _expand(csr.indptr, csr.indices, frontier)
-        fresh = targets[dist[targets] < 0]
-        if fresh.size == 0:
-            break
-        depth += 1
-        dist[fresh] = depth
-        frontier = _next_frontier(dist, fresh, depth)
-    return dist
 
 
 def bfs_level_sizes(csr: CSRAdjacency, source: int) -> List[int]:

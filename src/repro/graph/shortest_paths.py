@@ -13,24 +13,17 @@ from collections import Counter
 from typing import Dict, Optional
 
 from repro.errors import GraphError
-from repro.graph.graph import Graph, Node
+from repro.graph.graph import Graph
 from repro.graph.kernels import distance_histogram
 from repro.graph.sampling import select_source_ids
-from repro.graph.traversal import bfs_distances
 from repro.rng import RandomState
 
 __all__ = [
-    "single_source_distances",
     "pairwise_distance_counts",
     "distance_distribution",
     "average_shortest_path_length",
     "effective_diameter",
 ]
-
-
-def single_source_distances(graph: Graph, source: Node) -> Dict[Node, int]:
-    """Alias for :func:`repro.graph.traversal.bfs_distances` (full depth)."""
-    return bfs_distances(graph, source)
 
 
 def pairwise_distance_counts(

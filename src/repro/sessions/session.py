@@ -46,7 +46,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
-from repro.core.base import ReductionResult
+from repro.core.base import ReductionResult, is_finite_number, is_int
 from repro.core.progressive import rescore_result
 from repro.dynamic.drift import DriftDecision, DriftMonitor
 from repro.dynamic.maintainer import ChurnOp, IncrementalShedder
@@ -77,6 +77,18 @@ REJECT = "reject"
 
 #: The churn op kinds :meth:`StreamSession.submit` accepts.
 _OP_KINDS = frozenset(("insert", "delete"))
+
+
+#: :class:`SessionConfig` fields that must be finite reals, and those
+#: that must be ints.
+_REAL_FIELDS = ("p", "drift_ratio", "drift_hysteresis", "shed_watermark", "apply_watermark")
+_INT_FIELDS = (
+    "drift_cooldown_ops",
+    "reservoir_size",
+    "inbox_capacity",
+    "batch_ops",
+    "ledger_chunk",
+)
 
 
 @dataclass(frozen=True)
@@ -115,7 +127,7 @@ class SessionConfig:
     p: float
     method: str = "bm2"
     engine: str = "array"
-    seed: int = 0
+    seed: Optional[int] = 0
     repair: bool = True
     drift_ratio: float = 1.0
     drift_hysteresis: float = 0.9
@@ -131,11 +143,30 @@ class SessionConfig:
     def validate(self) -> None:
         """Raise :class:`~repro.errors.SessionError` for unusable knobs.
 
-        ``p`` and the drift knobs go through
+        Every field's type is checked first (bools are not numbers here):
+        the counts are ints, ``seed`` an int or ``None``, the ratios and
+        watermarks finite reals, ``repair`` a bool and the names strs.
+        ``p`` and the drift knobs then go through
         :class:`~repro.dynamic.DriftMonitor`'s own range checks, and
         ``method`` must be a :data:`~repro.service.KNOWN_METHODS` key, so
         a bad config fails here, before any graph is loaded or budgeted.
         """
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            if not is_finite_number(value):
+                raise SessionError(f"{name} must be a finite real number, got {value!r}")
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if not is_int(value):
+                raise SessionError(f"{name} must be an int, got {value!r}")
+        if self.seed is not None and not is_int(self.seed):
+            raise SessionError(f"seed must be an int or None, got {self.seed!r}")
+        if not isinstance(self.repair, bool):
+            raise SessionError(f"repair must be a bool, got {self.repair!r}")
+        for name in ("method", "engine", "label"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise SessionError(f"{name} must be a str, got {value!r}")
         try:
             DriftMonitor(
                 self.p,
@@ -145,7 +176,7 @@ class SessionConfig:
             )
         except (TypeError, ValueError) as error:
             raise SessionError(f"unusable p or drift policy: {error}") from None
-        if not isinstance(self.method, str) or self.method.lower() not in KNOWN_METHODS:
+        if self.method.lower() not in KNOWN_METHODS:
             raise SessionError(
                 f"unknown method {self.method!r} "
                 f"(expected one of {', '.join(KNOWN_METHODS)})"

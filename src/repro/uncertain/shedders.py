@@ -6,9 +6,11 @@ degree with an edge's existence probability: a node's expectation becomes
 Δ-change in the rewiring/repair loops moves endpoints by the edge's
 weight.  The engines' id cores (:meth:`repro.core.crr.CRRShedder.reduce_ids`,
 :meth:`repro.core.bm2.BM2Shedder.reduce_ids`) read that from the
-class-level ``weighted`` flag, and with all weights 1.0 they degenerate
-bit-identically to the unweighted runs.  So the two classes here are
-subclasses of :class:`~repro.core.crr.CRRShedder` /
+class-level ``weighted`` flag and run the same loops as the unweighted
+engines over a weighted tracker — BM2's repair is the one
+:func:`repro.core.bm2.bipartite_repair_ids` — and with all weights 1.0
+they degenerate bit-identically to the unweighted runs.  So the two
+classes here are subclasses of :class:`~repro.core.crr.CRRShedder` /
 :class:`~repro.core.bm2.BM2Shedder` that only set ``name`` and that
 flag: same keyword parameters (in the same positional order), same
 stats plus ``"weighted": True``.
@@ -44,11 +46,11 @@ class WeightedCRRShedder(CRRShedder):
 
 
 class WeightedBM2Shedder(BM2Shedder):
-    """BM2 in probability mass: weighted b-matching + weighted repair heap.
+    """BM2 in probability mass: weighted b-matching + weighted repair.
 
     Capacities are ``p·E[deg_G(u)]`` rounded; Phase 1 admits an edge when
-    both endpoints can absorb its weight; Phase 2 repairs with the
-    weighted Algorithm 3 (:func:`repro.core.bm2.weighted_bipartite_repair_ids`).
+    both endpoints can absorb its weight; Phase 2 repairs with Algorithm 3
+    (:func:`repro.core.bm2.bipartite_repair_ids`) over a weighted tracker.
     Accepts unweighted graphs too, where it reproduces
     :class:`~repro.core.bm2.BM2Shedder` bit for bit.  Takes
     :class:`~repro.core.bm2.BM2Shedder`'s parameters in its positional

@@ -1,8 +1,10 @@
-"""The validator's contracts: CRR's edge count, the shard Δ bound and E' ⊆ E.
+"""The validator's contracts: CRR's edge count, BM2's per-node bound, the
+shard Δ bound and E' ⊆ E.
 
 These tests pin the edge-count rule for the CRR family (Algorithm 1
-keeps exactly ``[p·m]`` edges) and the sharded runner's recorded Δ
-bound, and check that the invented-edge report counts every invented
+keeps exactly ``[p·m]`` edges), BM2's capacity/repair bound (every node
+ends with ``deg'(u) − p·deg(u) < 1``) and the sharded runner's recorded
+Δ bound, and check that the invented-edge report counts every invented
 edge, foreign endpoints included, and names the one the ``edges()`` scan
 meets first.
 """
@@ -13,7 +15,7 @@ import dataclasses
 
 import pytest
 
-from repro.core import CRRShedder, ReductionResult, compute_delta
+from repro.core import BM2Shedder, CRRShedder, ReductionResult, compute_delta
 from repro.core.discrepancy import round_half_up
 from repro.core.validation import validate_reduction
 from repro.graph import powerlaw_cluster
@@ -59,6 +61,69 @@ def test_sharded_result_carries_and_meets_its_delta_bound(method):
     assert report.failures == [
         f"delta {result.delta:.6f} exceeds its recorded bound {lowered:.6f}"
     ]
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [
+        {},
+        {"rounding": "ceil"},
+        {"accept_zero_gain": True},
+        {"rounding": "ceil", "accept_zero_gain": True, "shuffle_edges": True},
+        {"sparsify": "edcs", "sparsify_beta": 1},
+    ],
+)
+@pytest.mark.parametrize("p", [0.3, 0.45, 0.7])
+def test_bm2_results_meet_the_capacity_repair_bound(settings, p):
+    result = BM2Shedder(seed=1, **settings).reduce(GRAPH, p)
+    assert result.method == "BM2"
+    report = validate_reduction(result)
+    assert report.ok, report.describe()
+
+
+def _bm2_with_one_edge_past_the_bound(method):
+    """A ``ceil``-rounded BM2 result plus one original edge at a node whose
+    dis is already positive, so that node (and only it) ends with dis > 1."""
+    p = 0.3
+    result = BM2Shedder(seed=1, rounding="ceil").reduce(GRAPH, p)
+    reduced = result.reduced.copy()
+
+    def dis(node):
+        return reduced.degree(node) - p * GRAPH.degree(node)
+
+    u, v = next(
+        (u, v)
+        for u, v in GRAPH.edges()
+        if not reduced.has_edge(u, v) and dis(u) > 0 and dis(v) < 0
+    )
+    reduced.add_edge(u, v)
+    bad = ReductionResult(
+        method=method,
+        original=GRAPH,
+        reduced=reduced,
+        p=p,
+        delta=compute_delta(GRAPH, reduced, p),
+        elapsed_seconds=0.0,
+    )
+    return bad, u, dis(u)
+
+
+def test_bm2_result_with_a_node_past_the_bound_fails():
+    bad, node, excess = _bm2_with_one_edge_past_the_bound("BM2")
+    assert excess > 1.0
+    report = validate_reduction(bad)
+    assert not report.ok
+    assert report.failures == [
+        f"BM2 node {node!r} has deg' − p·deg = {excess:.6f},"
+        " not below its capacity/repair bound 1"
+    ]
+
+
+@pytest.mark.parametrize("method", ["W-BM2", "ShardedBM2", "BM2 (progressive)"])
+def test_bm2_bound_applies_to_plain_bm2_only(method):
+    bad, _, _ = _bm2_with_one_edge_past_the_bound(method)
+    report = validate_reduction(bad)
+    assert report.ok, report.describe()
 
 
 @pytest.mark.parametrize("method", ["CRR", "W-CRR", "ShardedCRR"])

@@ -8,8 +8,10 @@ micro-benchmarks, where they pin the runtime engines bit for bit:
   reference for :class:`repro.core.discrepancy.ArrayDegreeTracker`;
 * :func:`greedy_b_matching` — the single greedy scan of Algorithm 2,
   the reference for :func:`repro.graph.matching.greedy_b_matching_ids`;
-* :func:`bipartite_repair` — Algorithm 3 as a lazy max-heap, the
-  reference for :func:`repro.core.bm2.bipartite_repair_ids`;
+* :func:`bipartite_repair` — Algorithm 3 as a lazy max-heap, and
+  :func:`weighted_bipartite_repair_ids`, the same heap over
+  expected-degree mass: the unit and weighted references for
+  :func:`repro.core.bm2.bipartite_repair_ids`;
 * :class:`LegacyCRRShedder` / :class:`LegacyBM2Shedder` — the label-space
   engines, which must keep exactly the edges ``CRRShedder`` /
   ``BM2Shedder`` keep.
@@ -25,7 +27,7 @@ from unittest import mock
 import numpy as np
 
 from repro.core.base import timed_phase
-from repro.core.bm2 import BM2Shedder, _snap
+from repro.core.bm2 import BM2Shedder, _gain_array, _snap, _weighted_gain
 from repro.core.crr import _MIN_IMPROVEMENT, CRRShedder, IndexedEdgePool
 from repro.core.discrepancy import ArrayDegreeTracker, round_half_up
 from repro.errors import EdgeNotFoundError, GraphError, InvalidRatioError, ReductionError
@@ -43,6 +45,7 @@ __all__ = [
     "greedy_b_matching",
     "heap_repair",
     "heap_repair_ids",
+    "weighted_bipartite_repair_ids",
 ]
 
 
@@ -436,17 +439,208 @@ def heap_repair_ids(
     return sel_a, sel_b
 
 
+def weighted_bipartite_repair_ids(
+    tracker: ArrayDegreeTracker,
+    cand_a: np.ndarray,
+    cand_b: np.ndarray,
+    accept_zero_gain: bool = False,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Algorithm 3 over *expected-degree mass*: the uncertain-graph repair.
+
+    Algorithm 3's lazy max-heap (see :func:`bipartite_repair`), with every
+    unit move replaced by the edge's weight (:func:`_weighted_gain`).  Two
+    behaviours appear that the unit-weight algorithm cannot exhibit, both
+    dormant at all-ones weights:
+
+    * a selected edge of weight ``w < |dis(b)|`` leaves ``b`` *inside*
+      group B — ``b`` survives with a smaller deficit and its remaining
+      pool edges are re-weighted instead of retired;
+    * the Lemma 2 plateau starts at ``dis(a) ≤ −max_w`` (the largest
+      candidate weight) rather than ``−1``: below it, every incident gain
+      is independent of ``dis(a)``, so no re-weight is needed.
+
+    With all weights exactly 1.0, ``b`` always leaves group B on selection,
+    ``max_w`` is 1.0, and every gain/re-weight expression evaluates the
+    unweighted heap's arithmetic bit for bit — including heap-counter
+    consumption — so the selections and their order are identical to
+    :func:`bipartite_repair`'s.  Requires ``tracker.weighted`` (weights
+    in ``[0, 1]``; :mod:`repro.graph.io` clamps on read).  The tracker is
+    mutated: every selected edge is added.  Returns selected ``(a_ids,
+    b_ids)`` in selection order.
+    """
+    if not tracker.weighted:
+        raise ValueError("weighted_bipartite_repair_ids requires a weighted tracker")
+    cand_a = np.asarray(cand_a, dtype=np.int64)
+    cand_b = np.asarray(cand_b, dtype=np.int64)
+    empty = np.empty(0, dtype=np.int64)
+    k = int(cand_a.shape[0])
+    if k == 0:
+        return empty, empty.copy()
+    dis = tracker.dis_array()
+    n = tracker.num_nodes
+
+    masses = tracker.edge_weights_ids(cand_a, cand_b)
+    max_w = float(masses.max())
+    gains = _gain_array(dis[cand_a], dis[cand_b], masses)
+
+    # The per-edge heap's duplicate check covers every gain >= 0 edge.
+    eligible = np.nonzero(gains >= 0.0)[0]
+    if eligible.size:
+        keys = cand_a[eligible] * n + cand_b[eligible]
+        if np.unique(keys).shape[0] != keys.shape[0]:
+            seen: set = set()
+            for i in eligible.tolist():
+                key = (int(cand_a[i]), int(cand_b[i]))
+                if key in seen:
+                    raise ReductionError(f"duplicate candidate edge {key!r}")
+                seen.add(key)
+
+    # Rejected zero-gain edges can be excluded up front: re-weights are
+    # non-increasing (|dis(b)| only shrinks, and the crossing/non-crossing
+    # branches agree at the |dis(b)| = w boundary), so a zero-gain pool
+    # entry could only ever be deleted, never selected.
+    pool = eligible if accept_zero_gain else np.nonzero(gains > 0.0)[0]
+    if pool.size == 0:
+        return empty, empty.copy()
+
+    # Lazy-heap bookkeeping by candidate index: `cur_gain` is the single
+    # source of truth (a popped entry is live iff its gain still matches
+    # — the dict-of-weights staleness rule, array-indexed), `alive` marks
+    # pool membership, `b_alive` group-B survival.  The replay loop is
+    # scalar Python over plain lists: candidate groups per endpoint are
+    # tiny (~1 edge), where list indexing beats numpy fancy indexing.
+    cur_gain = gains.tolist()
+    ca_l = cand_a.tolist()
+    cb_l = cand_b.tolist()
+    w_l = masses.tolist()
+    alive = bytearray(k)
+    b_alive = bytearray(n)
+
+    # Incident pool edges grouped by endpoint, ascending candidate index —
+    # the `edges_by_*` insertion order.
+    by_a_node: Dict[int, List[int]] = {}
+    by_b_node: Dict[int, List[int]] = {}
+    for idx in pool.tolist():
+        alive[idx] = 1
+        b_alive[cb_l[idx]] = 1
+        by_a_node.setdefault(ca_l[idx], []).append(idx)
+        by_b_node.setdefault(cb_l[idx], []).append(idx)
+
+    heap: List[Tuple[float, int, int]] = [
+        (-cur_gain[idx], i, idx) for i, idx in enumerate(pool.tolist())
+    ]
+    heapq.heapify(heap)
+    counter = int(pool.shape[0])
+    heappop, heappush = heapq.heappop, heapq.heappush
+
+    # Scalar mirrors of the tracker state: each selection runs
+    # `add_edge_ids`'s float expressions over plain lists (bit-identical,
+    # several times faster than numpy scalar indexing), committed back in
+    # one `absorb_scalar_state` call at the end.
+    dis_l, current_l, expected_l, delta_acc = tracker.export_scalar_state()
+
+    sel_a: List[int] = []
+    sel_b: List[int] = []
+    while heap:
+        negative_w, _, idx = heappop(heap)
+        w = -negative_w
+        if not alive[idx] or cur_gain[idx] != w:
+            continue  # stale or retired entry
+        b = cb_l[idx]
+        if not b_alive[b]:
+            continue
+        if w == 0 and not accept_zero_gain:
+            alive[idx] = 0
+            continue
+        a = ca_l[idx]
+
+        sel_a.append(a)
+        sel_b.append(b)
+        alive[idx] = 0
+        w_sel = w_l[idx]
+        du, dv = dis_l[a], dis_l[b]
+        delta_acc += abs(du + w_sel) + abs(dv + w_sel) - (abs(du) + abs(dv))
+        current_l[a] += w_sel
+        current_l[b] += w_sel
+        dis_l[a] = current_l[a] - expected_l[a]
+        dis_l[b] = current_l[b] - expected_l[b]
+
+        dis_b = _snap(dis_l[b])
+        if dis_b >= 0:
+            # b crossed out of group B (the only possibility at w = 1).
+            b_alive[b] = 0
+        else:
+            # b survives in group B with a smaller deficit: re-weight its
+            # surviving pool edges (gains are non-increasing in |dis(b)|).
+            for eidx in by_b_node.get(b, ()):
+                if not alive[eidx]:
+                    continue
+                new_w = _weighted_gain(dis_l[ca_l[eidx]], dis_b, w_l[eidx])
+                if new_w > 0 or (new_w == 0 and accept_zero_gain):
+                    cur_gain[eidx] = new_w
+                    heappush(heap, (-new_w, counter, eidx))
+                    counter += 1
+                else:
+                    alive[eidx] = 0
+
+        dis_a = _snap(dis_l[a])
+        if dis_a <= -max_w:
+            # Weighted Lemma 2 zone: with dis(a) ≤ −w for every incident
+            # weight w, each gain reduces to a dis(a)-free expression.
+            continue
+        edges_a = by_a_node.get(a, ())
+        if dis_a > -0.5:
+            # a left group A: retire all its edges.
+            for eidx in edges_a:
+                alive[eidx] = 0
+            continue
+        # Deficit shrank out of the plateau: re-weight a's surviving edges.
+        for eidx in edges_a:
+            if not alive[eidx]:
+                continue
+            x = cb_l[eidx]
+            if not b_alive[x]:
+                continue
+            new_w = _weighted_gain(dis_a, dis_l[x], w_l[eidx])
+            if new_w > 0 or (new_w == 0 and accept_zero_gain):
+                cur_gain[eidx] = new_w
+                heappush(heap, (-new_w, counter, eidx))
+                counter += 1
+            else:
+                alive[eidx] = 0
+
+    tracker.absorb_scalar_state(dis_l, current_l, delta_acc, sel_a, sel_b, [], [])
+    return (
+        np.asarray(sel_a, dtype=np.int64),
+        np.asarray(sel_b, dtype=np.int64),
+    )
+
+
+def _reference_repair_ids(
+    tracker: ArrayDegreeTracker,
+    cand_a: np.ndarray,
+    cand_b: np.ndarray,
+    accept_zero_gain: bool = False,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The lazy-heap reference that matches ``tracker``: weighted or unit."""
+    reference = weighted_bipartite_repair_ids if tracker.weighted else heap_repair_ids
+    return reference(tracker, cand_a, cand_b, accept_zero_gain=accept_zero_gain)
+
+
 @contextmanager
 def heap_repair() -> Iterator[mock.MagicMock]:
-    """Run BM2's Algorithm 3 through :func:`heap_repair_ids` while active.
+    """Run BM2's Algorithm 3 through a plain lazy heap while active.
 
-    Swaps the bucket replay inside :func:`repro.core.bm2.bm2_reduce_ids`
-    for the lazy-heap oracle, so every BM2 path — sparsified, sharded or
-    plain — can be checked against (or timed against) the heap.  Yields
-    the patched callable, whose ``call_count`` shows the heap ran.
+    Swaps :func:`repro.core.bm2.bipartite_repair_ids` inside
+    :func:`repro.core.bm2.bm2_reduce_ids` for the reference that matches
+    the run's tracker — :func:`heap_repair_ids` on unit trackers,
+    :func:`weighted_bipartite_repair_ids` on weighted ones — so every BM2
+    path (sparsified, sharded, weighted or plain) can be checked against
+    (or timed against) the heap.  Yields the patched callable, whose
+    ``call_count`` shows the reference ran.
     """
     with mock.patch(
-        "repro.core.bm2.bipartite_repair_ids", side_effect=heap_repair_ids
+        "repro.core.bm2.bipartite_repair_ids", side_effect=_reference_repair_ids
     ) as patched:
         yield patched
 
@@ -587,7 +781,6 @@ class LegacyBM2Shedder(BM2Shedder):
                 "group_b_size": len(group_b),
                 "candidate_edges": len(candidates),
                 "tracker_delta": tracker.delta,
-                "repair_engine": "heap",
                 "sparsify": "off",
                 "sparsify_beta": 0,
                 "phase2_candidate_edges_pruned": 0,

@@ -5,8 +5,9 @@ Pins the contracts the sparsifier documents:
 * ``sparsify="off"`` is the default and is bit-identical to a plain
   :class:`BM2Shedder`; ``sparsify="edcs"`` with a cap no candidate list
   reaches is also a no-op (identical edges, identical ``Δ``);
-* the bucket repair engine replays the heap oracle exactly, with and
-  without sparsification;
+* the repair engine replays the plain lazy-heap references exactly —
+  unit and weighted trackers, with and without zero-gain edges and
+  sparsification;
 * sparsified quality stays within the empirically pinned bound
   ``Δ_sparse ≤ 1.05·Δ_exact`` on the power-law graphs the paper targets;
 * sharded runs with sparsified boundary reconciliation keep ``Δ`` within
@@ -14,16 +15,19 @@ Pins the contracts the sparsifier documents:
   ``num_shards=1`` stays bit-identical to the whole-graph engine.
 """
 
+from unittest import mock
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.core import BM2Shedder
+from repro.core import BM2Shedder, bm2
 from repro.core.discrepancy import compute_delta
 from repro.graph import Graph
-from repro.graph.generators import powerlaw_cluster
+from repro.graph.generators import erdos_renyi, powerlaw_cluster
 from repro.shard import ShardedShedder
+from repro.uncertain import WeightedBM2Shedder, attach_random_weights
 from tests.oracles.core import heap_repair
 
 _RATIOS = [0.3, 0.5, 0.7]
@@ -78,18 +82,63 @@ def test_uncapped_edcs_is_a_noop(scenario):
     assert edcs.stats["phase2_candidate_edges_pruned"] == 0
 
 
-@given(graph_and_ratio(), st.sampled_from([1, 2, 8]))
-@settings(max_examples=40, deadline=None)
-def test_bucket_repair_replays_heap_oracle(scenario, beta):
-    g, p = scenario
-    for sparsify in ("off", "edcs"):
-        bucket = BM2Shedder(seed=0, sparsify=sparsify, sparsify_beta=beta).reduce(g, p)
-        with heap_repair() as heap_engine:
-            heap = BM2Shedder(seed=0, sparsify=sparsify, sparsify_beta=beta).reduce(g, p)
-        assert _edges(bucket) == _edges(heap)
-        assert bucket.delta == heap.delta
-        assert bucket.stats["repair_engine"] == "bucket"
-        assert heap_engine.call_count == 1
+@st.composite
+def repair_scenario(draw):
+    """A graph, ratio and BM2 setting that exercise Algorithm 3's repair.
+
+    Erdős–Rényi or power-law-cluster topology; unit weights, weights
+    rounded to quarters (exact zero gains occur) or continuous weights;
+    zero-gain edges kept or dropped; sparsification off or EDCS at
+    ``β ∈ {1, 2, 8}``.
+    """
+    n = draw(st.integers(6, 150))
+    seed = draw(st.integers(0, 2**16))
+    if draw(st.sampled_from(["erdos-renyi", "powerlaw-cluster"])) == "erdos-renyi":
+        graph = erdos_renyi(n, draw(st.sampled_from([0.08, 0.15, 0.3])), seed=seed)
+    else:
+        graph = powerlaw_cluster(n, draw(st.integers(1, 3)), 0.3, seed=seed)
+    weights = draw(st.sampled_from(["unit", "quarters", "continuous"]))
+    if weights != "unit":
+        attach_random_weights(graph, seed=seed)
+    if weights == "quarters":
+        for u, v, w in list(graph.edge_weights()):
+            graph.set_edge_weight(u, v, max(0.25, round(w * 4) / 4))
+    engine = BM2Shedder if weights == "unit" else WeightedBM2Shedder
+    beta = draw(st.sampled_from([None, 1, 2, 8]))
+    shedder = engine(
+        seed=0,
+        accept_zero_gain=draw(st.booleans()),
+        sparsify="off" if beta is None else "edcs",
+        sparsify_beta=beta,
+    )
+    return graph, draw(st.floats(0.1, 0.9)), shedder
+
+
+def _repair_run(shedder, graph, p, repair):
+    """Kept edges in order, ``repr(Δ)`` and the tracker's ``dis`` bytes."""
+    stats = {}
+    kept_u, kept_v = shedder.reduce_ids(graph.csr(), p, stats)
+    assert repair.call_count == 1
+    tracker = repair.call_args.args[0]
+    return (
+        kept_u.tolist(),
+        kept_v.tolist(),
+        repr(stats["tracker_delta"]),
+        tracker.dis_array().tobytes(),
+    )
+
+
+@given(repair_scenario())
+@settings(max_examples=150, deadline=None)
+def test_repair_engine_replays_heap_reference(scenario):
+    graph, p, shedder = scenario
+    with mock.patch(
+        "repro.core.bm2.bipartite_repair_ids", wraps=bm2.bipartite_repair_ids
+    ) as engine:
+        engine_run = _repair_run(shedder, graph, p, engine)
+    with heap_repair() as heap_engine:
+        heap_run = _repair_run(shedder, graph, p, heap_engine)
+    assert engine_run == heap_run
 
 
 @given(graph_and_ratio(), st.sampled_from([1, 3]))

@@ -6,6 +6,7 @@ killed mid-churn, forced close, manager shutdown.
 """
 
 import asyncio
+import dataclasses
 
 import pytest
 
@@ -140,6 +141,62 @@ class TestBudgetAudit:
 
         run(main())
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("seed", 1.5),
+            ("seed", True),
+            ("drift_cooldown_ops", 1.5),
+            ("reservoir_size", 2.0),
+            ("inbox_capacity", 1.5),
+            ("batch_ops", 1.5),
+            ("ledger_chunk", 1.5),
+            ("p", "0.5"),
+            ("p", float("nan")),
+            ("p", True),
+            ("drift_ratio", float("inf")),
+            ("drift_hysteresis", None),
+            ("shed_watermark", "0.75"),
+            ("apply_watermark", float("nan")),
+            ("repair", 1),
+            ("method", None),
+            ("engine", None),
+            ("label", 7),
+        ],
+    )
+    def test_mistyped_config_refused_before_graph_or_ledger(self, field, value):
+        """Each field of the wrong type fails ``open`` naming that field.
+
+        Every await is bounded: a float ``batch_ops`` that slipped through
+        once killed the drain task and left ``close()`` waiting forever.
+        """
+        calls = []
+
+        def loader(ref, seed):
+            calls.append(ref)
+            return erdos_renyi(60, 0.1, seed=42)
+
+        async def main():
+            manager = SessionManager(graph_loader=loader)
+            manager.start()
+            try:
+                bad = dataclasses.replace(CONFIG, **{field: value})
+                with pytest.raises(SessionError, match=f"^{field} must be"):
+                    await asyncio.wait_for(
+                        manager.open(config=bad, graph_ref="dataset:x"), timeout=10
+                    )
+                assert manager.ledger.in_use == 0
+                assert calls == []
+                session = await asyncio.wait_for(
+                    manager.open(config=CONFIG, graph_ref="dataset:x"), timeout=10
+                )
+                assert manager.ledger.in_use == session.charge
+            finally:
+                await asyncio.wait_for(manager.close(), timeout=10)
+            assert manager.ledger.in_use == 0
+
+        run(main())
 
     def test_failed_build_releases_charge(self, small_er, monkeypatch):
         def boom(graph, config):

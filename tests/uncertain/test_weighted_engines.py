@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import BM2Shedder, CRRShedder
-from repro.core.bm2 import weighted_bipartite_repair_ids
+from repro.core.bm2 import bipartite_repair_ids
 from repro.core.discrepancy import ArrayDegreeTracker
 from repro.errors import GraphError
 from repro.graph import Graph
@@ -90,7 +90,6 @@ class TestQuality:
     def test_stats_carry_weighted_provenance(self):
         graph = uncertain_erdos_renyi(100, 0.08, seed=1)
         result = WeightedBM2Shedder(seed=0).reduce(graph, 0.5)
-        assert result.stats["repair_engine"] == "weighted-heap"
         assert result.method == "W-BM2"
         assert result.reduced.is_weighted
 
@@ -131,16 +130,6 @@ class TestWeightedBMatching:
 
 
 class TestWeightedRepair:
-    def test_requires_weighted_tracker(self, small_powerlaw):
-        csr = small_powerlaw.csr()
-        tracker = ArrayDegreeTracker(csr, 0.5, weighted=False)
-        with pytest.raises(ValueError):
-            weighted_bipartite_repair_ids(
-                tracker,
-                np.array([0], dtype=np.int64),
-                np.array([1], dtype=np.int64),
-            )
-
     def test_repair_never_increases_delta(self):
         graph = uncertain_erdos_renyi(120, 0.08, seed=3)
         csr = graph.csr()
@@ -148,7 +137,7 @@ class TestWeightedRepair:
         # Start from the empty reduction: every dis(v) = -p*E[deg] <= 0.
         before = tracker.delta
         edge_u, edge_v = csr.edge_list_ids()
-        sel_a, sel_b = weighted_bipartite_repair_ids(tracker, edge_u, edge_v)
+        sel_a, sel_b = bipartite_repair_ids(tracker, edge_u, edge_v)
         assert tracker.delta <= before
         assert sel_a.shape == sel_b.shape
         assert sel_a.shape[0] <= edge_u.shape[0]

@@ -82,57 +82,57 @@ _GOLDEN = {
     (3, 0.3, 'w-crr'):
         (141, '4bb8e2b75427551d', '67.40000000000006', 'd0774a25640bede7'),
     (3, 0.3, 'bm2'):
-        (146, '8d580b2b0fe31e48', '50.00000000000006', 'd7ee7c442c77ed09'),
+        (146, '8d580b2b0fe31e48', '50.00000000000006', 'f9c2102cec62df0f'),
     (3, 0.3, 'w-bm2:off:nonzero'):
-        (147, '0b651a4d8884d280', '99.79999999999997', '1bd94e415c911e15'),
+        (147, '0b651a4d8884d280', '99.79999999999997', 'cf2d18f15a557ee5'),
     (3, 0.3, 'w-bm2:off:zero'):
-        (147, '0b651a4d8884d280', '99.79999999999997', '1bd94e415c911e15'),
+        (147, '0b651a4d8884d280', '99.79999999999997', 'cf2d18f15a557ee5'),
     (3, 0.3, 'w-bm2:edcs:nonzero'):
-        (145, '0f930ae1dd256d38', '100.59999999999997', '4646c127aa0189f4'),
+        (145, '0f930ae1dd256d38', '100.59999999999997', '6dca9ab606c55224'),
     (3, 0.3, 'w-bm2:edcs:zero'):
-        (145, '0f930ae1dd256d38', '100.59999999999997', '4646c127aa0189f4'),
+        (145, '0f930ae1dd256d38', '100.59999999999997', '6dca9ab606c55224'),
     (3, 0.6, 'crr'):
         (283, 'ebb1dbd5bbbae211', '47.60000000000004', '1c905f088e76a678'),
     (3, 0.6, 'w-crr'):
         (283, 'cd2a276df6df9a91', '72.80000000000008', '69e6791afe6205b5'),
     (3, 0.6, 'bm2'):
-        (265, 'a214e12c4cd80625', '87.59999999999997', 'eb1023ada0e7088f'),
+        (265, 'a214e12c4cd80625', '87.59999999999997', 'f7c836d962418a85'),
     (3, 0.6, 'w-bm2:off:nonzero'):
-        (284, '7776ff78300c0ce3', '113.19999999999999', '7c5a9a5e4e978c97'),
+        (284, '7776ff78300c0ce3', '113.19999999999999', 'e95287288f06f113'),
     (3, 0.6, 'w-bm2:off:zero'):
-        (284, '7776ff78300c0ce3', '113.19999999999999', '7c5a9a5e4e978c97'),
+        (284, '7776ff78300c0ce3', '113.19999999999999', 'e95287288f06f113'),
     (3, 0.6, 'w-bm2:edcs:nonzero'):
-        (283, '72897f5270874fa1', '113.2', '0ecf902603ba04ef'),
+        (283, '72897f5270874fa1', '113.2', '24915a15d2bc4848'),
     (3, 0.6, 'w-bm2:edcs:zero'):
-        (283, '72897f5270874fa1', '113.2', '0ecf902603ba04ef'),
+        (283, '72897f5270874fa1', '113.2', '24915a15d2bc4848'),
     (8, 0.3, 'crr'):
         (141, '9a9f210191c71231', '48.6000000000001', 'f0e9e81f15464510'),
     (8, 0.3, 'w-crr'):
         (141, 'e5ce1f565c5ff0ab', '66.00000000000009', 'd1a3513f358aaf5d'),
     (8, 0.3, 'bm2'):
-        (145, 'a67517ed05c8c03e', '56.000000000000064', '0179cb61cf7fdb22'),
+        (145, 'a67517ed05c8c03e', '56.000000000000064', '188b940d11c58158'),
     (8, 0.3, 'w-bm2:off:nonzero'):
-        (133, 'd7761262726f3f75', '80.99999999999999', '2180db4c3227cce3'),
+        (133, 'd7761262726f3f75', '80.99999999999999', 'd541371a90c606bd'),
     (8, 0.3, 'w-bm2:off:zero'):
-        (134, '9536b85e0b6513ba', '80.79999999999998', '8c07038684439c3e'),
+        (134, '9536b85e0b6513ba', '80.79999999999998', 'e2aa1f643e183c6e'),
     (8, 0.3, 'w-bm2:edcs:nonzero'):
-        (133, 'd7761262726f3f75', '80.99999999999999', '6c198ea3942f7c43'),
+        (133, 'd7761262726f3f75', '80.99999999999999', '61ed701fa58a47fa'),
     (8, 0.3, 'w-bm2:edcs:zero'):
-        (134, '9536b85e0b6513ba', '80.79999999999998', 'd2d297204b970c92'),
+        (134, '9536b85e0b6513ba', '80.79999999999998', '1b8815957321f647'),
     (8, 0.6, 'crr'):
         (283, '748e4cd28086970b', '47.20000000000004', '1247ff9bf1620edc'),
     (8, 0.6, 'w-crr'):
         (283, '0351d7347f755b33', '64.00000000000007', '6f5d926fe73f3f6d'),
     (8, 0.6, 'bm2'):
-        (271, 'fafe2531da6348fe', '81.19999999999997', '9390866f6709d2b1'),
+        (271, 'fafe2531da6348fe', '81.19999999999997', '899e3dce7cb1e2ba'),
     (8, 0.6, 'w-bm2:off:nonzero'):
-        (286, '5af9da1e46357878', '110.79999999999998', '2d00aa89a15a710d'),
+        (286, '5af9da1e46357878', '110.79999999999998', 'a1c6f64531b89e2c'),
     (8, 0.6, 'w-bm2:off:zero'):
-        (288, 'a5abc39d6210eeb0', '112.39999999999999', '8481065d4f2cdfc8'),
+        (288, 'a5abc39d6210eeb0', '112.39999999999999', '8a6c0c5db8b704f8'),
     (8, 0.6, 'w-bm2:edcs:nonzero'):
-        (286, '5af9da1e46357878', '110.79999999999998', '7036d590101e47df'),
+        (286, '5af9da1e46357878', '110.79999999999998', '631d616327e6ebd6'),
     (8, 0.6, 'w-bm2:edcs:zero'):
-        (288, 'a5abc39d6210eeb0', '112.39999999999999', 'd61d87604d6c04dc'),
+        (288, 'a5abc39d6210eeb0', '112.39999999999999', '2ff72824b28e89ab'),
 }
 
 
