@@ -10,6 +10,7 @@ from repro.core.bm2 import BM2Shedder, bipartite_repair_ids
 from repro.core.bounds import (
     bm2_average_delta_bound,
     bm2_bound_for_graph,
+    bm2_delta_envelope,
     crr_average_delta_bound,
     crr_bound_for_graph,
 )
@@ -51,6 +52,7 @@ __all__ = [
     "swap_change_scalar_from_dis",
     "crr_average_delta_bound",
     "bm2_average_delta_bound",
+    "bm2_delta_envelope",
     "crr_bound_for_graph",
     "bm2_bound_for_graph",
     "RandomShedder",

@@ -17,12 +17,15 @@ it; probabilities are clamped into ``[0, 1]`` and the summary counts how
 many rows were out of range, so noisy files degrade loudly, not silently.
 A ``nan`` token is rejected like any other non-number.
 
-Ingest is array-first.  The reader parses the file in bounded chunks of
-lines into endpoint-id arrays, numbering nodes in order of first
-appearance, then hands the distinct edges to :meth:`Graph.from_edge_ids`
-— the one array-to-``Graph`` constructor — which keeps the sorted edge
-arrays and memoises the CSR snapshot; the adjacency dicts are built only
-when something first mutates the graph or reads them.  The graph behaves
+Ingest is array-first.  The reader tokenizes the file in bounded byte
+blocks with numpy, so a file of plain integer labels costs no Python per
+line or token (see :class:`_EdgeListScan`, which ``iter_edge_list`` in
+:mod:`repro.streaming` reads through too).  It numbers nodes in order of
+first appearance with one sort, then hands the distinct edges to
+:meth:`Graph.from_edge_ids` — the one array-to-``Graph`` constructor —
+which keeps the sorted edge arrays and memoises the CSR snapshot; the
+adjacency dicts are built only when something first mutates the graph
+or reads them.  The graph behaves
 exactly as replaying ``add_edge`` line by line would build it, and a
 reduction starts from the ready snapshot; the first mutation drops the
 snapshot, as for any graph.  :func:`write_edge_list` writes a graph's edge
@@ -39,9 +42,9 @@ document without double-encoding.  Weighted graphs add a parallel
 from __future__ import annotations
 
 import json
-import operator
+import math
+import re
 from dataclasses import dataclass
-from itertools import compress, islice
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
@@ -63,11 +66,27 @@ __all__ = [
 
 PathLike = Union[str, Path]
 
-#: Lines parsed or written per chunk.  One chunk's lines and token lists
-#: are the parse's (and the writer's) only per-line Python objects, so the
-#: chunk bounds their transient memory — which fork-pool workers inherit
-#: as their high-water mark.
+#: Bytes read per block.  A block's arrays (a flag per byte, a few ints per
+#: token) are the parse's only transient memory beyond its key arrays, so
+#: the block bounds it; fork-pool workers inherit it as their high-water
+#: mark.
+_BLOCK_BYTES = 1 << 16
+
+#: Lines formatted per chunk by :func:`write_edge_list`, which bounds its
+#: per-line Python objects the same way.
 _CHUNK_LINES = 4096
+
+#: ``str.split()``'s whitespace among single bytes: the ASCII ones.
+_SPACE = np.array([byte < 128 and chr(byte).isspace() for byte in range(256)])
+
+#: Every other character ``str.split()`` splits on.
+_WIDE_SPACE = re.compile(r"[^\S\x00-\x7f]")
+
+#: Longest token parsed arithmetically: ``10**18 - 1`` fits an int64.
+_DIGITS = 18
+
+#: Keys from here up stand for labels in a scan's label map.
+_MAPPED = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -141,69 +160,38 @@ def read_edge_list_with_summary(
         raise GraphError(
             f"weight_col must be >= 2 (columns 0-1 are the endpoints), got {weight_col}"
         )
-    need = 2 if weight_col is None else weight_col + 1
-    index_of: Dict[Node, int] = {}
-    assign = index_of.setdefault
-    id_chunks: List[np.ndarray] = []
-    weight_chunks: List[np.ndarray] = []
-    lines_total = comment_lines = self_loops = clamped = 0
-    with open(path, "r", encoding="utf-8") as handle:
-        while True:
-            lines = list(islice(handle, _CHUNK_LINES))
-            if not lines:
-                break
-            first_line = lines_total + 1
-            lines_total += len(lines)
-            # split() strips like strip(), so a row's first token starts
-            # with the stripped line's first character.
-            rows = [line.split() for line in lines]
-            data = [row for row in rows if row and row[0][0] not in "#%"]
-            comment_lines += len(rows) - len(data)
-            if not data:
-                continue
-            weights = None
-            valid = min(map(len, data)) >= need
-            if valid and weight_col is not None:
-                weights = _weight_array([row[weight_col] for row in data])
-                valid = weights is not None
-            if not valid:
-                offset, problem = next(_line_problems(lines, weight_col))
-                raise GraphError(f"{path}:{first_line + offset}: {problem}")
-            if weights is not None:
-                low, high = weights < 0.0, weights > 1.0
-                clamped += int(np.count_nonzero(low | high))
-                weights[low] = 0.0
-                weights[high] = 1.0
-            us = _node_labels([row[0] for row in data])
-            vs = _node_labels([row[1] for row in data])
-            loops = list(map(operator.eq, us, vs))
-            loop_count = loops.count(True)
-            if loop_count:
-                self_loops += loop_count
-                keep = [not loop for loop in loops]
-                us, vs = list(compress(us, keep)), list(compress(vs, keep))
-                if weights is not None:
-                    weights = weights[np.array(keep)]
-            # Ids in add_edge replay order: first appearance, u before v.
-            endpoints = [None] * (2 * len(us))
-            endpoints[0::2] = us
-            endpoints[1::2] = vs
-            id_chunks.append(
-                np.array([assign(node, len(index_of)) for node in endpoints], dtype=np.int64)
-            )
-            if weights is not None:
-                weight_chunks.append(weights)
-    ids = np.concatenate(id_chunks) if id_chunks else np.empty(0, dtype=np.int64)
-    line_u, line_v = ids[0::2], ids[1::2]
-    first, last = _first_and_last(line_u, line_v, len(index_of))
+    scan = _EdgeListScan(path, weight_col)
+    blocks = list(scan)
+    pairs = np.concatenate([keys for keys, _ in blocks]) if blocks else np.empty((0, 2), np.int64)
     weights = None
-    if weight_chunks and first.shape[0]:
+    clamped = 0
+    if weight_col is not None and blocks:
+        weights = np.concatenate([block_weights for _, block_weights in blocks])
+        low, high = weights < 0.0, weights > 1.0
+        clamped = int(np.count_nonzero(low | high))
+        weights[low] = 0.0
+        weights[high] = 1.0
+    del blocks
+    loops = pairs[:, 0] == pairs[:, 1]
+    self_loops = int(np.count_nonzero(loops))
+    if self_loops:
+        pairs = pairs[~loops]
+        weights = None if weights is None else weights[~loops]
+    # Ids in add_edge replay order: first appearance, u before v.
+    keys = pairs.ravel()
+    ids, first_seen, _ = _first_appearance(keys)
+    labels = scan.labels(keys[first_seen])
+    line_u, line_v = ids[0::2], ids[1::2]
+    _, first, last = _first_appearance(
+        np.minimum(line_u, line_v) * len(labels) + np.maximum(line_u, line_v)
+    )
+    if weights is not None:
         # add_edge on an existing edge overwrote its weight: the last wins.
-        weights = np.concatenate(weight_chunks)[last]
-    graph = Graph.from_edge_ids(list(index_of), line_u[first], line_v[first], weights)
+        weights = weights[last] if first.shape[0] else None
+    graph = Graph.from_edge_ids(labels, line_u[first], line_v[first], weights)
     summary = EdgeListSummary(
-        lines_total=lines_total,
-        comment_lines=comment_lines,
+        lines_total=scan.lines,
+        comment_lines=scan.comments,
         edges_added=graph.num_edges,
         self_loops_skipped=self_loops,
         duplicates_skipped=line_u.shape[0] - graph.num_edges,
@@ -212,68 +200,198 @@ def read_edge_list_with_summary(
     return graph, summary
 
 
-def _parse_node(token: str):
+class _EdgeListScan:
+    """The byte tokenizer behind :func:`read_edge_list` and ``iter_edge_list``.
+
+    Iterating reads ``path`` in blocks of about :data:`_BLOCK_BYTES`, each
+    cut after a line break, and yields per block ``(keys, weights)``: a row
+    of endpoint keys per data line, self-loops included, and the lines'
+    weight column as ``float64`` (``None`` without ``weight_col``).
+    ``lines`` and ``comments`` count the lines read so far.  The first
+    malformed line raises :class:`GraphError` naming ``path:line``, once
+    the rows before it are yielded.
+
+    The parse is text-mode reading plus ``str.split()`` per line, on byte
+    arrays: ``\\r\\n`` and a lone ``\\r`` end a line as universal newlines
+    do; a 256-entry table holds ``str.split()``'s ASCII whitespace; any
+    other whitespace character is first replaced by as many spaces as it
+    has UTF-8 bytes, so byte offsets, and the line an error quotes, stay
+    put.  A token of at most :data:`_DIGITS` ASCII digits is parsed
+    arithmetically.  Any other token becomes ``int(token)`` where that
+    parses, else the token itself.  A label keys as its value if it is an
+    int in ``[-2**62, 2**62)``, else as ``2**62`` plus its index in the
+    scan's label map, so equal labels get equal keys and :meth:`labels`
+    maps keys back.
+    """
+
+    def __init__(self, path: PathLike, weight_col: Optional[int] = None) -> None:
+        self.path = path
+        self.weight_col = weight_col
+        self.lines = self.comments = 0
+        self._mapped: List[Node] = []
+        self._key_of: Dict[Node, int] = {}
+
+    def __iter__(self) -> Iterator[Tuple[np.ndarray, Optional[np.ndarray]]]:
+        need = 2 if self.weight_col is None else self.weight_col + 1
+        for raw in _line_blocks(self.path):
+            text = raw
+            if not raw.isascii():
+                text = _WIDE_SPACE.sub(_spaces, raw.decode("utf-8")).encode("utf-8")
+            codes = np.frombuffer(text, dtype=np.uint8)
+            space = np.ones(codes.shape[0] + 2, dtype=bool)
+            space[1:-1] = _SPACE[codes]
+            spans = np.flatnonzero(space[1:] != space[:-1])
+            starts, ends = spans[0::2], spans[1::2]
+            breaks = np.flatnonzero(codes == ord("\n"))
+            line_of = np.searchsorted(breaks, starts)
+            heads = np.flatnonzero(np.diff(line_of, prepend=-1))  # each line's first token
+            counts = np.diff(heads, append=starts.shape[0])
+            lead = codes[starts[heads]]
+            data = (lead != ord("#")) & (lead != ord("%"))
+            heads, counts = heads[data], counts[data]
+            first_line = self.lines + 1
+            block_lines = breaks.shape[0] + (not raw.endswith(b"\n"))
+            self.lines += block_lines
+            self.comments += block_lines - heads.shape[0]
+            short = np.flatnonzero(counts < need)
+            stop = int(short[0]) if short.shape[0] else heads.shape[0]
+            weights = problem = None
+            if self.weight_col is not None:
+                at = heads[:stop] + self.weight_col
+                tokens = _decode(text, starts[at], ends[at])
+                weights = np.fromiter(map(_weight, tokens), dtype=np.float64, count=len(tokens))
+                bad = np.flatnonzero(np.isnan(weights))
+                if bad.shape[0]:
+                    stop = int(bad[0])
+                    weights = weights[:stop]
+                    problem = f"bad weight token {tokens[stop]!r}"
+            if stop:
+                columns = np.repeat(heads[:stop], 2)  # each data line's u and v
+                columns[1::2] += 1
+                keys = self._keys(text, codes, starts[columns], ends[columns])
+                yield keys.reshape(-1, 2), weights
+            if stop < heads.shape[0]:
+                line = int(line_of[heads[stop]])
+                if problem is None:
+                    quoted = raw.split(b"\n")[line].decode("utf-8").strip()
+                    if counts[stop] < 2:
+                        problem = f"expected two node tokens, got {quoted!r}"
+                    else:
+                        problem = f"no weight column {self.weight_col} in {quoted!r}"
+                raise GraphError(f"{self.path}:{first_line + line}: {problem}")
+
+    def _keys(
+        self, text: bytes, codes: np.ndarray, starts: np.ndarray, ends: np.ndarray
+    ) -> np.ndarray:
+        """The key of each token ``text[starts[i]:ends[i]]``."""
+        keys = np.zeros(starts.shape[0], dtype=np.int64)
+        lengths = ends - starts
+        numeric = lengths <= _DIGITS
+        width = min(int(lengths.max(initial=0)), _DIGITS)
+        for column in range(width):  # right-aligned digit columns
+            at = ends - width + column
+            digit = codes[np.maximum(at, 0)] - ord("0")  # uint8: other bytes wrap above 9
+            digit[at < starts] = 0
+            numeric &= digit <= 9
+            keys = keys * 10 + np.where(digit <= 9, digit, 0)
+        others = np.flatnonzero(~numeric)
+        if others.shape[0]:
+            keys[others] = list(map(self._key, _decode(text, starts[others], ends[others])))
+        return keys
+
+    def _key(self, token: str) -> int:
+        label = _parse_label(token)
+        if type(label) is int and -_MAPPED <= label < _MAPPED:
+            return label
+        key = self._key_of.get(label)
+        if key is None:
+            key = self._key_of[label] = _MAPPED + len(self._mapped)
+            self._mapped.append(label)
+        return key
+
+    def labels(self, keys: np.ndarray) -> List[Node]:
+        """The label each key stands for."""
+        labels = keys.tolist()
+        for i in np.flatnonzero(keys >= _MAPPED).tolist():
+            labels[i] = self._mapped[labels[i] - _MAPPED]
+        return labels
+
+
+def _line_blocks(path: PathLike) -> Iterator[bytes]:
+    """``path``'s bytes in blocks of whole lines, line ends folded to ``\\n``.
+
+    A ``\\r`` ending the bytes read so far waits for the next read, which
+    shows whether it is half of a ``\\r\\n``.
+    """
+    pending = bytearray()
+    with open(path, "rb") as handle:
+        while True:
+            chunk = handle.read(_BLOCK_BYTES)
+            if not chunk:
+                break
+            searched = max(len(pending) - 1, 0)  # pending holds no other break
+            pending += chunk
+            end = len(pending) - (pending[-1] == ord("\r"))
+            cut = 1 + max(pending.rfind(b"\n", searched, end), pending.rfind(b"\r", searched, end))
+            if cut:
+                yield _fold(pending[:cut])
+                del pending[:cut]
+    if pending:
+        yield _fold(pending)
+
+
+def _fold(data: bytearray) -> bytes:
+    return bytes(data).replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+
+
+def _spaces(match: "re.Match[str]") -> str:
+    return " " * len(match.group().encode("utf-8"))
+
+
+def _decode(text: bytes, starts: np.ndarray, ends: np.ndarray) -> List[str]:
+    return [text[start:end].decode("utf-8") for start, end in zip(starts.tolist(), ends.tolist())]
+
+
+def _parse_label(token: str) -> Node:
     try:
         return int(token)
     except ValueError:
         return token
 
 
-def _node_labels(tokens: List[str]) -> List[Node]:
-    """``int(token)`` where that parses, else the token itself."""
-    try:
-        return list(map(int, tokens))
-    except ValueError:
-        return [_parse_node(token) for token in tokens]
+def _weight(token: str) -> float:
+    """``float(token)``, or NaN (refused like a non-number) where that fails.
 
-
-def _weight_array(tokens: List[str]) -> Optional[np.ndarray]:
-    """The tokens as ``float64``, or ``None`` if one is not a number.
-
-    NaN counts as not a number: it passes every range check unclamped
-    and would poison expected degrees downstream.
+    A NaN weight would pass every range check unclamped and poison
+    expected degrees downstream.
     """
     try:
-        weights = np.array(list(map(float, tokens)), dtype=np.float64)
+        return float(token)
     except ValueError:
-        return None
-    return None if bool(np.isnan(weights).any()) else weights
+        return math.nan
 
 
-def _line_problems(lines: List[str], weight_col: Optional[int]) -> Iterator[Tuple[int, str]]:
-    """``(offset, message)`` for each malformed line, in file order."""
-    for offset, raw_line in enumerate(lines):
-        parts = raw_line.split()
-        if not parts or parts[0][0] in "#%":
-            continue
-        if len(parts) < 2:
-            yield offset, f"expected two node tokens, got {raw_line.strip()!r}"
-        elif weight_col is not None:
-            if len(parts) <= weight_col:
-                yield offset, f"no weight column {weight_col} in {raw_line.strip()!r}"
-            elif _weight_array([parts[weight_col]]) is None:
-                yield offset, f"bad weight token {parts[weight_col]!r}"
+def _first_appearance(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Number the distinct values of ``keys`` in order of first appearance.
 
-
-def _first_and_last(
-    line_u: np.ndarray, line_v: np.ndarray, n: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Line indices of each distinct edge's first and last occurrence.
-
-    Both arrays run in first-occurrence order, the order in which
-    ``add_edge`` replay would have created the edges.
+    Returns ``(ids, first, last)``: ``keys[i]`` is value ``ids[i]``, and
+    value ``j`` first and last occurs at ``first[j]`` and ``last[j]``.
+    One unstable sort groups equal keys; each group's least and largest
+    index are its first and last occurrence.
     """
-    keys = np.minimum(line_u, line_v) * n + np.maximum(line_u, line_v)
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    boundary = np.ones(keys.shape[0] + 1, dtype=bool)
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=boundary[1:-1])
-    first = order[boundary[:-1]]
-    # Scatter by line index instead of sorting the first occurrences.
-    last_of = np.zeros(keys.shape[0], dtype=np.int64)
-    last_of[first] = order[boundary[1:]]
-    first.sort()
-    return first, last_of[first]
+    order = np.argsort(keys)
+    ordered = keys[order]
+    fresh = np.ones(keys.shape[0], dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
+    groups = np.flatnonzero(fresh)
+    first = np.minimum.reduceat(order, groups) if groups.shape[0] else groups
+    last = np.maximum.reduceat(order, groups) if groups.shape[0] else groups
+    by_first = np.argsort(first)
+    rank = np.empty(by_first.shape[0], dtype=np.int64)
+    rank[by_first] = np.arange(by_first.shape[0])
+    ids = np.empty(keys.shape[0], dtype=np.int64)
+    ids[order] = rank[np.cumsum(fresh) - 1]
+    return ids, first[by_first], last[by_first]
 
 
 def write_edge_list(graph: Graph, path: PathLike, header: str = "") -> None:
@@ -317,7 +435,7 @@ def _label_tokens(labels: List[Node]) -> List[str]:
         if type(label) is not int and (
             token.split() != [token]
             or token[0] in "#%"
-            or _parse_node(token) != label
+            or _parse_label(token) != label
         ):
             raise GraphError(
                 f"node label {label!r} cannot be written to an edge list:"

@@ -199,7 +199,14 @@ class MetricsRegistry:
             return self._histograms[name]
 
     def register_gauge(self, name: str, sample: Callable[[], float]) -> None:
-        """Register a callable sampled at snapshot time."""
+        """Register a callable sampled at snapshot time.
+
+        A gauge on its owner's own registry must not close over the owner:
+        owner, registry and gauge would form a reference cycle, holding
+        everything the owner holds (graphs, caches) until the cycle
+        collector runs.  Close over the parts it reads, or a
+        :func:`weakref.proxy` of the owner.
+        """
         with self._lock:
             self._gauges[name] = sample
 

@@ -210,7 +210,15 @@ class Scheduler:
             self._condition.notify_all()
         for worker in self._workers:
             worker.join(timeout=timeout)
+        if not any(worker.is_alive() for worker in self._workers):
+            # The runner is the owner's bound method, and the owner holds
+            # this scheduler: drop it so refcounting frees both.
+            self._runner = _refuse
         self._workers.clear()
+
+
+def _refuse(job: QueuedJob) -> None:
+    raise ServiceError("scheduler is shut down")
 
 
 # ----------------------------------------------------------------------

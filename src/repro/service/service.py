@@ -109,10 +109,12 @@ class SheddingService:
         self._graph_cache: Dict[Any, Graph] = {}
         self._graph_cache_lock = threading.Lock()
         self._closed = False
-        self.metrics.register_gauge("queue_depth", lambda: self.scheduler.queue_depth)
-        self.metrics.register_gauge("resident_edges", lambda: self.ledger.in_use)
-        self.metrics.register_gauge("cache_artifacts", lambda: len(self.store))
-        self.metrics.register_gauge("cache_bytes", lambda: self.store.resident_bytes)
+        # Gauges close over parts, never self: see register_gauge.
+        scheduler, ledger, store = self.scheduler, self.ledger, self.store
+        self.metrics.register_gauge("queue_depth", lambda: scheduler.queue_depth)
+        self.metrics.register_gauge("resident_edges", lambda: ledger.in_use)
+        self.metrics.register_gauge("cache_artifacts", store.__len__)
+        self.metrics.register_gauge("cache_bytes", lambda: store.resident_bytes)
 
     # ------------------------------------------------------------------
     # Submission

@@ -91,8 +91,9 @@ class SessionManager:
         self._workers: List["asyncio.Task[None]"] = []
         self._started = False
         self._closed = False
-        self.metrics.register_gauge("open_sessions", lambda: len(self._sessions))
-        self.metrics.register_gauge("resident_edges", lambda: self.ledger.in_use)
+        ledger = self.ledger  # gauges close over parts, never self: see register_gauge
+        self.metrics.register_gauge("open_sessions", self._sessions.__len__)
+        self.metrics.register_gauge("resident_edges", lambda: ledger.in_use)
 
     # ------------------------------------------------------------------
     # Lifecycle

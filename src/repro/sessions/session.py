@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import asyncio
 import time
+import weakref
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
@@ -266,11 +267,11 @@ class StreamSession:
         self._opened_at = time.perf_counter()
         self._last_decision: Optional[DriftDecision] = None
         self._op_hist = self.metrics.histogram("op_seconds", OP_LATENCY_BOUNDS)
+        # Gauges close over parts or a proxy, never self: see register_gauge.
+        session = weakref.proxy(self)
         self.metrics.register_gauge("inbox_depth", self._inbox.qsize)
-        self.metrics.register_gauge("ledger_charge", lambda: self._charge)
-        self.metrics.register_gauge(
-            "resident_edges", lambda: self._shedder.graph.num_edges
-        )
+        self.metrics.register_gauge("ledger_charge", lambda: session._charge)
+        self.metrics.register_gauge("resident_edges", lambda: shedder.graph.num_edges)
 
     # ------------------------------------------------------------------
     # Client surface

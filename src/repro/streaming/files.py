@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Union
 
-from repro.errors import GraphError
 from repro.graph.graph import Edge
+from repro.graph.io import _EdgeListScan
 from repro.streaming.shedder import shed_stream
 
 __all__ = ["StreamSheddingStats", "iter_edge_list", "shed_edge_list_file"]
@@ -23,25 +23,19 @@ PathLike = Union[str, Path]
 def iter_edge_list(path: PathLike) -> Iterator[Edge]:
     """Stream edges from a SNAP-style edge list without loading the graph.
 
-    Same parsing rules as :func:`repro.graph.io.read_edge_list`, except
-    self-loops raise (a streaming shedder cannot silently repair input).
+    It reads through the same byte tokenizer as
+    :func:`repro.graph.io.read_edge_list`, with the same labels and the
+    same :class:`~repro.errors.GraphError` naming ``path:line`` for a
+    malformed line.  Unlike the reader it yields every data line as it
+    stands, duplicates and self-loops included; the streaming shedder's
+    :func:`~repro.streaming.shedder.count_stream_degrees` refuses both
+    with :class:`~repro.errors.ReductionError`.  Memory stays ``O(|V|)``:
+    one block's arrays and the labels that are not small ints.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_number, raw_line in enumerate(handle, start=1):
-            line = raw_line.strip()
-            if not line or line.startswith(("#", "%")):
-                continue
-            parts = line.split()
-            if len(parts) < 2:
-                raise GraphError(f"{path}:{line_number}: expected two node tokens")
-            yield _parse(parts[0]), _parse(parts[1])
-
-
-def _parse(token: str):
-    try:
-        return int(token)
-    except ValueError:
-        return token
+    scan = _EdgeListScan(path)
+    for keys, _ in scan:
+        labels = scan.labels(keys.ravel())
+        yield from zip(labels[0::2], labels[1::2])
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,15 @@
 import pytest
 
 from repro.core import (
+    BM2Shedder,
     bm2_average_delta_bound,
     bm2_bound_for_graph,
     crr_average_delta_bound,
     crr_bound_for_graph,
 )
+from repro.core.bounds import bm2_delta_envelope
 from repro.errors import InvalidRatioError
+from repro.graph import erdos_renyi, powerlaw_cluster
 
 
 class TestCRRBound:
@@ -59,3 +62,36 @@ class TestBM2Bound:
     def test_graph_helper(self, figure1):
         expected = bm2_average_delta_bound(0.4, 11, 11)
         assert bm2_bound_for_graph(figure1, 0.4) == pytest.approx(expected)
+
+
+class TestBM2Envelope:
+    @pytest.mark.parametrize(
+        "rounding, slack",
+        [("half_up", 0.75), ("half_even", 0.75), ("floor", 1.5), ("ceil", 1.0), (None, 1.5)],
+    )
+    def test_formula(self, rounding, slack):
+        # rho + p * r_lo + 2 * 0.5 * 0.5 * 100 / 50, at p = 0.5
+        assert bm2_delta_envelope(0.5, 100, 50, rounding) == pytest.approx(slack + 1.0)
+
+    def test_above_theorem_2_figure_past_half(self):
+        assert bm2_delta_envelope(0.9, 2000, 50) > bm2_average_delta_bound(0.9, 2000, 50)
+        assert bm2_delta_envelope(0.2, 2000, 50, "half_up") < bm2_average_delta_bound(0.2, 2000, 50)
+
+    def test_invalid_arguments(self):
+        with pytest.raises(InvalidRatioError):
+            bm2_delta_envelope(1.0, 10, 10)
+        with pytest.raises(ValueError):
+            bm2_delta_envelope(0.5, 10, 0)
+
+    @pytest.mark.parametrize("rounding", ["half_up", "half_even", "floor", "ceil"])
+    @pytest.mark.parametrize("p", [0.15, 0.5, 0.85, 0.95])
+    def test_bm2_runs_stay_inside(self, rounding, p):
+        for graph in (erdos_renyi(40, 0.8, seed=3), powerlaw_cluster(80, 6, 0.3, seed=3)):
+            for settings in (
+                {},
+                {"accept_zero_gain": True},
+                {"sparsify": "edcs", "sparsify_beta": 1},
+            ):
+                result = BM2Shedder(seed=0, rounding=rounding, **settings).reduce(graph, p)
+                envelope = bm2_delta_envelope(p, graph.num_edges, graph.num_nodes, rounding)
+                assert result.average_delta <= envelope + 1e-9

@@ -1,12 +1,13 @@
-"""The validator's contracts: CRR's edge count, BM2's per-node bound, the
-shard Δ bound and E' ⊆ E.
+"""The validator's contracts: CRR's edge count, BM2's per-node bound and
+b-matching envelope, the shard Δ bound and E' ⊆ E.
 
 These tests pin the edge-count rule for the CRR family (Algorithm 1
 keeps exactly ``[p·m]`` edges), BM2's capacity/repair bound (every node
-ends with ``deg'(u) − p·deg(u) < 1``) and the sharded runner's recorded
-Δ bound, and check that the invented-edge report counts every invented
-edge, foreign endpoints included, and names the one the ``edges()`` scan
-meets first.
+ends with ``deg'(u) − p·deg(u) < 1``), BM2's average-Δ envelope (a
+failure above it; a warning above Theorem 2's figure, which a genuine
+run exceeds) and the sharded runner's recorded Δ bound, and check that
+the invented-edge report counts every invented edge, foreign endpoints
+included, and names the one the ``edges()`` scan meets first.
 """
 
 from __future__ import annotations
@@ -16,9 +17,10 @@ import dataclasses
 import pytest
 
 from repro.core import BM2Shedder, CRRShedder, ReductionResult, compute_delta
+from repro.core.bounds import bm2_average_delta_bound, bm2_delta_envelope
 from repro.core.discrepancy import round_half_up
 from repro.core.validation import validate_reduction
-from repro.graph import powerlaw_cluster
+from repro.graph import Graph, erdos_renyi, powerlaw_cluster
 from repro.shard import ShardedShedder
 from repro.uncertain import WeightedCRRShedder
 
@@ -124,6 +126,59 @@ def test_bm2_bound_applies_to_plain_bm2_only(method):
     bad, _, _ = _bm2_with_one_edge_past_the_bound(method)
     report = validate_reduction(bad)
     assert report.ok, report.describe()
+
+
+def test_bm2_run_above_theorem_2_figure_warns_inside_its_envelope():
+    """A genuine default BM2 run (25 nodes, 272 edges, p = 0.85) whose
+    average Δ exceeds Theorem 2's figure but not its b-matching envelope."""
+    graph, p = erdos_renyi(25, 0.9, seed=1), 0.85
+    result = BM2Shedder().reduce(graph, p)
+    average = result.average_delta
+    figure = bm2_average_delta_bound(p, graph.num_edges, graph.num_nodes)
+    envelope = bm2_delta_envelope(p, graph.num_edges, graph.num_nodes, "half_up")
+    assert (graph.num_edges, result.stats["capacity_rounding"]) == (272, "half_up")
+    assert figure < average <= envelope
+    report = validate_reduction(result)
+    assert report.ok, report.describe()
+    assert (
+        f"BM2 average delta {average:.4f} is above Theorem 2's figure {figure:.4f},"
+        f" inside its b-matching envelope {envelope:.4f}"
+    ) in report.warnings
+
+
+def _empty_reduction(method, rounding):
+    """Every node, no edge: average Δ 2p|E|/|V|, past the envelope."""
+    p = 0.7
+    reduced = Graph(nodes=GRAPH.nodes())
+    return ReductionResult(
+        method=method,
+        original=GRAPH,
+        reduced=reduced,
+        p=p,
+        delta=compute_delta(GRAPH, reduced, p),
+        elapsed_seconds=0.0,
+        stats={"capacity_rounding": rounding},
+    )
+
+
+@pytest.mark.parametrize("rounding", ["half_up", "half_even", "floor", "ceil", None])
+def test_bm2_result_past_its_envelope_fails(rounding):
+    bad = _empty_reduction("BM2", rounding)
+    envelope = bm2_delta_envelope(bad.p, GRAPH.num_edges, GRAPH.num_nodes, rounding)
+    report = validate_reduction(bad)
+    assert report.failures == [
+        f"BM2 average delta {bad.average_delta:.4f} is above its b-matching"
+        f" envelope {envelope:.4f}"
+    ]
+
+
+def test_progressive_level_past_the_envelope_only_warns():
+    """Nested levels are no one greedy b-matching of the original: a sweep
+    of 4,108 levels found 2 past the envelope, so it is not held to it."""
+    bad = _empty_reduction("BM2 (progressive)", "half_up")
+    report = validate_reduction(bad)
+    assert report.ok, report.describe()
+    assert any("is above its b-matching envelope" in warning for warning in report.warnings)
 
 
 @pytest.mark.parametrize("method", ["CRR", "W-CRR", "ShardedCRR"])

@@ -8,16 +8,17 @@ baseline.
 
 Beside them, the per-edge graph constructions that
 :meth:`repro.graph.Graph.from_edge_ids` replaced: the per-line edge-list
-reader, the ``add_edge`` replay of process-mode payloads, and the
-grouped-sort ``subgraph_from_edge_ids``.  The ingest equivalence suites
-pin the new construction's node order, neighbour order, weights and
-summaries against them.
+reader (and its streaming twin), the ``add_edge`` replay of process-mode
+payloads, and the grouped-sort ``subgraph_from_edge_ids``.  The ingest
+equivalence suites pin the new construction's node order, neighbour
+order, weights and summaries, and the byte tokenizer's streamed edges,
+against them.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -243,6 +244,23 @@ def read_edge_list_per_line(
         weights_clamped=clamped,
     )
     return graph, summary
+
+
+def iter_edge_list_per_line(path) -> Iterator[Edge]:
+    """The per-line ``str.split`` edge stream (``iter_edge_list``).
+
+    Every data line's two labels, self-loops and duplicates included; a
+    short line raises the reader's :class:`GraphError`.
+    """
+    with open(path, "r", encoding="utf-8") as handle:
+        for line_number, raw_line in enumerate(handle, start=1):
+            line = raw_line.strip()
+            if not line or line.startswith(("#", "%")):
+                continue
+            parts = line.split()
+            if len(parts) < 2:
+                raise GraphError(f"{path}:{line_number}: expected two node tokens, got {line!r}")
+            yield _parse_node(parts[0]), _parse_node(parts[1])
 
 
 def _parse_node(token: str):

@@ -7,10 +7,16 @@ exactly: node order, every neighbour sequence, edge order, weights bit
 for bit, the parse summary and error messages, and a memoised snapshot
 whose arrays equal ``CSRAdjacency.from_graph`` of the oracle graph.
 Neighbour order is invisible to ``Graph.__eq__``, so it is compared
-sequence by sequence.  A ``from_edge_ids`` graph must answer labels, the
-edge scan, its snapshot, Δ and the written file from its arrays, equal to
-the oracle's, before its dicts exist, and match it after they are built.
-``graph_from_payload`` is fuzzed over JSON-shaped payloads.  CI runs this file under two ``PYTHONHASHSEED`` values, because
+sequence by sequence.  The reader's byte tokenizer runs with blocks from
+one byte up (``_BLOCK_BYTES``) over the inputs it is most likely to get
+wrong: CR, CRLF and lone-CR line ends, ASCII and non-ASCII whitespace
+separators, a BOM, and tokens int() reads in several spellings or past
+18 digits; ``iter_edge_list``, which reads through the same tokenizer,
+must stream what a per-line split yields.  A ``from_edge_ids`` graph must
+answer labels, the edge scan, its snapshot, Δ and the written file from
+its arrays, equal to the oracle's, before its dicts exist, and match it
+after they are built.  ``graph_from_payload`` is fuzzed over JSON-shaped
+payloads.  CI runs this file under two ``PYTHONHASHSEED`` values, because
 string labels expose a hash-ordered container only across processes.
 """
 
@@ -30,8 +36,10 @@ from repro.graph import Graph, erdos_renyi
 from repro.graph.csr import CSRAdjacency
 from repro.graph.io import graph_from_payload, read_edge_list_with_summary, write_edge_list
 from repro.service.scheduler import _graph_from_ids
+from repro.streaming import iter_edge_list
 from tests.oracles.graph import (
     graph_from_ids_replay,
+    iter_edge_list_per_line,
     read_edge_list_per_line,
     subgraph_from_edge_ids_grouped,
 )
@@ -91,13 +99,19 @@ def assert_snapshot_matches(graph: Graph, oracle: Graph) -> None:
 # ----------------------------------------------------------------------
 
 # Small pools so self-loops, duplicates and label collisions are common:
-# "007"/"7", "-3" and "1_0"/"10" are spellings int() folds together.
-NODE_TOKENS = ["0", "1", "2", "7", "007", "10", "1_0", "-3", "a", "bob", "x_1", "é"]
+# "007"/"+7"/"٧" (an Arabic-Indic seven), "1_0"/"10" and the 20-digit
+# "00000000000000000010" are spellings int() folds together; the 19- and
+# 20-digit tokens are longer than the tokenizer parses arithmetically, and
+# 2**64 does not fit an int64.
+NODE_TOKENS = [
+    "0", "1", "2", "7", "007", "+7", "٧", "10", "1_0", "-3", "a", "bob", "x_1", "é",
+    "1234567890123456789", "00000000000000000010", "18446744073709551616",
+]
 WEIGHT_TOKENS = [
     "0.5", "0", "1", "-0.0", "1.5", "-0.25", "inf", "-inf", "1e-3", "0.1",
     "0.30000000000000004", "1_0.5", ".75",
 ]
-SEPARATORS = [" ", "\t", "  ", " \t "]
+SEPARATORS = [" ", "\t", "  ", " \t ", "\x0b", "\x1c", "\xa0", "\u3000"]
 COMMENTS = ["# header", "% note", "  # indented", "#", "%x y z", ""]
 
 
@@ -108,7 +122,7 @@ def data_lines(draw, columns, weight_col):
     while len(tokens) < columns:
         pool = WEIGHT_TOKENS if len(tokens) == weight_col else WEIGHT_TOKENS + ["extra", "#"]
         tokens.append(draw(st.sampled_from(pool)))
-    lead = draw(st.sampled_from(["", " ", "\t"]))
+    lead = draw(st.sampled_from(["", " ", "\t", "\u3000"]))
     return lead + draw(st.sampled_from(SEPARATORS)).join(tokens)
 
 
@@ -130,18 +144,21 @@ def edge_list_files(draw, malformed=False):
             )
         )
     lines = draw(st.lists(st.one_of(*kinds), max_size=40))
-    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    if draw(st.booleans()):
+        # A BOM glued to the first token, which then stays a str label.
+        lines.insert(0, "\ufeff" + draw(data_lines(columns, weight_col)).lstrip())
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     text = ending.join(lines) + draw(st.sampled_from(["", ending]))
     return text, weight_col
 
 
-def _read_both(tmp_path, text, weight_col, chunk):
+def _read_both(tmp_path, text, weight_col, block):
     path = tmp_path / "edges.txt"
     path.write_bytes(text.encode("utf-8"))
     outcomes = []
     for reader in (read_edge_list_with_summary, read_edge_list_per_line):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(graph_io, "_CHUNK_LINES", chunk)
+            patch.setattr(graph_io, "_BLOCK_BYTES", block)
             try:
                 outcomes.append(reader(path, weight_col=weight_col))
             except GraphError as error:
@@ -150,10 +167,10 @@ def _read_both(tmp_path, text, weight_col, chunk):
 
 
 @SETTINGS
-@given(edge_list_files(), st.integers(1, 9))
-def test_reader_matches_per_line_oracle(tmp_path, case, chunk):
+@given(edge_list_files(), st.integers(1, 64))
+def test_reader_matches_per_line_oracle(tmp_path, case, block):
     text, weight_col = case
-    got, want = _read_both(tmp_path, text, weight_col, chunk)
+    got, want = _read_both(tmp_path, text, weight_col, block)
     assert not isinstance(want, str)
     graph, summary = got
     oracle, oracle_summary = want
@@ -163,15 +180,41 @@ def test_reader_matches_per_line_oracle(tmp_path, case, chunk):
 
 
 @SETTINGS
-@given(edge_list_files(malformed=True), st.integers(1, 9))
-def test_reader_errors_match_per_line_oracle(tmp_path, case, chunk):
+@given(edge_list_files(malformed=True), st.integers(1, 64))
+def test_reader_errors_match_per_line_oracle(tmp_path, case, block):
     text, weight_col = case
-    got, want = _read_both(tmp_path, text, weight_col, chunk)
+    got, want = _read_both(tmp_path, text, weight_col, block)
     if isinstance(want, str):
         assert got == want  # same message, naming the same path:line
     else:
         assert got[1] == want[1]
         assert_same_graph(got[0], want[0])
+
+
+def _stream(edges):
+    """The typed edges an iterator yields, then its GraphError's message."""
+    streamed = []
+    try:
+        for u, v in edges:
+            streamed.append(_typed([u, v]))
+    except GraphError as error:
+        streamed.append(str(error))
+    return streamed
+
+
+@SETTINGS
+@given(edge_list_files(malformed=True), st.integers(1, 64))
+def test_streamed_edges_match_per_line_split(tmp_path, case, block):
+    """``iter_edge_list`` reads through the same tokenizer: every data line's
+    labels in order, self-loops included, and the reader's error after the
+    lines before it."""
+    text, _ = case
+    path = tmp_path / "edges.txt"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph_io, "_BLOCK_BYTES", block)
+        got = _stream(iter_edge_list(path))
+    assert got == _stream(iter_edge_list_per_line(path))
 
 
 def test_file_spanning_many_chunks_matches_oracle(tmp_path):
@@ -180,7 +223,7 @@ def test_file_spanning_many_chunks_matches_oracle(tmp_path):
     for u, v in rng.integers(0, 300, size=(5000, 2)).tolist():
         lines.append(f"{u} {v} {rng.random():.6f}")
     text = "\n".join(lines) + "\n"
-    got, want = _read_both(tmp_path, text, 2, 64)
+    got, want = _read_both(tmp_path, text, 2, 1000)
     assert got[1] == want[1]
     assert want[1].self_loops_skipped and want[1].duplicates_skipped
     assert_same_graph(got[0], want[0])

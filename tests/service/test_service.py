@@ -1,6 +1,8 @@
 """End-to-end service behaviour: caching, budgets, degradation, determinism."""
 
 import errno
+import gc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -354,6 +356,29 @@ class TestLifecycle:
         service.shutdown()
         with pytest.raises(ServiceError):
             service.submit(ReductionRequest(graph=graph, method="random", p=0.5))
+
+    @pytest.mark.parametrize("mode", ["inline", "thread", "process"])
+    def test_shut_down_service_frees_its_cache_without_the_cycle_collector(self, mode):
+        """Gauges close over parts and the scheduler drops its runner at
+        shutdown, so no cycle keeps the service, its store or a cached
+        result alive; while open, the gauges read the live values."""
+        gc.disable()
+        try:
+            service = SheddingService(mode=mode, num_workers=2)
+            request = ReductionRequest(graph=_tree_graph(), method="bm2", p=0.3)
+            result = service.submit(request).result(timeout=60)
+            assert service.metrics_snapshot()["gauges"] == {
+                "cache_artifacts": 1,
+                "cache_bytes": service.store.resident_bytes,
+                "queue_depth": 0,
+                "resident_edges": 0,
+            }
+            cached = weakref.ref(result.reduction)
+            service.shutdown()
+            del service, request, result
+            assert cached() is None
+        finally:
+            gc.enable()
 
     def test_metrics_snapshot_is_json_ready(self, graph):
         import json

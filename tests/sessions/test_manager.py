@@ -7,6 +7,8 @@ killed mid-churn, forced close, manager shutdown.
 
 import asyncio
 import dataclasses
+import gc
+import weakref
 
 import pytest
 
@@ -260,6 +262,38 @@ class TestBudgetAudit:
                 assert manager.ledger.in_use == 0
 
         run(main())
+
+
+class TestRefcountRelease:
+    def test_closed_session_frees_its_graph_without_the_cycle_collector(self):
+        """The gauges close over parts, not their session or manager, so
+        closing frees the graph by refcount alone; while open, they read
+        the live values."""
+
+        async def main():
+            async with SessionManager() as manager:
+                graph = erdos_renyi(60, 0.1, seed=42)
+                session = await manager.open(config=CONFIG, graph=graph)
+                session.submit(generate_workload("mixed", graph, 200, seed=1))
+                await session.flush(timeout=30.0)
+                assert session.metrics.snapshot()["gauges"] == {
+                    "inbox_depth": 0,
+                    "ledger_charge": session.charge,
+                    "resident_edges": session.shedder.graph.num_edges,
+                }
+                assert manager.metrics.snapshot()["gauges"] == {
+                    "open_sessions": 1,
+                    "resident_edges": manager.ledger.in_use,
+                }
+                await manager.close_session(session)
+                return [weakref.ref(obj) for obj in (session.shedder.graph, session, manager)]
+
+        gc.disable()
+        try:
+            refs = run(main())
+            assert [ref() for ref in refs] == [None, None, None]
+        finally:
+            gc.enable()
 
 
 class TestDraining:

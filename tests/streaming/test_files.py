@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import GraphError
+from repro.errors import GraphError, ReductionError
 from repro.graph import powerlaw_cluster, read_edge_list, write_edge_list
 from repro.streaming import iter_edge_list, shed_edge_list_file
 
@@ -24,6 +24,16 @@ class TestIterEdgeList:
         path.write_text("loneley\n")
         with pytest.raises(GraphError):
             list(iter_edge_list(path))
+
+    def test_malformed_line_named_like_the_reader(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("# header\n1 2\n\n  lonely \n3 4\n")
+        message = f"{path}:4: expected two node tokens, got 'lonely'"
+        with pytest.raises(GraphError) as streamed:
+            list(iter_edge_list(path))
+        with pytest.raises(GraphError) as read:
+            read_edge_list(path)
+        assert str(streamed.value) == str(read.value) == message
 
 
 class TestShedEdgeListFile:
@@ -53,6 +63,12 @@ class TestShedEdgeListFile:
         reduced = read_edge_list(output_path)
         for node in reduced.nodes():
             assert reduced.degree(node) <= round_half_up(0.4 * graph.degree(node))
+
+    def test_self_loop_file_refused(self, tmp_path):
+        input_path = tmp_path / "in.txt"
+        input_path.write_text("1 2\n3 3\n")
+        with pytest.raises(ReductionError, match="self-loop"):
+            shed_edge_list_file(input_path, tmp_path / "out.txt", p=0.5)
 
     def test_stats_zero_input(self, tmp_path):
         input_path = tmp_path / "in.txt"
