@@ -32,14 +32,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.bench.experiments import ALL_EXPERIMENTS
 from repro.core.base import EdgeShedder, ReductionResult
 from repro.datasets.registry import DATASETS, load_dataset
-from repro.errors import ServiceError
+from repro.errors import GraphError, ServiceError
 from repro.graph.graph import Graph
-from repro.graph.io import read_edge_list, read_edge_list_with_summary, write_edge_list
+from repro.graph.io import EdgeListSummary, read_edge_list_with_summary, write_edge_list
 from repro.tasks import all_tasks
 
 __all__ = ["main", "build_parser"]
@@ -80,13 +80,25 @@ def _make_shedder(
         raise SystemExit(str(error)) from None
 
 
+def _read_input(
+    args: argparse.Namespace, weight_col: Optional[int] = None
+) -> Tuple[Graph, EdgeListSummary]:
+    """Read ``--input``; an unreadable or malformed file exits in one line."""
+    try:
+        return read_edge_list_with_summary(args.input, weight_col=weight_col)
+    except GraphError as error:
+        raise SystemExit(str(error)) from None
+    except OSError as error:
+        raise SystemExit(f"{args.input}: {error.strerror or error}") from None
+
+
 def _load_graph(args: argparse.Namespace) -> Graph:
     weighted = getattr(args, "weighted", False)
     weight_col = getattr(args, "weight_col", None)
     if args.input:
         if weight_col is None and weighted:
             weight_col = 2  # the column write_edge_list emits
-        return read_edge_list(args.input, weight_col=weight_col)
+        return _read_input(args, weight_col)[0]
     if weight_col is not None:
         raise SystemExit("--weight-col only applies to --input edge lists")
     return load_dataset(args.dataset, scale=args.scale, seed=args.seed, weighted=weighted)
@@ -625,7 +637,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
     summary = None
     if args.input:
-        graph, summary = read_edge_list_with_summary(args.input)
+        graph, summary = _read_input(args)
     else:
         graph = _load_graph(args)
     stats = graph_stats(graph, seed=args.seed)

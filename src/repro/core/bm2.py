@@ -33,7 +33,7 @@ from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
-from repro.core.base import EdgeShedder, timed_phase
+from repro.core.base import EdgeShedder, is_int, timed_phase
 from repro.core.discrepancy import ArrayDegreeTracker, check_probability_weights
 from repro.core.sparsify import edcs_beta, prune_candidates_ids
 from repro.errors import ReductionError
@@ -163,9 +163,10 @@ def bipartite_repair_ids(
     edges in the same order with the same ``Δ``.
 
     Gains and re-weights use one fixed association order and one
-    :func:`_snap` pipeline, and each selection runs
-    :meth:`ArrayDegreeTracker.add_edge_ids`'s expressions, so every
-    comparison and the final tracker state are deterministic.
+    :func:`_snap` pipeline, each selection is the tracker's
+    :meth:`~ArrayDegreeTracker.add_edge_ids`, and re-weights read its
+    :meth:`~ArrayDegreeTracker.dis_list`, so every comparison and the
+    final tracker state are deterministic.
     """
     cand_a = np.asarray(cand_a, dtype=np.int64)
     cand_b = np.asarray(cand_b, dtype=np.int64)
@@ -229,12 +230,8 @@ def bipartite_repair_ids(
     reweighted: List[Tuple[float, int, int]] = []  # (-gain, counter, cand idx)
     counter = 0
     heappop, heappush = heapq.heappop, heapq.heappush
-
-    # Scalar mirrors of the tracker state: each selection runs
-    # `add_edge_ids`'s float expressions over plain lists (bit-identical,
-    # several times faster than numpy scalar indexing), committed back in
-    # one `absorb_scalar_state` call at the end.
-    dis_l, current_l, expected_l, delta_acc = tracker.export_scalar_state()
+    dis_l = tracker.dis_list()
+    add_edge = tracker.add_edge_ids
 
     sel_a: List[int] = []
     sel_b: List[int] = []
@@ -260,13 +257,7 @@ def bipartite_repair_ids(
         sel_a.append(a)
         sel_b.append(b)
         alive[idx] = 0
-        w_sel = w_l[idx]
-        du, dv = dis_l[a], dis_l[b]
-        delta_acc += abs(du + w_sel) + abs(dv + w_sel) - (abs(du) + abs(dv))
-        current_l[a] += w_sel
-        current_l[b] += w_sel
-        dis_l[a] = current_l[a] - expected_l[a]
-        dis_l[b] = current_l[b] - expected_l[b]
+        add_edge(a, b)
 
         dis_b = _snap(dis_l[b])
         if dis_b >= 0:
@@ -312,11 +303,17 @@ def bipartite_repair_ids(
             else:
                 alive[eidx] = 0
 
-    tracker.absorb_scalar_state(dis_l, current_l, delta_acc, sel_a, sel_b, [], [])
     return (
         np.asarray(sel_a, dtype=np.int64),
         np.asarray(sel_b, dtype=np.int64),
     )
+
+
+def _check_sparsify(sparsify: str, sparsify_beta: "int | None") -> None:
+    if sparsify not in ("off", "edcs"):
+        raise ValueError(f"sparsify must be 'off' or 'edcs', got {sparsify!r}")
+    if sparsify_beta is not None and not (is_int(sparsify_beta) and sparsify_beta >= 1):
+        raise ValueError(f"sparsify_beta must be None or an int >= 1, got {sparsify_beta!r}")
 
 
 class BM2Shedder(EdgeShedder):
@@ -361,10 +358,7 @@ class BM2Shedder(EdgeShedder):
             raise ValueError(
                 f"rounding must be one of {sorted(_ROUNDING_RULES)}, got {rounding!r}"
             )
-        if sparsify not in ("off", "edcs"):
-            raise ValueError(f"sparsify must be 'off' or 'edcs', got {sparsify!r}")
-        if sparsify_beta is not None and sparsify_beta < 1:
-            raise ValueError(f"sparsify_beta must be positive, got {sparsify_beta}")
+        _check_sparsify(sparsify, sparsify_beta)
         self.rounding = rounding
         self.accept_zero_gain = accept_zero_gain
         self.shuffle_edges = shuffle_edges
@@ -441,8 +435,7 @@ def bm2_reduce_ids(
     arrays equal the unweighted call's.  Weights outside
     ``[0, 1]`` raise :class:`~repro.errors.GraphError` before any work.
     """
-    if sparsify not in ("off", "edcs"):
-        raise ValueError(f"sparsify must be 'off' or 'edcs', got {sparsify!r}")
+    _check_sparsify(sparsify, sparsify_beta)
     if weighted:
         check_probability_weights(csr)
         capacities = _ROUNDING_RULES[rounding](

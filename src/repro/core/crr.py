@@ -17,12 +17,13 @@ Faithfulness notes:
   which is identical whenever the edges are disjoint — the overwhelmingly
   common case — and guarantees the invariant that an accepted swap never
   increases ``Δ``.
-* Phase 2 walks the swap attempts one at a time over Python list mirrors
-  of the pools and the tracker state (:func:`_run_swaps`).  Acceptances
-  cluster in the first steps, and each one changes what the next attempt
-  reads, so scoring candidates in vectorised batches pays off only in
-  long runs of rejections (``steps_factor`` well above the paper's 10;
-  measurements in ``docs/algorithms.md``).
+* Phase 2 walks the swap attempts one at a time over the pools as Python
+  lists, scoring on the tracker's ``dis`` list and accepting with its
+  per-edge moves (:func:`_run_swaps`).  Acceptances cluster in the first
+  steps, and each one changes what the next attempt reads, so scoring
+  candidates in vectorised batches pays off only in long runs of
+  rejections (``steps_factor`` well above the paper's 10; measurements in
+  ``docs/algorithms.md``).
 * ``steps`` defaults to ``[10·P]``, the setting the paper selects from its
   Figure 4 sweep; the ``steps_factor`` knob reproduces that sweep.
 * For large graphs, exact Brandes betweenness is the bottleneck; pass
@@ -43,7 +44,6 @@ from repro.core.discrepancy import (
     round_half_up,
     swap_change_scalar_from_dis,
 )
-from repro.errors import EdgeNotFoundError, ReductionError
 from repro.graph.centrality import top_edge_ids_by_betweenness
 from repro.graph.graph import Edge, Graph
 from repro.rng import RandomState, ensure_rng
@@ -202,7 +202,6 @@ class CRRShedder(EdgeShedder):
 
 
 def _run_swaps(
-    csr: "CSRAdjacency",
     tracker: ArrayDegreeTracker,
     rng: np.random.Generator,
     kept_u: np.ndarray,
@@ -213,35 +212,20 @@ def _run_swaps(
 ) -> int:
     """Run ``steps`` swap attempts one at a time; return the accepted count.
 
-    Walks the pools, their weights and the tracker state as Python list
-    mirrors.  An attempt is scored with :func:`swap_change_from_dis`'s
-    expression in the same association order, or with
-    :func:`swap_change_scalar_from_dis` when the two edges share an
-    endpoint; an accepted swap applies
-    :meth:`ArrayDegreeTracker.remove_edge_ids`'s and then
-    :meth:`~ArrayDegreeTracker.add_edge_ids`'s terms and membership
-    checks.  Decisions and ``Δ`` are therefore bit-identical to the
-    per-edge tracker path.  ``kept_u``/``kept_v`` receive the final kept
-    pool in place, and the tracker absorbs the mirrors once at the end.
+    Walks the pools and their weights as Python lists, scores each attempt
+    on the tracker's :meth:`~ArrayDegreeTracker.dis_list` with
+    :func:`swap_change_from_dis`'s expression in the same association
+    order (:func:`swap_change_scalar_from_dis` when the edges share an
+    endpoint), and accepts with the tracker's ``remove_edge_ids`` then
+    ``add_edge_ids``.  ``kept_u``/``kept_v`` receive the final kept pool
+    in place.
     """
-    n = csr.num_nodes
-    labels = csr.labels
-    graph_keys = csr.edge_key_set()
     ku, kv = kept_u.tolist(), kept_v.tolist()
     su, sv = shed_u.tolist(), shed_v.tolist()
-    if tracker.weighted:
-        kw = tracker.edge_weights_ids(kept_u, kept_v).tolist()
-        sw = tracker.edge_weights_ids(shed_u, shed_v).tolist()
-    else:
-        # The int 1, as in the per-edge path: unit ``current`` counts stay
-        # ints, and every float expression equals its 1.0 form.
-        kw = [1] * len(ku)
-        sw = [1] * len(su)
-    dis, current, expected, delta = tracker.export_scalar_state()
-    before = frozenset(
-        (np.minimum(kept_u, kept_v) * n + np.maximum(kept_u, kept_v)).tolist()
-    )
-    tracked = set(before)
+    kw = tracker.edge_weights_ids(kept_u, kept_v).tolist()
+    sw = tracker.edge_weights_ids(shed_u, shed_v).tolist()
+    dis = tracker.dis_list()
+    remove_edge, add_edge = tracker.remove_edge_ids, tracker.add_edge_ids
     pool_sizes = np.tile(np.array([len(ku), len(su)], dtype=np.int64), _DRAW_BLOCK)
     last = len(ku) - 1
     accepted = 0
@@ -271,31 +255,8 @@ def _run_swaps(
                 )
             if not change < threshold:
                 continue
-            # remove_edge_ids(ou, ov), then add_edge_ids(iu, iv).
-            key = ou * n + ov if ou < ov else ov * n + ou
-            if key not in tracked:
-                raise EdgeNotFoundError(labels[ou], labels[ov])
-            du, dv = dis[ou], dis[ov]
-            delta += abs_(du - w_out) + abs_(dv - w_out) - (abs_(du) + abs_(dv))
-            tracked.discard(key)
-            current[ou] -= w_out
-            current[ov] -= w_out
-            dis[ou] = current[ou] - expected[ou]
-            dis[ov] = current[ov] - expected[ov]
-            key = iu * n + iv if iu < iv else iv * n + iu
-            if key not in graph_keys:
-                raise EdgeNotFoundError(labels[iu], labels[iv])
-            if key in tracked:
-                raise ReductionError(
-                    f"edge ({labels[iu]!r}, {labels[iv]!r}) is already tracked"
-                )
-            du, dv = dis[iu], dis[iv]
-            delta += abs_(du + w_in) + abs_(dv + w_in) - (abs_(du) + abs_(dv))
-            tracked.add(key)
-            current[iu] += w_in
-            current[iv] += w_in
-            dis[iu] = current[iu] - expected[iu]
-            dis[iv] = current[iv] - expected[iv]
+            remove_edge(ou, ov)
+            add_edge(iu, iv)
             # IndexedEdgePool's swap-pop bookkeeping: the kept pool's last
             # edge backfills slot i, the incoming edge takes the last slot,
             # and the outgoing edge lands in shed slot j.
@@ -304,13 +265,6 @@ def _run_swaps(
             su[j], sv[j], sw[j] = ou, ov, w_out
             accepted += 1
         done += block
-    added = list(tracked - before)
-    removed = list(before - tracked)
-    tracker.absorb_scalar_state(
-        dis, current, delta,
-        [key // n for key in added], [key % n for key in added],
-        [key // n for key in removed], [key % n for key in removed],
-    )
     kept_u[:] = ku
     kept_v[:] = kv
     return accepted
@@ -385,7 +339,7 @@ def crr_rewire_ids(
     attempted = 0
     if kept_u.shape[0] and shed_u.shape[0]:
         attempted = steps
-        accepted = _run_swaps(csr, tracker, rng, kept_u, kept_v, shed_u, shed_v, steps)
+        accepted = _run_swaps(tracker, rng, kept_u, kept_v, shed_u, shed_v, steps)
 
     stats["attempted_swaps"] = attempted
     stats["accepted_swaps"] = accepted

@@ -27,7 +27,7 @@ tracker (the property suite pins this).
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -111,7 +111,7 @@ def remove_change_from_dis(
 
 
 def swap_change_scalar_from_dis(
-    dis: np.ndarray,
+    dis: Sequence[float],
     out_u: int,
     out_v: int,
     in_u: int,
@@ -121,8 +121,9 @@ def swap_change_scalar_from_dis(
 ) -> float:
     """Exact joint swap change for one id quadruple (shared endpoints OK).
 
-    The outgoing edge moves its endpoints by ``-w_out``, the incoming one
-    by ``+w_in``; unit weights give integer-valued shifts, exactly.
+    ``dis`` is an array or a list (a tracker's ``dis_list()``).  The
+    outgoing edge moves its endpoints by ``-w_out``, the incoming one by
+    ``+w_in``; unit weights give integer-valued shifts, exactly.
     """
     touched = {out_u, out_v, in_u, in_v}
     shift: Dict[int, float] = dict.fromkeys(touched, 0.0)
@@ -181,24 +182,30 @@ class ArrayDegreeTracker:
     """Incremental ``dis(u)`` / ``Δ`` state over a CSR snapshot's integer ids.
 
     Construct from a snapshot and ratio ``p``; the tracked edge set starts
-    empty (every node sits at ``dis(u) = −p·deg_G(u)``).  ``expected``,
-    ``current`` and ``dis`` live in flat arrays, tracked edges are integer
-    keys in a hash set, and the ``*_change_ids`` methods evaluate whole
-    batches of hypothetical moves in one vectorized call.  The snapshot may
+    empty (every node sits at ``dis(u) = −p·deg_G(u)``).  The snapshot may
     be a whole-graph export or a per-shard :class:`repro.graph.csr.CSRView`
     — expectations are ``p`` times the snapshot's own degree array, so a
     view tracker scores discrepancy against shard-interior degrees.
 
+    ``expected``, ``current`` and ``dis`` are Python lists indexed by id,
+    and tracked edges are integer keys in a hash set.  :meth:`add_edge_ids`
+    and :meth:`remove_edge_ids` are the one per-edge move, which CRR's
+    rewiring and BM2's repair make between reads of :meth:`dis_list`
+    (plain-list arithmetic beats numpy scalar indexing several times over).
+    Vectorized readers take :meth:`dis_array`, a ``float64`` copy cached
+    until the next move.
+
     Exactness: ``dis`` slots are always written as ``current - expected``
-    (never an incremental drift), and the scalar mutation path accumulates
-    ``Δ`` term by term with the paper's ``d_1``/``d_2`` expressions.  Bulk
-    :meth:`add_edges_ids` recomputes ``Δ = Σ|dis|`` directly instead —
-    bit-identical whenever every ``p·deg`` is exactly representable (e.g.
-    ``p = 0.5``), and within float-association noise (≪ 1e-9) otherwise.
+    (never ``-expected``, so a zero expectation gives ``+0.0``), and the
+    per-edge moves accumulate ``Δ`` term by term with the paper's
+    ``d_1``/``d_2`` expressions.  Bulk :meth:`add_edges_ids` recomputes
+    ``Δ = Σ|dis|`` directly instead — bit-identical whenever every
+    ``p·deg`` is exactly representable (e.g. ``p = 0.5``), and within
+    float-association noise (≪ 1e-9) otherwise.
 
     ``weighted=True`` switches every quantity to probability mass:
-    expectations become ``p·E[deg]`` (weighted degrees), the tracked
-    ``current`` array turns float, and each edge moves its endpoints by its
+    expectations become ``p·E[deg]`` (weighted degrees), ``current`` holds
+    floats instead of ints, and each edge moves its endpoints by its
     weight.  All expression shapes match the unweighted paths with ``w``
     replacing ``1``, so all-ones weights degenerate bit-identically.
     """
@@ -212,21 +219,22 @@ class ArrayDegreeTracker:
         n = csr.num_nodes
         self._n = n
         if weighted:
-            #: float64[n] — p·E[deg_G(u)] per id (probability-mass mode).
-            self._expected = p * csr.weighted_degree_array()
-            #: float64[n] — tracked expected degree per id.
-            self._current = np.zeros(n, dtype=np.float64)
-            #: edge key -> weight, for the scalar mutation paths (memoised
-            #: on the snapshot, shared across trackers; read-only here).
-            self._weight_of: Dict[int, float] = csr.edge_weight_map()
+            degrees, zero = csr.weighted_degree_array(), 0.0
+            #: edge key -> weight, for the per-edge moves (memoised on the
+            #: snapshot, shared across trackers; read-only here).
+            self._weight_of: Optional[Dict[int, float]] = csr.edge_weight_map()
         else:
-            #: float64[n] — p·deg_G(u) per id (Equation 1).
-            self._expected = p * csr.degree_array()
-            #: int64[n] — tracked degree per id.
-            self._current = np.zeros(n, dtype=np.int64)
+            degrees, zero = csr.degree_array(), 0
             self._weight_of = None
-        #: float64[n] — current − expected, rewritten per touched slot.
-        self._dis = self._current - self._expected
+        expected = p * degrees
+        #: p·deg_G(u) per id (Equation 1); p·E[deg_G(u)] when weighted.
+        self._expected: List[float] = expected.tolist()
+        #: tracked degree per id: ints, or floats of mass when weighted.
+        self._current: list = [zero] * n
+        #: current − expected per id, rewritten per touched slot.
+        self._dis: List[float] = (zero - expected).tolist()
+        #: :meth:`dis_array`'s copy; every move drops it.
+        self._dis_cache: Optional[np.ndarray] = None
         #: tracked edges as ``min_id * n + max_id`` integer keys.
         self._edge_keys: set = set()
         #: every original-graph edge as an integer key (membership checks;
@@ -234,7 +242,7 @@ class ArrayDegreeTracker:
         self._graph_keys: frozenset = csr.edge_key_set()
         # Python sum in id (= insertion) order: the same float as summing
         # the expectations node by node in graph order.
-        self._delta = float(sum(self._expected.tolist()))
+        self._delta = float(sum(self._expected))
 
     # ------------------------------------------------------------------
     # State
@@ -262,9 +270,16 @@ class ArrayDegreeTracker:
         """Whether this tracker scores probability mass instead of counts."""
         return self._is_weighted
 
-    def dis_array(self) -> np.ndarray:
-        """``float64[n]`` of ``dis`` per CSR id.  Treat as read-only."""
+    def dis_list(self) -> List[float]:
+        """The live ``dis`` list per CSR id (moves update it in place).  Read only."""
         return self._dis
+
+    def dis_array(self) -> np.ndarray:
+        """Read-only ``float64[n]`` copy of ``dis``, cached until the next move."""
+        if self._dis_cache is None:
+            self._dis_cache = np.array(self._dis, dtype=np.float64)
+            self._dis_cache.flags.writeable = False
+        return self._dis_cache
 
     def _edge_key(self, u: int, v: int) -> int:
         return (u * self._n + v) if u < v else (v * self._n + u)
@@ -276,12 +291,6 @@ class ArrayDegreeTracker:
         return self._csr.edge_weights_for(
             np.asarray(edge_u, dtype=np.int64), np.asarray(edge_v, dtype=np.int64)
         )
-
-    def _move_weights(
-        self, edge_u: np.ndarray, edge_v: np.ndarray
-    ) -> float | np.ndarray:
-        """What each edge moves its endpoints by: ``1.0``, or its weights."""
-        return self.edge_weights_ids(edge_u, edge_v) if self._is_weighted else 1.0
 
     def _new_edge_keys(self, edge_u: np.ndarray, edge_v: np.ndarray) -> set:
         """Validate a batch of edges to start tracking; return their keys.
@@ -311,26 +320,8 @@ class ArrayDegreeTracker:
                 seen.add(key)
         return key_set
 
-    def _tracked_edge_keys(self, edge_u: np.ndarray, edge_v: np.ndarray) -> set:
-        """Validate a batch of tracked edges to stop tracking; return their keys.
-
-        Raises what :meth:`remove_edge_ids` would raise for the first edge
-        that is not tracked (or repeats earlier in the batch).
-        """
-        n = self._n
-        keys = (np.minimum(edge_u, edge_v) * n + np.maximum(edge_u, edge_v)).tolist()
-        key_set = set(keys)
-        if len(key_set) != len(keys) or not key_set <= self._edge_keys:
-            labels = self._csr.labels
-            seen: set = set()
-            for key, u, v in zip(keys, edge_u.tolist(), edge_v.tolist()):
-                if key not in self._edge_keys or key in seen:
-                    raise EdgeNotFoundError(labels[u], labels[v])
-                seen.add(key)
-        return key_set
-
     # ------------------------------------------------------------------
-    # Mutation (scalar, term-by-term Δ accumulation)
+    # Mutation (per-edge moves, term-by-term Δ accumulation)
     # ------------------------------------------------------------------
 
     def add_edge_ids(self, u: int, v: int) -> None:
@@ -343,13 +334,14 @@ class ArrayDegreeTracker:
             labels = self._csr.labels
             raise ReductionError(f"edge ({labels[u]!r}, {labels[v]!r}) is already tracked")
         # w is the int literal 1 when unweighted, so the float expressions
-        # below are the paper's d_2 (and d_1 on removal) term for term.
+        # below are the paper's d_2 (and d_1 on removal) term for term, and
+        # unit degrees stay ints.
         w = self._weight_of[key] if self._is_weighted else 1
-        dis = self._dis
-        du, dv = float(dis[u]), float(dis[v])
+        dis, current, expected = self._dis, self._current, self._expected
+        du, dv = dis[u], dis[v]
         self._delta += abs(du + w) + abs(dv + w) - (abs(du) + abs(dv))
         self._edge_keys.add(key)
-        current, expected = self._current, self._expected
+        self._dis_cache = None
         current[u] += w
         current[v] += w
         dis[u] = current[u] - expected[u]
@@ -362,11 +354,11 @@ class ArrayDegreeTracker:
             labels = self._csr.labels
             raise EdgeNotFoundError(labels[u], labels[v])
         w = self._weight_of[key] if self._is_weighted else 1
-        dis = self._dis
-        du, dv = float(dis[u]), float(dis[v])
+        dis, current, expected = self._dis, self._current, self._expected
+        du, dv = dis[u], dis[v]
         self._delta += abs(du - w) + abs(dv - w) - (abs(du) + abs(dv))
         self._edge_keys.discard(key)
-        current, expected = self._current, self._expected
+        self._dis_cache = None
         current[u] -= w
         current[v] -= w
         dis[u] = current[u] - expected[u]
@@ -378,7 +370,7 @@ class ArrayDegreeTracker:
         Equivalent to calling :meth:`add_edge_ids` per edge, except that
         ``current`` is rebuilt with two ``bincount`` calls and ``Δ`` is
         recomputed as ``Σ|dis|`` (see the class docstring for the exactness
-        contract).  Raises like the scalar path on non-graph edges, edges
+        contract).  Raises like the per-edge move on non-graph edges, edges
         already tracked, or duplicates within the batch, and commits
         nothing before the raise.
         """
@@ -388,125 +380,45 @@ class ArrayDegreeTracker:
         # Every key is a validated graph edge by now, so the vectorized
         # snapshot lookup returns the same stored doubles as the dict.
         w = self.edge_weights_ids(edge_u, edge_v) if self._is_weighted else None
-        self._current += np.bincount(edge_u, weights=w, minlength=self._n)
-        self._current += np.bincount(edge_v, weights=w, minlength=self._n)
-        np.subtract(self._current, self._expected, out=self._dis)
-        self._delta = float(np.abs(self._dis).sum())
+        current = np.array(self._current, dtype=np.float64 if self._is_weighted else np.int64)
+        current += np.bincount(edge_u, weights=w, minlength=self._n)
+        current += np.bincount(edge_v, weights=w, minlength=self._n)
+        dis = current - np.array(self._expected, dtype=np.float64)
+        self._current[:] = current.tolist()
+        self._dis[:] = dis.tolist()
+        dis.flags.writeable = False
+        self._dis_cache = dis
+        self._delta = float(np.abs(dis).sum())
 
     def admit_edges_ids(self, edge_u: np.ndarray, edge_v: np.ndarray) -> None:
-        """Bulk :meth:`add_edge_ids` with the scalar path's exact ``Δ`` order.
+        """:meth:`add_edge_ids` for each edge of a batch, all or nothing.
 
         Unlike :meth:`add_edges_ids` (which recomputes ``Δ = Σ|dis|``),
-        this accumulates ``Δ`` term by term in batch order — bit-identical
-        to calling :meth:`add_edge_ids` per edge.  When every endpoint in
-        the batch is distinct the per-edge terms are evaluated in one
-        vectorized pass (no term can depend on an earlier edge's update);
-        batches with repeated endpoints fall back to the scalar loop.
-        Validation matches the scalar path: the first offending edge in
-        batch order raises.  On the vectorized path nothing is committed
-        before the raise; the scalar fallback commits the edges preceding
-        the offender, exactly like per-edge :meth:`add_edge_ids` calls.
+        this accumulates ``Δ`` term by term in batch order.  The whole
+        batch is validated first, so the first offending edge in batch
+        order raises what :meth:`add_edge_ids` would, before any edge of
+        the batch is tracked.
         """
         edge_u = np.asarray(edge_u, dtype=np.int64)
         edge_v = np.asarray(edge_v, dtype=np.int64)
-        count = int(edge_u.shape[0])
-        if count == 0:
-            return
-        endpoints = np.concatenate((edge_u, edge_v))
-        if np.unique(endpoints).shape[0] != 2 * count:
-            for u, v in zip(edge_u.tolist(), edge_v.tolist()):
-                self.add_edge_ids(u, v)
-            return
-        key_set = self._new_edge_keys(edge_u, edge_v)
-        w = self._move_weights(edge_u, edge_v)
-        terms = add_change_from_dis(self._dis, edge_u, edge_v, w)
-        delta = self._delta
-        for term in terms.tolist():
-            delta += term
-        self._delta = delta
-        self._edge_keys |= key_set
-        current, expected, dis = self._current, self._expected, self._dis
-        # Unweighted kept degrees are int64, which a float step cannot
-        # update in place.
-        step = w if self._is_weighted else 1
-        current[edge_u] += step
-        current[edge_v] += step
-        dis[edge_u] = current[edge_u] - expected[edge_u]
-        dis[edge_v] = current[edge_v] - expected[edge_v]
-
-    def export_scalar_state(self) -> Tuple[List[float], List[float], List[float], float]:
-        """Python-list mirrors of ``(dis, current, expected)`` plus ``Δ``.
-
-        For scalar-heavy phases (the weighted repair heap, CRR's rewiring
-        walk) that interleave thousands of single-edge moves with scalar
-        ``dis`` reads: plain-list arithmetic runs several times faster than
-        numpy scalar indexing, and running :meth:`add_edge_ids`'s and
-        :meth:`remove_edge_ids`'s expressions over the mirrors keeps every
-        intermediate bit-identical to the per-edge path.  Mutated mirrors
-        commit back via :meth:`absorb_scalar_state`; the tracker's own
-        arrays must not be touched in between.
-        """
-        return (
-            self._dis.tolist(),
-            self._current.tolist(),
-            self._expected.tolist(),
-            self._delta,
-        )
-
-    def absorb_scalar_state(
-        self,
-        dis: List[float],
-        current: List[float],
-        delta: float,
-        added_u: List[int],
-        added_v: List[int],
-        removed_u: List[int],
-        removed_v: List[int],
-    ) -> None:
-        """Commit mirrors from :meth:`export_scalar_state` plus the net edge change.
-
-        ``removed_u``/``removed_v`` list the ids of the tracked edges the
-        caller took out of the mirrors (validated like
-        :meth:`remove_edge_ids`), and ``added_u``/``added_v`` the edges it
-        put in that were not tracked before (validated like
-        :meth:`add_edge_ids`).  Nothing is committed if either check raises.
-        """
-        removed = self._tracked_edge_keys(
-            np.asarray(removed_u, dtype=np.int64), np.asarray(removed_v, dtype=np.int64)
-        )
-        added = self._new_edge_keys(
-            np.asarray(added_u, dtype=np.int64), np.asarray(added_v, dtype=np.int64)
-        )
-        self._edge_keys -= removed
-        self._edge_keys |= added
-        self._dis[:] = dis
-        self._current[:] = current
-        self._delta = delta
+        self._new_edge_keys(edge_u, edge_v)
+        for u, v in zip(edge_u.tolist(), edge_v.tolist()):
+            self.add_edge_ids(u, v)
 
     # ------------------------------------------------------------------
     # Hypothetical moves (no mutation)
     # ------------------------------------------------------------------
 
-    def swap_change_scalar_ids(self, out_u: int, out_v: int, in_u: int, in_v: int) -> float:
-        """Exact joint swap change for one id quadruple (shared endpoints OK)."""
-        w_out = w_in = 1.0
-        if self._is_weighted:
-            w_out = self._weight_of[self._edge_key(out_u, out_v)]
-            w_in = self._weight_of[self._edge_key(in_u, in_v)]
-        return swap_change_scalar_from_dis(
-            self._dis, out_u, out_v, in_u, in_v, w_out, w_in
-        )
-
     def add_change_ids(self, edge_u: np.ndarray, edge_v: np.ndarray) -> np.ndarray:
         """Change in ``Δ`` if each edge were added (paper's ``d_2``), vectorized."""
         return add_change_from_dis(
-            self._dis, edge_u, edge_v, self._move_weights(edge_u, edge_v)
+            self.dis_array(), edge_u, edge_v, self.edge_weights_ids(edge_u, edge_v)
         )
 
     def remove_change_ids(self, edge_u: np.ndarray, edge_v: np.ndarray) -> np.ndarray:
         """Change in ``Δ`` if each edge were removed (paper's ``d_1``), vectorized."""
         return remove_change_from_dis(
-            self._dis, edge_u, edge_v, self._move_weights(edge_u, edge_v)
+            self.dis_array(), edge_u, edge_v, self.edge_weights_ids(edge_u, edge_v)
         )
 
 

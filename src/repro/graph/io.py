@@ -208,8 +208,8 @@ class _EdgeListScan:
     of endpoint keys per data line, self-loops included, and the lines'
     weight column as ``float64`` (``None`` without ``weight_col``).
     ``lines`` and ``comments`` count the lines read so far.  The first
-    malformed line raises :class:`GraphError` naming ``path:line``, once
-    the rows before it are yielded.
+    malformed or non-UTF-8 line raises :class:`GraphError` naming
+    ``path:line``, once the rows before it are yielded.
 
     The parse is text-mode reading plus ``str.split()`` per line, on byte
     arrays: ``\\r\\n`` and a lone ``\\r`` end a line as universal newlines
@@ -235,8 +235,17 @@ class _EdgeListScan:
         need = 2 if self.weight_col is None else self.weight_col + 1
         for raw in _line_blocks(self.path):
             text = raw
+            undecodable = None
             if not raw.isascii():
-                text = _WIDE_SPACE.sub(_spaces, raw.decode("utf-8")).encode("utf-8")
+                try:
+                    decoded = raw.decode("utf-8")
+                except UnicodeDecodeError as error:
+                    # Parse the lines before the bad one; then it raises.
+                    cut = raw.rfind(b"\n", 0, error.start) + 1
+                    undecodable = raw.count(b"\n", 0, cut), f"byte 0x{raw[error.start]:02x}"
+                    raw = raw[:cut]
+                    decoded = raw.decode("utf-8")
+                text = _WIDE_SPACE.sub(_spaces, decoded).encode("utf-8")
             codes = np.frombuffer(text, dtype=np.uint8)
             space = np.ones(codes.shape[0] + 2, dtype=bool)
             space[1:-1] = _SPACE[codes]
@@ -279,6 +288,9 @@ class _EdgeListScan:
                     else:
                         problem = f"no weight column {self.weight_col} in {quoted!r}"
                 raise GraphError(f"{self.path}:{first_line + line}: {problem}")
+            if undecodable is not None:
+                line, byte = undecodable
+                raise GraphError(f"{self.path}:{first_line + line}: {byte} is not UTF-8")
 
     def _keys(
         self, text: bytes, codes: np.ndarray, starts: np.ndarray, ends: np.ndarray

@@ -142,11 +142,7 @@ def _admission_rounds(
             round_v.append(v)
         if not round_u:
             break
-        # Round admissions touch disjoint endpoints, so the bulk admit
-        # takes the vectorized path with the scalar loop's exact Δ order.
-        tracker.admit_edges_ids(
-            np.asarray(round_u, dtype=np.int64), np.asarray(round_v, dtype=np.int64)
-        )
+        tracker.admit_edges_ids(round_u, round_v)
         added_u.extend(round_u)
         added_v.extend(round_v)
     return added_u, added_v

@@ -1,10 +1,12 @@
 """Tests for the BM2 shedder (Algorithms 2 and 3)."""
 
+import numpy as np
 import pytest
 
 from repro.core import BM2Shedder, bm2_bound_for_graph, compute_delta
 from repro.errors import InvalidRatioError, ReductionError
 from repro.graph import Graph, is_b_matching
+from repro.shard import ShardedShedder
 from tests.oracles.core import (
     DegreeTracker,
     LegacyBM2Shedder,
@@ -97,6 +99,20 @@ class TestBM2Invariants:
     def test_invalid_rounding(self):
         with pytest.raises(ValueError):
             BM2Shedder(rounding="nearest")
+
+    @pytest.mark.parametrize("beta", [2.5, True, False, "3", 0, np.int64(0), float("nan")])
+    def test_malformed_sparsify_beta_rejected(self, beta):
+        # 2.5 would run as β = 2 and True as β = 1.
+        with pytest.raises(ValueError, match="sparsify_beta"):
+            BM2Shedder(sparsify="edcs", sparsify_beta=beta)
+        with pytest.raises(ValueError, match="sparsify_beta"):
+            ShardedShedder(method="bm2", sparsify="edcs", sparsify_beta=beta)
+
+    def test_numpy_sparsify_beta_accepted(self, small_powerlaw):
+        plain = BM2Shedder(sparsify="edcs", sparsify_beta=3).reduce(small_powerlaw, 0.5)
+        numpy = BM2Shedder(sparsify="edcs", sparsify_beta=np.int64(3)).reduce(small_powerlaw, 0.5)
+        assert numpy.reduced == plain.reduced
+        assert numpy.stats["sparsify_beta"] == 3
 
     def test_deterministic(self, small_powerlaw):
         a = BM2Shedder(seed=0).reduce(small_powerlaw, 0.5)

@@ -68,6 +68,22 @@ class TestEdgeList:
         with pytest.raises(GraphError):
             read_edge_list(path)
 
+    @pytest.mark.parametrize("block_bytes", [3, 1 << 16])
+    def test_undecodable_byte_names_its_line(self, tmp_path, monkeypatch, block_bytes):
+        """A byte that is not UTF-8 is a GraphError naming path:line."""
+        monkeypatch.setattr("repro.graph.io._BLOCK_BYTES", block_bytes)
+        path = tmp_path / "g.txt"
+        path.write_bytes(b"1 2\n\xe9 3\n")
+        with pytest.raises(GraphError) as raised:
+            read_edge_list(path)
+        assert str(raised.value) == f"{path}:2: byte 0xe9 is not UTF-8"
+
+    def test_earlier_malformed_line_reported_first(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_bytes(b"caf\xc3\xa9 1\nlonely\n2 \xff\n")
+        with pytest.raises(GraphError, match=r":2: expected two node tokens"):
+            read_edge_list(path)
+
 
 class TestParseSummary:
     def test_counts_all_line_categories(self, tmp_path):

@@ -29,7 +29,11 @@ import numpy as np
 from repro.core.base import timed_phase
 from repro.core.bm2 import BM2Shedder, _gain_array, _snap, _weighted_gain
 from repro.core.crr import _MIN_IMPROVEMENT, CRRShedder, IndexedEdgePool
-from repro.core.discrepancy import ArrayDegreeTracker, round_half_up
+from repro.core.discrepancy import (
+    ArrayDegreeTracker,
+    round_half_up,
+    swap_change_scalar_from_dis,
+)
 from repro.errors import EdgeNotFoundError, GraphError, InvalidRatioError, ReductionError
 from repro.graph.centrality import top_edges_by_betweenness
 from repro.graph.graph import Edge, Graph, Node
@@ -212,7 +216,7 @@ class IdsView:
         self._tracker = tracker
 
     def dis(self, node_id: int) -> float:
-        return float(self._tracker.dis_array()[node_id])
+        return self._tracker.dis_list()[node_id]
 
     def add_edge(self, u: int, v: int) -> None:
         self._tracker.add_edge_ids(u, v)
@@ -250,7 +254,7 @@ class LabelTracker:
         return float(value) if self.tracker.weighted else int(value)
 
     def dis(self, node: Node) -> float:
-        return float(self.tracker.dis_array()[self._id(node)])
+        return self.tracker.dis_list()[self._id(node)]
 
     def has_edge(self, u: Node, v: Node) -> bool:
         tracker = self.tracker
@@ -289,8 +293,10 @@ class LabelTracker:
 
     def swap_change(self, edge_out: Edge, edge_in: Edge) -> float:
         (u, v), (x, y) = edge_out, edge_in
-        return self.tracker.swap_change_scalar_ids(
-            self._id(u), self._id(v), self._id(x), self._id(y)
+        iu, iv, ix, iy = self._id(u), self._id(v), self._id(x), self._id(y)
+        return swap_change_scalar_from_dis(
+            self.tracker.dis_list(), iu, iv, ix, iy,
+            self._weight(iu, iv), self._weight(ix, iy),
         )
 
 
@@ -532,12 +538,7 @@ def weighted_bipartite_repair_ids(
     heapq.heapify(heap)
     counter = int(pool.shape[0])
     heappop, heappush = heapq.heappop, heapq.heappush
-
-    # Scalar mirrors of the tracker state: each selection runs
-    # `add_edge_ids`'s float expressions over plain lists (bit-identical,
-    # several times faster than numpy scalar indexing), committed back in
-    # one `absorb_scalar_state` call at the end.
-    dis_l, current_l, expected_l, delta_acc = tracker.export_scalar_state()
+    dis_l = tracker.dis_list()
 
     sel_a: List[int] = []
     sel_b: List[int] = []
@@ -557,13 +558,7 @@ def weighted_bipartite_repair_ids(
         sel_a.append(a)
         sel_b.append(b)
         alive[idx] = 0
-        w_sel = w_l[idx]
-        du, dv = dis_l[a], dis_l[b]
-        delta_acc += abs(du + w_sel) + abs(dv + w_sel) - (abs(du) + abs(dv))
-        current_l[a] += w_sel
-        current_l[b] += w_sel
-        dis_l[a] = current_l[a] - expected_l[a]
-        dis_l[b] = current_l[b] - expected_l[b]
+        tracker.add_edge_ids(a, b)
 
         dis_b = _snap(dis_l[b])
         if dis_b >= 0:
@@ -609,7 +604,6 @@ def weighted_bipartite_repair_ids(
             else:
                 alive[eidx] = 0
 
-    tracker.absorb_scalar_state(dis_l, current_l, delta_acc, sel_a, sel_b, [], [])
     return (
         np.asarray(sel_a, dtype=np.int64),
         np.asarray(sel_b, dtype=np.int64),

@@ -35,6 +35,16 @@ class TestIterEdgeList:
             read_edge_list(path)
         assert str(streamed.value) == str(read.value) == message
 
+    def test_undecodable_byte_named_like_the_reader(self, tmp_path):
+        """Lines before a non-UTF-8 byte stream out; its line is named."""
+        path = tmp_path / "g.txt"
+        path.write_bytes(b"1 2\n\xe9 3\n4 5\n")
+        streamed = []
+        with pytest.raises(GraphError) as raised:
+            streamed.extend(iter_edge_list(path))
+        assert streamed == [(1, 2)]
+        assert str(raised.value) == f"{path}:2: byte 0xe9 is not UTF-8"
+
 
 class TestShedEdgeListFile:
     def test_end_to_end(self, tmp_path):

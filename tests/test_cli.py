@@ -275,6 +275,29 @@ class TestCommands:
         assert payload["parse"]["duplicates_skipped"] == 1
         assert payload["parse"]["skipped"] == 2
 
+    @pytest.mark.parametrize("command", ["reduce", "evaluate", "stats", "dynamic"])
+    @pytest.mark.parametrize(
+        "content, problem",
+        [
+            (b"1 2\n3\n", "2: expected two node tokens, got '3'"),
+            (b"1 2\n\xe9 3\n", "2: byte 0xe9 is not UTF-8"),
+        ],
+        ids=["short-line", "not-utf8"],
+    )
+    def test_bad_input_file_exits_in_one_line(self, tmp_path, command, content, problem):
+        path = tmp_path / "in.txt"
+        path.write_bytes(content)
+        with pytest.raises(SystemExit) as raised:
+            main([command, "--input", str(path)])
+        assert raised.value.code == f"{path}:{problem}"
+
+    @pytest.mark.parametrize("command", ["reduce", "stats"])
+    def test_missing_input_file_exits_in_one_line(self, tmp_path, command):
+        path = tmp_path / "absent.txt"
+        with pytest.raises(SystemExit) as raised:
+            main([command, "--input", str(path)])
+        assert raised.value.code == f"{path}: No such file or directory"
+
     def test_stats_json_dataset_has_no_parse_block(self, capsys):
         assert main(["stats", "--dataset", "ca-grqc", "--scale", "0.02", "--json"]) == 0
         payload = _json_out(capsys)
