@@ -22,7 +22,6 @@ from repro.core.discrepancy import (
     compute_delta,
     remove_change_from_dis,
     round_half_up,
-    swap_change_from_dis,
     swap_change_scalar_from_dis,
 )
 from repro.core.local_shed import JaccardShedder, LocalDegreeShedder
@@ -48,7 +47,6 @@ __all__ = [
     "round_half_up",
     "add_change_from_dis",
     "remove_change_from_dis",
-    "swap_change_from_dis",
     "swap_change_scalar_from_dis",
     "crr_average_delta_bound",
     "bm2_average_delta_bound",

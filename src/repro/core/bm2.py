@@ -214,13 +214,17 @@ def bipartite_repair_ids(
     b_alive = bytearray(n)
 
     # Incident pool edges grouped by endpoint, ascending candidate index.
+    # A unit selection moves dis(b) by 1 > ½, always out of group B, so
+    # only weighted runs re-weight a B node's edges and need them grouped.
     by_a_node: Dict[int, List[int]] = {}
     by_b_node: Dict[int, List[int]] = {}
     for idx in pool.tolist():
         alive[idx] = 1
         b_alive[cb_l[idx]] = 1
         by_a_node.setdefault(ca_l[idx], []).append(idx)
-        by_b_node.setdefault(cb_l[idx], []).append(idx)
+    if tracker.weighted:
+        for idx in pool.tolist():
+            by_b_node.setdefault(cb_l[idx], []).append(idx)
 
     initial = pool[np.lexsort((pool, -gains[pool]))]
     initial_idx = initial.tolist()

@@ -213,9 +213,11 @@ def _run_swaps(
     """Run ``steps`` swap attempts one at a time; return the accepted count.
 
     Walks the pools and their weights as Python lists, scores each attempt
-    on the tracker's :meth:`~ArrayDegreeTracker.dis_list` with
-    :func:`swap_change_from_dis`'s expression in the same association
-    order (:func:`swap_change_scalar_from_dis` when the edges share an
+    on the tracker's :meth:`~ArrayDegreeTracker.dis_list` with the
+    disjoint-edge ``d_1 + d_2`` expression in the association order of
+    :func:`~repro.core.discrepancy.remove_change_from_dis` then
+    :func:`~repro.core.discrepancy.add_change_from_dis`
+    (:func:`swap_change_scalar_from_dis` when the edges share an
     endpoint), and accepts with the tracker's ``remove_edge_ids`` then
     ``add_edge_ids``.  ``kept_u``/``kept_v`` receive the final kept pool
     in place.

@@ -14,11 +14,14 @@ is O(1).
 The uncertain-graph workload (:mod:`repro.uncertain`) generalises both
 quantities to probability mass: ``dis(u) = E[deg_G'(u)] − p·E[deg_G(u)]``
 where an edge contributes its weight instead of 1.  There is one family
-of Δ-change formulas (add, remove, swap and scalar swap), and the weight
-is an argument of each: the float ``1.0`` for unit moves, or an array
-aligned with the edges.  The unit case is the weighted case at ``w = 1``
-in the same association order, so unit results are bit-identical to the
-paper's ``d_1``/``d_2`` expressions.  :class:`ArrayDegreeTracker` with
+of Δ-change formulas (vectorized add and remove, and the exact scalar
+swap), and the weight is an argument of each: the float ``1.0`` for unit
+moves, or an array aligned with the edges.  The unit case is the
+weighted case at ``w = 1`` in the same association order, so unit
+results are bit-identical to the paper's ``d_1``/``d_2`` expressions.
+Scalar movers (CRR's rewiring, the churn repair in
+:mod:`repro.dynamic`) write the same expressions inline over ``dis``
+lists.  :class:`ArrayDegreeTracker` with
 ``weighted=True`` feeds the formulas its edges' weights; with all
 weights exactly 1.0 it degenerates bit-identically to the unweighted
 tracker (the property suite pins this).
@@ -45,7 +48,6 @@ __all__ = [
     "compute_delta",
     "remove_change_from_dis",
     "round_half_up",
-    "swap_change_from_dis",
     "swap_change_scalar_from_dis",
 ]
 
@@ -92,8 +94,8 @@ def add_change_from_dis(
 
     Adding an edge moves both endpoints by ``weight``: the float ``1.0``
     for the paper's unit moves, or a float array aligned with the edges
-    (probability mass on uncertain graphs).  Every tracker delegates here,
-    so offline, dynamic and weighted scores cannot drift apart.
+    (probability mass on uncertain graphs).  Offline unit and weighted
+    scores share this expression, so they cannot drift apart.
     """
     du, dv = dis[edge_u], dis[edge_v]
     return np.abs(du + weight) + np.abs(dv + weight) - (np.abs(du) + np.abs(dv))
@@ -135,46 +137,6 @@ def swap_change_scalar_from_dis(
     for node in touched:
         before = float(dis[node])
         change += abs(before + shift[node]) - abs(before)
-    return change
-
-
-def swap_change_from_dis(
-    dis: np.ndarray,
-    out_u: np.ndarray,
-    out_v: np.ndarray,
-    in_u: np.ndarray,
-    in_v: np.ndarray,
-    w_out: float | np.ndarray,
-    w_in: float | np.ndarray,
-) -> np.ndarray:
-    """Vectorized exact swap change over batches of candidate swaps.
-
-    ``w_out``/``w_in`` are ``1.0`` or float arrays aligned with the swaps.
-    The vector expression is the disjoint-endpoint ``d_1 + d_2`` sum;
-    positions where the outgoing and incoming edges share an endpoint
-    (where that sum double-counts the shared node) are recomputed with
-    the exact scalar joint formula.
-    """
-    d_ou, d_ov = dis[out_u], dis[out_v]
-    d_iu, d_iv = dis[in_u], dis[in_v]
-    change = (
-        np.abs(d_ou - w_out)
-        + np.abs(d_ov - w_out)
-        - (np.abs(d_ou) + np.abs(d_ov))
-        + np.abs(d_iu + w_in)
-        + np.abs(d_iv + w_in)
-        - (np.abs(d_iu) + np.abs(d_iv))
-    )
-    shared = (out_u == in_u) | (out_u == in_v) | (out_v == in_u) | (out_v == in_v)
-    if shared.any():
-        w_out = np.broadcast_to(w_out, change.shape)
-        w_in = np.broadcast_to(w_in, change.shape)
-        for k in np.nonzero(shared)[0].tolist():
-            change[k] = swap_change_scalar_from_dis(
-                dis,
-                int(out_u[k]), int(out_v[k]), int(in_u[k]), int(in_v[k]),
-                float(w_out[k]), float(w_in[k]),
-            )
     return change
 
 

@@ -95,7 +95,9 @@ def progressive_reduce(
     ``ratios`` must be strictly decreasing and within ``(0, 1)``.  Returns
     one :class:`ReductionResult` per ratio; each level's ``reduced`` graph
     is a subgraph of the previous level's, and each result's ``delta`` /
-    ``p`` refer to the original graph.
+    ``p`` refer to the original graph.  Once a level keeps no edge, every
+    later level is a copy of that edgeless graph (``V' = V``), scored the
+    same way with ``elapsed_seconds`` 0: there is nothing left to shed.
     """
     ratios = [float(p) for p in ratios]
     if not ratios:
@@ -110,17 +112,23 @@ def progressive_reduce(
     previous_ratio = 1.0
     for p in ratios:
         relative = p / previous_ratio
-        step = shedder.reduce(current, relative)
+        level = {"relative_p": relative, "level": len(results)}
+        if results and current.num_edges == 0:
+            reduced, elapsed, stats = current.copy(), 0.0, level
+        else:
+            step = shedder.reduce(current, relative)
+            reduced, elapsed = step.reduced, step.elapsed_seconds
+            stats = {**step.stats, **level}
         # Re-score against the original at the absolute ratio.
         absolute = rescore_result(
             method=f"{shedder.name} (progressive)",
             original=graph,
-            reduced=step.reduced,
+            reduced=reduced,
             p=p,
-            elapsed_seconds=step.elapsed_seconds,
-            stats={**step.stats, "relative_p": relative, "level": len(results)},
+            elapsed_seconds=elapsed,
+            stats=stats,
         )
         results.append(absolute)
-        current = step.reduced
+        current = reduced
         previous_ratio = p
     return results

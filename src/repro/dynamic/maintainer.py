@@ -211,12 +211,12 @@ class IncrementalShedder:
         says so.  Any batch split of a stream ends in the same G, G', Δ,
         stats, reservoir and drift-monitor state, bit for bit.  The per-op
         Python overhead is amortized: the tracker's graph-side arithmetic
-        is inlined on native scalars (float64 math is the same IEEE double
-        either way), the graphs and arrays are hoisted into locals, stats
-        are buffered, the version handshake runs once per batch, and the
-        drift monitor's :meth:`~repro.dynamic.DriftMonitor.observe` is
-        inlined without allocating a :class:`~repro.dynamic.DriftDecision`
-        per op.  The property suite pins this against the per-op
+        is inlined on its lists, the graphs and lists are hoisted into
+        locals, stats are buffered, the version handshake runs once per
+        batch, and the drift monitor's
+        :meth:`~repro.dynamic.DriftMonitor.observe` is inlined without
+        allocating a :class:`~repro.dynamic.DriftDecision` per op.  The
+        property suite pins this against the per-op
         reference in ``tests/oracles/dynamic.py``, and
         ``tests/dynamic/test_churn_golden.py`` pins its outputs.  On a
         weighted ``G`` inserted edges weigh 1.0 and deletes drop theirs,
@@ -296,18 +296,14 @@ class IncrementalShedder:
                             f"edge ({u!r}, {v!r}) already in the graph"
                         )
                     # Ids follow graph insertion order: u first, then v,
-                    # before the graph mutation.  ensure_node may grow
-                    # (replace) the arrays — re-hoist when it does.
+                    # before the graph mutation.  ensure_node appends to
+                    # the hoisted lists in place.
                     tu = index_of.get(u)
                     if tu is None:
                         tu = ensure_node(u)
-                        if tracker._deg is not deg:
-                            deg, cur, dis = tracker._deg, tracker._current, tracker._dis
                     tv = index_of.get(v)
                     if tv is None:
                         tv = ensure_node(v)
-                        if tracker._deg is not deg:
-                            deg, cur, dis = tracker._deg, tracker._current, tracker._dis
                     # Graph.add_edge inlined (validity already established);
                     # node creation mirrors add_node(u) then add_node(v).
                     if adj_u is None:
@@ -336,18 +332,18 @@ class IncrementalShedder:
                         reduced.add_node(u)
                     if v not in reduced_adj:
                         reduced.add_node(v)
-                    du = deg[tu].item()
-                    dv = deg[tv].item()
+                    du = deg[tu]
+                    dv = deg[tv]
                     cap_u = int(p * du + 0.5)
                     cap_v = int(p * dv + 0.5)
                     du += 1
                     dv += 1
                     deg[tu] = du
                     deg[tv] = dv
-                    # The graph-side _retouch, on native scalars.
-                    approx = approx - abs(dis[tu].item()) - abs(dis[tv].item())
-                    cu = cur[tu].item()
-                    cv = cur[tv].item()
+                    # The graph-side _retouch.
+                    approx = approx - abs(dis[tu]) - abs(dis[tv])
+                    cu = cur[tu]
+                    cv = cur[tv]
                     dis_u = cu - p * du
                     dis_v = cv - p * dv
                     dis[tu] = dis_u
@@ -395,8 +391,8 @@ class IncrementalShedder:
                         del weights[v][u]
                     m -= 1
                     gversion += 1
-                    du = deg[tu].item()
-                    dv = deg[tv].item()
+                    du = deg[tu]
+                    dv = deg[tv]
                     cap_u = int(p * du + 0.5)
                     cap_v = int(p * dv + 0.5)
                     du -= 1
@@ -404,9 +400,9 @@ class IncrementalShedder:
                     deg[tu] = du
                     deg[tv] = dv
                     # The graph-side _retouch.
-                    approx = approx - abs(dis[tu].item()) - abs(dis[tv].item())
-                    cu = cur[tu].item()
-                    cv = cur[tv].item()
+                    approx = approx - abs(dis[tu]) - abs(dis[tv])
+                    cu = cur[tu]
+                    cv = cur[tv]
                     dis_u = cu - p * du
                     dis_v = cv - p * dv
                     dis[tu] = dis_u
@@ -440,10 +436,10 @@ class IncrementalShedder:
                 # publish the running Δ first, re-read after.
                 tracker._approx_delta = approx
                 if repair is not None:
-                    counts = repair((tu, tv), (hint_u, hint_v))
-                    demoted += counts["demoted"]
-                    promoted += counts["promoted"]
-                    swapped += counts["swapped"]
+                    demotes, promotes, swaps = repair((tu, tv), (hint_u, hint_v))
+                    demoted += demotes
+                    promoted += promotes
+                    swapped += swaps
                     approx = tracker._approx_delta
                 ops_count += 1
                 # DriftMonitor.observe inlined, minus the DriftDecision

@@ -17,24 +17,30 @@ Three moves, applied in invariant-first order:
    ``b(u) = [p·deg_G(u)]``.  Below-capacity means ``dis ≤ −1/2`` at both
    ends, so a capacity-based promotion never increases ``Δ`` and keeps
    BM2's Phase-1 admission invariant intact.
-3. **Swap** (``1/2 < dis(w) ≤ 1``): a bounded batch of (kept incident
-   edge out, reservoir candidate in) pairs is priced with the shared
-   vectorized :meth:`~repro.dynamic.DynamicDegreeTracker.swap_change_ids`
-   (exactly CRR's rewiring arithmetic); the best strictly Δ-improving,
-   capacity-feasible pair is applied, at most one per repair call.
+3. **Swap** (``1/2 < dis(w) ≤ 1``): a bounded grid of (kept incident
+   edge out, reservoir candidate in) pairs is priced with CRR's rewiring
+   arithmetic (``d_1 + d_2`` for disjoint edges,
+   :func:`~repro.core.discrepancy.swap_change_scalar_from_dis` when they
+   share an endpoint); the best strictly Δ-improving, capacity-feasible
+   pair is applied, at most one per repair call.
+
+A move considers a few dozen candidates at most, so each is scored with
+scalar ``d_1``/``d_2`` expressions over the tracker's ``dis`` list, in
+the association order of the vectorized formulas in
+:mod:`repro.core.discrepancy`; ties go to the lower node id (or grid
+position), as a stable sort over id-sorted candidates would give.
 
 The move budgets are the module constants below; they are fixed, not
-settable.  All candidate orderings are over integer node ids (sorted) or
-the seeded reservoir sample — never raw set iteration order — so a seeded
+settable.  All candidate orderings are over integer node ids or the
+seeded reservoir sample — never raw set iteration order — so a seeded
 run replays identically.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import List, Tuple
 
-import numpy as np
-
+from repro.core.discrepancy import swap_change_scalar_from_dis
 from repro.graph.graph import Graph
 from repro.streaming.shedder import EdgeReservoir
 from repro.dynamic.tracker import DynamicDegreeTracker
@@ -48,6 +54,7 @@ _EPSILON = 1e-9
 #: guarantee (Phase 2 leaves every node with ``dis < 1``), so a BM2-seeded
 #: maintainer preserves that guarantee at every step.
 _DEMOTE_THRESHOLD = 1.0
+_DEMOTE_CEILING = _DEMOTE_THRESHOLD + _EPSILON
 #: Reservoir candidates probed for promotion per probing call (stale
 #: entries found probing are dropped).  Local promotion does most of the Δ
 #: work under churn, so the probe budget is small.
@@ -70,9 +77,10 @@ class LocalRepairer:
     """Applies the three localized repair moves for one maintainer.
 
     Owns no state beyond references: the maintainer hands it the live
-    graphs, tracker and reservoir it already keeps in lockstep.  Every
-    mutation performed here goes through the same (graph, tracker,
-    reservoir) bookkeeping the maintainer's own ops use.
+    graphs, tracker and reservoir it already keeps in lockstep, and the
+    moves read the tracker's lists directly (the tracker only updates
+    them in place).  Every mutation performed here goes through the same
+    (graph, tracker, reservoir) bookkeeping the maintainer's own ops use.
     """
 
     def __init__(
@@ -86,6 +94,12 @@ class LocalRepairer:
         self._reduced = reduced
         self._tracker = tracker
         self._reservoir = reservoir
+        self._p = tracker.p
+        self._labels = tracker._labels
+        self._index_of = tracker._index_of
+        self._deg = tracker._deg
+        self._current = tracker._current
+        self._dis = tracker._dis
         self._calls = 0  # drives the probe/swap amortization intervals
 
     def rebind(self, reduced: Graph) -> None:
@@ -98,108 +112,108 @@ class LocalRepairer:
 
     def repair(
         self, touched: Tuple[int, ...], promote_hints: Tuple[bool, ...]
-    ) -> Dict[str, int]:
-        """Run demote → promote → swap around ``touched``; return move counts.
+    ) -> Tuple[int, int, int]:
+        """Run demote → promote → swap around ``touched``.
 
+        Returns the ``(demoted, promoted, swapped)`` move counts.
         ``promote_hints`` marks the touched nodes whose spare capacity the
         operation *increased* — only those (plus any node demotion freed
         capacity at) can have newly become able to admit a held-back
         incident edge, so the local-promotion scan is skipped elsewhere.
         """
         self._calls += 1
-        counts = {"demoted": 0, "promoted": 0, "swapped": 0}
-        demote_freed = []
-        for node_id in touched:
-            demoted = self._demote(node_id)
-            demote_freed.append(demoted > 0)
-            counts["demoted"] += demoted
+        dis = self._dis
+        demoted = promoted = swapped = 0
+        hints = list(promote_hints)
         for index, node_id in enumerate(touched):
-            if promote_hints[index] or demote_freed[index]:
-                counts["promoted"] += self._promote_local(node_id)
+            if dis[node_id] > _DEMOTE_CEILING:
+                count = self._demote(node_id)
+                if count:
+                    demoted += count
+                    hints[index] = True
+        for node_id, hinted in zip(touched, hints):
+            if hinted:
+                promoted += self._promote_local(node_id)
         if self._calls % _PROBE_INTERVAL == 0:
-            counts["promoted"] += self._promote_reservoir()
+            promoted += self._promote_reservoir()
         if self._calls % _SWAP_INTERVAL == 0:
             for node_id in touched:
                 if self._swap(node_id):
-                    counts["swapped"] += 1
+                    swapped = 1
                     break
-        return counts
+        return demoted, promoted, swapped
 
     # ------------------------------------------------------------------
     # Moves
     # ------------------------------------------------------------------
 
-    def _kept_neighbor_ids(self, node_id: int) -> np.ndarray:
+    def _kept_neighbor_ids(self, node_id: int) -> List[int]:
         """Sorted ids of ``node_id``'s neighbours in ``G'`` (deterministic)."""
-        tracker = self._tracker
-        label = tracker.label_of(node_id)
-        ids = [tracker.id_of(x) for x in self._reduced.neighbors(label)]
-        return np.sort(np.asarray(ids, dtype=np.int64))
+        index_of = self._index_of
+        return sorted([index_of[x] for x in self._reduced._adj[self._labels[node_id]]])
 
     def _demote(self, node_id: int) -> int:
-        """Evict best-``d_1`` kept edges until ``dis ≤ 1``."""
-        tracker = self._tracker
-        threshold = _DEMOTE_THRESHOLD + _EPSILON
+        """Evict best-``d_1`` kept edges until ``dis ≤ 1``.
+
+        ``d_1 = |du − 1| + |dv − 1| − (|du| + |dv|)`` over the id-sorted
+        kept neighbours ``v``; the first minimum goes.
+        """
+        dis, current = self._dis, self._current
         demoted = 0
-        while tracker.dis(node_id) > threshold and tracker.kept_degree(node_id) > 0:
-            neighbor_ids = self._kept_neighbor_ids(node_id)
-            changes = tracker.remove_change_ids(
-                np.full(neighbor_ids.shape[0], node_id, dtype=np.int64), neighbor_ids
+        while dis[node_id] > _DEMOTE_CEILING and current[node_id] > 0:
+            du = dis[node_id]
+            drop, stay = abs(du - 1.0), abs(du)
+            other = min(
+                self._kept_neighbor_ids(node_id),
+                key=lambda v: drop + abs(dis[v] - 1.0) - (stay + abs(dis[v])),
             )
-            other = int(neighbor_ids[int(np.argmin(changes))])
             self._evict(node_id, other)
             demoted += 1
         return demoted
 
     def _promote_local(self, node_id: int) -> int:
-        """Admit held-back incident edges while capacities allow (best first)."""
-        tracker = self._tracker
-        spare = tracker.spare_capacity(node_id)
+        """Admit held-back incident edges while capacities allow (best ``d_2`` first).
+
+        Only held-back neighbours with spare capacity are scored, with
+        ``d_2 = |du + 1| + |dv + 1| − (|du| + |dv|)`` against the state
+        before any admission; ties go to the lower id.  An admission moves
+        only ``node_id`` and that neighbour, so the other neighbours'
+        spares and scores stay as read.
+        """
+        p, deg, current = self._p, self._deg, self._current
+        spare = int(p * deg[node_id] + 0.5) - current[node_id]
         if spare <= 0:
             return 0
-        label = tracker.label_of(node_id)
+        label = self._labels[node_id]
         # Set difference in C: graph neighbours not currently kept.
         held_back = self._graph._adj[label].keys() - self._reduced._adj[label].keys()
         if not held_back:
             return 0
-        index_of = tracker._index_of
-        candidates = np.sort(
-            np.fromiter(
-                (index_of[x] for x in held_back),
-                dtype=np.int64,
-                count=len(held_back),
-            )
-        )
-        # Most Δ-reducing first.  This node's spare shrinks per admission
-        # (tracked locally); each far endpoint appears at most once (simple
-        # graph), so far spares can be batch-computed up front.
-        changes = tracker.add_change_ids(
-            np.full(candidates.shape[0], node_id, dtype=np.int64), candidates
-        )
-        far_spares = tracker.capacities(candidates) - tracker._current[candidates]
-        order = np.argsort(changes, kind="stable")
-        promoted = 0
-        for k in order.tolist():
-            if spare <= 0:
-                break
-            if far_spares[k] <= 0:
-                continue
-            self._admit(node_id, int(candidates[k]))
-            spare -= 1
-            promoted += 1
-        return promoted
+        index_of, dis = self._index_of, self._dis
+        du = dis[node_id]
+        grow, stay = abs(du + 1.0), abs(du)
+        scored = []
+        for x in held_back:
+            v = index_of[x]
+            if int(p * deg[v] + 0.5) > current[v]:
+                dv = dis[v]
+                scored.append((grow + abs(dv + 1.0) - (stay + abs(dv)), v))
+        scored.sort()
+        admitted = scored[:spare]
+        for _, v in admitted:
+            self._admit(node_id, v)
+        return len(admitted)
 
     def _promote_reservoir(self) -> int:
         """Probe a bounded reservoir sample; promote capacity-fitting edges.
 
-        Runs on every op, so the validity test is inlined over the graphs'
-        adjacency dicts rather than going through :meth:`_valid_candidate`.
+        The validity test is inlined over the graphs' adjacency dicts
+        rather than going through :meth:`_valid_candidate`.
         """
         reservoir = self._reservoir
         if len(reservoir) == 0:
             return 0
-        tracker = self._tracker
-        labels = tracker._labels
+        p, deg, current, labels = self._p, self._deg, self._current, self._labels
         graph_adj = self._graph._adj
         reduced_adj = self._reduced._adj
         promoted = 0
@@ -209,16 +223,21 @@ class LocalRepairer:
             if lv not in graph_adj[lu] or lv in reduced_adj[lu]:
                 reservoir.discard(key)  # stale: left G or already kept
                 continue
-            if tracker.spare_capacity(u) > 0 and tracker.spare_capacity(v) > 0:
+            if int(p * deg[u] + 0.5) > current[u] and int(p * deg[v] + 0.5) > current[v]:
                 reservoir.discard(key)
                 self._admit(u, v)
                 promoted += 1
         return promoted
 
     def _swap(self, node_id: int) -> bool:
-        """Apply the best Δ-improving capacity-feasible (kept-out, reservoir-in) swap."""
-        tracker = self._tracker
-        if tracker.dis(node_id) <= 0.5 + _EPSILON:
+        """Apply the best Δ-improving capacity-feasible (kept-out, reservoir-in) swap.
+
+        Prices the out×in grid out-edge-major, as CRR's rewiring does:
+        ``d_1`` of the out-edge plus ``d_2``'s terms of the in-edge, or the
+        exact joint change where the two share an endpoint.
+        """
+        dis = self._dis
+        if dis[node_id] <= 0.5 + _EPSILON:
             return False
         out_ids = self._kept_neighbor_ids(node_id)[:_SWAP_OUT_CANDIDATES]
         in_keys = [
@@ -226,21 +245,32 @@ class LocalRepairer:
             for key in self._reservoir.probe(_SWAP_IN_CANDIDATES)
             if self._valid_candidate(*key)
         ]
-        if out_ids.shape[0] == 0 or not in_keys:
+        if not out_ids or not in_keys:
             return False
-        num_out, num_in = out_ids.shape[0], len(in_keys)
-        out_u = np.repeat(np.full(num_out, node_id, dtype=np.int64), num_in)
-        out_v = np.repeat(out_ids, num_in)
-        in_u = np.tile(np.asarray([a for a, _ in in_keys], dtype=np.int64), num_out)
-        in_v = np.tile(np.asarray([b for _, b in in_keys], dtype=np.int64), num_out)
-        changes = tracker.swap_change_ids(out_u, out_v, in_u, in_v)
-        for k in np.argsort(changes, kind="stable").tolist():
-            if changes[k] >= -_EPSILON:
-                return False
-            ou, ov = int(out_u[k]), int(out_v[k])
-            iu, iv = int(in_u[k]), int(in_v[k])
-            if self._swap_feasible(ou, ov, iu, iv):
-                self._evict(ou, ov)
+        in_terms = [
+            (iu, iv, abs(dis[iu] + 1.0), abs(dis[iv] + 1.0), abs(dis[iu]) + abs(dis[iv]))
+            for iu, iv in in_keys
+        ]
+        du = dis[node_id]
+        drop, stay = abs(du - 1.0), abs(du)
+        threshold = -_EPSILON
+        improving = []
+        position = 0
+        for ov in out_ids:
+            dv = dis[ov]
+            out_change = drop + abs(dv - 1.0) - (stay + abs(dv))
+            for iu, iv, grow_u, grow_v, stay_in in in_terms:
+                if node_id == iu or node_id == iv or ov == iu or ov == iv:
+                    change = swap_change_scalar_from_dis(dis, node_id, ov, iu, iv, 1.0, 1.0)
+                else:
+                    change = out_change + grow_u + grow_v - stay_in
+                if change < threshold:
+                    improving.append((change, position, ov, iu, iv))
+                position += 1
+        improving.sort()
+        for _, _, ov, iu, iv in improving:
+            if self._swap_feasible(node_id, ov, iu, iv):
+                self._evict(node_id, ov)
                 self._reservoir.discard(_key(iu, iv))
                 self._admit(iu, iv)
                 return True
@@ -252,28 +282,27 @@ class LocalRepairer:
 
     def _valid_candidate(self, u: int, v: int) -> bool:
         """Held-back means: still an edge of ``G`` and not already kept."""
-        tracker = self._tracker
-        lu, lv = tracker.label_of(u), tracker.label_of(v)
+        lu, lv = self._labels[u], self._labels[v]
         return self._graph.has_edge(lu, lv) and not self._reduced.has_edge(lu, lv)
 
     def _swap_feasible(self, out_u: int, out_v: int, in_u: int, in_v: int) -> bool:
         """Would the in-edge fit both capacities once the out-edge is gone?"""
-        tracker = self._tracker
+        p, deg, current = self._p, self._deg, self._current
         for endpoint in (in_u, in_v):
             freed = (endpoint == out_u) + (endpoint == out_v)
-            if tracker.spare_capacity(endpoint) + freed <= 0:
+            if int(p * deg[endpoint] + 0.5) - current[endpoint] + freed <= 0:
                 return False
         return True
 
     def _admit(self, u: int, v: int) -> None:
-        tracker = self._tracker
-        self._reduced.add_edge(tracker.label_of(u), tracker.label_of(v))
-        tracker.kept_edge_added(u, v)
+        labels = self._labels
+        self._reduced.add_edge(labels[u], labels[v])
+        self._tracker.kept_edge_added(u, v)
 
     def _evict(self, u: int, v: int) -> None:
-        tracker = self._tracker
-        self._reduced.remove_edge(tracker.label_of(u), tracker.label_of(v))
-        tracker.kept_edge_removed(u, v)
+        labels = self._labels
+        self._reduced.remove_edge(labels[u], labels[v])
+        self._tracker.kept_edge_removed(u, v)
         self._reservoir.offer(_key(u, v))
 
 

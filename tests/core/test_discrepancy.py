@@ -7,15 +7,15 @@ and against the array tracker addressed by labels (``LabelTracker``).
 import numpy as np
 import pytest
 
-from repro.core import (
-    compute_delta,
-    round_half_up,
-    swap_change_from_dis,
-    swap_change_scalar_from_dis,
-)
+from repro.core import compute_delta, round_half_up, swap_change_scalar_from_dis
 from repro.errors import EdgeNotFoundError, InvalidRatioError, ReductionError
 from repro.graph import Graph
-from tests.oracles.core import DegreeTracker, IdsView, LabelTracker
+from tests.oracles.core import (
+    DegreeTracker,
+    IdsView,
+    LabelTracker,
+    swap_change_from_dis,
+)
 
 
 @pytest.fixture(params=[DegreeTracker, LabelTracker], ids=["dict", "array"])

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import BM2Shedder, CRRShedder, compute_delta, progressive_reduce
 from repro.errors import ReductionError
+from repro.graph.generators import erdos_renyi
 
 
 class TestProgressiveReduce:
@@ -56,3 +57,31 @@ class TestProgressiveReduce:
             progressive_reduce(shedder, medium_powerlaw, [0.3, 0.6])
         with pytest.raises(ReductionError):
             progressive_reduce(shedder, medium_powerlaw, [1.2])
+
+    @pytest.mark.parametrize(
+        "shedder, ratios",
+        [
+            (BM2Shedder(), [0.5, 0.03, 0.01]),
+            (CRRShedder(seed=0), [0.5, 0.03, 0.01, 0.001]),
+        ],
+        ids=["bm2", "crr"],
+    )
+    def test_levels_after_an_edgeless_level_stay_edgeless(self, shedder, ratios):
+        graph = erdos_renyi(20, 0.2, seed=1)
+        results = progressive_reduce(shedder, graph, ratios)
+        assert [r.p for r in results] == ratios
+        first_empty = next(
+            i for i, r in enumerate(results) if r.reduced.num_edges == 0
+        )
+        assert first_empty < len(ratios) - 1
+        for index in range(first_empty + 1, len(ratios)):
+            result, previous = results[index], results[index - 1]
+            assert result.reduced is not previous.reduced
+            assert result.reduced.num_edges == 0
+            assert list(result.reduced.nodes()) == list(graph.nodes())
+            assert result.delta == compute_delta(graph, result.reduced, result.p)
+            assert result.elapsed_seconds == 0.0
+            assert result.stats == {
+                "relative_p": ratios[index] / ratios[index - 1],
+                "level": index,
+            }

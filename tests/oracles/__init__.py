@@ -9,7 +9,9 @@ in ``src/`` does.
 * :mod:`tests.oracles.core` — dict ``DegreeTracker``, greedy b-matching,
   the Algorithm 3 heap, and label-space CRR/BM2 shedders;
 * :mod:`tests.oracles.dynamic` — the per-op churn ``insert``/``delete``
-  that ``IncrementalShedder.apply_ops`` is pinned against;
+  that ``IncrementalShedder.apply_ops`` is pinned against, and the
+  numpy-scored ``ReferenceRepairer`` that ``LocalRepairer`` is pinned
+  against;
 * :mod:`tests.oracles.graph` — dict Brandes betweenness, per-node
   label propagation with its ``Counter`` stopping check, and the
   per-edge graph constructions (line-by-line

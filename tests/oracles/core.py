@@ -14,7 +14,10 @@ micro-benchmarks, where they pin the runtime engines bit for bit:
   :func:`repro.core.bm2.bipartite_repair_ids`;
 * :class:`LegacyCRRShedder` / :class:`LegacyBM2Shedder` — the label-space
   engines, which must keep exactly the edges ``CRRShedder`` /
-  ``BM2Shedder`` keep.
+  ``BM2Shedder`` keep;
+* :func:`swap_change_from_dis` — the vectorized swap change over batches
+  of id quadruples, which CRR's rewiring and the churn repair inline as
+  scalar expressions.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ __all__ = [
     "greedy_b_matching",
     "heap_repair",
     "heap_repair_ids",
+    "swap_change_from_dis",
     "weighted_bipartite_repair_ids",
 ]
 
@@ -61,6 +65,49 @@ _ROUNDING_RULES = {
     "floor": lambda x: int(x),
     "ceil": lambda x: -int(-x // 1),
 }
+
+
+def swap_change_from_dis(
+    dis: np.ndarray,
+    out_u: np.ndarray,
+    out_v: np.ndarray,
+    in_u: np.ndarray,
+    in_v: np.ndarray,
+    w_out: float | np.ndarray,
+    w_in: float | np.ndarray,
+) -> np.ndarray:
+    """Vectorized exact swap change over batches of candidate swaps.
+
+    The batched reference for the scalar swap pricing in CRR's rewiring
+    (``repro.core.crr._run_swaps``) and the churn repair's swap move.
+
+    ``w_out``/``w_in`` are ``1.0`` or float arrays aligned with the swaps.
+    The vector expression is the disjoint-endpoint ``d_1 + d_2`` sum;
+    positions where the outgoing and incoming edges share an endpoint
+    (where that sum double-counts the shared node) are recomputed with
+    the exact scalar joint formula.
+    """
+    d_ou, d_ov = dis[out_u], dis[out_v]
+    d_iu, d_iv = dis[in_u], dis[in_v]
+    change = (
+        np.abs(d_ou - w_out)
+        + np.abs(d_ov - w_out)
+        - (np.abs(d_ou) + np.abs(d_ov))
+        + np.abs(d_iu + w_in)
+        + np.abs(d_iv + w_in)
+        - (np.abs(d_iu) + np.abs(d_iv))
+    )
+    shared = (out_u == in_u) | (out_u == in_v) | (out_v == in_u) | (out_v == in_v)
+    if shared.any():
+        w_out = np.broadcast_to(w_out, change.shape)
+        w_in = np.broadcast_to(w_in, change.shape)
+        for k in np.nonzero(shared)[0].tolist():
+            change[k] = swap_change_scalar_from_dis(
+                dis,
+                int(out_u[k]), int(out_v[k]), int(in_u[k]), int(in_v[k]),
+                float(w_out[k]), float(w_in[k]),
+            )
+    return change
 
 
 class DegreeTracker:

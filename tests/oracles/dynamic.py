@@ -13,20 +13,43 @@ tracker, reservoir, repairer and drift monitor one op at a time, through
   op, or a stream of them, with the same errors strict ``apply_ops``
   raises;
 * :func:`graph_edge_added` / :func:`graph_edge_removed` — the tracker's
-  graph-side events, which ``apply_ops`` writes inline on the arrays.
+  graph-side events, which ``apply_ops`` writes inline on the lists;
+* :class:`ReferenceRepairer` — :class:`repro.dynamic.LocalRepairer`'s
+  three moves scored with the vectorized formulas
+  (``add_change_from_dis``, ``remove_change_from_dis`` and
+  :func:`tests.oracles.core.swap_change_from_dis`) over a ``float64``
+  copy of the tracker's ``dis``, picked with ``np.argmin`` and
+  ``np.argsort(kind="stable")`` over id-sorted candidates.  The runtime
+  repairer scores the same candidates with scalar expressions and must
+  make the same moves in the same order.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Tuple
 
+import numpy as np
+
+from repro.core.discrepancy import add_change_from_dis, remove_change_from_dis
 from repro.dynamic import DriftDecision, DynamicDegreeTracker, IncrementalShedder
 from repro.dynamic.maintainer import ChurnOp
-from repro.dynamic.repair import _key
+from repro.dynamic.repair import (
+    _DEMOTE_THRESHOLD,
+    _EPSILON,
+    _PROBE_INTERVAL,
+    _RESERVOIR_PROBES,
+    _SWAP_IN_CANDIDATES,
+    _SWAP_INTERVAL,
+    _SWAP_OUT_CANDIDATES,
+    _key,
+)
 from repro.errors import EdgeNotFoundError, ReductionError, SelfLoopError
-from repro.graph.graph import Node
+from repro.graph.graph import Graph, Node
+from repro.streaming.shedder import EdgeReservoir
+from tests.oracles.core import swap_change_from_dis
 
 __all__ = [
+    "ReferenceRepairer",
     "apply",
     "delete",
     "graph_edge_added",
@@ -132,10 +155,10 @@ def _after_op(
     """Repair around ``touched``, consult the drift monitor, maybe rebuild."""
     stats = shedder.stats
     if shedder._repairer is not None:
-        counts = shedder._repairer.repair(touched, hints)
-        stats["demoted"] += counts["demoted"]
-        stats["promoted"] += counts["promoted"]
-        stats["swapped"] += counts["swapped"]
+        demoted, promoted, swapped = shedder._repairer.repair(touched, hints)
+        stats["demoted"] += demoted
+        stats["promoted"] += promoted
+        stats["swapped"] += swapped
     stats["ops"] += 1
     graph = shedder.graph
     decision = shedder.monitor.observe(
@@ -146,3 +169,191 @@ def _after_op(
     else:
         shedder._sync_versions()
     return decision
+
+
+class ReferenceRepairer:
+    """The churn repair's moves scored with numpy over a copy of ``dis``.
+
+    Same interface, move order, budgets and reservoir draws as
+    :class:`repro.dynamic.LocalRepairer`; install it on a maintainer with
+    ``shedder._repairer = ReferenceRepairer(shedder.graph, shedder.reduced,
+    shedder.tracker, shedder.reservoir)`` before the first op.
+    """
+
+    def __init__(
+        self,
+        graph: Graph,
+        reduced: Graph,
+        tracker: DynamicDegreeTracker,
+        reservoir: EdgeReservoir,
+    ) -> None:
+        self._graph = graph
+        self._reduced = reduced
+        self._tracker = tracker
+        self._reservoir = reservoir
+        self._calls = 0
+
+    def rebind(self, reduced: Graph) -> None:
+        self._reduced = reduced
+
+    def repair(
+        self, touched: Tuple[int, ...], promote_hints: Tuple[bool, ...]
+    ) -> Tuple[int, int, int]:
+        self._calls += 1
+        counts = {"demoted": 0, "promoted": 0, "swapped": 0}
+        demote_freed = []
+        for node_id in touched:
+            demoted = self._demote(node_id)
+            demote_freed.append(demoted > 0)
+            counts["demoted"] += demoted
+        for index, node_id in enumerate(touched):
+            if promote_hints[index] or demote_freed[index]:
+                counts["promoted"] += self._promote_local(node_id)
+        if self._calls % _PROBE_INTERVAL == 0:
+            counts["promoted"] += self._promote_reservoir()
+        if self._calls % _SWAP_INTERVAL == 0:
+            for node_id in touched:
+                if self._swap(node_id):
+                    counts["swapped"] += 1
+                    break
+        return counts["demoted"], counts["promoted"], counts["swapped"]
+
+    def _kept_neighbor_ids(self, node_id: int) -> np.ndarray:
+        tracker = self._tracker
+        label = tracker.label_of(node_id)
+        ids = [tracker.id_of(x) for x in self._reduced.neighbors(label)]
+        return np.sort(np.asarray(ids, dtype=np.int64))
+
+    def _demote(self, node_id: int) -> int:
+        tracker = self._tracker
+        threshold = _DEMOTE_THRESHOLD + _EPSILON
+        demoted = 0
+        while tracker.dis(node_id) > threshold and tracker.kept_degree(node_id) > 0:
+            neighbor_ids = self._kept_neighbor_ids(node_id)
+            changes = remove_change_from_dis(
+                tracker.dis_array(),
+                np.full(neighbor_ids.shape[0], node_id, dtype=np.int64),
+                neighbor_ids,
+                1.0,
+            )
+            other = int(neighbor_ids[int(np.argmin(changes))])
+            self._evict(node_id, other)
+            demoted += 1
+        return demoted
+
+    def _promote_local(self, node_id: int) -> int:
+        tracker = self._tracker
+        spare = tracker.spare_capacity(node_id)
+        if spare <= 0:
+            return 0
+        label = tracker.label_of(node_id)
+        held_back = self._graph._adj[label].keys() - self._reduced._adj[label].keys()
+        if not held_back:
+            return 0
+        index_of = tracker._index_of
+        candidates = np.sort(
+            np.fromiter(
+                (index_of[x] for x in held_back),
+                dtype=np.int64,
+                count=len(held_back),
+            )
+        )
+        changes = add_change_from_dis(
+            tracker.dis_array(),
+            np.full(candidates.shape[0], node_id, dtype=np.int64),
+            candidates,
+            1.0,
+        )
+        degrees = np.asarray(tracker._deg, dtype=np.int64)[candidates]
+        far_spares = (
+            np.floor(tracker.p * degrees + 0.5).astype(np.int64)
+            - np.asarray(tracker._current, dtype=np.int64)[candidates]
+        )
+        order = np.argsort(changes, kind="stable")
+        promoted = 0
+        for k in order.tolist():
+            if spare <= 0:
+                break
+            if far_spares[k] <= 0:
+                continue
+            self._admit(node_id, int(candidates[k]))
+            spare -= 1
+            promoted += 1
+        return promoted
+
+    def _promote_reservoir(self) -> int:
+        reservoir = self._reservoir
+        if len(reservoir) == 0:
+            return 0
+        tracker = self._tracker
+        labels = tracker._labels
+        graph_adj = self._graph._adj
+        reduced_adj = self._reduced._adj
+        promoted = 0
+        for key in reservoir.probe(_RESERVOIR_PROBES):
+            u, v = key
+            lu, lv = labels[u], labels[v]
+            if lv not in graph_adj[lu] or lv in reduced_adj[lu]:
+                reservoir.discard(key)
+                continue
+            if tracker.spare_capacity(u) > 0 and tracker.spare_capacity(v) > 0:
+                reservoir.discard(key)
+                self._admit(u, v)
+                promoted += 1
+        return promoted
+
+    def _swap(self, node_id: int) -> bool:
+        tracker = self._tracker
+        if tracker.dis(node_id) <= 0.5 + _EPSILON:
+            return False
+        out_ids = self._kept_neighbor_ids(node_id)[:_SWAP_OUT_CANDIDATES]
+        in_keys = [
+            key
+            for key in self._reservoir.probe(_SWAP_IN_CANDIDATES)
+            if self._valid_candidate(*key)
+        ]
+        if out_ids.shape[0] == 0 or not in_keys:
+            return False
+        num_out, num_in = out_ids.shape[0], len(in_keys)
+        out_u = np.repeat(np.full(num_out, node_id, dtype=np.int64), num_in)
+        out_v = np.repeat(out_ids, num_in)
+        in_u = np.tile(np.asarray([a for a, _ in in_keys], dtype=np.int64), num_out)
+        in_v = np.tile(np.asarray([b for _, b in in_keys], dtype=np.int64), num_out)
+        changes = swap_change_from_dis(
+            tracker.dis_array(), out_u, out_v, in_u, in_v, 1.0, 1.0
+        )
+        for k in np.argsort(changes, kind="stable").tolist():
+            if changes[k] >= -_EPSILON:
+                return False
+            ou, ov = int(out_u[k]), int(out_v[k])
+            iu, iv = int(in_u[k]), int(in_v[k])
+            if self._swap_feasible(ou, ov, iu, iv):
+                self._evict(ou, ov)
+                self._reservoir.discard(_key(iu, iv))
+                self._admit(iu, iv)
+                return True
+        return False
+
+    def _valid_candidate(self, u: int, v: int) -> bool:
+        tracker = self._tracker
+        lu, lv = tracker.label_of(u), tracker.label_of(v)
+        return self._graph.has_edge(lu, lv) and not self._reduced.has_edge(lu, lv)
+
+    def _swap_feasible(self, out_u: int, out_v: int, in_u: int, in_v: int) -> bool:
+        tracker = self._tracker
+        for endpoint in (in_u, in_v):
+            freed = (endpoint == out_u) + (endpoint == out_v)
+            if tracker.spare_capacity(endpoint) + freed <= 0:
+                return False
+        return True
+
+    def _admit(self, u: int, v: int) -> None:
+        tracker = self._tracker
+        self._reduced.add_edge(tracker.label_of(u), tracker.label_of(v))
+        tracker.kept_edge_added(u, v)
+
+    def _evict(self, u: int, v: int) -> None:
+        tracker = self._tracker
+        self._reduced.remove_edge(tracker.label_of(u), tracker.label_of(v))
+        tracker.kept_edge_removed(u, v)
+        self._reservoir.offer(_key(u, v))

@@ -111,7 +111,7 @@ def test_seeded_replay_is_deterministic(scenario):
 @given(churn_scenario())
 @settings(max_examples=30, deadline=None)
 def test_tracker_matches_graphs_after_churn(scenario):
-    """deg/current arrays mirror the live graphs node-for-node."""
+    """deg/current lists mirror the live graphs node-for-node."""
     g, p, workload, workload_seed, num_ops = scenario
     ops = generate_workload(workload, g, num_ops, seed=workload_seed)
     shed = IncrementalShedder(g, p, seed=0)
