@@ -122,17 +122,18 @@ def _gain_array(
 
 def bipartite_repair_ids(
     tracker: ArrayDegreeTracker,
+    cand_ids: np.ndarray,
     cand_a: np.ndarray,
-    cand_b: np.ndarray,
     accept_zero_gain: bool = False,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Algorithm 3: greedy weighted semi-matching between groups A and B.
 
-    ``cand_a``/``cand_b`` are int64 CSR-id arrays oriented A-side first
-    under ``tracker``'s current state.  Returns the selected ``(a_ids,
-    b_ids)`` in selection order; the tracker is mutated — every selected
-    edge is added to it.  A candidate edge listed twice raises
-    :class:`~repro.errors.ReductionError`.
+    ``cand_ids`` are the candidates' snapshot edge ids and ``cand_a``
+    their A-side endpoints under ``tracker``'s current state.  Returns the
+    selected ``(a_ids, b_ids)`` node ids in selection order, A side first;
+    the tracker is mutated — every selected edge is added to it.  A
+    candidate edge listed twice, or an ``a`` that is not an endpoint of
+    its edge, raises :class:`~repro.errors.ReductionError`.
 
     The paper's algorithm is a max-priority queue: pop the highest-gain
     A–B edge, admit it, retire ``b`` (it left group B), and re-weight or
@@ -164,34 +165,34 @@ def bipartite_repair_ids(
 
     Gains and re-weights use one fixed association order and one
     :func:`_snap` pipeline, each selection is the tracker's
-    :meth:`~ArrayDegreeTracker.add_edge_ids`, and re-weights read its
+    :meth:`~ArrayDegreeTracker.add_edge`, and re-weights read its
     :meth:`~ArrayDegreeTracker.dis_list`, so every comparison and the
     final tracker state are deterministic.
     """
+    cand_ids = np.asarray(cand_ids, dtype=np.int64)
     cand_a = np.asarray(cand_a, dtype=np.int64)
-    cand_b = np.asarray(cand_b, dtype=np.int64)
     empty = np.empty(0, dtype=np.int64)
     k = int(cand_a.shape[0])
     if k == 0:
         return empty, empty.copy()
+    masses = tracker.edge_weights(cand_ids)
+    edge_u, edge_v = tracker.csr.edge_list_ids()
+    end_u, end_v = edge_u[cand_ids], edge_v[cand_ids]
+    if not bool(np.all((end_u == cand_a) | (end_v == cand_a))):
+        raise ReductionError("a candidate's A side is not an endpoint of its edge")
+    cand_b = np.where(end_u == cand_a, end_v, end_u)
     dis = tracker.dis_array()
     n = tracker.num_nodes
 
-    masses = tracker.edge_weights_ids(cand_a, cand_b)
     max_w = float(masses.max())
     gains = _gain_array(dis[cand_a], dis[cand_b], masses)
 
     # The per-edge heap's duplicate check covers every gain >= 0 edge.
     eligible = np.nonzero(gains >= 0.0)[0]
-    if eligible.size:
-        keys = cand_a[eligible] * n + cand_b[eligible]
-        if np.unique(keys).shape[0] != keys.shape[0]:
-            seen: set = set()
-            for i in eligible.tolist():
-                key = (int(cand_a[i]), int(cand_b[i]))
-                if key in seen:
-                    raise ReductionError(f"duplicate candidate edge {key!r}")
-                seen.add(key)
+    ids = np.sort(cand_ids[eligible])
+    repeats = ids[1:][ids[1:] == ids[:-1]]
+    if repeats.shape[0]:
+        raise ReductionError(f"duplicate candidate edge id {int(repeats[0])}")
 
     # Rejected zero-gain edges can be excluded up front: re-weights are
     # non-increasing (|dis(b)| only shrinks, and the crossing/non-crossing
@@ -207,6 +208,7 @@ def bipartite_repair_ids(
     # is scalar Python over plain lists: candidate groups per endpoint are
     # tiny (~1 edge), where list indexing beats numpy fancy indexing.
     cur_gain = gains.tolist()
+    ids_l = cand_ids.tolist()
     ca_l = cand_a.tolist()
     cb_l = cand_b.tolist()
     w_l = masses.tolist()
@@ -235,7 +237,7 @@ def bipartite_repair_ids(
     counter = 0
     heappop, heappush = heapq.heappop, heapq.heappush
     dis_l = tracker.dis_list()
-    add_edge = tracker.add_edge_ids
+    add_edge = tracker.add_edge
 
     sel_a: List[int] = []
     sel_b: List[int] = []
@@ -261,7 +263,7 @@ def bipartite_repair_ids(
         sel_a.append(a)
         sel_b.append(b)
         alive[idx] = 0
-        add_edge(a, b)
+        add_edge(ids_l[idx])
 
         dis_b = _snap(dis_l[b])
         if dis_b >= 0:
@@ -463,17 +465,19 @@ def bm2_reduce_ids(
             if perm is not None:
                 scan_w = scan_w[perm]
         scan_kept = greedy_b_matching_ids(scan_u, scan_v, capacities, scan_w)
-        matched_u, matched_v = scan_u[scan_kept], scan_v[scan_kept]
-        # Kept-mask over the *unshuffled* scan, for the candidate pass.
+        # Matched edge ids in scan order, and a kept-mask over the
+        # *unshuffled* scan for the candidate pass.
+        matched = np.nonzero(scan_kept)[0]
         if perm is None:
             kept_mask = scan_kept
         else:
+            matched = perm[matched]
             kept_mask = np.zeros(m, dtype=bool)
-            kept_mask[perm[scan_kept]] = True
+            kept_mask[matched] = True
 
     with timed_phase(stats, "phase2_seconds"):
         tracker = ArrayDegreeTracker(csr, p, weighted=weighted)
-        tracker.add_edges_ids(matched_u, matched_v)
+        tracker.add_edges(matched)
 
         snapped = _snap_array(tracker.dis_array())
         group_a = snapped <= -0.5
@@ -484,7 +488,6 @@ def bm2_reduce_ids(
         position = np.nonzero(a_to_b | b_to_a)[0]
         forward = a_to_b[position]
         cand_a = np.where(forward, edge_u[position], edge_v[position])
-        cand_b = np.where(forward, edge_v[position], edge_u[position])
         total_candidates = int(position.shape[0])
 
         beta = 0
@@ -492,20 +495,21 @@ def bm2_reduce_ids(
         if sparsify == "edcs":
             beta = int(sparsify_beta) if sparsify_beta is not None else edcs_beta()
             if total_candidates:
+                cand_b = np.where(forward, edge_v[position], edge_u[position])
                 dis = tracker.dis_array()
-                w = tracker.edge_weights_ids(cand_a, cand_b) if weighted else 1.0
+                w = tracker.edge_weights(position) if weighted else 1.0
                 cand_gains = _gain_array(dis[cand_a], dis[cand_b], w)
                 keep = prune_candidates_ids(cand_a, cand_b, cand_gains, beta)
                 pruned = total_candidates - int(keep.shape[0])
+                position = position[keep]
                 cand_a = cand_a[keep]
-                cand_b = cand_b[keep]
 
         sel_a, sel_b = bipartite_repair_ids(
-            tracker, cand_a, cand_b, accept_zero_gain=accept_zero_gain
+            tracker, position, cand_a, accept_zero_gain=accept_zero_gain
         )
 
-    kept_u = np.concatenate((matched_u, sel_a))
-    kept_v = np.concatenate((matched_v, sel_b))
+    kept_u = np.concatenate((edge_u[matched], sel_a))
+    kept_v = np.concatenate((edge_v[matched], sel_b))
     stats.update(
         {
             "matched_edges": int(np.count_nonzero(scan_kept)),

@@ -204,30 +204,31 @@ class CRRShedder(EdgeShedder):
 def _run_swaps(
     tracker: ArrayDegreeTracker,
     rng: np.random.Generator,
+    kept_ids: np.ndarray,
     kept_u: np.ndarray,
     kept_v: np.ndarray,
-    shed_u: np.ndarray,
-    shed_v: np.ndarray,
+    shed_ids: np.ndarray,
     steps: int,
 ) -> int:
     """Run ``steps`` swap attempts one at a time; return the accepted count.
 
-    Walks the pools and their weights as Python lists, scores each attempt
-    on the tracker's :meth:`~ArrayDegreeTracker.dis_list` with the
-    disjoint-edge ``d_1 + d_2`` expression in the association order of
+    Walks the pools' edge ids, endpoints and weights as Python lists,
+    scores each attempt on the tracker's :meth:`~ArrayDegreeTracker.dis_list`
+    with the disjoint-edge ``d_1 + d_2`` expression in the association order of
     :func:`~repro.core.discrepancy.remove_change_from_dis` then
     :func:`~repro.core.discrepancy.add_change_from_dis`
     (:func:`swap_change_scalar_from_dis` when the edges share an
-    endpoint), and accepts with the tracker's ``remove_edge_ids`` then
-    ``add_edge_ids``.  ``kept_u``/``kept_v`` receive the final kept pool
-    in place.
+    endpoint), and accepts with the tracker's ``remove_edge`` then
+    ``add_edge``.  ``kept_u``/``kept_v`` receive the final kept pool in
+    place, each pair in the caller's orientation.
     """
-    ku, kv = kept_u.tolist(), kept_v.tolist()
-    su, sv = shed_u.tolist(), shed_v.tolist()
-    kw = tracker.edge_weights_ids(kept_u, kept_v).tolist()
-    sw = tracker.edge_weights_ids(shed_u, shed_v).tolist()
+    edge_u, edge_v = tracker.csr.edge_list_ids()
+    ke, ku, kv = kept_ids.tolist(), kept_u.tolist(), kept_v.tolist()
+    se, su, sv = shed_ids.tolist(), edge_u[shed_ids].tolist(), edge_v[shed_ids].tolist()
+    kw = tracker.edge_weights(kept_ids).tolist()
+    sw = tracker.edge_weights(shed_ids).tolist()
     dis = tracker.dis_list()
-    remove_edge, add_edge = tracker.remove_edge_ids, tracker.add_edge_ids
+    remove_edge, add_edge = tracker.remove_edge, tracker.add_edge
     pool_sizes = np.tile(np.array([len(ku), len(su)], dtype=np.int64), _DRAW_BLOCK)
     last = len(ku) - 1
     accepted = 0
@@ -257,14 +258,15 @@ def _run_swaps(
                 )
             if not change < threshold:
                 continue
-            remove_edge(ou, ov)
-            add_edge(iu, iv)
+            e_out, e_in = ke[i], se[j]
+            remove_edge(e_out)
+            add_edge(e_in)
             # IndexedEdgePool's swap-pop bookkeeping: the kept pool's last
             # edge backfills slot i, the incoming edge takes the last slot,
             # and the outgoing edge lands in shed slot j.
-            ku[i], kv[i], kw[i] = ku[last], kv[last], kw[last]
-            ku[last], kv[last], kw[last] = iu, iv, w_in
-            su[j], sv[j], sw[j] = ou, ov, w_out
+            ke[i], ku[i], kv[i], kw[i] = ke[last], ku[last], kv[last], kw[last]
+            ke[last], ku[last], kv[last], kw[last] = e_in, iu, iv, w_in
+            se[j], su[j], sv[j], sw[j] = e_out, ou, ov, w_out
             accepted += 1
         done += block
     kept_u[:] = ku
@@ -325,23 +327,21 @@ def crr_rewire_ids(
     exactly 1.0 the accepted swap sequence is bit-identical to the
     unweighted run.
     """
-    n = csr.num_nodes
+    kept_ids = csr.existing_edge_ids(kept_u, kept_v)
     tracker = ArrayDegreeTracker(csr, p, weighted=weighted)
-    tracker.add_edges_ids(kept_u, kept_v)
+    tracker.add_edges(kept_ids)
 
     # Shed pool = edge-scan order minus the kept set (the positions an
-    # IndexedEdgePool fed in scan order assigns).  Canonical orientation
-    # puts the smaller id first on both sides, so the keys line up.
-    edge_u, edge_v = csr.edge_list_ids()
-    shed_mask = ~np.isin(edge_u * n + edge_v, kept_u * n + kept_v)
-    shed_u = edge_u[shed_mask]
-    shed_v = edge_v[shed_mask]
+    # IndexedEdgePool fed in scan order assigns).
+    shed_mask = np.ones(csr.num_edges, dtype=bool)
+    shed_mask[kept_ids] = False
+    shed_ids = np.nonzero(shed_mask)[0]
 
     accepted = 0
     attempted = 0
-    if kept_u.shape[0] and shed_u.shape[0]:
+    if kept_ids.shape[0] and shed_ids.shape[0]:
         attempted = steps
-        accepted = _run_swaps(tracker, rng, kept_u, kept_v, shed_u, shed_v, steps)
+        accepted = _run_swaps(tracker, rng, kept_ids, kept_u, kept_v, shed_ids, steps)
 
     stats["attempted_swaps"] = attempted
     stats["accepted_swaps"] = accepted

@@ -8,8 +8,9 @@ The paper's quality objective (Section II-A) is built from two quantities:
 
 Both CRR's rewiring loop and BM2's bipartite phase mutate the candidate edge
 set thousands of times, so :class:`ArrayDegreeTracker` maintains ``dis`` and
-``Δ`` incrementally over a CSR snapshot's ids: adding or removing an edge
-is O(1).
+``Δ`` incrementally over a CSR snapshot, naming each edge by its snapshot
+edge id (its position in ``edge_list_ids()``): adding or removing an edge
+is O(1), and tracking costs one flag byte per snapshot edge.
 
 The uncertain-graph workload (:mod:`repro.uncertain`) generalises both
 quantities to probability mass: ``dis(u) = E[deg_G'(u)] − p·E[deg_G(u)]``
@@ -30,7 +31,7 @@ tracker (the property suite pins this).
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -85,30 +86,23 @@ def check_probability_weights(csr: "CSRAdjacency") -> None:
 
 
 def add_change_from_dis(
-    dis: np.ndarray,
-    edge_u: np.ndarray,
-    edge_v: np.ndarray,
-    weight: float | np.ndarray,
+    du: np.ndarray, dv: np.ndarray, weight: float | np.ndarray
 ) -> np.ndarray:
-    """Vectorized ``d_2`` (Δ-change of adding each edge) over a ``dis`` array.
+    """Vectorized ``d_2`` (Δ-change of adding each edge) from its endpoints'
+    ``dis`` values ``du`` and ``dv`` (``float64`` arrays aligned with the edges).
 
     Adding an edge moves both endpoints by ``weight``: the float ``1.0``
     for the paper's unit moves, or a float array aligned with the edges
     (probability mass on uncertain graphs).  Offline unit and weighted
     scores share this expression, so they cannot drift apart.
     """
-    du, dv = dis[edge_u], dis[edge_v]
     return np.abs(du + weight) + np.abs(dv + weight) - (np.abs(du) + np.abs(dv))
 
 
 def remove_change_from_dis(
-    dis: np.ndarray,
-    edge_u: np.ndarray,
-    edge_v: np.ndarray,
-    weight: float | np.ndarray,
+    du: np.ndarray, dv: np.ndarray, weight: float | np.ndarray
 ) -> np.ndarray:
-    """Vectorized ``d_1`` (Δ-change of removing each edge) over a ``dis`` array."""
-    du, dv = dis[edge_u], dis[edge_v]
+    """Vectorized ``d_1`` (Δ-change of removing each edge) from its endpoints' ``dis``."""
     return np.abs(du - weight) + np.abs(dv - weight) - (np.abs(du) + np.abs(dv))
 
 
@@ -141,7 +135,7 @@ def swap_change_scalar_from_dis(
 
 
 class ArrayDegreeTracker:
-    """Incremental ``dis(u)`` / ``Δ`` state over a CSR snapshot's integer ids.
+    """Incremental ``dis(u)`` / ``Δ`` state over a CSR snapshot's edge ids.
 
     Construct from a snapshot and ratio ``p``; the tracked edge set starts
     empty (every node sits at ``dis(u) = −p·deg_G(u)``).  The snapshot may
@@ -149,18 +143,22 @@ class ArrayDegreeTracker:
     — expectations are ``p`` times the snapshot's own degree array, so a
     view tracker scores discrepancy against shard-interior degrees.
 
-    ``expected``, ``current`` and ``dis`` are Python lists indexed by id,
-    and tracked edges are integer keys in a hash set.  :meth:`add_edge_ids`
-    and :meth:`remove_edge_ids` are the one per-edge move, which CRR's
-    rewiring and BM2's repair make between reads of :meth:`dis_list`
-    (plain-list arithmetic beats numpy scalar indexing several times over).
-    Vectorized readers take :meth:`dis_array`, a ``float64`` copy cached
-    until the next move.
+    Edges are named by their snapshot edge id, the position in
+    :meth:`~repro.graph.csr.CSRAdjacency.edge_list_ids`, and tracked as one
+    flag byte each; ``expected``, ``current`` and ``dis`` are Python lists
+    by node id.  :meth:`add_edge` and :meth:`remove_edge` are the one
+    per-edge move, which CRR's rewiring and BM2's repair make between reads
+    of :meth:`dis_list` (plain-list arithmetic beats numpy scalar indexing
+    several times over); vectorized readers take :meth:`dis_array`, a
+    ``float64`` copy cached until the next move.  An id outside ``[0, m)``
+    raises :class:`~repro.errors.GraphError`, adding a tracked edge
+    :class:`~repro.errors.ReductionError`, removing an untracked one
+    :class:`~repro.errors.EdgeNotFoundError`; a batch is checked whole first.
 
     Exactness: ``dis`` slots are always written as ``current - expected``
     (never ``-expected``, so a zero expectation gives ``+0.0``), and the
     per-edge moves accumulate ``Δ`` term by term with the paper's
-    ``d_1``/``d_2`` expressions.  Bulk :meth:`add_edges_ids` recomputes
+    ``d_1``/``d_2`` expressions.  Bulk :meth:`add_edges` recomputes
     ``Δ = Σ|dis|`` directly instead — bit-identical whenever every
     ``p·deg`` is exactly representable (e.g. ``p = 0.5``), and within
     float-association noise (≪ 1e-9) otherwise.
@@ -180,14 +178,17 @@ class ArrayDegreeTracker:
         self._is_weighted = bool(weighted)
         n = csr.num_nodes
         self._n = n
+        #: endpoint (and weight) arrays by edge id, and memoryviews of them for
+        #: the per-edge moves, whose items are Python ints (floats).
+        self._edge_u, self._edge_v = csr.edge_list_ids()
+        self._u_of, self._v_of = memoryview(self._edge_u), memoryview(self._edge_v)
+        self._m = len(self._u_of)
+        self._weights = csr.edge_weights_array() if weighted else None
+        self._weight_of = memoryview(self._weights) if weighted else None
         if weighted:
             degrees, zero = csr.weighted_degree_array(), 0.0
-            #: edge key -> weight, for the per-edge moves (memoised on the
-            #: snapshot, shared across trackers; read-only here).
-            self._weight_of: Optional[Dict[int, float]] = csr.edge_weight_map()
         else:
             degrees, zero = csr.degree_array(), 0
-            self._weight_of = None
         expected = p * degrees
         #: p·deg_G(u) per id (Equation 1); p·E[deg_G(u)] when weighted.
         self._expected: List[float] = expected.tolist()
@@ -197,11 +198,9 @@ class ArrayDegreeTracker:
         self._dis: List[float] = (zero - expected).tolist()
         #: :meth:`dis_array`'s copy; every move drops it.
         self._dis_cache: Optional[np.ndarray] = None
-        #: tracked edges as ``min_id * n + max_id`` integer keys.
-        self._edge_keys: set = set()
-        #: every original-graph edge as an integer key (membership checks;
-        #: memoised on the snapshot, shared across trackers).
-        self._graph_keys: frozenset = csr.edge_key_set()
+        #: one flag per edge id, 1 while tracked, and a ``uint8`` view of it.
+        self._kept = bytearray(self._m)
+        self._kept_flags = np.frombuffer(self._kept, dtype=np.uint8)
         # Python sum in id (= insertion) order: the same float as summing
         # the expectations node by node in graph order.
         self._delta = float(sum(self._expected))
@@ -221,11 +220,16 @@ class ArrayDegreeTracker:
 
     @property
     def num_edges(self) -> int:
-        return len(self._edge_keys)
+        return int(np.count_nonzero(self._kept_flags))
 
     @property
     def num_nodes(self) -> int:
         return self._n
+
+    @property
+    def csr(self) -> "CSRAdjacency":
+        """The snapshot whose node and edge ids this tracker reads."""
+        return self._csr
 
     @property
     def weighted(self) -> bool:
@@ -243,108 +247,111 @@ class ArrayDegreeTracker:
             self._dis_cache.flags.writeable = False
         return self._dis_cache
 
-    def _edge_key(self, u: int, v: int) -> int:
-        return (u * self._n + v) if u < v else (v * self._n + u)
+    def edge_weights(self, ids: np.ndarray) -> np.ndarray:
+        """``float64`` weights of the edges ``ids`` (all-ones when unweighted)."""
+        ids = self._ids_in_range(ids)
+        return np.ones(ids.shape[0]) if self._weights is None else self._weights[ids]
 
-    def edge_weights_ids(self, edge_u: np.ndarray, edge_v: np.ndarray) -> np.ndarray:
-        """``float64`` weights of graph edges given as id arrays."""
-        if not self._is_weighted:
-            return np.ones(int(np.asarray(edge_u).shape[0]), dtype=np.float64)
-        return self._csr.edge_weights_for(
-            np.asarray(edge_u, dtype=np.int64), np.asarray(edge_v, dtype=np.int64)
-        )
+    def _tracked_error(self, e: int) -> ReductionError:
+        u, v = self._csr.labels[self._u_of[e]], self._csr.labels[self._v_of[e]]
+        return ReductionError(f"edge ({u!r}, {v!r}) is already tracked")
 
-    def _new_edge_keys(self, edge_u: np.ndarray, edge_v: np.ndarray) -> set:
-        """Validate a batch of edges to start tracking; return their keys.
+    def _bad_id(self, e: int) -> GraphError:
+        return GraphError(f"edge id {e!r} is outside [0, {self._m})")
 
-        Set-level checks first; only a failing batch is walked edge by
-        edge, to raise what :meth:`add_edge_ids` would raise for its first
-        offending edge: a non-graph edge, or one already tracked (earlier
-        in the batch included).
+    def _ids_in_range(self, ids: np.ndarray) -> np.ndarray:
+        """``ids`` as ``int64``; raise :meth:`_bad_id` for the first outside ``[0, m)``."""
+        ids = np.asarray(ids, dtype=np.int64)
+        if ids.shape[0] and (ids.min() < 0 or ids.max() >= self._m):
+            raise self._bad_id(int(ids[(ids < 0) | (ids >= self._m)][0]))
+        return ids
+
+    def _new_ids(self, ids: np.ndarray) -> np.ndarray:
+        """Validate a batch of edge ids to start tracking; return it as ``int64``.
+
+        Only a batch failing the vectorized checks is walked id by id, to
+        raise what :meth:`add_edge` would for its first out-of-range,
+        tracked or repeated id in batch order.
         """
-        n = self._n
-        keys = (np.minimum(edge_u, edge_v) * n + np.maximum(edge_u, edge_v)).tolist()
-        key_set = set(keys)
-        if (
-            len(key_set) != len(keys)
-            or not key_set <= self._graph_keys
-            or (key_set & self._edge_keys)
-        ):
-            labels = self._csr.labels
-            seen: set = set(self._edge_keys)
-            for key, u, v in zip(keys, edge_u.tolist(), edge_v.tolist()):
-                if key not in self._graph_keys:
-                    raise EdgeNotFoundError(labels[u], labels[v])
-                if key in seen:
-                    raise ReductionError(
-                        f"edge ({labels[u]!r}, {labels[v]!r}) is already tracked"
-                    )
-                seen.add(key)
-        return key_set
+        ids = np.asarray(ids, dtype=np.int64)
+        flags, m = self._kept_flags, self._m
+        if ids.shape[0] and ids.min() >= 0 and ids.max() < m and not flags[ids].any():
+            # Flag the batch: fewer new flags than ids means a repeat.
+            before = np.count_nonzero(flags)
+            flags[ids] = 1
+            distinct = np.count_nonzero(flags) == before + ids.shape[0]
+            flags[ids] = 0
+            if distinct:
+                return ids
+        seen: set = set()
+        for e in ids.tolist():
+            if not 0 <= e < m:
+                raise self._bad_id(e)
+            if self._kept[e] or e in seen:
+                raise self._tracked_error(e)
+            seen.add(e)
+        return ids
 
     # ------------------------------------------------------------------
     # Mutation (per-edge moves, term-by-term Δ accumulation)
     # ------------------------------------------------------------------
 
-    def add_edge_ids(self, u: int, v: int) -> None:
-        """Track graph edge ``(u, v)`` given by CSR ids."""
-        key = self._edge_key(u, v)
-        if key not in self._graph_keys:
-            labels = self._csr.labels
-            raise EdgeNotFoundError(labels[u], labels[v])
-        if key in self._edge_keys:
-            labels = self._csr.labels
-            raise ReductionError(f"edge ({labels[u]!r}, {labels[v]!r}) is already tracked")
+    def add_edge(self, e: int) -> None:
+        """Track snapshot edge ``e``."""
+        if not 0 <= e < self._m:
+            raise self._bad_id(e)
+        kept = self._kept
+        if kept[e]:
+            raise self._tracked_error(e)
+        u, v = self._u_of[e], self._v_of[e]
         # w is the int literal 1 when unweighted, so the float expressions
         # below are the paper's d_2 (and d_1 on removal) term for term, and
         # unit degrees stay ints.
-        w = self._weight_of[key] if self._is_weighted else 1
+        w = self._weight_of[e] if self._is_weighted else 1
         dis, current, expected = self._dis, self._current, self._expected
         du, dv = dis[u], dis[v]
         self._delta += abs(du + w) + abs(dv + w) - (abs(du) + abs(dv))
-        self._edge_keys.add(key)
+        kept[e] = 1
         self._dis_cache = None
         current[u] += w
         current[v] += w
         dis[u] = current[u] - expected[u]
         dis[v] = current[v] - expected[v]
 
-    def remove_edge_ids(self, u: int, v: int) -> None:
-        """Stop tracking edge ``(u, v)`` given by CSR ids."""
-        key = self._edge_key(u, v)
-        if key not in self._edge_keys:
-            labels = self._csr.labels
-            raise EdgeNotFoundError(labels[u], labels[v])
-        w = self._weight_of[key] if self._is_weighted else 1
+    def remove_edge(self, e: int) -> None:
+        """Stop tracking snapshot edge ``e``."""
+        if not 0 <= e < self._m:
+            raise self._bad_id(e)
+        kept = self._kept
+        u, v = self._u_of[e], self._v_of[e]
+        if not kept[e]:
+            raise EdgeNotFoundError(self._csr.labels[u], self._csr.labels[v])
+        w = self._weight_of[e] if self._is_weighted else 1
         dis, current, expected = self._dis, self._current, self._expected
         du, dv = dis[u], dis[v]
         self._delta += abs(du - w) + abs(dv - w) - (abs(du) + abs(dv))
-        self._edge_keys.discard(key)
+        kept[e] = 0
         self._dis_cache = None
         current[u] -= w
         current[v] -= w
         dis[u] = current[u] - expected[u]
         dis[v] = current[v] - expected[v]
 
-    def add_edges_ids(self, edge_u: np.ndarray, edge_v: np.ndarray) -> None:
-        """Bulk-track a batch of edges given as endpoint id arrays.
+    def add_edges(self, ids: np.ndarray) -> None:
+        """Bulk-track a batch of edge ids.
 
-        Equivalent to calling :meth:`add_edge_ids` per edge, except that
-        ``current`` is rebuilt with two ``bincount`` calls and ``Δ`` is
-        recomputed as ``Σ|dis|`` (see the class docstring for the exactness
-        contract).  Raises like the per-edge move on non-graph edges, edges
-        already tracked, or duplicates within the batch, and commits
-        nothing before the raise.
+        Equivalent to calling :meth:`add_edge` per id, except that
+        ``current`` is rebuilt with two ``bincount`` calls (weights summed
+        in batch order) and ``Δ`` is recomputed as ``Σ|dis|`` (see the
+        class docstring for the exactness contract).  Raises like the
+        per-edge move, and commits nothing before the raise.
         """
-        edge_u = np.asarray(edge_u, dtype=np.int64)
-        edge_v = np.asarray(edge_v, dtype=np.int64)
-        self._edge_keys |= self._new_edge_keys(edge_u, edge_v)
-        # Every key is a validated graph edge by now, so the vectorized
-        # snapshot lookup returns the same stored doubles as the dict.
-        w = self.edge_weights_ids(edge_u, edge_v) if self._is_weighted else None
+        ids = self._new_ids(ids)
+        self._kept_flags[ids] = 1
+        w = self._weights[ids] if self._is_weighted else None
         current = np.array(self._current, dtype=np.float64 if self._is_weighted else np.int64)
-        current += np.bincount(edge_u, weights=w, minlength=self._n)
-        current += np.bincount(edge_v, weights=w, minlength=self._n)
+        current += np.bincount(self._edge_u[ids], weights=w, minlength=self._n)
+        current += np.bincount(self._edge_v[ids], weights=w, minlength=self._n)
         dis = current - np.array(self._expected, dtype=np.float64)
         self._current[:] = current.tolist()
         self._dis[:] = dis.tolist()
@@ -352,36 +359,39 @@ class ArrayDegreeTracker:
         self._dis_cache = dis
         self._delta = float(np.abs(dis).sum())
 
-    def admit_edges_ids(self, edge_u: np.ndarray, edge_v: np.ndarray) -> None:
-        """:meth:`add_edge_ids` for each edge of a batch, all or nothing.
+    def admit_edges(self, ids: np.ndarray) -> None:
+        """:meth:`add_edge` for each id of a batch, all or nothing.
 
-        Unlike :meth:`add_edges_ids` (which recomputes ``Δ = Σ|dis|``),
-        this accumulates ``Δ`` term by term in batch order.  The whole
-        batch is validated first, so the first offending edge in batch
-        order raises what :meth:`add_edge_ids` would, before any edge of
-        the batch is tracked.
+        Unlike :meth:`add_edges` (which recomputes ``Δ = Σ|dis|``), this
+        accumulates ``Δ`` term by term in batch order.  The whole batch is
+        validated first, so the first offending id in batch order (out of
+        range, tracked or repeated) raises what :meth:`add_edge` would,
+        before any edge of the batch is tracked.
         """
-        edge_u = np.asarray(edge_u, dtype=np.int64)
-        edge_v = np.asarray(edge_v, dtype=np.int64)
-        self._new_edge_keys(edge_u, edge_v)
-        for u, v in zip(edge_u.tolist(), edge_v.tolist()):
-            self.add_edge_ids(u, v)
+        for e in self._new_ids(ids).tolist():
+            self.add_edge(e)
 
     # ------------------------------------------------------------------
     # Hypothetical moves (no mutation)
     # ------------------------------------------------------------------
 
-    def add_change_ids(self, edge_u: np.ndarray, edge_v: np.ndarray) -> np.ndarray:
-        """Change in ``Δ`` if each edge were added (paper's ``d_2``), vectorized."""
-        return add_change_from_dis(
-            self.dis_array(), edge_u, edge_v, self.edge_weights_ids(edge_u, edge_v)
-        )
+    def _endpoint_dis(self, ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``dis`` at the edges' ``u`` and at their ``v`` endpoints, read from
+        :meth:`dis_list` at those endpoints only (no copy of the whole list)."""
+        dis = self._dis
+        du = np.array([dis[x] for x in self._edge_u[ids].tolist()], dtype=np.float64)
+        dv = np.array([dis[x] for x in self._edge_v[ids].tolist()], dtype=np.float64)
+        return du, dv
 
-    def remove_change_ids(self, edge_u: np.ndarray, edge_v: np.ndarray) -> np.ndarray:
+    def add_change(self, ids: np.ndarray) -> np.ndarray:
+        """Change in ``Δ`` if each edge were added (paper's ``d_2``), vectorized."""
+        ids = self._ids_in_range(ids)
+        return add_change_from_dis(*self._endpoint_dis(ids), self.edge_weights(ids))
+
+    def remove_change(self, ids: np.ndarray) -> np.ndarray:
         """Change in ``Δ`` if each edge were removed (paper's ``d_1``), vectorized."""
-        return remove_change_from_dis(
-            self.dis_array(), edge_u, edge_v, self.edge_weights_ids(edge_u, edge_v)
-        )
+        ids = self._ids_in_range(ids)
+        return remove_change_from_dis(*self._endpoint_dis(ids), self.edge_weights(ids))
 
 
 def compute_delta(original: Graph, reduced: Graph, p: float) -> float:

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
+import numpy as np
+
 from repro.core.base import ReductionResult
 from repro.core.bounds import (
     bm2_average_delta_bound,
@@ -81,21 +83,26 @@ def validate_reduction(
     original, reduced = result.original, result.reduced
     is_summary_method = "summary" in result.stats
 
-    if set(reduced.nodes()) != set(original.nodes()):
-        missing = len(set(original.nodes()) - set(reduced.nodes()))
-        extra = len(set(reduced.nodes()) - set(original.nodes()))
+    # V' = V and E' ⊆ E in the original snapshot's ids (-1: a foreign node).
+    csr = original.csr()
+    labels, reduced_u, reduced_v, _ = reduced.edge_arrays()
+    index_of = csr.index_of
+    to_orig = np.fromiter((index_of.get(x, -1) for x in labels), np.int64, len(labels))
+    extra = int(np.count_nonzero(to_orig < 0))
+    missing = csr.num_nodes - (len(labels) - extra)
+    if missing or extra:
         failures.append(
             f"node set mismatch: {missing} original nodes missing,"
             f" {extra} foreign nodes present"
         )
-
-    invented = [
-        (u, v) for u, v in reduced.edges() if not original.has_edge(u, v)
-    ]
-    if invented:
+    orig_u, orig_v = to_orig[reduced_u], to_orig[reduced_v]
+    invented = np.nonzero(csr.edge_ids_of(orig_u, orig_v) < 0)[0]
+    if invented.shape[0]:
+        k = int(invented[0])
+        first = (labels[reduced_u[k]], labels[reduced_v[k]])
         message = (
-            f"{len(invented)} reduced edges are not in the original graph"
-            f" (e.g. {invented[0]!r})"
+            f"{invented.shape[0]} reduced edges are not in the original graph"
+            f" (e.g. {first!r})"
         )
         if is_summary_method:
             warnings.append(f"{message} — spurious superedge expansion")
@@ -152,14 +159,15 @@ def validate_reduction(
             # Phase 1 keeps deg' ≤ b(u) < p·deg + 1 under every rounding
             # rule; Phase 2 adds edges at a group-A node only while its dis
             # is ≤ −½, and at most one at a group-B node.  So dis(u) < 1.
-            for node in original.nodes():
-                excess = reduced.degree(node) - result.p * original.degree(node)
-                if excess >= 1.0 + 1e-9:
-                    failures.append(
-                        f"BM2 node {node!r} has deg' − p·deg = {excess:.6f},"
-                        " not below its capacity/repair bound 1"
-                    )
-                    break
+            degrees = np.bincount(np.concatenate((orig_u, orig_v)), minlength=csr.num_nodes)
+            excess = degrees - result.p * csr.degree_array()
+            over = np.nonzero(excess >= 1.0 + 1e-9)[0]
+            if over.shape[0]:
+                k = int(over[0])
+                failures.append(
+                    f"BM2 node {csr.labels[k]!r} has deg' − p·deg = {excess[k]:.6f},"
+                    " not below its capacity/repair bound 1"
+                )
 
     bound = result.stats.get("delta_bound")
     if bound is not None and result.delta > bound + 1e-9:

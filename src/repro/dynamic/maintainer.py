@@ -535,12 +535,12 @@ class IncrementalShedder:
 
     def _restock_reservoir(self) -> None:
         """Refill the reservoir with the current shed set (G edges not kept)."""
-        self._reservoir.clear()
-        tracker = self._tracker
-        reduced = self._reduced
-        for a, b in self._graph.edges():  # deterministic insertion order
-            if not reduced.has_edge(a, b):
-                self._reservoir.offer(_key(tracker.id_of(a), tracker.id_of(b)))
+        tracker, reduced = self._tracker, self._reduced
+        self._reservoir.refill([
+            _key(tracker.id_of(a), tracker.id_of(b))
+            for a, b in self._graph.edges()  # deterministic insertion order
+            if not reduced.has_edge(a, b)
+        ])
 
     # ------------------------------------------------------------------
     # Out-of-band mutation detection

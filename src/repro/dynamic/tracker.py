@@ -1,9 +1,9 @@
 """Growable Δ state for a *mutating* original graph.
 
-:class:`~repro.core.discrepancy.ArrayDegreeTracker` is frozen to one CSR
-snapshot: its node ids, expectations ``p·deg_G(u)`` and edge-key universe
-are fixed at construction, which is exactly right for offline shedding and
-exactly wrong under churn, where every insert/delete moves *both* sides of
+:class:`~repro.core.discrepancy.ArrayDegreeTracker` reads one CSR
+snapshot: its node ids, expectations ``p·deg_G(u)`` and snapshot edge ids
+are fixed at construction, which is right for offline shedding and wrong
+under churn, where every insert/delete moves *both* sides of
 ``dis(u) = deg_G'(u) − p·deg_G(u)``.
 
 :class:`DynamicDegreeTracker` keeps ``deg``, ``current`` (ints) and

@@ -12,6 +12,9 @@ orients edges earlier-inserted-endpoint-first, the canonical orientation
 of any edge is simply ``(labels[min(u, v)], labels[max(u, v)])`` in id
 space — which is what lets the array kernels map half-edge scores back
 to canonical :data:`Edge` keys without consulting the originating graph.
+An edge's *edge id* is its position in :meth:`CSRAdjacency.edge_list_ids`;
+the shedding engines and their degree tracker name edges by it, and
+:meth:`CSRAdjacency.edge_ids_of` maps endpoint pairs to it.
 
 Snapshots are usually obtained via :meth:`Graph.csr`, which caches one
 per graph and invalidates it on mutation, so back-to-back array
@@ -32,7 +35,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import GraphError
+from repro.errors import EdgeNotFoundError, GraphError
 from repro.graph.graph import Graph, Node
 
 __all__ = ["CSRAdjacency", "CSRView"]
@@ -152,44 +155,53 @@ class CSRAdjacency:
             self._derived["weighted_degrees"] = degrees
         return self._derived["weighted_degrees"]
 
-    def edge_weight_map(self) -> dict:
-        """``min_id * n + max_id`` edge key -> weight (memoised on the snapshot).
+    def edge_ids_of(self, edge_u: np.ndarray, edge_v: np.ndarray) -> np.ndarray:
+        """``int64`` edge ids of the pairs ``(edge_u[k], edge_v[k])``; ``-1`` for a non-edge.
 
-        Built once and shared across every tracker bound to this snapshot;
-        callers must treat it as read-only.
+        An edge's id is its position in :meth:`edge_list_ids`, the id space
+        of the shedding engines and
+        :class:`~repro.core.discrepancy.ArrayDegreeTracker`.  Either
+        orientation of a pair finds the edge; a pair that is not an edge
+        here (endpoint ids outside ``[0, n)`` included) gets ``-1``.  One
+        ``searchsorted`` over a memoised sorted array of ``min_id * n +
+        max_id`` keys answers the whole batch.
         """
-        if "weight_map" not in self._derived:
-            edge_u, edge_v = self.edge_list_ids()
-            keys = np.minimum(edge_u, edge_v) * self.num_nodes + np.maximum(edge_u, edge_v)
-            self._derived["weight_map"] = dict(
-                zip(keys.tolist(), self.edge_weights_array().tolist())
+        n = self.num_nodes
+        if "sorted_edge_keys" not in self._derived:
+            own_u, own_v = self.edge_list_ids()
+            keys = np.minimum(own_u, own_v) * n + np.maximum(own_u, own_v)
+            order = np.argsort(keys)
+            # A sentinel past every key keeps each search position in range.
+            self._derived["sorted_edge_keys"] = (
+                np.append(keys[order], np.iinfo(np.int64).max), np.append(order, -1)
             )
-        return self._derived["weight_map"]
+        sorted_keys, order = self._derived["sorted_edge_keys"]
+        low = np.minimum(edge_u, edge_v).astype(np.int64, copy=False)
+        high = np.maximum(edge_u, edge_v).astype(np.int64, copy=False)
+        query = low * n + high
+        # Searching the queries in sorted order is about twice as fast.
+        by_key = np.argsort(query)
+        positions = np.empty_like(by_key)
+        positions[by_key] = np.searchsorted(sorted_keys, query[by_key])
+        found = (sorted_keys[positions] == query) & (low >= 0) & (high < n)
+        return np.where(found, order[positions], -1)
+
+    def existing_edge_ids(self, edge_u: np.ndarray, edge_v: np.ndarray) -> np.ndarray:
+        """:meth:`edge_ids_of` for pairs that must be edges of this snapshot.
+
+        Raises :class:`~repro.errors.EdgeNotFoundError` naming the first pair
+        that is not by its labels (an endpoint outside ``[0, n)`` by its id).
+        """
+        ids = self.edge_ids_of(edge_u, edge_v)
+        if ids.shape[0] and ids.min() < 0:
+            k = int(np.argmax(ids < 0))
+            u, v, n, labels = int(edge_u[k]), int(edge_v[k]), self.num_nodes, self.labels
+            raise EdgeNotFoundError(labels[u] if 0 <= u < n else u, labels[v] if 0 <= v < n else v)
+        return ids
 
     def edge_weights_for(self, edge_u: np.ndarray, edge_v: np.ndarray) -> np.ndarray:
-        """``float64`` weights of the given edges (each must exist here).
-
-        Looks edges up by their ``min_id * n + max_id`` key against the
-        snapshot's own edge set; all-ones when unweighted.  Order of the
-        inputs is preserved in the output.
-        """
-        count = int(np.asarray(edge_u).shape[0])
-        if self.weights is None:
-            return np.ones(count, dtype=np.float64)
-        if "sorted_keys" not in self._derived:
-            own_u, own_v = self.edge_list_ids()
-            keys = np.minimum(own_u, own_v) * self.num_nodes + np.maximum(own_u, own_v)
-            order = np.argsort(keys, kind="stable")
-            self._derived["sorted_keys"] = (keys[order], self.weights[order])
-        sorted_keys, sorted_weights = self._derived["sorted_keys"]
-        query = np.minimum(edge_u, edge_v) * self.num_nodes + np.maximum(edge_u, edge_v)
-        positions = np.searchsorted(sorted_keys, query)
-        if positions.shape[0] and (
-            bool(np.any(positions >= sorted_keys.shape[0]))
-            or bool(np.any(sorted_keys[np.minimum(positions, sorted_keys.shape[0] - 1)] != query))
-        ):
-            raise GraphError("edge_weights_for: edge not in snapshot")
-        return sorted_weights[positions]
+        """``float64`` weights of the given edges: a gather through :meth:`existing_edge_ids`."""
+        return self.edge_weights_array()[self.existing_edge_ids(edge_u, edge_v)]
 
     def entry_heads(self) -> np.ndarray:
         """``int64[2m]`` — the head (owning row) of each CSR entry."""
@@ -260,19 +272,6 @@ class CSRAdjacency:
         if "entry_keys" not in self._derived:
             self._derived["entry_keys"] = self.entry_heads() * self.num_nodes + self.indices
         return self._derived["entry_keys"]
-
-    def edge_key_set(self) -> frozenset:
-        """Every edge as an integer key ``min_id * n + max_id`` (memoised).
-
-        The id-space analogue of a ``frozenset``-of-edges membership
-        structure; shared by every :class:`ArrayDegreeTracker` built on the
-        same snapshot.
-        """
-        if "edge_keys" not in self._derived:
-            edge_u, edge_v = self.edge_list_ids()
-            keys = np.minimum(edge_u, edge_v) * self.num_nodes + np.maximum(edge_u, edge_v)
-            self._derived["edge_keys"] = frozenset(keys.tolist())
-        return self._derived["edge_keys"]
 
     def labels_array(self) -> np.ndarray:
         """``object[n]`` of node labels, for bulk id → label gathers (memoised)."""

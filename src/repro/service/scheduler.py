@@ -317,7 +317,7 @@ class ProcessEngine:
         # Weights ship whenever the graph carries them (weight-blind runs
         # on weighted graphs still need worker-side Δ_E stats); ``weighted``
         # additionally selects the probability-aware shedder.
-        edge_w = csr.edge_weights_for(u_ids, v_ids) if csr.is_weighted else None
+        edge_w = csr.weights
         payload = (csr.labels, u_ids, v_ids, edge_w, method, p, seed, num_sources, weighted)
         with self._lock:
             if self._pool is None:

@@ -89,63 +89,61 @@ def _shard_job(
     return _shed_shard_view(worker_snapshot().view_of(node_ids), shedder, p)
 
 
-def _admission_rounds(
+def _greedy_rounds(
     tracker: ArrayDegreeTracker,
-    edge_u: np.ndarray,
-    edge_v: np.ndarray,
+    candidates: np.ndarray,
     remaining: np.ndarray,
     improving_only: bool,
     limit: Optional[int],
-) -> Tuple[List[int], List[int]]:
-    """Greedy admission of candidate edges in batch rounds.
+    remove: bool = False,
+) -> np.ndarray:
+    """Greedy admission (with ``remove``, demotion) of candidate edge ids in rounds.
 
     ``remaining`` masks the candidates still untaken and is updated in
-    place.  Each round evaluates every remaining candidate's ``Δ``-change in
-    one vectorized call, walks candidates best-first, and defers edges
-    sharing an endpoint with a this-round admission (their gain is stale
-    after it).  ``improving_only`` restricts admissions to strict
-    improvements; otherwise admission continues least-harm-first until
-    ``limit`` edges were taken.  Gains are monotone non-decreasing in the
-    endpoints' discrepancies, so once no strict improvement remains none
-    can reappear — the improving loop terminates.
+    place; returns the moved candidates' positions, in move order.  Each
+    round scores every remaining candidate's ``Δ``-change in one vectorized
+    call, walks candidates best-first, and defers edges sharing an
+    endpoint with a this-round move (their score is stale after it).
+    ``improving_only`` restricts moves to strict improvements; otherwise
+    moves continue least-harm-first until ``limit`` edges were moved.
+    Admission gains are monotone non-decreasing in the endpoints'
+    discrepancies, so once no strict improvement remains none can
+    reappear — the improving loop terminates.
     """
-    added_u: List[int] = []
-    added_v: List[int] = []
+    edge_u, edge_v = tracker.csr.edge_list_ids()
+    score = tracker.remove_change if remove else tracker.add_change
+    moved: List[int] = []
     while remaining.any():
-        if limit is not None and len(added_u) >= limit:
+        if limit is not None and len(moved) >= limit:
             break
         positions = np.nonzero(remaining)[0]
-        batch_u = edge_u[positions]
-        batch_v = edge_v[positions]
-        gains = tracker.add_change_ids(batch_u, batch_v)
+        batch = candidates[positions]
+        gains = score(batch)
+        order = np.argsort(gains, kind="stable")
         if improving_only:
-            candidates = np.nonzero(gains < -_MIN_IMPROVEMENT)[0]
-            if candidates.shape[0] == 0:
-                break
-            order = candidates[np.argsort(gains[candidates], kind="stable")]
-        else:
-            order = np.argsort(gains, kind="stable")
-        touched = np.zeros(tracker.num_nodes, dtype=bool)
-        round_u: List[int] = []
-        round_v: List[int] = []
+            order = order[gains[order] < -_MIN_IMPROVEMENT]
+        batch_u, batch_v = edge_u[batch].tolist(), edge_v[batch].tolist()
+        touched = bytearray(tracker.num_nodes)
+        taken: List[int] = []
         for k in order.tolist():
-            if limit is not None and len(added_u) + len(round_u) >= limit:
+            if limit is not None and len(moved) + len(taken) >= limit:
                 break
-            u = int(batch_u[k])
-            v = int(batch_v[k])
+            u, v = batch_u[k], batch_v[k]
             if touched[u] or touched[v]:
                 continue
-            remaining[positions[k]] = False
-            touched[u] = True
-            touched[v] = True
-            round_u.append(u)
-            round_v.append(v)
-        if not round_u:
+            touched[u] = touched[v] = 1
+            taken.append(k)
+        if not taken:
             break
-        tracker.admit_edges_ids(round_u, round_v)
-        added_u.extend(round_u)
-        added_v.extend(round_v)
-    return added_u, added_v
+        taken_positions = positions[taken]
+        remaining[taken_positions] = False
+        if remove:
+            for e in candidates[taken_positions].tolist():
+                tracker.remove_edge(e)
+        else:
+            tracker.admit_edges(candidates[taken_positions])
+        moved.extend(taken_positions.tolist())
+    return np.asarray(moved, dtype=np.int64)
 
 
 def reconcile_ids(
@@ -169,7 +167,8 @@ def reconcile_ids(
     boundary is used up, with least-harm edges that are neither kept nor
     boundary (the shards' shed interior edges).  Steps (b)/(c) are
     mutually exclusive and land the reduction on exactly ``target``
-    edges.
+    edges.  The tracker runs on the pairs' snapshot edge ids (a non-edge
+    raises :class:`~repro.errors.EdgeNotFoundError`); pairs keep their orientation.
 
     ``target`` is the *method's* contract, not a universal one: CRR pins
     ``[p·m]`` exactly, so its sharded runs pass it; BM2's edge count is
@@ -187,92 +186,51 @@ def reconcile_ids(
     bound is untouched.  Intended for ``target=None`` (BM2) runs — with a
     ``target``, pruning would also shrink the fill pool.
     """
+    kept_ids = csr.existing_edge_ids(kept_u, kept_v)
+    boundary_ids = csr.existing_edge_ids(boundary_u, boundary_v)
     tracker = ArrayDegreeTracker(csr, p)
-    tracker.add_edges_ids(kept_u, kept_v)
-    stats["boundary_candidates_pruned"] = 0
-    if sparsify_beta is not None and boundary_u.shape[0]:
-        scores = tracker.add_change_ids(boundary_u, boundary_v)
+    tracker.add_edges(kept_ids)
+    remaining = np.ones(boundary_ids.shape[0], dtype=bool)
+    if sparsify_beta is not None and boundary_ids.shape[0]:
+        scores = tracker.add_change(boundary_ids)
         remaining = prune_boundary_ids(boundary_u, boundary_v, scores, sparsify_beta)
-        stats["boundary_candidates_pruned"] = int(
-            boundary_u.shape[0] - np.count_nonzero(remaining)
+    stats["boundary_candidates_pruned"] = int(remaining.shape[0] - np.count_nonzero(remaining))
+
+    admitted = _greedy_rounds(tracker, boundary_ids, remaining, True, None)
+    current_ids = np.concatenate((kept_ids, boundary_ids[admitted]))
+    current_u = np.concatenate((kept_u, boundary_u[admitted]))
+    current_v = np.concatenate((kept_v, boundary_v[admitted]))
+
+    demoted = filled = interior = np.empty(0, dtype=np.int64)
+    if target is not None and tracker.num_edges > target:
+        keep = np.ones(current_ids.shape[0], dtype=bool)
+        demoted = _greedy_rounds(
+            tracker, current_ids, keep, False, tracker.num_edges - target, remove=True
         )
-    else:
-        remaining = np.ones(boundary_u.shape[0], dtype=bool)
+        current_ids, current_u, current_v = current_ids[keep], current_u[keep], current_v[keep]
 
-    admitted_u, admitted_v = _admission_rounds(
-        tracker, boundary_u, boundary_v, remaining, improving_only=True, limit=None
-    )
-    current_u = np.concatenate((kept_u, np.asarray(admitted_u, dtype=np.int64)))
-    current_v = np.concatenate((kept_v, np.asarray(admitted_v, dtype=np.int64)))
-
-    demoted = 0
-    while target is not None and tracker.num_edges > target:
-        costs = tracker.remove_change_ids(current_u, current_v)
-        order = np.argsort(costs, kind="stable")
-        drop = np.zeros(current_u.shape[0], dtype=bool)
-        touched = np.zeros(tracker.num_nodes, dtype=bool)
-        removed_this_round = False
-        for k in order.tolist():
-            if tracker.num_edges <= target:
-                break
-            u = int(current_u[k])
-            v = int(current_v[k])
-            if touched[u] or touched[v]:
-                continue
-            tracker.remove_edge_ids(u, v)
-            drop[k] = True
-            touched[u] = True
-            touched[v] = True
-            demoted += 1
-            removed_this_round = True
-        if not removed_this_round:
-            break
-        keep = ~drop
-        current_u = current_u[keep]
-        current_v = current_v[keep]
-
-    filled_u: List[int] = []
-    filled_v: List[int] = []
     if target is not None and tracker.num_edges < target:
-        filled_u, filled_v = _admission_rounds(
-            tracker,
-            boundary_u,
-            boundary_v,
-            remaining,
-            improving_only=False,
-            limit=target - tracker.num_edges,
-        )
-        current_u = np.concatenate((current_u, np.asarray(filled_u, dtype=np.int64)))
-        current_v = np.concatenate((current_v, np.asarray(filled_v, dtype=np.int64)))
+        filled = _greedy_rounds(tracker, boundary_ids, remaining, False, target - tracker.num_edges)
+        current_ids = np.concatenate((current_ids, boundary_ids[filled]))
+        current_u = np.concatenate((current_u, boundary_u[filled]))
+        current_v = np.concatenate((current_v, boundary_v[filled]))
 
-    interior_u: List[int] = []
-    interior_v: List[int] = []
     if target is not None and tracker.num_edges < target:
         # The boundary is used up: fill from the edges no shard kept.
-        n = csr.num_nodes
         edge_u, edge_v = csr.edge_list_ids()
-        taken_u = np.concatenate((current_u, boundary_u))
-        taken_v = np.concatenate((current_v, boundary_v))
-        spare = ~np.isin(
-            np.minimum(edge_u, edge_v) * n + np.maximum(edge_u, edge_v),
-            np.minimum(taken_u, taken_v) * n + np.maximum(taken_u, taken_v),
+        spare = np.ones(edge_u.shape[0], dtype=bool)
+        spare[np.concatenate((current_ids, boundary_ids))] = False
+        interior = _greedy_rounds(
+            tracker, np.arange(edge_u.shape[0]), spare, False, target - tracker.num_edges
         )
-        interior_u, interior_v = _admission_rounds(
-            tracker,
-            edge_u,
-            edge_v,
-            spare,
-            improving_only=False,
-            limit=target - tracker.num_edges,
-        )
-        current_u = np.concatenate((current_u, np.asarray(interior_u, dtype=np.int64)))
-        current_v = np.concatenate((current_v, np.asarray(interior_v, dtype=np.int64)))
+        current_u = np.concatenate((current_u, edge_u[interior]))
+        current_v = np.concatenate((current_v, edge_v[interior]))
 
     stats["reconcile_target"] = target
-    stats["boundary_admitted"] = len(admitted_u)
-    stats["boundary_filled"] = len(filled_u)
-    stats["interior_filled"] = len(interior_u)
-    stats["demoted"] = demoted
+    stats["boundary_admitted"] = int(admitted.shape[0])
+    stats["boundary_filled"] = int(filled.shape[0])
+    stats["interior_filled"] = int(interior.shape[0])
+    stats["demoted"] = int(demoted.shape[0])
     stats["tracker_delta"] = tracker.delta
     return current_u, current_v
 

@@ -18,7 +18,7 @@ A single-pass uniform :func:`reservoir_shed` is included as the baseline
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Iterable, Iterator, List
+from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Sequence
 
 import numpy as np
 
@@ -84,7 +84,12 @@ def shed_stream(
 
 
 def reservoir_slot(rng: np.random.Generator, seen: int, capacity: int) -> int:
-    """Algorithm R's replacement draw, shared by every reservoir consumer.
+    """Algorithm R's replacement draw for one offer.
+
+    :func:`reservoir_shed` and :meth:`EdgeReservoir.offer` draw with it;
+    :meth:`EdgeReservoir.refill` applies the same rule to a whole batch,
+    drawing every slot in one broadcast ``integers`` call that yields the
+    same values as one call here per offer.
 
     Given that ``seen`` items have been offered so far (including the
     current one) to a full reservoir of size ``capacity``, return the slot
@@ -156,9 +161,10 @@ class EdgeReservoir:
     The dynamic maintenance layer (:mod:`repro.dynamic`) holds the edges it
     had to reject or demote in one of these so localized repair can promote
     them back later without remembering the unbounded shed set.  Replacement
-    uses the same Algorithm-R draw as :func:`reservoir_shed`
-    (:func:`reservoir_slot`), so a long offer stream leaves an approximately
-    uniform sample of the offered edges.
+    uses the same Algorithm-R draw as :func:`reservoir_shed`: :meth:`offer`
+    calls :func:`reservoir_slot`, and :meth:`refill` draws a batch's slots
+    in one broadcast call with the same values, so a long offer stream
+    leaves an approximately uniform sample of the offered edges.
 
     Unlike the one-shot :func:`reservoir_shed`, membership is indexed:
     :meth:`offer` refuses duplicates and :meth:`discard` removes a specific
@@ -256,8 +262,23 @@ class EdgeReservoir:
     def items(self) -> List[Hashable]:
         return list(self._items)
 
-    def clear(self) -> None:
-        """Drop every held edge (the offer counter restarts with the pool)."""
-        self._items.clear()
-        self._position.clear()
-        self._offers = 0
+    def refill(self, items: Sequence[Hashable]) -> None:
+        """Replace the pool with an Algorithm-R sample of distinct ``items``.
+
+        Ends in the state offering each item to an emptied pool would
+        leave, random stream included, with every slot drawn in one
+        ``integers`` call over the bounds ``capacity+1..len(items)``.
+        """
+        items = list(items)
+        if len(set(items)) != len(items):
+            raise ReductionError("reservoir refill items must be distinct")
+        capacity = self._capacity
+        held = items[:capacity]
+        if capacity:  # a zero-capacity pool draws nothing
+            bounds = np.arange(capacity + 1, len(items) + 1)
+            for slot, offer in zip(self._rng.integers(bounds).tolist(), items[capacity:]):
+                if slot < capacity:
+                    held[slot] = offer
+        self._items = held
+        self._position = {edge: slot for slot, edge in enumerate(held)}
+        self._offers = len(items)

@@ -4,12 +4,20 @@ The label-keyed contract runs against the dict ``DegreeTracker`` oracle
 and against the array tracker addressed by labels (``LabelTracker``).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro.core import compute_delta, round_half_up, swap_change_scalar_from_dis
-from repro.errors import EdgeNotFoundError, InvalidRatioError, ReductionError
+from repro.core import (
+    ArrayDegreeTracker,
+    compute_delta,
+    round_half_up,
+    swap_change_scalar_from_dis,
+)
+from repro.errors import EdgeNotFoundError, GraphError, InvalidRatioError, ReductionError
 from repro.graph import Graph
+from repro.graph.matching import greedy_b_matching_ids
 from tests.oracles.core import (
     DegreeTracker,
     IdsView,
@@ -151,10 +159,13 @@ class TestHypotheticalMoves:
 
 
 class TestArrayTracker:
-    """Behaviour specific to the array tracker: the id API and batched moves."""
+    """Behaviour specific to the array tracker: the edge-id API and batched moves."""
 
     def _ids(self, tracker, *labels):
         return [tracker._csr.index_of[label] for label in labels]
+
+    def _edge_ids(self, tracker, edges):
+        return np.array([tracker.edge_id(u, v) for u, v in edges], dtype=np.int64)
 
     def test_dis_matches_dict_tracker_bitwise(self, figure1):
         oracle = DegreeTracker(figure1, 0.4)
@@ -169,25 +180,85 @@ class TestArrayTracker:
     def test_id_api_mirrors_label_api(self, figure1):
         by_label = LabelTracker(figure1, 0.4)
         by_id = LabelTracker(figure1, 0.4)
-        u, v = self._ids(by_id, "u1", "u7")
+        e = by_id.edge_id("u1", "u7")
+        assert e == by_id.edge_id("u7", "u1")  # either orientation
         by_label.add_edge("u1", "u7")
-        by_id.add_edge_ids(u, v)
+        by_id.tracker.add_edge(e)
         assert by_id.delta == by_label.delta
         assert by_id.has_edge("u1", "u7")
-        by_id.remove_edge_ids(u, v)
+        by_id.tracker.remove_edge(e)
         by_label.remove_edge("u1", "u7")
         assert by_id.delta == by_label.delta
         assert by_id.num_edges == 0
 
-    def test_add_edge_ids_validates_like_scalar(self, path5):
+    def test_add_edge_validates_like_scalar(self, path5):
         tracker = LabelTracker(path5, 0.5)
         with pytest.raises(EdgeNotFoundError):
-            tracker.add_edge_ids(0, 4)  # not a graph edge
-        tracker.add_edge_ids(0, 1)
+            tracker.add_edge(0, 4)  # not a graph edge: raised at the pair -> id boundary
+        tracker.tracker.add_edge(tracker.edge_id(0, 1))
         with pytest.raises(ReductionError):
-            tracker.add_edge_ids(1, 0)  # already tracked
+            tracker.tracker.add_edge(tracker.edge_id(1, 0))  # already tracked
         with pytest.raises(EdgeNotFoundError):
-            tracker.remove_edge_ids(1, 2)  # never tracked
+            tracker.tracker.remove_edge(tracker.edge_id(1, 2))  # never tracked
+
+    @pytest.mark.parametrize("bad", [-1, -4, 4, 99])
+    def test_out_of_range_ids_raise_and_change_nothing(self, path5, bad):
+        """A negative id must not wrap to the last edge, as list indexing would."""
+        tracker = LabelTracker(path5, 0.5).tracker
+        tracker.add_edge(0)
+        before = (tracker.delta, tracker.num_edges, tracker.dis_array().tobytes())
+        moves = [
+            lambda: tracker.add_edge(bad),
+            lambda: tracker.remove_edge(bad),
+            lambda: tracker.add_edges(np.array([2, bad])),
+            lambda: tracker.admit_edges(np.array([2, bad])),
+            lambda: tracker.add_change(np.array([bad])),
+            lambda: tracker.remove_change(np.array([bad])),
+            lambda: tracker.edge_weights(np.array([bad])),
+        ]
+        for move in moves:
+            with pytest.raises(GraphError, match="outside"):
+                move()
+            assert (tracker.delta, tracker.num_edges, tracker.dis_array().tobytes()) == before
+        assert list(tracker._kept) == [1, 0, 0, 0]
+
+    def test_bad_moves_change_nothing(self, path5):
+        tracker = LabelTracker(path5, 0.5)
+        tracker.add_edge(1, 2)
+        before = (tracker.delta, tracker.num_edges, tracker.dis_array().tobytes())
+        kept = bytes(tracker.tracker._kept)
+        e12, e23 = tracker.edge_id(1, 2), tracker.edge_id(2, 3)
+        with pytest.raises(ReductionError):
+            tracker.tracker.add_edge(e12)  # second add
+        with pytest.raises(EdgeNotFoundError):
+            tracker.tracker.remove_edge(e23)  # untracked
+        for batch in ([e23, e12], [e23, e23]):  # a tracked id; a repeat
+            for move in (tracker.add_edges, tracker.admit_edges):
+                with pytest.raises(ReductionError):
+                    move(np.array(batch))
+        assert (tracker.delta, tracker.num_edges, tracker.dis_array().tobytes()) == before
+        assert bytes(tracker.tracker._kept) == kept
+
+    @pytest.mark.parametrize(
+        "batch, error",
+        [
+            ([1, 9], ReductionError),  # tracked, then out of range
+            ([9, 1], GraphError),  # out of range, then tracked
+            ([2, 2, -1], ReductionError),  # a repeat, then negative
+            ([-1, 2, 2], GraphError),  # negative, then a repeat
+        ],
+    )
+    def test_first_bad_id_in_batch_order_raises(self, path5, batch, error):
+        """A batch raises what ``add_edge`` would for its first bad id."""
+        for move in ("add_edges", "admit_edges"):
+            tracker = LabelTracker(path5, 0.5).tracker
+            tracker.add_edge(1)
+            before = (tracker.delta, tracker.num_edges, tracker.dis_array().tobytes())
+            with pytest.raises((GraphError, ReductionError)) as raised:
+                getattr(tracker, move)(np.array(batch))
+            assert raised.type is error
+            assert (tracker.delta, tracker.num_edges, tracker.dis_array().tobytes()) == before
+            assert list(tracker._kept) == [0, 1, 0, 0]
 
     def test_bulk_add_matches_scalar_adds(self, figure1):
         scalar = LabelTracker(figure1, 0.4)
@@ -195,10 +266,7 @@ class TestArrayTracker:
         edges = [("u1", "u7"), ("u2", "u7"), ("u7", "u9"), ("u8", "u10")]
         for edge in edges:
             scalar.add_edge(*edge)
-        ids = [self._ids(bulk, u, v) for u, v in edges]
-        bulk.add_edges_ids(
-            np.array([u for u, _ in ids]), np.array([v for _, v in ids])
-        )
+        bulk.add_edges(self._edge_ids(bulk, edges))
         assert bulk.num_edges == scalar.num_edges
         assert bulk.delta == pytest.approx(scalar.delta, abs=1e-9)
         np.testing.assert_array_equal(bulk.dis_array(), scalar.dis_array())
@@ -206,18 +274,18 @@ class TestArrayTracker:
     def test_bulk_add_rejects_duplicates_within_batch(self, triangle):
         tracker = LabelTracker(triangle, 0.5)
         with pytest.raises(ReductionError):
-            tracker.add_edges_ids(np.array([0, 1]), np.array([1, 0]))
+            tracker.add_edges(self._edge_ids(tracker, [(0, 1), (1, 0)]))
 
     def test_bulk_add_rejects_already_tracked(self, triangle):
         tracker = LabelTracker(triangle, 0.5)
         tracker.add_edge(0, 1)
         with pytest.raises(ReductionError):
-            tracker.add_edges_ids(np.array([1]), np.array([0]))
+            tracker.add_edges(self._edge_ids(tracker, [(1, 0)]))
 
     def test_bulk_add_rejects_foreign_edges(self, path5):
         tracker = LabelTracker(path5, 0.5)
         with pytest.raises(EdgeNotFoundError):
-            tracker.add_edges_ids(np.array([0]), np.array([4]))
+            tracker.add_edges(self._edge_ids(tracker, [(0, 4)]))
 
     def test_admit_matches_scalar_adds_bitwise(self, figure1):
         """Distinct-endpoint admission replays scalar adds exactly (Δ order)."""
@@ -226,10 +294,7 @@ class TestArrayTracker:
         edges = [("u1", "u7"), ("u8", "u10"), ("u9", "u11")]
         for edge in edges:
             scalar.add_edge(*edge)
-        ids = [self._ids(batch, u, v) for u, v in edges]
-        batch.admit_edges_ids(
-            np.array([u for u, _ in ids]), np.array([v for _, v in ids])
-        )
+        batch.admit_edges(self._edge_ids(batch, edges))
         assert batch.delta == scalar.delta  # bitwise, not approx
         np.testing.assert_array_equal(batch.dis_array(), scalar.dis_array())
         assert batch.num_edges == scalar.num_edges
@@ -241,19 +306,14 @@ class TestArrayTracker:
         edges = [("u1", "u7"), ("u2", "u7"), ("u7", "u9")]  # u7 repeats
         for edge in edges:
             scalar.add_edge(*edge)
-        ids = [self._ids(batch, u, v) for u, v in edges]
-        batch.admit_edges_ids(
-            np.array([u for u, _ in ids]), np.array([v for _, v in ids])
-        )
+        batch.admit_edges(self._edge_ids(batch, edges))
         assert batch.delta == scalar.delta
         np.testing.assert_array_equal(batch.dis_array(), scalar.dis_array())
 
     def test_admit_empty_batch_is_noop(self, triangle):
         tracker = LabelTracker(triangle, 0.5)
         before = tracker.delta
-        tracker.admit_edges_ids(
-            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        )
+        tracker.admit_edges(np.empty(0, dtype=np.int64))
         assert tracker.delta == before
         assert tracker.num_edges == 0
 
@@ -261,11 +321,11 @@ class TestArrayTracker:
         """A bad batch is atomic: nothing from it is tracked."""
         tracker = LabelTracker(path5, 0.5)
         with pytest.raises(EdgeNotFoundError):
-            tracker.admit_edges_ids(np.array([0, 2]), np.array([1, 4]))  # (2,4) foreign
+            tracker.admit_edges(self._edge_ids(tracker, [(0, 1), (2, 4)]))  # (2,4) foreign
         assert tracker.num_edges == 0  # nothing from the failed batch landed
-        tracker.add_edge_ids(0, 1)
+        tracker.add_edge(0, 1)
         with pytest.raises(ReductionError):
-            tracker.admit_edges_ids(np.array([1]), np.array([0]))  # already tracked
+            tracker.admit_edges(self._edge_ids(tracker, [(1, 0)]))  # already tracked
         assert tracker.num_edges == 1
 
     def test_batched_changes_match_scalar(self, figure1):
@@ -275,8 +335,9 @@ class TestArrayTracker:
         csr = figure1.csr()
         edge_u, edge_v = csr.edge_list_ids()
         labels = csr.labels
-        added = tracker.add_change_ids(edge_u, edge_v)
-        removed = tracker.remove_change_ids(edge_u, edge_v)
+        ids = np.arange(edge_u.shape[0])
+        added = tracker.tracker.add_change(ids)
+        removed = tracker.tracker.remove_change(ids)
         for k, (u, v) in enumerate(zip(edge_u.tolist(), edge_v.tolist())):
             assert added[k] == tracker.add_change(labels[u], labels[v])
             assert removed[k] == tracker.remove_change(labels[u], labels[v])
@@ -329,6 +390,35 @@ class TestArrayTracker:
             frozenset(("u7", "u9")),
             frozenset(("u8", "u10")),
         }
+
+
+class TestTrackerMemory:
+    def test_tracker_memory_is_a_few_bytes_per_edge(self):
+        """A tracker over 10^5 edges (m/n = 5) plus a bulk add of its
+        b-matching stays under 64 traced bytes per snapshot edge: a flag per
+        edge and lists per node, with no hashed key per graph edge (about
+        150 bytes per edge when every edge was hashed into a set)."""
+        n, m = 20_000, 100_000
+        rng = np.random.default_rng(5)
+        pairs = rng.integers(0, n, size=(3 * m, 2))
+        pairs = np.sort(pairs[pairs[:, 0] != pairs[:, 1]], axis=1)
+        _, first = np.unique(pairs[:, 0] * n + pairs[:, 1], return_index=True)
+        pairs = pairs[np.sort(first)[:m]]
+        graph = Graph.from_edge_ids(list(range(n)), pairs[:, 0], pairs[:, 1])
+        csr = graph.csr()
+        assert csr.num_edges == m
+        edge_u, edge_v = csr.edge_list_ids()
+        capacities = np.floor(0.4 * csr.degree_array() + 0.5).astype(np.int64)
+        matched = np.flatnonzero(greedy_b_matching_ids(edge_u, edge_v, capacities, None))
+        tracemalloc.start()
+        try:
+            tracker = ArrayDegreeTracker(csr, 0.4)
+            tracker.add_edges(matched)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tracker.num_edges == matched.shape[0] > m // 4
+        assert peak < 64 * m
 
 
 class TestComputeDelta:

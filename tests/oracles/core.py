@@ -252,9 +252,11 @@ class IdsView:
     """Duck-typed tracker facade whose node handles are CSR integer ids.
 
     :func:`bipartite_repair` only calls ``dis`` and ``add_edge``; this view
-    lets it run over an :class:`ArrayDegreeTracker` with id tuples.  ``dis``
-    values are bitwise identical to the dict tracker's (same ``int - float``
-    IEEE subtraction), so the repair heap makes bitwise-identical decisions.
+    lets it run over an :class:`ArrayDegreeTracker` with id tuples, mapping
+    each pair to its snapshot edge id (a pair that is not an edge raises
+    :class:`EdgeNotFoundError`).  ``dis`` values are bitwise identical to
+    the dict tracker's (same ``int - float`` IEEE subtraction), so the
+    repair heap makes bitwise-identical decisions.
     """
 
     __slots__ = ("_tracker",)
@@ -266,7 +268,20 @@ class IdsView:
         return self._tracker.dis_list()[node_id]
 
     def add_edge(self, u: int, v: int) -> None:
-        self._tracker.add_edge_ids(u, v)
+        self._tracker.add_edge(_edge_id(self._tracker.csr, u, v))
+
+
+def _edge_id(csr: Any, u: int, v: int) -> int:
+    """The snapshot edge id of id pair ``(u, v)``; :class:`EdgeNotFoundError` if none."""
+    return int(csr.existing_edge_ids(np.array([u]), np.array([v]))[0])
+
+
+def _b_sides(tracker: ArrayDegreeTracker, cand_ids: np.ndarray, cand_a: np.ndarray) -> np.ndarray:
+    """The B-side endpoint of each candidate edge, given its A side."""
+    edge_u, edge_v = tracker.csr.edge_list_ids()
+    end_u, end_v = edge_u[cand_ids], edge_v[cand_ids]
+    assert bool(np.all((end_u == cand_a) | (end_v == cand_a)))
+    return np.where(end_u == cand_a, end_v, end_u)
 
 
 class LabelTracker:
@@ -274,9 +289,11 @@ class LabelTracker:
 
     :class:`DegreeTracker`'s interface over a tracker built on
     ``graph.csr()``, so one label-keyed contract can run against both.
-    The scalar ``*_change`` formulas are the dict tracker's; the id API
-    (``add_edge_ids``, ``dis_array``, ...) passes through to the wrapped
-    tracker.
+    Label pairs become snapshot edge ids at one boundary, where a pair
+    that is not an edge raises :class:`EdgeNotFoundError`.  The scalar
+    ``*_change`` formulas are the dict tracker's; the id API
+    (``add_edge(e)``, ``add_edges``, ``dis_array``, ...) passes through
+    to the wrapped tracker.
     """
 
     def __init__(self, graph: Graph, p: float, weighted: bool = False) -> None:
@@ -289,9 +306,13 @@ class LabelTracker:
     def _id(self, node: Node) -> int:
         return self._csr.index_of[node]
 
-    def _weight(self, u: int, v: int) -> float:
+    def edge_id(self, u: Node, v: Node) -> int:
+        """The snapshot edge id of label pair ``(u, v)``."""
+        return _edge_id(self._csr, self._id(u), self._id(v))
+
+    def _weight(self, u: Node, v: Node) -> float:
         tracker = self.tracker
-        return tracker._weight_of[tracker._edge_key(u, v)] if tracker.weighted else 1
+        return tracker._weight_of[self.edge_id(u, v)] if tracker.weighted else 1
 
     def expected_degree(self, node: Node) -> float:
         return float(self.tracker._expected[self._id(node)])
@@ -304,46 +325,45 @@ class LabelTracker:
         return self.tracker.dis_list()[self._id(node)]
 
     def has_edge(self, u: Node, v: Node) -> bool:
-        tracker = self.tracker
-        return tracker._edge_key(self._id(u), self._id(v)) in tracker._edge_keys
+        e = int(self._csr.edge_ids_of(np.array([self._id(u)]), np.array([self._id(v)]))[0])
+        return e >= 0 and bool(self.tracker._kept[e])
 
     def edges(self) -> List[Tuple[Node, Node]]:
-        n = self.tracker.num_nodes
+        edge_u, edge_v = self._csr.edge_list_ids()
+        tracked = np.flatnonzero(self.tracker._kept_flags)
         labels = self._csr.labels
-        return [(labels[key // n], labels[key % n]) for key in self.tracker._edge_keys]
+        return [(labels[u], labels[v]) for u, v in zip(edge_u[tracked], edge_v[tracked])]
 
     def average_delta(self) -> float:
         n = self.tracker.num_nodes
         return self.tracker.delta / n if n else 0.0
 
     def add_edge(self, u: Node, v: Node) -> None:
-        self.tracker.add_edge_ids(self._id(u), self._id(v))
+        self.tracker.add_edge(self.edge_id(u, v))
 
     def remove_edge(self, u: Node, v: Node) -> None:
-        self.tracker.remove_edge_ids(self._id(u), self._id(v))
+        self.tracker.remove_edge(self.edge_id(u, v))
 
     def apply_swap(self, edge_out: Edge, edge_in: Edge) -> None:
         self.remove_edge(*edge_out)
         self.add_edge(*edge_in)
 
     def add_change(self, u: Node, v: Node) -> float:
-        iu, iv = self._id(u), self._id(v)
         du, dv = self.dis(u), self.dis(v)
-        w = self._weight(iu, iv)
+        w = self._weight(u, v)
         return abs(du + w) + abs(dv + w) - (abs(du) + abs(dv))
 
     def remove_change(self, u: Node, v: Node) -> float:
-        iu, iv = self._id(u), self._id(v)
         du, dv = self.dis(u), self.dis(v)
-        w = self._weight(iu, iv)
+        w = self._weight(u, v)
         return abs(du - w) + abs(dv - w) - (abs(du) + abs(dv))
 
     def swap_change(self, edge_out: Edge, edge_in: Edge) -> float:
         (u, v), (x, y) = edge_out, edge_in
-        iu, iv, ix, iy = self._id(u), self._id(v), self._id(x), self._id(y)
         return swap_change_scalar_from_dis(
-            self.tracker.dis_list(), iu, iv, ix, iy,
-            self._weight(iu, iv), self._weight(ix, iy),
+            self.tracker.dis_list(),
+            self._id(u), self._id(v), self._id(x), self._id(y),
+            self._weight(u, v), self._weight(x, y),
         )
 
 
@@ -479,12 +499,15 @@ def bipartite_repair(
 
 def heap_repair_ids(
     tracker: ArrayDegreeTracker,
+    cand_ids: np.ndarray,
     cand_a: np.ndarray,
-    cand_b: np.ndarray,
     accept_zero_gain: bool = False,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """:func:`bipartite_repair` over id arrays, shaped like ``bipartite_repair_ids``."""
-    candidates = list(zip(np.asarray(cand_a).tolist(), np.asarray(cand_b).tolist()))
+    cand_ids = np.asarray(cand_ids, dtype=np.int64)
+    cand_a = np.asarray(cand_a, dtype=np.int64)
+    cand_b = _b_sides(tracker, cand_ids, cand_a)
+    candidates = list(zip(cand_a.tolist(), cand_b.tolist()))
     repaired = bipartite_repair(IdsView(tracker), candidates, accept_zero_gain=accept_zero_gain)
     count = len(repaired)
     sel_a = np.fromiter((a for a, _ in repaired), np.int64, count=count)
@@ -494,8 +517,8 @@ def heap_repair_ids(
 
 def weighted_bipartite_repair_ids(
     tracker: ArrayDegreeTracker,
+    cand_ids: np.ndarray,
     cand_a: np.ndarray,
-    cand_b: np.ndarray,
     accept_zero_gain: bool = False,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Algorithm 3 over *expected-degree mass*: the uncertain-graph repair.
@@ -523,16 +546,17 @@ def weighted_bipartite_repair_ids(
     """
     if not tracker.weighted:
         raise ValueError("weighted_bipartite_repair_ids requires a weighted tracker")
+    cand_ids = np.asarray(cand_ids, dtype=np.int64)
     cand_a = np.asarray(cand_a, dtype=np.int64)
-    cand_b = np.asarray(cand_b, dtype=np.int64)
     empty = np.empty(0, dtype=np.int64)
     k = int(cand_a.shape[0])
     if k == 0:
         return empty, empty.copy()
+    cand_b = _b_sides(tracker, cand_ids, cand_a)
     dis = tracker.dis_array()
     n = tracker.num_nodes
 
-    masses = tracker.edge_weights_ids(cand_a, cand_b)
+    masses = tracker.edge_weights(cand_ids)
     max_w = float(masses.max())
     gains = _gain_array(dis[cand_a], dis[cand_b], masses)
 
@@ -563,6 +587,7 @@ def weighted_bipartite_repair_ids(
     # scalar Python over plain lists: candidate groups per endpoint are
     # tiny (~1 edge), where list indexing beats numpy fancy indexing.
     cur_gain = gains.tolist()
+    ids_l = cand_ids.tolist()
     ca_l = cand_a.tolist()
     cb_l = cand_b.tolist()
     w_l = masses.tolist()
@@ -605,7 +630,7 @@ def weighted_bipartite_repair_ids(
         sel_a.append(a)
         sel_b.append(b)
         alive[idx] = 0
-        tracker.add_edge_ids(a, b)
+        tracker.add_edge(ids_l[idx])
 
         dis_b = _snap(dis_l[b])
         if dis_b >= 0:
@@ -659,13 +684,13 @@ def weighted_bipartite_repair_ids(
 
 def _reference_repair_ids(
     tracker: ArrayDegreeTracker,
+    cand_ids: np.ndarray,
     cand_a: np.ndarray,
-    cand_b: np.ndarray,
     accept_zero_gain: bool = False,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The lazy-heap reference that matches ``tracker``: weighted or unit."""
     reference = weighted_bipartite_repair_ids if tracker.weighted else heap_repair_ids
-    return reference(tracker, cand_a, cand_b, accept_zero_gain=accept_zero_gain)
+    return reference(tracker, cand_ids, cand_a, accept_zero_gain=accept_zero_gain)
 
 
 @contextmanager

@@ -230,10 +230,10 @@ class ReferenceRepairer:
         demoted = 0
         while tracker.dis(node_id) > threshold and tracker.kept_degree(node_id) > 0:
             neighbor_ids = self._kept_neighbor_ids(node_id)
+            dis = tracker.dis_array()
             changes = remove_change_from_dis(
-                tracker.dis_array(),
-                np.full(neighbor_ids.shape[0], node_id, dtype=np.int64),
-                neighbor_ids,
+                dis[np.full(neighbor_ids.shape[0], node_id, dtype=np.int64)],
+                dis[neighbor_ids],
                 1.0,
             )
             other = int(neighbor_ids[int(np.argmin(changes))])
@@ -258,10 +258,10 @@ class ReferenceRepairer:
                 count=len(held_back),
             )
         )
+        dis = tracker.dis_array()
         changes = add_change_from_dis(
-            tracker.dis_array(),
-            np.full(candidates.shape[0], node_id, dtype=np.int64),
-            candidates,
+            dis[np.full(candidates.shape[0], node_id, dtype=np.int64)],
+            dis[candidates],
             1.0,
         )
         degrees = np.asarray(tracker._deg, dtype=np.int64)[candidates]

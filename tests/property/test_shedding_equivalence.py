@@ -100,18 +100,14 @@ def test_array_tracker_replays_dict_oracle(scenario):
 @given(graph_and_ratio(), st.integers(0, 2**40))
 @settings(max_examples=40, deadline=None)
 def test_bulk_add_matches_scalar_adds(scenario, subset_bits):
-    """add_edges_ids on any edge subset leaves the same state as scalar adds."""
+    """add_edges on any edge subset leaves the same state as scalar adds."""
     g, p = scenario
     edges = [e for k, e in enumerate(g.edges()) if (subset_bits >> k) & 1]
     scalar = LabelTracker(g, p)
     for u, v in edges:
         scalar.add_edge(u, v)
     bulk = LabelTracker(g, p)
-    index_of = g.csr().index_of
-    bulk.add_edges_ids(
-        np.array([index_of[u] for u, _ in edges], dtype=np.int64),
-        np.array([index_of[v] for _, v in edges], dtype=np.int64),
-    )
+    bulk.add_edges(np.array([bulk.edge_id(u, v) for u, v in edges], dtype=np.int64))
     assert bulk.num_edges == scalar.num_edges
     assert bulk.delta == pytest.approx(scalar.delta, abs=1e-9)
     np.testing.assert_array_equal(bulk.dis_array(), scalar.dis_array())

@@ -3,11 +3,11 @@
 The tracker keeps ``dis`` as a Python list that its moves update in place,
 and hands vectorized readers a ``float64`` copy, :meth:`dis_array`, cached
 until the next move.  Each example draws a graph (isolated nodes included,
-so some expectations are zero) and a sequence of moves: bulk
-``add_edges_ids``, all-or-nothing ``admit_edges_ids`` (sometimes with a bad
-edge), and per-edge ``add_edge_ids``/``remove_edge_ids``.  ``dis_array()``
-is read between moves, so a move that forgets to drop the cache leaves a
-stale copy behind.
+so some expectations are zero) and a sequence of moves over snapshot edge
+ids: bulk ``add_edges``, all-or-nothing ``admit_edges`` (sometimes with a
+bad id: a tracked one, a repeat, or one outside ``[0, m)``), and per-edge
+``add_edge``/``remove_edge``.  ``dis_array()`` is read between moves, so a
+move that forgets to drop the cache leaves a stale copy behind.
 
 After every step:
 
@@ -29,7 +29,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core import ArrayDegreeTracker
-from repro.errors import ReductionError
+from repro.errors import GraphError, ReductionError
 from repro.graph import Graph
 from tests.oracles.core import DegreeTracker
 
@@ -54,12 +54,6 @@ def _subset(data, pool):
     return data.draw(st.lists(st.sampled_from(pool), unique=True)) if pool else []
 
 
-def _as_ids(edges):
-    u = np.array([a for a, _ in edges], dtype=np.int64)
-    v = np.array([b for _, b in edges], dtype=np.int64)
-    return u, v
-
-
 def _bits(values):
     return np.asarray(values, dtype=np.float64).tobytes()
 
@@ -68,7 +62,8 @@ def _run(data, graph, p, weighted):
     csr = graph.csr()
     tracker = ArrayDegreeTracker(csr, p, weighted=weighted)
     labels = csr.labels
-    edges = list(zip(*(ids.tolist() for ids in csr.edge_list_ids())))
+    ends = list(zip(*(ids.tolist() for ids in csr.edge_list_ids())))
+    edges = list(range(len(ends)))
     tracked = []
     oracle = None if weighted else DegreeTracker(graph, p)
     # At a multiple of 1/8, every p·deg, dis and partial sum is exact.
@@ -80,7 +75,7 @@ def _run(data, graph, p, weighted):
         assert tracker.num_edges == len(tracked)
         if weighted:
             current = [0.0] * tracker.num_nodes
-            for u, v in tracked:
+            for u, v in (ends[e] for e in tracked):
                 w = graph.edge_weight(labels[u], labels[v])
                 current[u] += w
                 current[v] += w
@@ -102,39 +97,45 @@ def _run(data, graph, p, weighted):
         if move in ("bulk", "admit"):
             batch = _subset(data, free)
             if move == "bulk":
-                tracker.add_edges_ids(*_as_ids(batch))
+                tracker.add_edges(np.array(batch, dtype=np.int64))
                 bulk_added = True
             else:
-                tracker.admit_edges_ids(*_as_ids(batch))
+                tracker.admit_edges(np.array(batch, dtype=np.int64))
             tracked.extend(batch)
             if oracle is not None:
-                for u, v in batch:
+                for u, v in (ends[e] for e in batch):
                     oracle.add_edge(labels[u], labels[v])
         elif move == "bad_admit":
-            if not tracked:
-                continue
             batch = _subset(data, free)
-            batch.insert(data.draw(st.integers(0, len(batch))), data.draw(st.sampled_from(tracked)))
-            before = (tracker.delta, tracker.dis_array().tobytes())
-            with pytest.raises(ReductionError):
-                tracker.admit_edges_ids(*_as_ids(batch))
-            assert (tracker.delta, tracker.dis_array().tobytes()) == before
+            bad = data.draw(st.sampled_from(["tracked", "repeat", "range"]))
+            if bad == "tracked" and tracked:
+                extra, error = data.draw(st.sampled_from(tracked)), ReductionError
+            elif bad == "repeat" and batch:
+                extra, error = data.draw(st.sampled_from(batch)), ReductionError
+            else:
+                extra = data.draw(st.sampled_from([-1, -len(edges), len(edges)]))
+                error = GraphError
+            batch.insert(data.draw(st.integers(0, len(batch))), extra)
+            before = (tracker.delta, tracker.num_edges, tracker.dis_array().tobytes())
+            with pytest.raises(error):
+                tracker.admit_edges(np.array(batch, dtype=np.int64))
+            assert (tracker.delta, tracker.num_edges, tracker.dis_array().tobytes()) == before
         elif move == "add":
             if not free:
                 continue
-            u, v = data.draw(st.sampled_from(free))
-            tracker.add_edge_ids(u, v)
-            tracked.append((u, v))
+            e = data.draw(st.sampled_from(free))
+            tracker.add_edge(e)
+            tracked.append(e)
             if oracle is not None:
-                oracle.add_edge(labels[u], labels[v])
+                oracle.add_edge(*(labels[x] for x in ends[e]))
         else:
             if not tracked:
                 continue
-            u, v = data.draw(st.sampled_from(tracked))
-            tracker.remove_edge_ids(u, v)
-            tracked.remove((u, v))
+            e = data.draw(st.sampled_from(tracked))
+            tracker.remove_edge(e)
+            tracked.remove(e)
             if oracle is not None:
-                oracle.remove_edge(labels[u], labels[v])
+                oracle.remove_edge(*(labels[x] for x in ends[e]))
         check()
 
 

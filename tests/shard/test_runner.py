@@ -243,12 +243,11 @@ class TestReconcile:
         assert kept_u.shape[0] == target
         assert stats["boundary_admitted"] + stats["boundary_filled"] == plan.num_boundary
         assert stats["interior_filled"] == target - plan.num_boundary
-        n = plan.csr.num_nodes
-        keys = set((np.minimum(kept_u, kept_v) * n + np.maximum(kept_u, kept_v)).tolist())
-        assert len(keys) == target  # no edge kept twice
-        assert keys <= plan.csr.edge_key_set()
+        ids = plan.csr.edge_ids_of(kept_u, kept_v)
+        assert (ids >= 0).all()  # every kept pair is an edge
+        assert np.unique(ids).shape[0] == target  # no edge kept twice
         tracker = ArrayDegreeTracker(plan.csr, p)
-        tracker.add_edges_ids(kept_u, kept_v)
+        tracker.add_edges(ids)
         assert stats["tracker_delta"] == pytest.approx(tracker.delta)
 
     def test_reconcile_demotes_over_budget_input(self, small_powerlaw):
@@ -267,5 +266,5 @@ class TestReconcile:
         assert stats["demoted"] == small_powerlaw.num_edges - target
         # tracker delta must agree with an independently built tracker
         tracker = ArrayDegreeTracker(csr, p)
-        tracker.add_edges_ids(kept_u, kept_v)
+        tracker.add_edges(csr.edge_ids_of(kept_u, kept_v))
         assert stats["tracker_delta"] == pytest.approx(tracker.delta)

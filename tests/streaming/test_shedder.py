@@ -231,11 +231,35 @@ class TestEdgeReservoir:
         assert pool.fill_ratio == 0.25
         assert self._reservoir(capacity=0).fill_ratio == 1.0
 
-    def test_clear(self):
+    def test_refill_with_nothing_empties_the_pool(self):
         pool = self._reservoir()
         pool.offer((0, 1))
-        pool.clear()
+        pool.refill([])
         assert len(pool) == 0 and (0, 1) not in pool
+        assert pool._offers == 0
+
+    @pytest.mark.parametrize("capacity", [0, 1, 7, 300])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_refill_equals_offering_each_item(self, capacity, seed):
+        """One broadcast draw replays the per-offer Algorithm-R stream: same
+        held items in the same slots, same offer count, same next draw."""
+        items = [(k, k + 1 + k % 5) for k in range(257)]
+        offered = self._reservoir(capacity, seed)
+        for item in items:
+            offered.offer(item)
+        refilled = self._reservoir(capacity, seed)
+        refilled.offer((-2, -1))  # refill drops what the pool held before
+        refilled.refill(items)
+        assert refilled.items() == offered.items()
+        assert all(refilled.discard(item) for item in offered.items())
+        assert refilled._offers == offered._offers == len(items)
+        assert refilled._rng.integers(10**9) == offered._rng.integers(10**9)
+
+    def test_refill_rejects_repeated_items_before_drawing(self):
+        pool = self._reservoir(capacity=1, seed=3)
+        with pytest.raises(ReductionError):
+            pool.refill([(0, 1), (1, 2), (0, 1)])
+        assert pool._rng.integers(10**9) == self._reservoir(1, 3)._rng.integers(10**9)
 
     def test_negative_capacity_rejected(self):
         from repro.streaming import EdgeReservoir

@@ -137,7 +137,7 @@ class TestWeightedRepair:
         # Start from the empty reduction: every dis(v) = -p*E[deg] <= 0.
         before = tracker.delta
         edge_u, edge_v = csr.edge_list_ids()
-        sel_a, sel_b = bipartite_repair_ids(tracker, edge_u, edge_v)
+        sel_a, sel_b = bipartite_repair_ids(tracker, np.arange(edge_u.shape[0]), edge_u)
         assert tracker.delta <= before
         assert sel_a.shape == sel_b.shape
         assert sel_a.shape[0] <= edge_u.shape[0]
