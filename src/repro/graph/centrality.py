@@ -117,10 +117,11 @@ def top_edge_ids_by_betweenness(
     :class:`repro.graph.csr.CSRView` — the kernel only sees flat arrays.
     Returns ``(u_ids, v_ids)`` in descending-score order with ties broken
     by a seeded shuffle, reproducing :func:`top_edges_by_betweenness`'s
-    selection and ordering exactly (same RNG consumption: the tie shuffle
-    permutes a Python list of ``m`` scan positions just as the label
-    version permutes its list of ``m`` edge keys, and the stable sort
-    compares bitwise-identical float scores).
+    selection and ordering exactly (same RNG consumption: ``Generator.shuffle``
+    draws the same swaps for the array of ``m`` scan positions as for the
+    label version's list of ``m`` edge keys, and a stable argsort of the
+    negated, bitwise-identical scores keeps ties in shuffled order, as a
+    reverse list sort does).
     """
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
@@ -137,12 +138,10 @@ def top_edge_ids_by_betweenness(
     edge_u, edge_v = csr.edge_list_ids()
     lex_u, lex_v = csr.canonical_edge_ids()
     positions = np.searchsorted(lex_u * n + lex_v, edge_u * n + edge_v)
-    score_list = totals[positions].tolist()
-    order = list(range(edge_u.shape[0]))
-    rng = ensure_rng(tie_seed)
-    rng.shuffle(order)
-    order.sort(key=score_list.__getitem__, reverse=True)
-    top = np.asarray(order[:count], dtype=np.int64)
+    scores = totals[positions]
+    order = np.arange(edge_u.shape[0], dtype=np.int64)
+    ensure_rng(tie_seed).shuffle(order)
+    top = order[np.argsort(-scores[order], kind="stable")[:count]]
     return edge_u[top], edge_v[top]
 
 

@@ -50,19 +50,23 @@ def label_propagation(
     the current block, so within a block every node's neighbourhood labels
     are frozen and the whole block resolves in one vectorized pass
     (segment counts + ``maximum.reduceat``), with async semantics intact.
-    The stopping check is one more segment-count pass over the whole
-    adjacency after each sweep; it draws no random numbers.
+    After each sweep, one more segment-count pass over the adjacency checks
+    the stopping rule and gives each node its margin (own label's count
+    minus the largest other count).  A later sweep skips every node whose
+    margin provably keeps its label (:func:`_kept_labels`) and cuts blocks
+    over the others only.
 
     Exactness notes: the result is the per-node scan's — shuffle the node
     list, then let each node count its neighbours' labels in
     ``graph.neighbors()`` order and draw among tied labels in
-    first-occurrence order.  The per-sweep shuffle permutes a Python list
-    (the same ``Generator.shuffle`` draw stream as shuffling the node
-    list), the flat adjacency is built in ``graph.neighbors()`` order (*not*
-    the CSR's sorted slices) so tie candidates enumerate in first-occurrence
-    order, and tie draws are batched through ``rng.integers(0, highs)`` —
-    elementwise identical to one scalar draw per tied node in sweep order.
-    Isolated nodes never draw.
+    first-occurrence order.  The per-sweep shuffle permutes an id array
+    (the same ``Generator.shuffle`` draws as shuffling the node list), the
+    flat adjacency is ``graph.neighbors()`` order (*not* the CSR's sorted
+    slices; a graph built from edge ids reads it from its arrays) so tie
+    candidates enumerate in first-occurrence order, and tie draws are
+    batched through ``rng.integers(0, highs)`` — elementwise identical to
+    one scalar draw per tied node in sweep order.  Kept and isolated nodes
+    never draw.
     """
     labels, _, _ = _label_propagation_ids(graph, max_iterations, seed)
     return dict(zip(graph.nodes(), labels.tolist()))
@@ -78,30 +82,17 @@ def _label_propagation_ids(
     fired (``False`` when ``max_iterations`` ran out first).
     """
     rng = ensure_rng(seed)
-    node_list = list(graph.nodes())
-    n = len(node_list)
+    n = graph.num_nodes
     if n == 0:
         return np.empty(0, dtype=np.int64), 0, True
-    index_of = {node: i for i, node in enumerate(node_list)}
-
-    # Flat adjacency in graph.neighbors() (= insertion) order.
-    degrees = np.fromiter(
-        (graph.degree(node) for node in node_list), dtype=np.int64, count=n
-    )
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degrees, out=indptr[1:])
-    total = int(indptr[-1])
-    adjacency = np.fromiter(
-        (index_of[x] for node in node_list for x in graph.neighbors(node)),
-        dtype=np.int64,
-        count=total,
-    )
+    degrees, adjacency = graph._neighbor_ids()
+    indptr = np.concatenate(([0], np.cumsum(degrees)))
     owner = np.repeat(np.arange(n, dtype=np.int64), degrees)
 
     labels = np.arange(n, dtype=np.int64)
-    order_list = list(range(n))
+    order = np.arange(n, dtype=np.int64)
     position = np.empty(n, dtype=np.int64)
-    has_neighbors = degrees > 0
+    resolve = has_neighbors = degrees > 0
     # reduceat needs non-empty slices: it reads an empty slice's next
     # entry instead, so only nodes with neighbours get a slice start.
     slice_starts = indptr[:-1][has_neighbors]
@@ -109,36 +100,36 @@ def _label_propagation_ids(
     sweeps = 0
     converged = False
     for sweeps in range(1, max_iterations + 1):
-        rng.shuffle(order_list)
-        if total:
-            order = np.asarray(order_list, dtype=np.int64)
-            position[order] = np.arange(n, dtype=np.int64)
-            # Latest earlier-in-sweep position among each node's neighbours.
-            neighbor_pos = position[adjacency]
-            own_pos = np.repeat(position, degrees)
-            earlier = np.where(neighbor_pos < own_pos, neighbor_pos, -1)
-            latest_earlier = np.full(n, -1, dtype=np.int64)
-            latest_earlier[has_neighbors] = np.maximum.reduceat(earlier, slice_starts)
-            prev_of_pos = latest_earlier[order]
-
-            # Conflict-free blocks over the shuffled order.
-            cuts = [0]
-            block_start = 0
-            for t, prev in enumerate(prev_of_pos.tolist()):
-                if prev >= block_start:
-                    cuts.append(t)
-                    block_start = t
-            cuts.append(n)
-
-            for s, e in zip(cuts[:-1], cuts[1:]):
-                block = order[s:e]
-                block = block[has_neighbors[block]]
-                if block.shape[0] == 0:
-                    continue
-                _propagate_block(block, labels, adjacency, indptr, degrees, n, rng)
+        rng.shuffle(order)
+        if adjacency.shape[0] == 0:
+            converged = True
+            break
+        position[order] = np.arange(n, dtype=np.int64)
+        neighbor_pos = position[adjacency]
+        earlier = neighbor_pos < position[owner]
+        if sweeps > 1:
+            resolve = has_neighbors & ~_kept_labels(margin, labels, earlier, adjacency, indptr)
+            earlier &= resolve[adjacency]
+        # Latest earlier-in-sweep position among each node's resolved
+        # neighbours, then conflict-free blocks over the resolved nodes.
+        latest_earlier = np.full(n, -1, dtype=np.int64)
+        latest_earlier[has_neighbors] = np.maximum.reduceat(
+            np.where(earlier, neighbor_pos, -1), slice_starts
+        )
+        run_pos = np.flatnonzero(resolve[order])
+        run = order[run_pos]
+        cuts = []
+        block_start = -1
+        for i, (t, prev) in enumerate(zip(run_pos.tolist(), latest_earlier[run].tolist())):
+            if prev >= block_start:
+                cuts.append(i)
+                block_start = t
+        for s, e in zip(cuts, cuts[1:] + [run.shape[0]]):
+            _propagate_block(run[s:e], labels, adjacency, indptr, n, rng)
         # A sweep without changes passes this check too: every node chose
         # its label from the neighbourhood it still has.
-        if _is_settled(labels, owner, adjacency, n):
+        margin = _label_margins(labels, owner, adjacency, n)
+        if margin.min() >= 0:
             converged = True
             break
 
@@ -151,95 +142,103 @@ def _label_propagation_ids(
     return lut[labels], sweeps, converged
 
 
+def _kept_labels(
+    margin: np.ndarray,
+    labels: np.ndarray,
+    earlier: np.ndarray,
+    adjacency: np.ndarray,
+    indptr: np.ndarray,
+) -> np.ndarray:
+    """The nodes whose label provably survives this sweep, as a mask.
+
+    x is kept when ``margin(x) > k(x) + k_own(x)``: ``k`` counts x's
+    earlier-in-sweep neighbours that are not kept, ``k_own`` those of them
+    labelled like x.  Each can take one count off x's label or add one to
+    another, while later and (by induction) kept neighbours still hold
+    theirs, so x's label stays the unique most frequent and x draws
+    nothing.  Only earlier neighbours count, so the set is unique.
+    """
+    kept = margin > 0
+    dropped = np.flatnonzero(~kept)
+    cost = np.zeros(margin.shape[0], dtype=np.int64)
+    while dropped.shape[0]:
+        # Each dropped node counts in k (and k_own) of its later kept neighbours.
+        flat, lengths = _runs_of(dropped, indptr)
+        later = ~earlier[flat] & kept[adjacency[flat]]
+        x, y = adjacency[flat][later], np.repeat(dropped, lengths)[later]
+        np.add.at(cost, x, 1 + (labels[x] == labels[y]))
+        dropped = np.unique(x[margin[x] <= cost[x]])
+        kept[dropped] = False
+    return kept
+
+
+def _runs_of(nodes: np.ndarray, indptr: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The flat adjacency positions of ``nodes``' runs, and the run lengths."""
+    starts = indptr[nodes]
+    lengths = indptr[nodes + 1] - starts
+    offsets = np.cumsum(lengths) - lengths
+    flat = np.arange(int(lengths.sum()), dtype=np.int64) + np.repeat(starts - offsets, lengths)
+    return flat, lengths
+
+
 def _propagate_block(
     block: np.ndarray,
     labels: np.ndarray,
     adjacency: np.ndarray,
     indptr: np.ndarray,
-    degrees: np.ndarray,
     n: int,
     rng,
 ) -> None:
     """Resolve one conflict-free block in place."""
-    lengths = degrees[block]
-    offsets = np.zeros(block.shape[0], dtype=np.int64)
-    np.cumsum(lengths[:-1], out=offsets[1:])
-    flat = np.arange(int(lengths.sum()), dtype=np.int64)
-    flat += np.repeat(indptr[block] - offsets, lengths)
-    neighbor_labels = labels[adjacency[flat]]
+    flat, lengths = _runs_of(block, indptr)
     segment = np.repeat(np.arange(block.shape[0], dtype=np.int64), lengths)
 
     # (segment, label) runs: counts plus first-occurrence order (the stable
     # sort preserves adjacency order within a run, which is the per-node
     # scan's tie enumeration order).
-    key = segment * n + neighbor_labels
+    key = segment * n + labels[adjacency[flat]]
     sorter = np.argsort(key, kind="stable")
-    run_starts, run_counts, run_segment, run_label, seg_starts, best_count = (
-        _label_runs(key[sorter], n)
-    )
-    run_first = sorter[run_starts]  # global first-occurrence rank
-
-    tied = run_counts == np.repeat(best_count, np.diff(np.append(seg_starts, run_segment.shape[0])))
+    run_starts, run_counts, run_segment, run_label, seg_starts = _label_runs(key[sorter], n)
+    tied = run_counts == np.maximum.reduceat(run_counts, seg_starts)[run_segment]
     num_tied = np.add.reduceat(tied.astype(np.int64), seg_starts)
-
-    choice = np.empty(block.shape[0], dtype=np.int64)
-    single = num_tied == 1
-    if single.any():
-        # The unique best run per single-winner segment, via a masked max
-        # over run labels (tied runs only).
-        masked = np.where(tied, run_label, -1)
-        seg_best_label = np.maximum.reduceat(masked, seg_starts)
-        choice[single] = seg_best_label[single]
-    multi = np.nonzero(~single)[0]
+    # The largest tied label: the choice wherever only one label is tied.
+    choice = np.maximum.reduceat(np.where(tied, run_label, -1), seg_starts)
+    multi = np.flatnonzero(num_tied > 1)
     if multi.shape[0]:
         # Tie groups ordered by first occurrence; one batched draw per
         # segment, in segment (= sweep-position) order like the scan.
-        tie_idx = np.nonzero(tied)[0]
-        tie_seg = run_segment[tie_idx]
-        keep = ~single[tie_seg]
-        tie_idx = tie_idx[keep]
-        tie_seg = tie_seg[keep]
-        tie_order = np.lexsort((run_first[tie_idx], tie_seg))
-        tie_idx = tie_idx[tie_order]
-        tie_seg = tie_seg[tie_order]
-        group_mask = np.empty(tie_seg.shape[0], dtype=bool)
-        group_mask[0] = True
-        group_mask[1:] = tie_seg[1:] != tie_seg[:-1]
-        group_starts = np.nonzero(group_mask)[0]
+        tie_idx = np.flatnonzero(tied & (num_tied > 1)[run_segment])
+        tie_idx = tie_idx[np.lexsort((sorter[run_starts[tie_idx]], run_segment[tie_idx]))]
         highs = num_tied[multi]
-        draws = rng.integers(0, highs)
-        choice[multi] = run_label[tie_idx[group_starts + draws]]
-
+        choice[multi] = run_label[tie_idx[np.cumsum(highs) - highs + rng.integers(0, highs)]]
     labels[block] = choice
 
 
-def _is_settled(
+def _label_margins(
     labels: np.ndarray, owner: np.ndarray, adjacency: np.ndarray, n: int
-) -> bool:
-    """Whether every node's label is among its neighbours' most frequent.
+) -> np.ndarray:
+    """``own - other`` per node over the flat (``owner``, ``adjacency``) pairs.
 
-    ``owner``/``adjacency`` are the flat (node, neighbour) pairs.  Counts
-    every (node, neighbour label) pair, then compares each node's largest
-    count with the count of its own label; nodes without neighbours pass.
+    ``own`` counts a node's neighbours labelled like it, ``other`` the most
+    of any other label (0 if none).  Settled exactly when none is negative.
     """
-    if owner.shape[0] == 0:
-        return True
     key = owner * n + labels[adjacency]
     key.sort()
-    _, run_counts, run_owner, run_label, seg_starts, best_count = _label_runs(key, n)
-    own_count = np.maximum.reduceat(
-        np.where(run_label == labels[run_owner], run_counts, 0), seg_starts
-    )
-    return bool(np.array_equal(own_count, best_count))
+    _, run_counts, run_owner, run_label, seg_starts = _label_runs(key, n)
+    is_own = run_label == labels[run_owner]
+    margin = np.zeros(n, dtype=np.int64)
+    margin[run_owner[seg_starts]] = np.add.reduceat(
+        np.where(is_own, run_counts, 0), seg_starts
+    ) - np.maximum.reduceat(np.where(is_own, 0, run_counts), seg_starts)
+    return margin
 
 
 def _label_runs(sorted_key: np.ndarray, n: int) -> Tuple[np.ndarray, ...]:
     """Runs of equal ``segment * n + label`` keys in a sorted key array.
 
-    Returns ``(run_starts, run_counts, run_segment, run_label, seg_starts,
-    best_count)``: each run's start and length, its segment and label, the
-    first run of each segment, and each segment's largest run length
-    (every segment has at least one run).
+    Returns ``(run_starts, run_counts, run_segment, run_label,
+    seg_starts)``: each run's start and length, its segment and label,
+    and the first run of each segment.
     """
     run_start_mask = np.empty(sorted_key.shape[0], dtype=bool)
     run_start_mask[0] = True
@@ -252,8 +251,7 @@ def _label_runs(sorted_key: np.ndarray, n: int) -> Tuple[np.ndarray, ...]:
     seg_start_mask[0] = True
     seg_start_mask[1:] = run_segment[1:] != run_segment[:-1]
     seg_starts = np.nonzero(seg_start_mask)[0]
-    best_count = np.maximum.reduceat(run_counts, seg_starts)
-    return run_starts, run_counts, run_segment, run_label, seg_starts, best_count
+    return run_starts, run_counts, run_segment, run_label, seg_starts
 
 
 def partition_sizes(labels: Mapping[Node, int]) -> Dict[int, int]:

@@ -461,6 +461,20 @@ class Graph:
             return None
         return np.bincount(ids[1], minlength=len(labels))
 
+    def _neighbor_ids(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``int64`` degrees in :meth:`nodes` order and the neighbour ids, flat.
+
+        Each node's run follows :meth:`neighbors`.  An unbuilt
+        :meth:`from_edge_ids` graph answers from its arrays (read-only).
+        """
+        ids = self._ids
+        if ids is not None:
+            return np.bincount(ids[1], minlength=len(ids[0])), ids[2]
+        index_of = {node: i for i, node in enumerate(self._adj)}
+        degrees = np.fromiter(map(len, self._adj.values()), dtype=np.int64, count=len(index_of))
+        flat = (index_of[x] for neighbors in self._adj.values() for x in neighbors)
+        return degrees, np.fromiter(flat, dtype=np.int64, count=2 * self._num_edges)
+
     def average_degree(self) -> float:
         """Mean degree ``2|E| / |V|`` (0.0 for the empty graph)."""
         n = self.num_nodes

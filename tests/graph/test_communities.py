@@ -1,5 +1,6 @@
 """Tests for label propagation, modularity, and NMI."""
 
+import numpy as np
 import pytest
 
 from repro.graph import (
@@ -13,7 +14,11 @@ from repro.graph import (
     stochastic_block_model,
 )
 from repro.graph.communities import _label_propagation_ids
-from tests.oracles.graph import _label_propagation_legacy, label_propagation_settled
+from tests.oracles.graph import (
+    _label_propagation_legacy,
+    label_propagation_scan,
+    label_propagation_settled,
+)
 
 
 class TestLabelPropagation:
@@ -148,6 +153,26 @@ class TestLabelPropagationEngines:
     def test_csr_matches_legacy_on_blocks(self):
         g = stochastic_block_model([20, 20], [[0.4, 0.02], [0.02, 0.4]], seed=3)
         assert label_propagation(g, seed=5) == _label_propagation_legacy(g, seed=5)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_array_built_graph_matches_legacy(self, seed):
+        # A planted partition (2-5 blocks of 5-40 nodes) built from a
+        # shuffled edge array: the engine reads the graph's arrays, and
+        # must neither build its dicts nor leave the per-node scan.
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(5, 41, rng.integers(2, 6))
+        block = np.repeat(np.arange(sizes.shape[0]), sizes)
+        u, v = np.triu_indices(block.shape[0], 1)
+        chosen = rng.random(u.shape[0]) < np.where(block[u] == block[v], 0.4, 0.02)
+        edges = rng.permutation(np.flatnonzero(chosen))
+        labels = rng.permutation(block.shape[0]).tolist()
+        g = Graph.from_edge_ids(labels, u[edges], v[edges], snapshot=False)
+        for cap in (1, 2, 3, 100):
+            engine, sweeps, converged = _label_propagation_ids(g, cap, seed)
+            assert g._ids is not None  # dicts still unbuilt
+            expected = label_propagation_scan(g, cap, seed)
+            g = Graph.from_edge_ids(labels, u[edges], v[edges], snapshot=False)
+            assert (dict(zip(labels, engine.tolist())), sweeps, converged) == expected
 
     def test_unknown_engine_rejected(self, k5):
         # One implementation: there is no engine to select.

@@ -36,7 +36,10 @@ __all__ = [
     "_legacy_node_betweenness",
     "_legacy_top_edges_by_betweenness",
     "graph_from_ids_replay",
+    "label_propagation_kept",
+    "label_propagation_scan",
     "label_propagation_settled",
+    "label_propagation_sweep",
     "read_edge_list_per_line",
     "subgraph_from_edge_ids_grouped",
 ]
@@ -148,7 +151,14 @@ def _legacy_top_edges_by_betweenness(
 def _label_propagation_legacy(
     graph: Graph, max_iterations: int = 100, seed: RandomState = None
 ) -> Dict[Node, int]:
-    """The original per-node Python sweep (the CSR engine's oracle).
+    """The original per-node Python sweep (the CSR engine's oracle)."""
+    return label_propagation_scan(graph, max_iterations, seed)[0]
+
+
+def label_propagation_scan(
+    graph: Graph, max_iterations: int = 100, seed: RandomState = None
+) -> Tuple[Dict[Node, int], int, bool]:
+    """The per-node scan: ``(labels, sweeps, converged)``.
 
     Stops after the first sweep that leaves the labelling settled
     (:func:`label_propagation_settled`), or after ``max_iterations``.
@@ -156,17 +166,13 @@ def _label_propagation_legacy(
     rng = ensure_rng(seed)
     labels: Dict[Node, int] = {node: i for i, node in enumerate(graph.nodes())}
     nodes = list(graph.nodes())
-    for _ in range(max_iterations):
+    sweeps = 0
+    converged = False
+    for sweeps in range(1, max_iterations + 1):
         rng.shuffle(nodes)
-        for node in nodes:
-            neighbor_labels = Counter(labels[neighbor] for neighbor in graph.neighbors(node))
-            if not neighbor_labels:
-                continue
-            best_count = max(neighbor_labels.values())
-            best = [label for label, count in neighbor_labels.items() if count == best_count]
-            choice = best[int(rng.integers(len(best)))] if len(best) > 1 else best[0]
-            labels[node] = choice
+        label_propagation_sweep(graph, labels, nodes, rng)
         if label_propagation_settled(graph, labels):
+            converged = True
             break
     # Dense re-numbering in node insertion order.
     remap: Dict[int, int] = {}
@@ -176,7 +182,49 @@ def _label_propagation_legacy(
         if label not in remap:
             remap[label] = len(remap)
         renumbered[node] = remap[label]
-    return renumbered
+    return renumbered, sweeps, converged
+
+
+def label_propagation_sweep(
+    graph: Graph, labels: Dict[Node, int], order: List[Node], rng: np.random.Generator
+) -> None:
+    """One asynchronous sweep over ``order``, updating ``labels`` in place.
+
+    Each node adopts its neighbours' most frequent label, drawing among
+    tied labels in first-occurrence order; nodes without neighbours keep
+    theirs and draw nothing.
+    """
+    for node in order:
+        neighbor_labels = Counter(labels[neighbor] for neighbor in graph.neighbors(node))
+        if not neighbor_labels:
+            continue
+        best_count = max(neighbor_labels.values())
+        best = [label for label, count in neighbor_labels.items() if count == best_count]
+        labels[node] = best[int(rng.integers(len(best)))] if len(best) > 1 else best[0]
+
+
+def label_propagation_kept(
+    graph: Graph, labels: Dict[Node, int], order: List[Node]
+) -> set:
+    """The nodes a sweep over ``order`` may skip, by the rule read per node.
+
+    In sweep order, x is kept when ``own(x) - k_own(x) > other(x) + k(x)``
+    under ``labels``: ``own`` counts x's neighbours labelled like x,
+    ``other`` the largest count of any other label (0 if none), ``k`` the
+    earlier neighbours not kept and ``k_own`` those of them labelled like x.
+    """
+    kept: set = set()
+    seen: set = set()
+    for node in order:
+        counts = Counter(labels[neighbor] for neighbor in graph.neighbors(node))
+        own = counts.pop(labels[node], 0)
+        other = max(counts.values(), default=0)
+        earlier = [y for y in graph.neighbors(node) if y in seen and y not in kept]
+        k_own = sum(labels[y] == labels[node] for y in earlier)
+        if own - k_own > other + len(earlier):
+            kept.add(node)
+        seen.add(node)
+    return kept
 
 
 def label_propagation_settled(graph: Graph, labels: Dict[Node, int]) -> bool:

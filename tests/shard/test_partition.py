@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.errors import GraphError
-from repro.graph import Graph, stochastic_block_model
-from repro.shard import PARTITION_METHODS, partition_graph
+from repro.graph import Graph, communities, stochastic_block_model
+from repro.graph.io import read_edge_list, write_edge_list
+from repro.shard import PARTITION_METHODS, ShardedShedder, partition_graph
 
 
 class TestValidation:
@@ -156,3 +157,43 @@ class TestLabelPropagationReport:
         plan = partition_graph(k5, 3, method="community", seed=0)
         assert plan.method == "contiguous"
         assert plan.converged is True and plan.sweeps >= 1
+
+
+class TestPartitionCost:
+    """Guards for what the community partition costs: it reads the graph's
+    arrays, and label propagation resolves only the nodes whose label may
+    still move."""
+
+    def test_sharded_path_builds_no_dicts(self, tmp_path):
+        probs = [[0.3 if i == j else 0.01 for j in range(3)] for i in range(3)]
+        source = stochastic_block_model([40, 40, 40], probs, seed=1)
+        write_edge_list(source, tmp_path / "in.txt")
+        graph = read_edge_list(tmp_path / "in.txt")
+        plan = partition_graph(graph, 2, seed=1)
+        assert plan.method == "community" and plan.sweeps >= 1
+        assert graph._ids is not None  # dicts still unbuilt
+        result = ShardedShedder(method="crr", num_shards=2, seed=1).reduce(graph, 0.5)
+        write_edge_list(result.reduced, tmp_path / "out.txt")
+        assert graph._ids is not None
+
+    def test_late_sweeps_resolve_few_nodes(self, monkeypatch):
+        probs = [[0.25 if i == j else 0.001 for j in range(16)] for i in range(16)]
+        g = stochastic_block_model([60] * 16, probs, seed=2)
+        resolved = [0]  # nodes resolved per sweep
+        propagate, margins = communities._propagate_block, communities._label_margins
+
+        def counting_propagate(block, *args):
+            resolved[-1] += block.shape[0]
+            return propagate(block, *args)
+
+        def sweep_end(*args):
+            resolved.append(0)
+            return margins(*args)
+
+        monkeypatch.setattr(communities, "_propagate_block", counting_propagate)
+        monkeypatch.setattr(communities, "_label_margins", sweep_end)
+        plan = partition_graph(g, 2, seed=2)
+        resolved.pop()
+        assert plan.sweeps == len(resolved) >= 4
+        assert resolved[0] == g.num_nodes
+        assert all(count < 0.1 * g.num_nodes for count in resolved[2:])
