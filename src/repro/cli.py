@@ -37,9 +37,11 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.bench.experiments import ALL_EXPERIMENTS
 from repro.core.base import EdgeShedder, ReductionResult
 from repro.datasets.registry import DATASETS, load_dataset
-from repro.errors import GraphError, ServiceError
+from repro.errors import GraphError, ReductionError, ServiceError
 from repro.graph.graph import Graph
 from repro.graph.io import EdgeListSummary, read_edge_list_with_summary, write_edge_list
+from repro.service.request import make_shedder
+from repro.service.service import DEFAULT_EDGE_BUDGET
 from repro.tasks import all_tasks
 
 __all__ = ["main", "build_parser"]
@@ -57,25 +59,10 @@ _TASK_KEYS = {
 }
 
 
-def _make_shedder(
-    method: str,
-    seed: int,
-    sources: Optional[int],
-    sparsify: Optional[str] = None,
-    sparsify_beta: Optional[int] = None,
-    weighted: bool = False,
-) -> EdgeShedder:
-    from repro.service.request import make_shedder
-
+def _make_shedder(args: argparse.Namespace, **options: Any) -> EdgeShedder:
+    """``make_shedder`` over ``--method``/``--seed``/``--sources``; refusals exit in one line."""
     try:
-        return make_shedder(
-            method,
-            seed=seed,
-            num_sources=sources,
-            sparsify=sparsify,
-            sparsify_beta=sparsify_beta,
-            weighted=weighted,
-        )
+        return make_shedder(args.method, seed=args.seed, num_sources=args.sources, **options)
     except (ServiceError, ValueError) as error:
         raise SystemExit(str(error)) from None
 
@@ -182,8 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=None,
-        help="partition into this many shards and shed per shard "
-        "(crr/bm2 only; 1 is bit-identical to the whole-graph engine)",
+        help="partition into this many shards and shed per shard (methods "
+        "with a sharded runner; 1 is bit-identical to the whole-graph engine)",
     )
     reduce_parser.add_argument(
         "--workers",
@@ -331,8 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     session_parser.add_argument(
         "--edge-budget",
         type=int,
-        default=None,
-        help="shared resident-edge budget across sessions (default: service default)",
+        default=DEFAULT_EDGE_BUDGET,
+        help="shared resident-edge budget across sessions",
     )
     session_parser.add_argument(
         "--workers", type=int, default=2, help="manager drain workers"
@@ -355,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
             default="inline",
             choices=["inline", "thread", "process", "sharded", "stream"],
             help="execution mode (inline is deterministic and single-threaded; "
-            "sharded partitions crr/bm2 jobs across processes; stream drives "
+            "sharded partitions jobs with a sharded runner; stream drives "
             "each serve job as a live churn session — serve only)",
         )
         p.add_argument(
@@ -367,8 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--edge-budget",
             type=int,
-            default=None,
-            help="global resident-edge budget (default: service default)",
+            default=DEFAULT_EDGE_BUDGET,
+            help="global resident-edge budget",
         )
 
     submit_parser = sub.add_parser(
@@ -407,37 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _make_sharded_shedder(args: argparse.Namespace) -> EdgeShedder:
-    from repro.shard import SHARD_METHODS, ShardedShedder
-
-    if args.method not in SHARD_METHODS and args.method != "bm2-sparse":
-        raise SystemExit(
-            f"--shards supports methods {'/'.join(SHARD_METHODS)} and bm2-sparse, "
-            f"got {args.method!r}"
-        )
-    if args.shards < 1:
-        raise SystemExit(f"--shards must be positive, got {args.shards}")
-    sparsify = getattr(args, "sparsify", None)
-    sparsify_beta = getattr(args, "sparsify_beta", None)
-    if args.method == "bm2-sparse":
-        method = "bm2"
-        sparsify = sparsify or "edcs"
-    else:
-        method = args.method
-    try:
-        return ShardedShedder(
-            method=method,
-            num_shards=args.shards,
-            num_workers=max(args.workers or 1, 1),
-            seed=args.seed,
-            num_betweenness_sources=args.sources,
-            sparsify=sparsify or "off",
-            sparsify_beta=sparsify_beta,
-        )
-    except ValueError as error:
-        raise SystemExit(str(error)) from None
-
-
 def _shard_stats_dict(stats: Dict[str, Any]) -> Dict[str, Any]:
     """The sharding slice of ``reduction.stats`` for ``--json`` output."""
     return {
@@ -460,20 +416,17 @@ def _shard_stats_dict(stats: Dict[str, Any]) -> Dict[str, Any]:
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
     graph = _load_graph(args)
-    if args.shards is not None:
-        if args.weighted:
-            raise SystemExit("--weighted cannot combine with --shards "
-                             "(the sharded runner is weight-blind)")
-        shedder = _make_sharded_shedder(args)
-    else:
-        shedder = _make_shedder(
-            args.method,
-            args.seed,
-            args.sources,
-            sparsify=args.sparsify,
-            sparsify_beta=args.sparsify_beta,
-            weighted=args.weighted,
-        )
+    if args.shards is not None and args.weighted:
+        raise SystemExit("--weighted cannot combine with --shards "
+                         "(the sharded runner is weight-blind)")
+    shedder = _make_shedder(
+        args,
+        sparsify=args.sparsify,
+        sparsify_beta=args.sparsify_beta,
+        weighted=args.weighted,
+        num_shards=args.shards,
+        num_workers=args.workers,
+    )
     result = shedder.reduce(graph, args.p)
     validation_ok = True
     validation_text = None
@@ -528,7 +481,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     graph = _load_graph(args)
-    shedder = _make_shedder(args.method, args.seed, args.sources)
+    shedder = _make_shedder(args)
     result = shedder.reduce(graph, args.p)
 
     requested = [key.strip() for key in args.tasks.split(",") if key.strip()]
@@ -595,7 +548,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     from repro.analysis.estimation import estimation_report
 
     graph = _load_graph(args)
-    shedder = _make_shedder(args.method, args.seed, args.sources)
+    shedder = _make_shedder(args)
     result = shedder.reduce(graph, args.p)
     print(result.summary())
     report = estimation_report(graph, result.reduced, args.p)
@@ -619,12 +572,15 @@ def _cmd_progressive(args: argparse.Namespace) -> int:
     from repro.core.progressive import progressive_reduce
 
     graph = _load_graph(args)
-    shedder = _make_shedder(args.method, args.seed, args.sources)
+    shedder = _make_shedder(args)
     try:
         ratios = [float(token) for token in args.ratios.split(",") if token.strip()]
     except ValueError:
         raise SystemExit(f"could not parse ratios {args.ratios!r}")
-    results = progressive_reduce(shedder, graph, ratios)
+    try:
+        results = progressive_reduce(shedder, graph, ratios)
+    except ReductionError as error:
+        raise SystemExit(str(error)) from None
     for result in results:
         print(result.summary())
     return 0
@@ -665,16 +621,19 @@ def _cmd_dynamic(args: argparse.Namespace) -> int:
     )
 
     graph = _load_graph(args)
-    shedder = _make_shedder(args.method, args.seed, args.sources)
+    shedder = _make_shedder(args)
     ops = generate_workload(args.churn, graph, args.ops, seed=args.seed)
-    maintainer = IncrementalShedder(
-        graph,
-        args.p,
-        shedder,
-        drift=DriftMonitor(args.p, drift_ratio=args.drift_ratio),
-        reservoir_size=args.reservoir,
-        seed=args.seed,
-    )
+    try:
+        maintainer = IncrementalShedder(
+            graph,
+            args.p,
+            shedder,
+            drift=DriftMonitor(args.p, drift_ratio=args.drift_ratio),
+            reservoir_size=args.reservoir,
+            seed=args.seed,
+        )
+    except ReductionError as error:
+        raise SystemExit(str(error)) from None
     seed_delta = maintainer.delta
     if not args.json:
         print(
@@ -689,7 +648,7 @@ def _cmd_dynamic(args: argparse.Namespace) -> int:
     latency_us = latency_us_summary(op_hist)
     live_delta = maintainer.delta
     stats = maintainer.stats
-    offline = _make_shedder(args.method, args.seed, args.sources)
+    offline = _make_shedder(args)
     offline_result = offline.reduce(maintainer.graph, args.p)
     envelope = maintainer.monitor.envelope(
         maintainer.graph.num_nodes, maintainer.graph.num_edges
@@ -797,9 +756,7 @@ def _cmd_session(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.dynamic import generate_workload
-    from repro.errors import SessionError
     from repro.graph.io import graph_from_payload, graph_to_payload
-    from repro.service.service import DEFAULT_EDGE_BUDGET
     from repro.sessions import SessionConfig, SessionManager
 
     if args.sessions < 1:
@@ -820,8 +777,7 @@ def _cmd_session(args: argparse.Namespace) -> int:
 
     async def run() -> Dict[str, Any]:
         async with SessionManager(
-            max_resident_edges=args.edge_budget or DEFAULT_EDGE_BUDGET,
-            num_workers=args.workers,
+            max_resident_edges=args.edge_budget, num_workers=args.workers
         ) as manager:
             payload = graph_to_payload(base)
             opened = []
@@ -846,7 +802,7 @@ def _cmd_session(args: argparse.Namespace) -> int:
 
     try:
         report = asyncio.run(run())
-    except SessionError as error:
+    except ServiceError as error:  # SessionError included
         raise SystemExit(str(error)) from None
     failed = sum(1 for t in report["sessions"] if t["failed"])
     if args.json:
@@ -883,17 +839,19 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _make_service(args: argparse.Namespace):
     from repro.service import SheddingService
-    from repro.service.service import DEFAULT_EDGE_BUDGET
 
     if args.mode == "stream":
         raise SystemExit("--mode stream applies to `serve` only")
-    return SheddingService(
-        max_resident_edges=args.edge_budget or DEFAULT_EDGE_BUDGET,
-        num_workers=args.workers,
-        mode=args.mode,
-        cache_dir=args.cache_dir,
-        num_shards=getattr(args, "shards", None),
-    )
+    try:
+        return SheddingService(
+            max_resident_edges=args.edge_budget,
+            num_workers=args.workers,
+            mode=args.mode,
+            cache_dir=args.cache_dir,
+            num_shards=getattr(args, "shards", None),
+        )
+    except ServiceError as error:
+        raise SystemExit(str(error)) from None
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
@@ -1002,7 +960,6 @@ def _cmd_serve_stream(args: argparse.Namespace, specs: List[Dict[str, Any]]) -> 
 
     from repro.dynamic import generate_workload
     from repro.errors import SessionError
-    from repro.service.service import DEFAULT_EDGE_BUDGET
     from repro.sessions import SessionConfig, SessionManager
 
     jobs = []
@@ -1024,8 +981,7 @@ def _cmd_serve_stream(args: argparse.Namespace, specs: List[Dict[str, Any]]) -> 
 
     async def run() -> List[Dict[str, Any]]:
         async with SessionManager(
-            max_resident_edges=args.edge_budget or DEFAULT_EDGE_BUDGET,
-            num_workers=args.workers,
+            max_resident_edges=args.edge_budget, num_workers=args.workers
         ) as manager:
 
             async def one(job: Dict[str, Any]) -> Dict[str, Any]:
@@ -1049,7 +1005,10 @@ def _cmd_serve_stream(args: argparse.Namespace, specs: List[Dict[str, Any]]) -> 
 
             return list(await asyncio.gather(*(one(job) for job in jobs)))
 
-    results = asyncio.run(run())
+    try:
+        results = asyncio.run(run())
+    except ServiceError as error:  # the manager refused its budget or workers
+        raise SystemExit(str(error)) from None
     failed = sum(1 for telemetry in results if telemetry["failed"])
     if args.json:
         _emit_json({"mode": "stream", "jobs": results, "failed": failed})

@@ -25,7 +25,7 @@ from repro.core.discrepancy import (
     swap_change_scalar_from_dis,
 )
 from repro.core.local_shed import JaccardShedder, LocalDegreeShedder
-from repro.core.progressive import degrade_method, progressive_reduce, rescore_result
+from repro.core.progressive import progressive_reduce, rescore_result
 from repro.core.random_shed import DegreeProportionalShedder, RandomShedder
 from repro.core.sparsify import edcs_beta, prune_boundary_ids, prune_candidates_ids
 from repro.core.validation import ValidationReport, validate_reduction
@@ -59,7 +59,6 @@ __all__ = [
     "LocalDegreeShedder",
     "JaccardShedder",
     "progressive_reduce",
-    "degrade_method",
     "rescore_result",
     "validate_reduction",
     "ValidationReport",

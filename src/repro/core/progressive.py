@@ -12,14 +12,10 @@ the previous level with the *relative* ratio ``pᵢ / pᵢ₋₁``; each level's
 ``Δ`` is still scored against the **original** graph at the absolute
 ratio, so the results are directly comparable with one-shot reductions.
 
-Two pieces of this machinery are shared with the serving layer
-(:mod:`repro.service`): :func:`rescore_result` packages an
-already-computed reduced graph as a :class:`ReductionResult` scored
-against an arbitrary original (used both for the nested levels here and
-for re-labelling degraded service runs), and the degradation ladder
-(:data:`DEGRADATION_LADDER` / :func:`degrade_method`) encodes the
-quality-for-speed ordering CRR → BM2 → sparsified BM2 → random that
-admission control walks under deadline pressure.
+:func:`rescore_result` packages an already-computed reduced graph as a
+:class:`ReductionResult` scored against an arbitrary original; the
+serving layer (:mod:`repro.service`) uses it too, to re-label degraded
+runs.
 """
 
 from __future__ import annotations
@@ -28,37 +24,11 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.base import EdgeShedder, ReductionResult
 from repro.core.discrepancy import compute_delta
+from repro.core.validation import subgraph_mismatch
 from repro.errors import ReductionError
 from repro.graph.graph import Graph
 
-__all__ = [
-    "DEGRADATION_LADDER",
-    "degrade_method",
-    "progressive_reduce",
-    "rescore_result",
-]
-
-#: Next-cheaper method for each shedding method key (lower-case), ordered
-#: by reduction cost: CRR's betweenness ranking dominates, BM2 is a few
-#: linear passes, random shedding is a single draw.  ``None`` marks the
-#: terminal rung — there is nothing cheaper to fall back to.
-DEGRADATION_LADDER: Dict[str, Optional[str]] = {
-    "crr": "bm2",
-    "uds": "bm2",
-    "bm2": "bm2-sparse",
-    "bm2-sparse": "random",
-    "degree-proportional": "random",
-    "random": None,
-}
-
-
-def degrade_method(method: str) -> Optional[str]:
-    """The next-cheaper method below ``method``, or ``None`` at the bottom.
-
-    Unknown method keys fall straight to ``"random"`` — any exotic shedder
-    is assumed to cost more than a uniform draw.
-    """
-    return DEGRADATION_LADDER.get(method.lower(), "random")
+__all__ = ["progressive_reduce", "rescore_result"]
 
 
 def rescore_result(
@@ -98,6 +68,8 @@ def progressive_reduce(
     ``p`` refer to the original graph.  Once a level keeps no edge, every
     later level is a copy of that edgeless graph (``V' = V``), scored the
     same way with ``elapsed_seconds`` 0: there is nothing left to shed.
+    A level with an edge outside its input (a shedder whose output is not
+    a subgraph) raises :class:`ReductionError`.
     """
     ratios = [float(p) for p in ratios]
     if not ratios:
@@ -119,6 +91,12 @@ def progressive_reduce(
             step = shedder.reduce(current, relative)
             reduced, elapsed = step.reduced, step.elapsed_seconds
             stats = {**step.stats, **level}
+            outside, first = subgraph_mismatch(current, reduced)[:2]
+            if outside:
+                raise ReductionError(
+                    f"{shedder.name} level {len(results)} (p={p:g}) keeps {outside} edges "
+                    f"outside its input (e.g. {first!r}); levels must nest"
+                )
         # Re-score against the original at the absolute ratio.
         absolute = rescore_result(
             method=f"{shedder.name} (progressive)",

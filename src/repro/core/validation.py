@@ -11,7 +11,7 @@ user-facing tooling.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -22,8 +22,9 @@ from repro.core.bounds import (
     crr_average_delta_bound,
 )
 from repro.core.discrepancy import compute_delta, round_half_up
+from repro.graph.graph import Edge, Graph
 
-__all__ = ["ValidationReport", "validate_reduction"]
+__all__ = ["ValidationReport", "subgraph_mismatch", "validate_reduction"]
 
 #: Methods whose result keeps exactly ``round_half_up(p·m)`` edges.
 EXACT_COUNT_METHODS = ("CRR", "W-CRR", "ShardedCRR")
@@ -83,25 +84,15 @@ def validate_reduction(
     original, reduced = result.original, result.reduced
     is_summary_method = "summary" in result.stats
 
-    # V' = V and E' ⊆ E in the original snapshot's ids (-1: a foreign node).
-    csr = original.csr()
-    labels, reduced_u, reduced_v, _ = reduced.edge_arrays()
-    index_of = csr.index_of
-    to_orig = np.fromiter((index_of.get(x, -1) for x in labels), np.int64, len(labels))
-    extra = int(np.count_nonzero(to_orig < 0))
-    missing = csr.num_nodes - (len(labels) - extra)
+    invented, first, missing, extra, orig_u, orig_v = subgraph_mismatch(original, reduced)
     if missing or extra:
         failures.append(
             f"node set mismatch: {missing} original nodes missing,"
             f" {extra} foreign nodes present"
         )
-    orig_u, orig_v = to_orig[reduced_u], to_orig[reduced_v]
-    invented = np.nonzero(csr.edge_ids_of(orig_u, orig_v) < 0)[0]
-    if invented.shape[0]:
-        k = int(invented[0])
-        first = (labels[reduced_u[k]], labels[reduced_v[k]])
+    if invented:
         message = (
-            f"{invented.shape[0]} reduced edges are not in the original graph"
+            f"{invented} reduced edges are not in the original graph"
             f" (e.g. {first!r})"
         )
         if is_summary_method:
@@ -159,6 +150,7 @@ def validate_reduction(
             # Phase 1 keeps deg' ≤ b(u) < p·deg + 1 under every rounding
             # rule; Phase 2 adds edges at a group-A node only while its dis
             # is ≤ −½, and at most one at a group-B node.  So dis(u) < 1.
+            csr = original.csr()
             degrees = np.bincount(np.concatenate((orig_u, orig_v)), minlength=csr.num_nodes)
             excess = degrees - result.p * csr.degree_array()
             over = np.nonzero(excess >= 1.0 + 1e-9)[0]
@@ -182,3 +174,25 @@ def validate_reduction(
             )
 
     return ValidationReport(ok=not failures, failures=failures, warnings=warnings)
+
+
+def subgraph_mismatch(
+    original: Graph, reduced: Graph
+) -> Tuple[int, Optional[Edge], int, int, np.ndarray, np.ndarray]:
+    """``(invented, first, missing, extra, orig_u, orig_v)``: how many edges of
+    ``reduced`` ``original`` lacks and the first (or ``None``), how many nodes
+    only ``original`` / only ``reduced`` holds, and ``reduced``'s edges in
+    ``original``'s snapshot ids (``-1``: a node ``original`` lacks)."""
+    csr = original.csr()
+    labels, reduced_u, reduced_v, _ = reduced.edge_arrays()
+    index_of = csr.index_of
+    to_orig = np.fromiter((index_of.get(x, -1) for x in labels), np.int64, len(labels))
+    extra = int(np.count_nonzero(to_orig < 0))
+    missing = csr.num_nodes - (len(labels) - extra)
+    orig_u, orig_v = to_orig[reduced_u], to_orig[reduced_v]
+    invented = np.nonzero(csr.edge_ids_of(orig_u, orig_v) < 0)[0]
+    first = None
+    if invented.shape[0]:
+        k = int(invented[0])
+        first = (labels[reduced_u[k]], labels[reduced_v[k]])
+    return int(invented.shape[0]), first, missing, extra, orig_u, orig_v

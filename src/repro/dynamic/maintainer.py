@@ -116,18 +116,18 @@ class IncrementalShedder:
                 f"drift monitor p={self._monitor.p} does not match maintainer p={self._p}"
             )
         seed_result = self._shedder.reduce(graph, self._p)
+        self._tracker = DynamicDegreeTracker(graph, self._p)
+        self._reservoir = EdgeReservoir(reservoir_size, seed=ensure_rng(seed))
+        self._restock_reservoir(seed_result.reduced)
         self._reduced = seed_result.reduced
         for node in graph.nodes():  # keep V' = V under node growth
             self._reduced.add_node(node)
-        self._tracker = DynamicDegreeTracker(graph, self._p)
         self._tracker.reset_kept(self._reduced)
-        self._reservoir = EdgeReservoir(reservoir_size, seed=ensure_rng(seed))
         self._repairer = (
             LocalRepairer(graph, self._reduced, self._tracker, self._reservoir)
             if repair
             else None
         )
-        self._restock_reservoir()
         self.stats: Dict[str, int] = {
             "ops": 0,
             "inserts": 0,
@@ -518,29 +518,39 @@ class IncrementalShedder:
         Replaces :attr:`reduced` with a **new** graph object (callers
         holding the old reference keep a stale snapshot), resynchronises
         the tracker, and restocks the reservoir with the fresh shed set.
+        A re-shed that keeps an edge outside ``G`` raises
+        :class:`~repro.errors.ReductionError` and changes nothing.
         """
         if self._graph.num_edges == 0:
             return  # nothing to shed; current (empty) G' is already exact
         result = self._shedder.reduce(self._graph, self._p)
+        self._restock_reservoir(result.reduced)
         self._reduced = result.reduced
         for node in self._graph.nodes():
             self._reduced.add_node(node)
         self._tracker.reset_kept(self._reduced)
         if self._repairer is not None:
             self._repairer.rebind(self._reduced)
-        self._restock_reservoir()
         self._monitor.notify_rebuild()
         self.stats["rebuilds"] += 1
         self._sync_versions()
 
-    def _restock_reservoir(self) -> None:
-        """Refill the reservoir with the current shed set (G edges not kept)."""
-        tracker, reduced = self._tracker, self._reduced
-        self._reservoir.refill([
-            _key(tracker.id_of(a), tracker.id_of(b))
+    def _restock_reservoir(self, reduced: Graph) -> None:
+        """Refill the reservoir with the ``G`` edges ``reduced`` sheds, first
+        refusing a ``reduced`` with edges outside ``G``: it keeps fewer than
+        ``|E(G')|`` of ``G``'s edges."""
+        id_of = self._tracker.id_of
+        shed = [
+            _key(id_of(a), id_of(b))
             for a, b in self._graph.edges()  # deterministic insertion order
             if not reduced.has_edge(a, b)
-        ])
+        ]
+        outside = reduced.num_edges - (self._graph.num_edges - len(shed))
+        if outside:
+            raise ReductionError(
+                f"{self._shedder.name} keeps {outside} edges outside G; it must shed to a subgraph"
+            )
+        self._reservoir.refill(shed)
 
     # ------------------------------------------------------------------
     # Out-of-band mutation detection

@@ -28,10 +28,13 @@ from repro.service.metrics import (
 )
 from repro.service.request import (
     KNOWN_METHODS,
+    METHODS,
     JobHandle,
     JobStatus,
+    MethodSpec,
     ReductionRequest,
     ServiceResult,
+    degrade_method,
     make_shedder,
 )
 from repro.service.scheduler import (
@@ -61,6 +64,8 @@ __all__ = [
     "JobStatus",
     "JobTimeoutError",
     "KNOWN_METHODS",
+    "METHODS",
+    "MethodSpec",
     "MetricsRegistry",
     "OP_LATENCY_BOUNDS",
     "ProcessEngine",
@@ -70,6 +75,7 @@ __all__ = [
     "Scheduler",
     "ServiceResult",
     "SheddingService",
+    "degrade_method",
     "graph_digest",
     "latency_us_summary",
     "make_shedder",

@@ -9,12 +9,12 @@ constraints premise, lifted to the serving layer):
   pool;
 * a request that cannot meet its deadline with the asked-for method is
   *degraded* down the quality ladder (CRR → BM2 → sparsified BM2 →
-  random, from :mod:`repro.core.progressive`) rather than rejected — a
-  cheaper, still valid reduction with the degradation recorded in the
-  result metadata.
+  random, the ``cheaper`` rungs of :data:`~repro.service.METHODS`)
+  rather than rejected — a cheaper, still valid reduction with the
+  degradation recorded in the result metadata.
 
 :class:`CostModel` supplies the runtime estimates the deadline check
-needs: per-method coefficients over a crude work measure (``n·m`` for
+needs: each method row's coefficient over its work measure (``n·m`` for
 betweenness-ranked methods, ``m`` for the linear ones), updated by EWMA
 from observed runs so the model calibrates itself to the host.
 """
@@ -26,10 +26,14 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
-from repro.core.progressive import degrade_method
 from repro.errors import AdmissionError, ServiceError
 from repro.graph.graph import Graph
-from repro.service.request import ReductionRequest
+from repro.service.request import (
+    METHODS,
+    ReductionRequest,
+    cheapest_method,
+    degrade_method,
+)
 
 __all__ = ["AdmissionController", "AdmissionDecision", "BudgetLedger", "CostModel"]
 
@@ -44,21 +48,10 @@ class CostModel:
     constants.
     """
 
-    #: Initial seconds-per-work-unit coefficients.  Work units: ``n·m``
-    #: for the betweenness-ranked methods (Brandes dominates), ``m`` for
-    #: the linear-pass ones.
+    #: Initial seconds-per-work-unit coefficients, from the method table.
     DEFAULT_COEFFICIENTS: Dict[str, float] = {
-        "crr": 2e-6,
-        "uds": 3e-6,
-        "bm2": 4e-6,
-        # EDCS-sparsified BM2: Phase 2 repairs a bounded-degree candidate
-        # subgraph, so the per-edge constant sits below plain bm2's.
-        "bm2-sparse": 2.5e-6,
-        "random": 2e-7,
-        "degree-proportional": 4e-7,
+        key: spec.coefficient for key, spec in METHODS.items()
     }
-    #: Methods whose cost scales with ``n·m`` rather than ``m``.
-    QUADRATIC_METHODS = frozenset({"crr", "uds"})
 
     def __init__(self, alpha: float = 0.3) -> None:
         if not 0.0 < alpha <= 1.0:
@@ -68,8 +61,8 @@ class CostModel:
         self._lock = threading.Lock()
 
     def work_units(self, method: str, num_nodes: int, num_edges: int) -> float:
-        method = method.lower()
-        if method in self.QUADRATIC_METHODS:
+        spec = METHODS.get(method.lower())
+        if spec is not None and spec.quadratic:
             return float(max(1, num_nodes) * max(1, num_edges))
         return float(max(1, num_edges))
 
@@ -239,22 +232,12 @@ class AdmissionController:
         self.max_queue_depth = max_queue_depth
         self.safety_factor = safety_factor
 
-    def _cheapest(self, method: str) -> str:
-        """Walk the ladder to its terminal (lowest-footprint) rung."""
-        current = method
-        while True:
-            cheaper = degrade_method(current)
-            if cheaper is None:
-                return current
-            current = cheaper
-
     def decide(
         self, request: ReductionRequest, graph: Graph, queue_depth: int = 0
     ) -> AdmissionDecision:
         """Admission decision for ``request`` over its resolved ``graph``."""
         method = request.method.lower()
         reasons: List[str] = []
-        oversize = False
 
         if self.max_queue_depth is not None and queue_depth >= self.max_queue_depth:
             return AdmissionDecision(
@@ -267,22 +250,13 @@ class AdmissionController:
 
         n, m = graph.num_nodes, graph.num_edges
         cap = request.max_resident_edges
-        if cap is not None and m > cap:
-            cheapest = self._cheapest(method)
-            if cheapest != method:
-                reasons.append(
-                    f"{method}->{cheapest}: input {m} edges exceeds the request's "
-                    f"{cap}-edge cap"
-                )
-                method = cheapest
-        if m > self.capacity_edges:
-            oversize = True
-            cheapest = self._cheapest(method)
-            if cheapest != method:
-                reasons.append(
-                    f"{method}->{cheapest}: input {m} edges exceeds the global "
-                    f"{self.capacity_edges}-edge budget"
-                )
+        oversize = m > self.capacity_edges
+        for over, limit in (
+            (cap is not None and m > cap, f"the request's {cap}-edge cap"),
+            (oversize, f"the global {self.capacity_edges}-edge budget"),
+        ):
+            if over and (cheapest := cheapest_method(method)) != method:
+                reasons.append(f"{method}->{cheapest}: input {m} edges exceeds {limit}")
                 method = cheapest
 
         estimate = self.cost_model.estimate(method, n, m)

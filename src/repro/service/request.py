@@ -9,8 +9,12 @@ resident-edge cap, and a scheduling priority.  Submitting one yields a
 :class:`~repro.core.base.ReductionResult` plus serving metadata (cache
 hit tier, degradation trail, queue/execute timings).
 
-:func:`make_shedder` is the single string-to-shedder factory; the CLI
-and the service's worker processes both route through it, so a method
+The method table :data:`METHODS` says, once, what each method key means:
+its engines, which options it takes, whether it shards, whether its
+output is a subgraph of the input, its cost model and its rung on the
+degradation ladder.  :func:`make_shedder` builds every shedder from it,
+whole-graph or sharded; the CLI, the service, its worker processes,
+admission control and the streaming sessions all read it, so a method
 key means the same thing everywhere.
 """
 
@@ -19,7 +23,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Type
 
 from repro.baselines.uds import UDSSummarizer
 from repro.core.base import EdgeShedder, ReductionResult, is_finite_number, is_int
@@ -28,19 +32,74 @@ from repro.core.crr import CRRShedder
 from repro.core.random_shed import DegreeProportionalShedder, RandomShedder
 from repro.errors import ServiceError
 from repro.graph.graph import Graph
+from repro.shard import ShardedShedder
 from repro.uncertain.shedders import WeightedBM2Shedder, WeightedCRRShedder
 
 __all__ = [
     "KNOWN_METHODS",
+    "METHODS",
     "JobStatus",
     "JobHandle",
+    "MethodSpec",
     "ReductionRequest",
     "ServiceResult",
+    "cheapest_method",
+    "degrade_method",
     "make_shedder",
 ]
 
+
+@dataclass(frozen=True)
+class MethodSpec:
+    """One row of :data:`METHODS`: what a method key means."""
+
+    engine: Type[EdgeShedder]  #: the shedder class the key builds
+    coefficient: float  #: CostModel's starting seconds per work unit
+    cheaper: Optional[str]  #: next-cheaper ladder rung; None at the terminal one
+    weighted: Optional[Type[EdgeShedder]] = None  #: probability-aware engine, if any
+    shard_engine: Optional[str] = None  #: ShardedShedder's engine; None: no sharding
+    sparsify: Optional[str] = None  #: default sparsify; None: no sparsify options
+    quadratic: bool = False  #: the work measure is n·m rather than m
+    reads_sources: bool = False  #: the engine takes num_sources
+    subgraph: bool = True  #: every kept edge is an edge of the input
+
+
+#: The method table, one row per lower-case key.  The ladder orders keys
+#: by reduction cost: CRR's betweenness ranking dominates (so its work is
+#: n·m), BM2 is a few linear passes, random shedding is a single draw.
+#: Coefficients start pessimistic and calibrate from observed runs;
+#: bm2-sparse's Phase 2 repairs a bounded-degree candidate subgraph, so
+#: its constant sits below plain bm2's.  UDS expands superedges into
+#: edges outside E, so its output is not a subgraph.
+METHODS: Dict[str, MethodSpec] = {
+    # key: MethodSpec(engine, coefficient, cheaper, weighted, shard_engine, sparsify, ...)
+    "crr": MethodSpec(
+        CRRShedder, 2e-6, "bm2", WeightedCRRShedder, "crr", quadratic=True, reads_sources=True
+    ),
+    "bm2": MethodSpec(BM2Shedder, 4e-6, "bm2-sparse", WeightedBM2Shedder, "bm2", "off"),
+    "bm2-sparse": MethodSpec(BM2Shedder, 2.5e-6, "random", WeightedBM2Shedder, "bm2", "edcs"),
+    "uds": MethodSpec(
+        UDSSummarizer, 3e-6, "bm2", quadratic=True, reads_sources=True, subgraph=False
+    ),
+    "random": MethodSpec(RandomShedder, 2e-7, None),
+    "degree-proportional": MethodSpec(DegreeProportionalShedder, 4e-7, "random"),
+}
+
 #: Method keys accepted by :func:`make_shedder` (lower-case).
-KNOWN_METHODS = ("crr", "bm2", "bm2-sparse", "uds", "random", "degree-proportional")
+KNOWN_METHODS = tuple(METHODS)
+
+
+def degrade_method(method: str) -> Optional[str]:
+    """The next-cheaper method below ``method``, or ``None`` at the bottom
+    (``KeyError`` for a key outside :data:`METHODS`)."""
+    return METHODS[method.lower()].cheaper
+
+
+def cheapest_method(method: str) -> str:
+    """The ladder's terminal rung below ``method`` (itself at the bottom)."""
+    while (cheaper := degrade_method(method)) is not None:
+        method = cheaper
+    return method
 
 
 def make_shedder(
@@ -51,53 +110,47 @@ def make_shedder(
     sparsify: Optional[str] = None,
     sparsify_beta: Optional[int] = None,
     weighted: bool = False,
+    num_shards: Optional[int] = None,
+    num_workers: int = 1,
 ) -> EdgeShedder:
-    """Build the shedder for a method key.
+    """Build the shedder for a method key (any case) from its table row.
 
-    ``num_sources`` switches CRR/UDS to sampled betweenness.  ``sparsify`` /
-    ``sparsify_beta`` configure BM2's EDCS candidate pruning (``bm2``
-    defaults to ``"off"``, ``bm2-sparse`` to ``"edcs"``; setting them on any
-    other method is an error).  ``weighted`` swaps CRR/BM2 for their
-    probability-aware :mod:`repro.uncertain` variants (other methods have
-    no weighted form).  ``engine`` must be ``"array"``, the one
+    ``num_sources`` switches the engines that read it (CRR/UDS) to sampled
+    betweenness.  ``sparsify`` / ``sparsify_beta`` configure BM2's EDCS
+    candidate pruning (default: the row's ``sparsify``).  ``weighted``
+    builds the row's probability-aware :mod:`repro.uncertain` engine;
+    ``num_shards`` its :class:`~repro.shard.ShardedShedder` form, run by
+    ``num_workers`` processes.  ``engine`` must be ``"array"``, the one
     implementation every method has; it is accepted so existing callers
-    keep working.  Raises :class:`ServiceError` for unknown keys.
+    keep working.  Raises :class:`ServiceError` for an unknown key or an
+    option its row does not take.
     """
     if engine != "array":
         raise ServiceError(f"engine must be 'array', got {engine!r}")
     method = method.lower()
-    if method not in ("bm2", "bm2-sparse") and (
-        sparsify is not None or sparsify_beta is not None
-    ):
-        raise ServiceError(f"sparsify options require bm2/bm2-sparse, got {method!r}")
-    if weighted and method in ("uds", "random", "degree-proportional"):
+    spec = METHODS.get(method)
+    if spec is None:
+        raise ServiceError(
+            f"unknown method {method!r} (expected one of {', '.join(METHODS)})"
+        )
+    options: Dict[str, Any] = {}
+    if spec.sparsify is not None:
+        options["sparsify"] = spec.sparsify if sparsify is None else sparsify
+        options["sparsify_beta"] = sparsify_beta
+    elif sparsify is not None or sparsify_beta is not None:
+        takers = "/".join(key for key, row in METHODS.items() if row.sparsify)
+        raise ServiceError(f"sparsify options require {takers}, got {method!r}")
+    if weighted and spec.weighted is None:
         raise ServiceError(f"method {method!r} has no weighted variant")
-    crr_class = WeightedCRRShedder if weighted else CRRShedder
-    bm2_class = WeightedBM2Shedder if weighted else BM2Shedder
-    if method == "crr":
-        return crr_class(seed=seed, num_betweenness_sources=num_sources)
-    if method == "bm2":
-        return bm2_class(
-            seed=seed,
-            sparsify=sparsify if sparsify is not None else "off",
-            sparsify_beta=sparsify_beta,
-        )
-    if method == "bm2-sparse":
-        # The degradation ladder's middle rung: EDCS-pruned Phase 2.
-        return bm2_class(
-            seed=seed,
-            sparsify=sparsify if sparsify is not None else "edcs",
-            sparsify_beta=sparsify_beta,
-        )
-    if method == "uds":
-        return UDSSummarizer(seed=seed, num_betweenness_sources=num_sources)
-    if method == "random":
-        return RandomShedder(seed=seed)
-    if method == "degree-proportional":
-        return DegreeProportionalShedder(seed=seed)
-    raise ServiceError(
-        f"unknown method {method!r} (expected one of {', '.join(KNOWN_METHODS)})"
-    )
+    if spec.reads_sources:
+        options["num_betweenness_sources"] = num_sources
+    if num_shards is None:
+        return (spec.weighted if weighted else spec.engine)(seed=seed, **options)
+    if spec.shard_engine is None:
+        raise ServiceError(f"method {method!r} has no sharded runner")
+    if weighted:
+        raise ServiceError("the sharded runner is weight-blind")
+    return ShardedShedder(spec.shard_engine, num_shards, num_workers, seed=seed, **options)
 
 
 class JobStatus(str, Enum):
@@ -157,7 +210,7 @@ class ReductionRequest:
             raise ServiceError(f"graph_ref must be a str, got {self.graph_ref!r}")
         if not (is_finite_number(self.p) and 0.0 < self.p < 1.0):
             raise ServiceError(f"p must be a number in (0, 1), got {self.p!r}")
-        if not isinstance(self.method, str) or self.method.lower() not in KNOWN_METHODS:
+        if not isinstance(self.method, str) or self.method.lower() not in METHODS:
             raise ServiceError(f"unknown method {self.method!r}")
         if self.seed is not None and not is_int(self.seed):
             raise ServiceError(f"seed must be an int or None, got {self.seed!r}")
@@ -171,7 +224,7 @@ class ReductionRequest:
             )
         if not isinstance(self.weighted, bool):
             raise ServiceError(f"weighted must be a bool, got {self.weighted!r}")
-        if self.weighted and self.method.lower() not in ("crr", "bm2", "bm2-sparse"):
+        if self.weighted and METHODS[self.method.lower()].weighted is None:
             raise ServiceError(f"method {self.method!r} has no weighted variant")
         if self.deadline_seconds is not None and not (
             is_finite_number(self.deadline_seconds) and self.deadline_seconds >= 0

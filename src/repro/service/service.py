@@ -30,16 +30,19 @@ import time
 from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.core.base import ReductionResult
-from repro.core.progressive import degrade_method, rescore_result
+from repro.core.progressive import rescore_result
 from repro.errors import ServiceError
 from repro.graph.graph import Graph
 from repro.service.admission import AdmissionController, BudgetLedger, CostModel
 from repro.service.metrics import MetricsRegistry
 from repro.service.request import (
+    METHODS,
     JobHandle,
     JobStatus,
     ReductionRequest,
     ServiceResult,
+    cheapest_method,
+    degrade_method,
     make_shedder,
 )
 from repro.service.scheduler import (
@@ -142,7 +145,7 @@ class SheddingService:
             request.method,
             request.p,
             request.seed,
-            variant=self._variant(request, request.method),
+            variant=self._variant(request, request.method.lower()),
         )
         cached, hit = self.store.get_with_tier(key, graph)
         if cached is not None:
@@ -382,7 +385,7 @@ class SheddingService:
 
         # Degraded fallbacks may land on a method with no weighted variant
         # (e.g. random); those run weight-blind — the trail says why.
-        runs_weighted = request.weighted and method in ("crr", "bm2", "bm2-sparse")
+        runs_weighted = request.weighted and METHODS[method].weighted is not None
 
         if self._engine is not None:
             try:
@@ -400,7 +403,7 @@ class SheddingService:
                 # result at all; the trail records the timeout.
                 self.metrics.counter("timeouts").inc()
                 metadata["timed_out"] = True
-                fallback = "random"
+                fallback = cheapest_method(method)
                 degradation.append(
                     f"{method}->{fallback}: process-pool execution timed out"
                 )
@@ -408,27 +411,19 @@ class SheddingService:
                 result = make_shedder(fallback, seed=request.seed).reduce(
                     graph, request.p
                 )
-        elif self._runs_sharded(method, request):
-            from repro.shard import ShardedShedder
-
-            shedder = ShardedShedder(
-                method="bm2" if method == "bm2-sparse" else method,
-                num_shards=self.num_shards,
-                num_workers=self.scheduler.num_workers,
-                seed=request.seed,
-                num_betweenness_sources=request.num_sources,
-                sparsify="edcs" if method == "bm2-sparse" else "off",
-            )
-            metadata["num_shards"] = self.num_shards
-            result = shedder.reduce(graph, request.p)
         else:
-            if self.mode == "sharded":
+            num_shards = None
+            if self._runs_sharded(method, request):
+                num_shards = metadata["num_shards"] = self.num_shards
+            elif self.mode == "sharded":
                 metadata["unsharded"] = self._unsharded_reason(method, request)
             shedder = make_shedder(
                 method,
                 seed=request.seed,
                 num_sources=request.num_sources,
                 weighted=runs_weighted,
+                num_shards=num_shards,
+                num_workers=self.scheduler.num_workers,
             )
             result = shedder.reduce(graph, request.p)
 
@@ -469,7 +464,7 @@ class SheddingService:
     def _unsharded_reason(method: str, request: ReductionRequest) -> Optional[str]:
         """Why a sharded service runs ``method`` on the whole graph, or
         ``None`` when it shards.  Recorded as ``metadata["unsharded"]``."""
-        if method not in ("crr", "bm2", "bm2-sparse"):
+        if METHODS[method].shard_engine is None:
             # Only the paper kernels shard; degraded fallbacks land here.
             return f"method {method!r} has no sharded runner"
         if request.weighted:

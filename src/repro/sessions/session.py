@@ -54,7 +54,7 @@ from repro.dynamic.maintainer import ChurnOp, IncrementalShedder
 from repro.errors import SessionError
 from repro.graph.io import graph_from_payload, graph_to_payload
 from repro.service.admission import BudgetLedger
-from repro.service.request import KNOWN_METHODS
+from repro.service.request import METHODS
 from repro.service.store import ArtifactKey, ArtifactStore
 from repro.service.metrics import (
     MetricsRegistry,
@@ -99,8 +99,8 @@ class SessionConfig:
     Attributes:
         p: edge preservation ratio for the maintained reduction.
         method: offline method seeding the reduction (and used by
-            drift-triggered rebuilds) — any :data:`~repro.service.KNOWN_METHODS`
-            key.
+            drift-triggered rebuilds) — any :data:`~repro.service.METHODS`
+            key whose output is a subgraph of ``G``.
         engine: must be ``"array"``, the one engine every method has
             (accepted so existing configurations keep working).
         seed: routed to the maintainer's reservoir; seeded sessions
@@ -149,8 +149,9 @@ class SessionConfig:
         watermarks finite reals, ``repair`` a bool and the names strs.
         ``p`` and the drift knobs then go through
         :class:`~repro.dynamic.DriftMonitor`'s own range checks, and
-        ``method`` must be a :data:`~repro.service.KNOWN_METHODS` key, so
-        a bad config fails here, before any graph is loaded or budgeted.
+        ``method`` must be a :data:`~repro.service.METHODS` key whose row
+        keeps a subgraph of ``G``, so a bad config fails here, before any
+        graph is loaded or budgeted.
         """
         for name in _REAL_FIELDS:
             value = getattr(self, name)
@@ -177,11 +178,14 @@ class SessionConfig:
             )
         except (TypeError, ValueError) as error:
             raise SessionError(f"unusable p or drift policy: {error}") from None
-        if self.method.lower() not in KNOWN_METHODS:
+        spec = METHODS.get(self.method.lower())
+        if spec is None:
             raise SessionError(
                 f"unknown method {self.method!r} "
-                f"(expected one of {', '.join(KNOWN_METHODS)})"
+                f"(expected one of {', '.join(METHODS)})"
             )
+        if not spec.subgraph:
+            raise SessionError(f"method {self.method!r} does not shed to a subgraph of G")
         if self.engine != "array":
             raise SessionError(f"engine must be 'array', got {self.engine!r}")
         if self.inbox_capacity < 1:

@@ -4,7 +4,8 @@ import pytest
 
 from repro.core import BM2Shedder, CRRShedder, compute_delta, progressive_reduce
 from repro.errors import ReductionError
-from repro.graph.generators import erdos_renyi
+from repro.graph.generators import erdos_renyi, powerlaw_cluster
+from repro.service import make_shedder
 
 
 class TestProgressiveReduce:
@@ -24,6 +25,11 @@ class TestProgressiveReduce:
         for result in results:
             for u, v in result.reduced.edges():
                 assert medium_powerlaw.has_edge(u, v)
+
+    def test_levels_that_do_not_nest_are_refused(self):
+        graph = powerlaw_cluster(200, 3, 0.3, seed=1)
+        with pytest.raises(ReductionError, match=r"^UDS level 0 \(p=0.8\) keeps 52 edges"):
+            progressive_reduce(make_shedder("uds", seed=0), graph, [0.8, 0.5, 0.2])
 
     def test_absolute_ratios_recorded(self, medium_powerlaw):
         results = progressive_reduce(BM2Shedder(seed=0), medium_powerlaw, [0.8, 0.4])

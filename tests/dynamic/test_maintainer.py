@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.core import compute_delta
-from repro.dynamic import DriftMonitor, IncrementalShedder
+from repro.core import BM2Shedder, EdgeShedder, compute_delta
+from repro.dynamic import DriftMonitor, IncrementalShedder, generate_workload
 from repro.errors import EdgeNotFoundError, ReductionError, SelfLoopError
 from repro.graph import Graph, paper_figure1_graph
-from repro.graph.generators import erdos_renyi
+from repro.graph.generators import erdos_renyi, powerlaw_cluster
+from repro.service import make_shedder
 from tests.oracles import dynamic as oracle
 from tests.oracles.core import LegacyBM2Shedder
 
@@ -16,7 +17,31 @@ def small_er() -> Graph:
     return erdos_renyi(60, 0.1, seed=42)
 
 
+class _InventsOnRebuild(EdgeShedder):
+    """BM2 whose re-sheds keep one pair that is not an edge of the input."""
+
+    name = "Inventive"
+
+    def __init__(self):
+        self.calls = 0
+
+    def _reduce(self, graph, p):
+        self.calls += 1
+        reduced = BM2Shedder(seed=0).reduce(graph, p).reduced
+        if self.calls > 1:
+            nodes = list(graph.nodes())
+            reduced.add_edge(*next(
+                (u, v) for u in nodes for v in nodes if u != v and not graph.has_edge(u, v)
+            ))
+        return reduced, {}
+
+
 class TestConstruction:
+    def test_seed_outside_g_refused(self):
+        graph = powerlaw_cluster(200, 3, 0.3, seed=1)
+        with pytest.raises(ReductionError, match="^UDS keeps 86 edges outside G"):
+            IncrementalShedder(graph, 0.5, make_shedder("uds", seed=0))
+
     def test_seed_reduction_is_subset(self, small_er):
         shed = IncrementalShedder(small_er, 0.5, seed=0)
         assert all(small_er.has_edge(u, v) for u, v in shed.reduced.edges())
@@ -145,6 +170,29 @@ class TestRepairAndStats:
 
 
 class TestRebuild:
+    def test_rebuild_outside_g_refused_and_changes_nothing(self):
+        twins = [
+            IncrementalShedder(
+                erdos_renyi(60, 0.1, seed=42),
+                0.5,
+                _InventsOnRebuild(),
+                drift=DriftMonitor(0.5, drift_ratio=100.0),
+                seed=0,
+            )
+            for _ in range(2)
+        ]
+        shed, twin = twins
+        reduced = shed.reduced
+        with pytest.raises(ReductionError, match="^Inventive keeps 1 edges outside G"):
+            shed.rebuild()
+        assert shed.reduced is reduced and shed.stats == twin.stats
+        ops = generate_workload("mixed", twin.graph, 300, seed=1)
+        for maintainer in twins:
+            maintainer.apply_ops(ops)
+        assert list(shed.reduced.edges()) == list(twin.reduced.edges())
+        assert shed.delta == twin.delta
+        assert shed.reservoir.items() == twin.reservoir.items()
+
     def test_manual_rebuild_restores_envelope(self, small_er):
         shed = IncrementalShedder(small_er, 0.5, seed=0)
         shed.rebuild()

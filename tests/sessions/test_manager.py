@@ -134,6 +134,7 @@ class TestBudgetAudit:
             async with SessionManager(graph_loader=loader) as manager:
                 for config in (
                     SessionConfig(p=0.5, method="nope"),
+                    SessionConfig(p=0.5, method="uds"),
                     SessionConfig(p=0.5, drift_ratio=-1.0),
                     SessionConfig(p=0.5, reservoir_size=-1),
                 ):

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -333,6 +334,48 @@ class TestCommands:
         code = main(["bench", "--experiment", "ablation-rounding"])
         assert code == 0
         assert "Ablation" in capsys.readouterr().out
+
+
+class TestOneLineExits:
+    """Values the program refuses end the command in one line, never a
+    traceback, and are never replaced by a default."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["reduce", "--method", "crr", "--shards", "2", "--workers", "-3"],
+                "num_workers must be positive, got -3",
+            ),
+            (["submit", "--edge-budget", "0"], "budget capacity must be positive, got 0"),
+            (
+                ["session", "--edge-budget", "0", "--ops", "10"],
+                "budget capacity must be positive, got 0",
+            ),
+            (["submit", "--workers", "0"], "num_workers must be >= 1, got 0"),
+            (
+                ["session", "--method", "uds", "--ops", "10"],
+                "method 'uds' does not shed to a subgraph of G",
+            ),
+        ],
+    )
+    def test_refused_value(self, argv, message):
+        with pytest.raises(SystemExit) as raised:
+            main(argv + ["--scale", "0.02"])
+        assert raised.value.code == message
+
+    @pytest.mark.parametrize(
+        "argv, pattern",
+        [
+            (["progressive"], r"UDS level 0 \(p=0.8\) keeps \d+ edges outside its input"),
+            (["dynamic", "--ops", "10"], r"UDS keeps \d+ edges outside G"),
+        ],
+    )
+    def test_uds_output_outside_g(self, argv, pattern):
+        with pytest.raises(SystemExit) as raised:
+            main(argv + ["--scale", "0.02", "--method", "uds"])
+        assert re.match(pattern, raised.value.code)
+        assert "\n" not in raised.value.code
 
 
 class TestDynamicCommand:
