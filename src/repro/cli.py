@@ -40,7 +40,7 @@ from repro.datasets.registry import DATASETS, load_dataset
 from repro.errors import GraphError, ReductionError, ServiceError
 from repro.graph.graph import Graph
 from repro.graph.io import EdgeListSummary, read_edge_list_with_summary, write_edge_list
-from repro.service.request import make_shedder
+from repro.service.request import METHODS, make_shedder
 from repro.service.service import DEFAULT_EDGE_BUDGET
 from repro.tasks import all_tasks
 
@@ -65,6 +65,13 @@ def _make_shedder(args: argparse.Namespace, **options: Any) -> EdgeShedder:
         return make_shedder(args.method, seed=args.seed, num_sources=args.sources, **options)
     except (ServiceError, ValueError) as error:
         raise SystemExit(str(error)) from None
+
+
+def _require_subgraph(args: argparse.Namespace) -> None:
+    """Exit before any graph is loaded when ``--method``'s row keeps edges outside G."""
+    spec = METHODS.get(args.method.lower())
+    if spec is not None and not spec.subgraph:
+        raise SystemExit(f"method {args.method!r} does not shed to a subgraph of G")
 
 
 def _read_input(
@@ -175,8 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     reduce_parser.add_argument(
         "--workers",
         type=int,
-        default=1,
-        help="process fan-out for --shards (identical output at any count)",
+        default=None,
+        help="process fan-out for --shards (default 1; identical output at any count)",
     )
     reduce_parser.add_argument(
         "--sparsify",
@@ -261,9 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1.0,
         help="rebuild trigger as a multiple of the Theorem-2 envelope",
     )
-    dynamic_parser.add_argument(
-        "--reservoir", type=int, default=256, help="held-back edge reservoir capacity"
-    )
 
     session_parser = sub.add_parser(
         "session", help="drive a scripted churn stream through a live session"
@@ -311,9 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=1.0,
         help="rebuild trigger as a multiple of the Theorem-2 envelope",
-    )
-    session_parser.add_argument(
-        "--reservoir", type=int, default=256, help="held-back edge reservoir capacity"
     )
     session_parser.add_argument(
         "--edge-budget",
@@ -415,6 +416,8 @@ def _shard_stats_dict(stats: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
+    if args.workers is not None and args.shards is None:
+        raise SystemExit("--workers requires --shards")
     graph = _load_graph(args)
     if args.shards is not None and args.weighted:
         raise SystemExit("--weighted cannot combine with --shards "
@@ -425,7 +428,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         sparsify_beta=args.sparsify_beta,
         weighted=args.weighted,
         num_shards=args.shards,
-        num_workers=args.workers,
+        num_workers=1 if args.workers is None else args.workers,
     )
     result = shedder.reduce(graph, args.p)
     validation_ok = True
@@ -571,6 +574,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 def _cmd_progressive(args: argparse.Namespace) -> int:
     from repro.core.progressive import progressive_reduce
 
+    _require_subgraph(args)
     graph = _load_graph(args)
     shedder = _make_shedder(args)
     try:
@@ -620,17 +624,13 @@ def _cmd_dynamic(args: argparse.Namespace) -> int:
         latency_us_summary,
     )
 
+    _require_subgraph(args)
     graph = _load_graph(args)
     shedder = _make_shedder(args)
     ops = generate_workload(args.churn, graph, args.ops, seed=args.seed)
     try:
         maintainer = IncrementalShedder(
-            graph,
-            args.p,
-            shedder,
-            drift=DriftMonitor(args.p, drift_ratio=args.drift_ratio),
-            reservoir_size=args.reservoir,
-            seed=args.seed,
+            graph, args.p, shedder, drift=DriftMonitor(args.p, drift_ratio=args.drift_ratio)
         )
     except ReductionError as error:
         raise SystemExit(str(error)) from None
@@ -689,7 +689,7 @@ def _cmd_dynamic(args: argparse.Namespace) -> int:
     print(
         f"admitted={stats['admitted']} rejected={stats['rejected']} "
         f"evicted={stats['evicted']} promoted={stats['promoted']} "
-        f"demoted={stats['demoted']} swapped={stats['swapped']} "
+        f"demoted={stats['demoted']} "
         f"rebuilds={stats['rebuilds']}"
     )
     print(
@@ -769,7 +769,6 @@ def _cmd_session(args: argparse.Namespace) -> int:
         method=args.method,
         seed=args.seed,
         drift_ratio=args.drift_ratio,
-        reservoir_size=args.reservoir,
         inbox_capacity=args.inbox,
         shed_watermark=args.shed_watermark,
         apply_watermark=args.apply_watermark,

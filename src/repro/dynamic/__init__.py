@@ -10,10 +10,11 @@ division of labour:
   admission on insert, eviction on delete, O(1) amortized per op.  Its
   :meth:`~IncrementalShedder.apply_ops` is the one implementation of an
   op; ``insert``/``delete``/``apply`` are one-op calls of it.
-* :class:`LocalRepairer` — localized demote / promote / swap repair
-  around the touched endpoints, with fixed move budgets and scalar
-  ``d_1``/``d_2`` scoring of its few candidates; the maintainer runs it
-  after every op unless built with ``repair=False``.
+* :class:`LocalRepairer` — localized repair in two deterministic moves:
+  demote where ``dis > 1``, then promote wherever spare capacity grew,
+  scoring its few candidates with scalar ``d_1``/``d_2``; it keeps a
+  BM2-seeded ``G'`` maximal after every op.  The maintainer runs it after
+  every op unless built with ``repair=False``.
 * :class:`DriftMonitor` / :class:`DriftDecision` — rebuild policy against
   the Theorem-2 envelope at the live graph size, with hysteresis.
 * :mod:`~repro.dynamic.workloads` — seeded churn generators for tests,

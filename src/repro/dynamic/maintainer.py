@@ -9,18 +9,19 @@ an insert/delete stream without re-running the O(|E|) offline pass per op:
 * **insert** — the edge joins ``G`` (both expectations ``p·deg`` rise)
   and is admitted to ``G'`` iff both endpoints sit below their live
   Phase-1 capacities ``b(u) = [p·deg_G(u)]`` — exactly BM2's admission
-  invariant, so an admission never increases ``Δ``.  Rejected edges enter
-  a bounded :class:`~repro.streaming.EdgeReservoir` for later promotion.
+  invariant, so an admission never increases ``Δ``.  A rejected edge
+  stays in ``G ∖ G'``.
 * **delete** — the edge leaves ``G``; if it was kept it leaves ``G'``
-  too, otherwise it is dropped from the reservoir.
+  too.
 
 :meth:`IncrementalShedder.apply_ops` is the one implementation of both
 ops; :meth:`~IncrementalShedder.insert`, :meth:`~IncrementalShedder.delete`
 and :meth:`~IncrementalShedder.apply` are one-op calls of it.  Each op is
 O(1) amortized for the bookkeeping itself, plus a localized
-:class:`~repro.dynamic.repair.LocalRepairer` pass (O(deg) around the two
-touched endpoints) that restores the per-node guarantee, back-fills freed
-capacity and applies a bounded Δ-improving swap.  A
+:class:`~repro.dynamic.repair.LocalRepairer` pass (O(deg) at the nodes
+the op or an eviction touched) that restores the per-node guarantee and
+promotes wherever spare capacity grew, so a BM2-seeded ``G'`` stays a
+maximal b-matching after every op.  A
 :class:`~repro.dynamic.DriftMonitor` policy watches the running ``Δ``
 against Theorem 2's envelope at the *live* ``|V|``/``|E|``; when drift
 crosses the configured ratio the maintainer amortizes a full offline
@@ -41,13 +42,13 @@ from typing import Dict, Iterable, Optional, Tuple
 
 from repro.core.base import EdgeShedder, validate_ratio
 from repro.core.bm2 import BM2Shedder
+from repro.core.validation import subgraph_mismatch
 from repro.dynamic.drift import DriftDecision, DriftMonitor
-from repro.dynamic.repair import LocalRepairer, _key
+from repro.dynamic.repair import LocalRepairer
 from repro.dynamic.tracker import DynamicDegreeTracker
 from repro.errors import EdgeNotFoundError, ReductionError, SelfLoopError
 from repro.graph.graph import Graph, Node
-from repro.rng import RandomState, ensure_rng
-from repro.streaming.shedder import EdgeReservoir
+from repro.rng import RandomState
 
 __all__ = ["BatchReport", "IncrementalShedder", "ChurnOp"]
 
@@ -91,9 +92,13 @@ class IncrementalShedder:
         drift: :class:`DriftMonitor` watching Δ, or ``None`` for the
             default ``DriftMonitor(p)`` (rebuild at 1.0× the Theorem-2
             envelope, hysteresis 0.9).
-        reservoir_size: capacity of the held-back edge reservoir.
-        seed: randomness for the reservoir (probing and Algorithm-R
-            replacement); seeded runs replay identically.
+        reservoir_size, seed: have no effect (accepted so existing callers
+            keep working); a negative ``reservoir_size`` is refused.
+            Maintenance draws nothing: a seeded run's randomness is the
+            ``shedder``'s own.
+
+    Raises :class:`~repro.errors.ReductionError` when the seed reduction
+    keeps an edge outside ``G``.
     """
 
     def __init__(
@@ -108,6 +113,10 @@ class IncrementalShedder:
         seed: RandomState = None,
     ) -> None:
         self._p = validate_ratio(p)
+        if reservoir_size < 0:
+            raise ReductionError(
+                f"reservoir_size must be non-negative, got {reservoir_size}"
+            )
         self._graph = graph
         self._shedder = shedder if shedder is not None else BM2Shedder()
         self._monitor = drift if drift is not None else DriftMonitor(self._p)
@@ -116,17 +125,14 @@ class IncrementalShedder:
                 f"drift monitor p={self._monitor.p} does not match maintainer p={self._p}"
             )
         seed_result = self._shedder.reduce(graph, self._p)
+        self._refuse_outside_g(seed_result.reduced)
         self._tracker = DynamicDegreeTracker(graph, self._p)
-        self._reservoir = EdgeReservoir(reservoir_size, seed=ensure_rng(seed))
-        self._restock_reservoir(seed_result.reduced)
         self._reduced = seed_result.reduced
         for node in graph.nodes():  # keep V' = V under node growth
             self._reduced.add_node(node)
         self._tracker.reset_kept(self._reduced)
         self._repairer = (
-            LocalRepairer(graph, self._reduced, self._tracker, self._reservoir)
-            if repair
-            else None
+            LocalRepairer(graph, self._reduced, self._tracker) if repair else None
         )
         self.stats: Dict[str, int] = {
             "ops": 0,
@@ -137,7 +143,6 @@ class IncrementalShedder:
             "evicted": 0,
             "demoted": 0,
             "promoted": 0,
-            "swapped": 0,
             "rebuilds": 0,
         }
         self._sync_versions()
@@ -168,10 +173,6 @@ class IncrementalShedder:
     @property
     def tracker(self) -> DynamicDegreeTracker:
         return self._tracker
-
-    @property
-    def reservoir(self) -> EdgeReservoir:
-        return self._reservoir
 
     @property
     def monitor(self) -> DriftMonitor:
@@ -206,10 +207,10 @@ class IncrementalShedder:
     ) -> BatchReport:
         """Apply a batch of churn ops: the one implementation of an op.
 
-        Each op updates ``G``, ``G'``, the tracker and the reservoir, runs
-        the repair pass and consults the drift policy, rebuilding when it
-        says so.  Any batch split of a stream ends in the same G, G', Δ,
-        stats, reservoir and drift-monitor state, bit for bit.  The per-op
+        Each op updates ``G``, ``G'`` and the tracker, runs the repair
+        pass and consults the drift policy, rebuilding when it says so.
+        Any batch split of a stream ends in the same G, G', Δ, stats and
+        drift-monitor state, bit for bit.  The per-op
         Python overhead is amortized: the tracker's graph-side arithmetic
         is inlined on its lists, the graphs and lists are hoisted into
         locals, stats are buffered, the version handshake runs once per
@@ -262,8 +263,6 @@ class IncrementalShedder:
         hysteresis = monitor.hysteresis
         cooldown = monitor.cooldown_ops
         one_minus_p = 1.0 - monitor._p
-        reservoir_offer = self._reservoir.offer
-        reservoir_discard = self._reservoir.discard
         # Graph and monitor counters mirrored into locals for the loop;
         # flushed back before every rebuild (which reads them through the
         # public surface) and in the finally block.  The graph's CSR cache
@@ -277,7 +276,7 @@ class IncrementalShedder:
         armed = monitor._armed
         applied = skipped = ops_count = 0
         inserts = deletes = admitted = rejected = evicted = 0
-        demoted = promoted = swapped = rebuild_count = 0
+        demoted = promoted = rebuild_count = 0
         last: Optional[Tuple[float, float, float, bool, bool]] = None
         try:
             for kind, u, v in ops:
@@ -367,7 +366,6 @@ class IncrementalShedder:
                         admitted += 1
                         hint_u = hint_v = False
                     else:
-                        reservoir_offer((tu, tv) if tu < tv else (tv, tu))
                         rejected += 1
                         hint_u = new_cap_u > cap_u
                         hint_v = new_cap_v > cap_v
@@ -425,7 +423,6 @@ class IncrementalShedder:
                         hint_u = int(p * du + 0.5) == cap_u
                         hint_v = int(p * dv + 0.5) == cap_v
                     else:
-                        reservoir_discard((tu, tv) if tu < tv else (tv, tu))
                         hint_u = hint_v = False
                     deletes += 1
                 else:
@@ -436,10 +433,9 @@ class IncrementalShedder:
                 # publish the running Δ first, re-read after.
                 tracker._approx_delta = approx
                 if repair is not None:
-                    demotes, promotes, swaps = repair((tu, tv), (hint_u, hint_v))
+                    demotes, promotes = repair((tu, tv), (hint_u, hint_v))
                     demoted += demotes
                     promoted += promotes
-                    swapped += swaps
                     approx = tracker._approx_delta
                 ops_count += 1
                 # DriftMonitor.observe inlined, minus the DriftDecision
@@ -489,7 +485,6 @@ class IncrementalShedder:
             stats["evicted"] += evicted
             stats["demoted"] += demoted
             stats["promoted"] += promoted
-            stats["swapped"] += swapped
             self._sync_versions()
         decision = None
         if last is not None:
@@ -516,15 +511,15 @@ class IncrementalShedder:
         """Re-shed ``G`` offline and resume incrementally from the result.
 
         Replaces :attr:`reduced` with a **new** graph object (callers
-        holding the old reference keep a stale snapshot), resynchronises
-        the tracker, and restocks the reservoir with the fresh shed set.
-        A re-shed that keeps an edge outside ``G`` raises
-        :class:`~repro.errors.ReductionError` and changes nothing.
+        holding the old reference keep a stale snapshot) and
+        resynchronises the tracker.  A re-shed that keeps an edge outside
+        ``G`` raises :class:`~repro.errors.ReductionError` and changes
+        nothing.
         """
         if self._graph.num_edges == 0:
             return  # nothing to shed; current (empty) G' is already exact
         result = self._shedder.reduce(self._graph, self._p)
-        self._restock_reservoir(result.reduced)
+        self._refuse_outside_g(result.reduced)
         self._reduced = result.reduced
         for node in self._graph.nodes():
             self._reduced.add_node(node)
@@ -535,22 +530,14 @@ class IncrementalShedder:
         self.stats["rebuilds"] += 1
         self._sync_versions()
 
-    def _restock_reservoir(self, reduced: Graph) -> None:
-        """Refill the reservoir with the ``G`` edges ``reduced`` sheds, first
-        refusing a ``reduced`` with edges outside ``G``: it keeps fewer than
-        ``|E(G')|`` of ``G``'s edges."""
-        id_of = self._tracker.id_of
-        shed = [
-            _key(id_of(a), id_of(b))
-            for a, b in self._graph.edges()  # deterministic insertion order
-            if not reduced.has_edge(a, b)
-        ]
-        outside = reduced.num_edges - (self._graph.num_edges - len(shed))
+    def _refuse_outside_g(self, reduced: Graph) -> None:
+        """Raise :class:`~repro.errors.ReductionError` if ``reduced`` keeps an
+        edge outside ``G``: churn repair needs ``G' ⊆ G``."""
+        outside = subgraph_mismatch(self._graph, reduced)[0]
         if outside:
             raise ReductionError(
                 f"{self._shedder.name} keeps {outside} edges outside G; it must shed to a subgraph"
             )
-        self._reservoir.refill(shed)
 
     # ------------------------------------------------------------------
     # Out-of-band mutation detection

@@ -480,7 +480,7 @@ class SheddingService:
         served from — or poison — the unsharded cache entries.  Keyed per
         executed method because degraded fallbacks run unsharded.
         """
-        variant = _variant_of(request)
+        variant = _variant_of(request, method)
         if self._runs_sharded(method, request):
             tag = f"shards={self.num_shards}"
             variant = f"{variant},{tag}" if variant else tag
@@ -533,10 +533,11 @@ class SheddingService:
         return graph
 
 
-def _variant_of(request: ReductionRequest) -> str:
-    """Extra cache-key discriminators beyond (method, p, seed)."""
+def _variant_of(request: ReductionRequest, method: str) -> str:
+    """Extra cache-key discriminators beyond (method, p, seed) for the
+    executed ``method``: sources only where its row reads them."""
     tags = []
-    if request.num_sources is not None:
+    if request.num_sources is not None and METHODS[method].reads_sources:
         tags.append(f"sources={request.num_sources}")
     if request.weighted:
         # Weight-aware and weight-blind runs on the same weighted graph

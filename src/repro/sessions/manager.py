@@ -318,6 +318,4 @@ class SessionManager:
             shedder,
             repair=config.repair,
             drift=monitor,
-            reservoir_size=config.reservoir_size,
-            seed=config.seed,
         )

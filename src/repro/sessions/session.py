@@ -103,14 +103,15 @@ class SessionConfig:
             key whose output is a subgraph of ``G``.
         engine: must be ``"array"``, the one engine every method has
             (accepted so existing configurations keep working).
-        seed: routed to the maintainer's reservoir; seeded sessions
-            replay identically.
+        seed: seeds the offline method (the seed reduction and every
+            rebuild); seeded sessions replay identically.
         repair: run the maintainer's localized repair pass after every op
             (default), or switch it off for pure admit/evict mode (the
             high-throughput configuration).
         drift_ratio / drift_hysteresis / drift_cooldown_ops: the
             :class:`~repro.dynamic.DriftMonitor` policy.
-        reservoir_size: held-back edge pool capacity.
+        reservoir_size: has no effect; must be ``>= 0`` (accepted so
+            existing configurations keep working).
         inbox_capacity: bound of the op inbox; its fill level drives the
             backpressure states.
         batch_ops: max ops one drain turn applies — the fairness quantum:

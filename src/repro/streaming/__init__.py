@@ -6,7 +6,6 @@ from repro.streaming.files import (
     shed_edge_list_file,
 )
 from repro.streaming.shedder import (
-    EdgeReservoir,
     ReservoirSample,
     count_stream_degrees,
     reservoir_shed,
@@ -19,7 +18,6 @@ __all__ = [
     "shed_stream",
     "reservoir_shed",
     "reservoir_slot",
-    "EdgeReservoir",
     "ReservoirSample",
     "iter_edge_list",
     "shed_edge_list_file",

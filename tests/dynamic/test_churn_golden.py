@@ -18,9 +18,9 @@ recorded state, and each batch's decision must equal the per-op decision
 of its last op.
 
 The edge counts, the rebuild count and ``repr(Δ)`` are stored in clear.
-The edges and weights of ``G`` and ``G'``, the stats, the sorted
-reservoir items, the monitor state with the graph version, and the
-per-op decision tuples are stored as SHA-256 prefixes of their ``repr``.
+The edges and weights of ``G`` and ``G'``, the stats, the monitor state
+with the graph version, and the per-op decision tuples are stored as
+SHA-256 prefixes of their ``repr``.
 Fresh churn nodes are ``("dyn", k)`` tuples whose hashes change with
 ``PYTHONHASHSEED``, so CI runs this file under two hash seeds.
 """
@@ -113,7 +113,6 @@ def _state(shedder):
         _digest((list(graph.edges()), list(graph.edge_weights()))),
         _digest((list(reduced.edges()), list(reduced.edge_weights()))),
         _digest(sorted(shedder.stats.items())),
-        _digest(sorted(shedder.reservoir.items())),
         _digest(
             (monitor.armed, monitor.rebuilds, graph.num_nodes, graph.version)
         ),
@@ -142,127 +141,127 @@ def _batched(run, ops):
 
 
 #: run id -> (|E|, |E'|, rebuilds, repr(Δ), G digest, G' digest, stats
-#: digest, reservoir digest, monitor digest) + (per-op decisions digest,).
+#: digest, monitor digest) + (per-op decisions digest,).
 _GOLDEN = {
     '00-insert-er-u-p0.3-repair-drift1.0': (
         576, 169, 0, '42.39999999999995',
-        '4fa4c003c29c0365', 'c6b4cc6dd4c28474', 'd3896474ec78b216',
-        '4ffbe1ec16480113', 'd5b80aeadd5ab061', '31b05229affdea1c',
+        '4fa4c003c29c0365', 'c6b4cc6dd4c28474', '55f936bc73293502',
+        'd5b80aeadd5ab061', '31b05229affdea1c',
     ),
     '01-insert-er-u-p0.5-norepair-drift1.0': (
         567, 274, 0, '57.0',
-        '0c58d5b2257f8f77', 'd0138889456b0ffd', '45418fb4095b8177',
-        '22445e5d4aca769a', '5c8181ae5016eb2a', 'ce1644776e3deb83',
+        '0c58d5b2257f8f77', 'd0138889456b0ffd', 'fd8815f2ea65a4e3',
+        '5c8181ae5016eb2a', 'ce1644776e3deb83',
     ),
     '02-insert-er-w-p0.7-repair-drift1.0': (
         561, 386, 0, '48.59999999999995',
-        'b10da41e45a3ac9d', '61877fe81626865a', 'e3a45db50e989950',
-        '86e0bc492584e5d4', 'a71bfff9c26f3764', 'ed47fa9bb46cff47',
+        'b10da41e45a3ac9d', '61877fe81626865a', 'c5ac12ea1226ec9d',
+        'a71bfff9c26f3764', 'ed47fa9bb46cff47',
     ),
     '03-insert-er-w-p0.3-norepair-drift1.0': (
         590, 160, 0, '57.99999999999999',
-        'f86691768458a1dd', '21460567abe6c591', 'bb339dbd714cf2eb',
-        '82f9ea3986debcaa', 'b9f418664a765f4d', '389e555d964ddce9',
+        'f86691768458a1dd', '21460567abe6c591', 'd0ffacc5aa930de5',
+        'b9f418664a765f4d', '389e555d964ddce9',
     ),
     '04-insert-plc-u-p0.5-repair-drift1.0': (
         571, 296, 0, '38.0',
-        'b208674b01a52b98', '007c021b1dfc24b0', '1b7ae957df53855e',
-        'c6b6e6cead5cd5c1', 'c66461b0fc0269a7', 'b1fe541882df33a6',
+        'b208674b01a52b98', '007c021b1dfc24b0', '3af201bf913665b0',
+        'c66461b0fc0269a7', 'b1fe541882df33a6',
     ),
     '05-insert-plc-u-p0.7-norepair-drift1.0': (
         571, 380, 0, '59.799999999999976',
-        '6b58001fac9f7a8b', '3344612aa2af03fd', 'f9cf2aac98b8c8f2',
-        '644e743f80cdb86c', 'c66461b0fc0269a7', 'b8cca41a8eeef396',
+        '6b58001fac9f7a8b', '3344612aa2af03fd', '3659d4af9d4d8c56',
+        'c66461b0fc0269a7', 'b8cca41a8eeef396',
     ),
     '06-insert-plc-w-p0.3-repair-drift0.3': (
         571, 168, 0, '36.39999999999998',
-        'c0dda0a273de1790', 'e580116aea920088', '04ad58e8554aecb0',
-        '0941bbbb57fc046a', 'c2206dd9858c968d', '4a734906ede0c580',
+        'c0dda0a273de1790', 'e580116aea920088', '4f2104f27128dc4b',
+        'c2206dd9858c968d', '4a734906ede0c580',
     ),
     '07-insert-plc-w-p0.5-norepair-drift0.3': (
         571, 281, 0, '47.0',
-        '95f75a774b518422', '67f958d5274cb6c5', '1f4c32871901f61e',
-        'ee42298ac3f6034d', 'ebf403a2cdd91e0b', '6da78a8d5546fef0',
+        '95f75a774b518422', '67f958d5274cb6c5', 'e38539ed0dbd2646',
+        'ebf403a2cdd91e0b', '6da78a8d5546fef0',
     ),
     '08-sliding-er-u-p0.7-repair-drift0.3': (
-        171, 121, 9, '18.40000000000001',
-        '14f33293305ca991', '62a4df64fe6a4515', '819c20a59d03bbed',
-        'eddda77d49a54d9c', '941a87e70c138294', 'af6789677cf6ec18',
+        171, 119, 9, '18.200000000000006',
+        '14f33293305ca991', 'a876d88794d7b5e2', '9d1a726c1c3126db',
+        '941a87e70c138294', '360b6bd1e64a568f',
     ),
     '09-sliding-er-u-p0.3-norepair-drift0.3': (
         148, 41, 0, '26.400000000000006',
-        'c6e316bc73451338', 'a0ae76207fc1ac2b', '749d3a24041f19f0',
-        '3256f56ae9cff734', 'e1a7c6b1ff832d67', '93f4af48545a0f14',
+        'c6e316bc73451338', 'a0ae76207fc1ac2b', '5370143dbd9e7b41',
+        'e1a7c6b1ff832d67', '93f4af48545a0f14',
     ),
     '10-sliding-er-w-p0.5-repair-drift0.3': (
-        184, 101, 0, '22.0',
-        '19771df0efc7fb56', 'fe9d4b25c3811243', '736f48640be3bbb5',
-        '446fd32cf7df24ce', '9b2225fd373797f0', 'e72bb121e425a10a',
+        184, 100, 0, '21.0',
+        '19771df0efc7fb56', '5046698eb3b0965e', 'b0ec49380bda3b18',
+        '9b2225fd373797f0', '15cbe2edfecca66f',
     ),
     '11-sliding-er-w-p0.7-norepair-drift0.3': (
         185, 129, 17, '20.2',
-        '6d69e892799f4e7a', 'af157f4f69e054b7', '63017226e5ae28c7',
-        '649f1df2bf955c00', '46cfe76bb3bea258', '79a45bcc758d0edc',
+        '6d69e892799f4e7a', 'af157f4f69e054b7', '3c3732c037ae6647',
+        '46cfe76bb3bea258', '79a45bcc758d0edc',
     ),
     '12-sliding-plc-u-p0.3-repair-drift0.1': (
         171, 55, 79, '17.6',
-        'f9d92d88fdb1e12a', 'c9c6b14e21b49614', 'ab64563e8b3f2807',
-        '7bdf8cddbd3cf7c4', '825256cb511bf658', '5d77baf5339bd974',
+        'f9d92d88fdb1e12a', 'c9c6b14e21b49614', '03f146a5c0049dcb',
+        '825256cb511bf658', 'cc0b1356f5c99602',
     ),
     '13-sliding-plc-u-p0.5-norepair-drift0.1': (
         171, 92, 80, '20.0',
-        'f1af719588de8b99', '8ae067f1131aff2b', 'ffce8a91acd2e2a3',
-        '09780a9ee7c97835', '0e13792370588625', 'e0fc1721097488bd',
+        'f1af719588de8b99', '8ae067f1131aff2b', '43026d75e5341079',
+        '0e13792370588625', 'e0fc1721097488bd',
     ),
     '14-sliding-plc-w-p0.7-repair-drift0.1': (
         171, 123, 80, '17.399999999999995',
-        '79d363d0470d046f', '8b1aa7a1f5cf4eb1', '8a44c4f2236b44d8',
-        '667a1c52e10a0508', '0c05f5c059955b7c', 'fc69dca6c8282d4d',
+        '79d363d0470d046f', '8b1aa7a1f5cf4eb1', '5ee175aa35b240b6',
+        '0c05f5c059955b7c', 'f895e31e9e37d96f',
     ),
     '15-sliding-plc-w-p0.3-norepair-drift0.1': (
         171, 49, 80, '17.199999999999996',
-        'ab089ef05ff03fac', '1eeeeddadd2926b6', '3fb7f8ba7f26da4a',
-        'ca4681a959cc334f', '0c05f5c059955b7c', '5cb5660622d5b38f',
+        'ab089ef05ff03fac', '1eeeeddadd2926b6', 'cc0a33f91632b9c9',
+        '0c05f5c059955b7c', '5cb5660622d5b38f',
     ),
     '16-mixed-er-u-p0.5-repair-drift0.1': (
         261, 131, 80, '29.0',
-        '5251f48a23c61bcd', '028e57d04293c70d', 'fc2498e2ab21b8af',
-        '209ea654361a1d53', '3a69b35cbcb8765f', '5d478c68ff64b9b3',
+        '5251f48a23c61bcd', '028e57d04293c70d', '09f82097d7404dca',
+        '3a69b35cbcb8765f', '5b580d57fa310d29',
     ),
     '17-mixed-er-u-p0.7-norepair-drift0.1': (
         240, 170, 80, '34.199999999999996',
-        '4bfe10b55c587030', '284576ed8d39766d', 'a1f41392f594b8af',
-        'cff946165a55383f', '0f788ea1e0028d8d', '76f081a0c2bb57ac',
+        '4bfe10b55c587030', '284576ed8d39766d', '6646734aa3156232',
+        '0f788ea1e0028d8d', '76f081a0c2bb57ac',
     ),
     '18-mixed-er-w-p0.3-repair-drift1.0': (
-        239, 70, 0, '25.000000000000004',
-        'cbe470ba1bdcf358', 'e5356bd0c99096c8', 'ed7981a750033581',
-        'bf9150734d7435dc', 'dd31d39287806147', '399a65d1077f3931',
+        239, 72, 0, '23.200000000000003',
+        'cbe470ba1bdcf358', '480e1a69595e5cac', '88aee71c745c059d',
+        'dd31d39287806147', '13249175d2539c33',
     ),
     '19-mixed-er-w-p0.5-norepair-drift1.0': (
         234, 117, 0, '36.0',
-        '114c0b0ed5cf96e9', '2370c60d36e72831', 'c21dda8ead288387',
-        '86f47d13ebc4e561', 'd62e580ffd9b6abe', '392985fe434ac66d',
+        '114c0b0ed5cf96e9', '2370c60d36e72831', '01efd31aa98eddd6',
+        'd62e580ffd9b6abe', '392985fe434ac66d',
     ),
     '20-mixed-plc-u-p0.7-repair-drift1.0': (
-        247, 177, 0, '24.600000000000005',
-        'e0879ee4715fc3fb', 'd134a235b6df7cc8', '935702e0480dc6cb',
-        '5670ddac4ed9ffdd', '1f40a207558f7a13', 'b0f3cf3de7b70ce3',
+        247, 176, 0, '27.40000000000001',
+        'e0879ee4715fc3fb', 'a5ad234073ee5383', '9e8e2e9c0c85d6d1',
+        '1f40a207558f7a13', '2bae9bf405cb7f0e',
     ),
     '21-mixed-plc-u-p0.3-norepair-drift1.0': (
         247, 62, 0, '42.59999999999999',
-        'a1a0a70b579a3c74', '2e6b234b86affa40', '432338abfa0db6d6',
-        'ba30db6b6a72df07', '441d355d64543a77', '4a75670a83ad7dba',
+        'a1a0a70b579a3c74', '2e6b234b86affa40', 'e6fec22b640c7f2d',
+        '441d355d64543a77', '4a75670a83ad7dba',
     ),
     '22-mixed-plc-w-p0.5-repair-drift1.0': (
-        259, 135, 0, '26.0',
-        '461e519a27a95669', '3f82d60e4ea7e726', '55765c7300329480',
-        '9f5802d518e1afb0', 'c35540c43e28e787', '1a6f4e7dcb36a62f',
+        259, 140, 0, '28.0',
+        '461e519a27a95669', 'c6a027a7db257882', '332e42d337ad1820',
+        'c35540c43e28e787', '1bddefcfe2063a02',
     ),
     '23-mixed-plc-w-p0.7-norepair-drift1.0': (
         217, 137, 0, '53.39999999999998',
-        '1b339695e97e3391', '06a680abb5401616', '0939aca80e8adbe6',
-        '427e2068acd20d97', '1cf1606a7ad441df', 'de30c0af53ab5b35',
+        '1b339695e97e3391', '06a680abb5401616', 'cab95f42520d400a',
+        '1cf1606a7ad441df', 'de30c0af53ab5b35',
     ),
 }
 

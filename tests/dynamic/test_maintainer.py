@@ -58,10 +58,20 @@ class TestConstruction:
         with pytest.raises(ReductionError):
             IncrementalShedder(small_er, 0.5, drift=DriftMonitor(0.4))
 
-    def test_reservoir_holds_shed_edges(self, small_er):
-        shed = IncrementalShedder(small_er, 0.5, seed=0)
-        shed_count = small_er.num_edges - shed.reduced.num_edges
-        assert len(shed.reservoir) == min(shed_count, shed.reservoir.capacity)
+    def test_reservoir_size_and_seed_have_no_effect(self, small_er):
+        ops = generate_workload("mixed", small_er, 300, seed=1)
+        ends = []
+        for reservoir_size, seed in ((256, 0), (0, 9), (7, None)):
+            shed = IncrementalShedder(
+                small_er.copy(), 0.5, reservoir_size=reservoir_size, seed=seed
+            )
+            shed.apply_ops(ops)
+            ends.append((list(shed.reduced.edges()), repr(shed.delta), shed.stats))
+        assert ends[0] == ends[1] == ends[2]
+
+    def test_negative_reservoir_size_refused(self, small_er):
+        with pytest.raises(ReductionError, match="^reservoir_size must be non-negative"):
+            IncrementalShedder(small_er, 0.5, reservoir_size=-1)
 
 
 class TestInsert:
@@ -191,7 +201,7 @@ class TestRebuild:
             maintainer.apply_ops(ops)
         assert list(shed.reduced.edges()) == list(twin.reduced.edges())
         assert shed.delta == twin.delta
-        assert shed.reservoir.items() == twin.reservoir.items()
+        assert shed.stats == twin.stats
 
     def test_manual_rebuild_restores_envelope(self, small_er):
         shed = IncrementalShedder(small_er, 0.5, seed=0)

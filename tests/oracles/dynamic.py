@@ -5,7 +5,7 @@ implementation of a churn op.  It inlines the tracker's graph-side
 arithmetic and the drift policy, and buffers stats and version checks
 across a batch.  The functions here are the plain per-op version it is
 pinned against: they drive an :class:`IncrementalShedder`'s own graphs,
-tracker, reservoir, repairer and drift monitor one op at a time, through
+tracker, repairer and drift monitor one op at a time, through
 ``Graph.add_edge``/``remove_edge``, the tracker's event methods and
 :meth:`DriftMonitor.observe`.
 
@@ -15,38 +15,26 @@ tracker, reservoir, repairer and drift monitor one op at a time, through
 * :func:`graph_edge_added` / :func:`graph_edge_removed` — the tracker's
   graph-side events, which ``apply_ops`` writes inline on the lists;
 * :class:`ReferenceRepairer` — :class:`repro.dynamic.LocalRepairer`'s
-  three moves scored with the vectorized formulas
-  (``add_change_from_dis``, ``remove_change_from_dis`` and
-  :func:`tests.oracles.core.swap_change_from_dis`) over a ``float64``
-  copy of the tracker's ``dis``, picked with ``np.argmin`` and
-  ``np.argsort(kind="stable")`` over id-sorted candidates.  The runtime
-  repairer scores the same candidates with scalar expressions and must
-  make the same moves in the same order.
+  two moves scored with the vectorized formulas
+  (``add_change_from_dis`` and ``remove_change_from_dis``) over a
+  ``float64`` copy of the tracker's ``dis``, picked with ``np.argmin``
+  and ``np.argsort(kind="stable")`` over id-sorted candidates.  The
+  runtime repairer scores the same candidates with scalar expressions and
+  must make the same moves in the same order.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Tuple
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
 from repro.core.discrepancy import add_change_from_dis, remove_change_from_dis
 from repro.dynamic import DriftDecision, DynamicDegreeTracker, IncrementalShedder
 from repro.dynamic.maintainer import ChurnOp
-from repro.dynamic.repair import (
-    _DEMOTE_THRESHOLD,
-    _EPSILON,
-    _PROBE_INTERVAL,
-    _RESERVOIR_PROBES,
-    _SWAP_IN_CANDIDATES,
-    _SWAP_INTERVAL,
-    _SWAP_OUT_CANDIDATES,
-    _key,
-)
+from repro.dynamic.repair import _DEMOTE_THRESHOLD, _EPSILON
 from repro.errors import EdgeNotFoundError, ReductionError, SelfLoopError
 from repro.graph.graph import Graph, Node
-from repro.streaming.shedder import EdgeReservoir
-from tests.oracles.core import swap_change_from_dis
 
 __all__ = [
     "ReferenceRepairer",
@@ -99,7 +87,6 @@ def insert(shedder: IncrementalShedder, u: Node, v: Node) -> DriftDecision:
         # Admission spends the grown capacity: no promotion hint.
         hints = (False, False)
     else:
-        shedder.reservoir.offer(_key(tu, tv))
         shedder.stats["rejected"] += 1
         hints = (new_cap_u > cap_u, new_cap_v > cap_v)
     shedder.stats["inserts"] += 1
@@ -127,7 +114,6 @@ def delete(shedder: IncrementalShedder, u: Node, v: Node) -> DriftDecision:
         # capacity shrank with the degree.
         hints = (tracker.capacity(tu) == cap_u, tracker.capacity(tv) == cap_v)
     else:
-        shedder.reservoir.discard(_key(tu, tv))
         hints = (False, False)
     shedder.stats["deletes"] += 1
     return _after_op(shedder, (tu, tv), hints)
@@ -155,10 +141,9 @@ def _after_op(
     """Repair around ``touched``, consult the drift monitor, maybe rebuild."""
     stats = shedder.stats
     if shedder._repairer is not None:
-        demoted, promoted, swapped = shedder._repairer.repair(touched, hints)
+        demoted, promoted = shedder._repairer.repair(touched, hints)
         stats["demoted"] += demoted
         stats["promoted"] += promoted
-        stats["swapped"] += swapped
     stats["ops"] += 1
     graph = shedder.graph
     decision = shedder.monitor.observe(
@@ -174,49 +159,41 @@ def _after_op(
 class ReferenceRepairer:
     """The churn repair's moves scored with numpy over a copy of ``dis``.
 
-    Same interface, move order, budgets and reservoir draws as
-    :class:`repro.dynamic.LocalRepairer`; install it on a maintainer with
+    Same interface and move order as :class:`repro.dynamic.LocalRepairer`:
+    demote at the touched nodes, promote at each touched node that was
+    hinted or demoted, then at the far endpoint of every evicted edge in
+    eviction order.  The runtime repairer skips the demoted touched
+    nodes: demotion leaves them no spare capacity, so promoting there
+    admits nothing, which this reference checks.  Install it on a
+    maintainer with
     ``shedder._repairer = ReferenceRepairer(shedder.graph, shedder.reduced,
-    shedder.tracker, shedder.reservoir)`` before the first op.
+    shedder.tracker)`` before the first op.
     """
 
-    def __init__(
-        self,
-        graph: Graph,
-        reduced: Graph,
-        tracker: DynamicDegreeTracker,
-        reservoir: EdgeReservoir,
-    ) -> None:
+    def __init__(self, graph: Graph, reduced: Graph, tracker: DynamicDegreeTracker) -> None:
         self._graph = graph
         self._reduced = reduced
         self._tracker = tracker
-        self._reservoir = reservoir
-        self._calls = 0
 
     def rebind(self, reduced: Graph) -> None:
         self._reduced = reduced
 
     def repair(
         self, touched: Tuple[int, ...], promote_hints: Tuple[bool, ...]
-    ) -> Tuple[int, int, int]:
-        self._calls += 1
-        counts = {"demoted": 0, "promoted": 0, "swapped": 0}
+    ) -> Tuple[int, int]:
+        evicted_far: List[int] = []
         demote_freed = []
         for node_id in touched:
-            demoted = self._demote(node_id)
-            demote_freed.append(demoted > 0)
-            counts["demoted"] += demoted
+            far = self._demote(node_id)
+            demote_freed.append(bool(far))
+            evicted_far.extend(far)
+        promoted = 0
         for index, node_id in enumerate(touched):
             if promote_hints[index] or demote_freed[index]:
-                counts["promoted"] += self._promote_local(node_id)
-        if self._calls % _PROBE_INTERVAL == 0:
-            counts["promoted"] += self._promote_reservoir()
-        if self._calls % _SWAP_INTERVAL == 0:
-            for node_id in touched:
-                if self._swap(node_id):
-                    counts["swapped"] += 1
-                    break
-        return counts["demoted"], counts["promoted"], counts["swapped"]
+                promoted += self._promote_local(node_id)
+        for node_id in evicted_far:
+            promoted += self._promote_local(node_id)
+        return len(evicted_far), promoted
 
     def _kept_neighbor_ids(self, node_id: int) -> np.ndarray:
         tracker = self._tracker
@@ -224,10 +201,10 @@ class ReferenceRepairer:
         ids = [tracker.id_of(x) for x in self._reduced.neighbors(label)]
         return np.sort(np.asarray(ids, dtype=np.int64))
 
-    def _demote(self, node_id: int) -> int:
+    def _demote(self, node_id: int) -> List[int]:
         tracker = self._tracker
         threshold = _DEMOTE_THRESHOLD + _EPSILON
-        demoted = 0
+        evicted = []
         while tracker.dis(node_id) > threshold and tracker.kept_degree(node_id) > 0:
             neighbor_ids = self._kept_neighbor_ids(node_id)
             dis = tracker.dis_array()
@@ -237,9 +214,10 @@ class ReferenceRepairer:
                 1.0,
             )
             other = int(neighbor_ids[int(np.argmin(changes))])
-            self._evict(node_id, other)
-            demoted += 1
-        return demoted
+            self._reduced.remove_edge(tracker.label_of(node_id), tracker.label_of(other))
+            tracker.kept_edge_removed(node_id, other)
+            evicted.append(other)
+        return evicted
 
     def _promote_local(self, node_id: int) -> int:
         tracker = self._tracker
@@ -276,84 +254,9 @@ class ReferenceRepairer:
                 break
             if far_spares[k] <= 0:
                 continue
-            self._admit(node_id, int(candidates[k]))
+            v = int(candidates[k])
+            self._reduced.add_edge(label, tracker.label_of(v))
+            tracker.kept_edge_added(node_id, v)
             spare -= 1
             promoted += 1
         return promoted
-
-    def _promote_reservoir(self) -> int:
-        reservoir = self._reservoir
-        if len(reservoir) == 0:
-            return 0
-        tracker = self._tracker
-        labels = tracker._labels
-        graph_adj = self._graph._adj
-        reduced_adj = self._reduced._adj
-        promoted = 0
-        for key in reservoir.probe(_RESERVOIR_PROBES):
-            u, v = key
-            lu, lv = labels[u], labels[v]
-            if lv not in graph_adj[lu] or lv in reduced_adj[lu]:
-                reservoir.discard(key)
-                continue
-            if tracker.spare_capacity(u) > 0 and tracker.spare_capacity(v) > 0:
-                reservoir.discard(key)
-                self._admit(u, v)
-                promoted += 1
-        return promoted
-
-    def _swap(self, node_id: int) -> bool:
-        tracker = self._tracker
-        if tracker.dis(node_id) <= 0.5 + _EPSILON:
-            return False
-        out_ids = self._kept_neighbor_ids(node_id)[:_SWAP_OUT_CANDIDATES]
-        in_keys = [
-            key
-            for key in self._reservoir.probe(_SWAP_IN_CANDIDATES)
-            if self._valid_candidate(*key)
-        ]
-        if out_ids.shape[0] == 0 or not in_keys:
-            return False
-        num_out, num_in = out_ids.shape[0], len(in_keys)
-        out_u = np.repeat(np.full(num_out, node_id, dtype=np.int64), num_in)
-        out_v = np.repeat(out_ids, num_in)
-        in_u = np.tile(np.asarray([a for a, _ in in_keys], dtype=np.int64), num_out)
-        in_v = np.tile(np.asarray([b for _, b in in_keys], dtype=np.int64), num_out)
-        changes = swap_change_from_dis(
-            tracker.dis_array(), out_u, out_v, in_u, in_v, 1.0, 1.0
-        )
-        for k in np.argsort(changes, kind="stable").tolist():
-            if changes[k] >= -_EPSILON:
-                return False
-            ou, ov = int(out_u[k]), int(out_v[k])
-            iu, iv = int(in_u[k]), int(in_v[k])
-            if self._swap_feasible(ou, ov, iu, iv):
-                self._evict(ou, ov)
-                self._reservoir.discard(_key(iu, iv))
-                self._admit(iu, iv)
-                return True
-        return False
-
-    def _valid_candidate(self, u: int, v: int) -> bool:
-        tracker = self._tracker
-        lu, lv = tracker.label_of(u), tracker.label_of(v)
-        return self._graph.has_edge(lu, lv) and not self._reduced.has_edge(lu, lv)
-
-    def _swap_feasible(self, out_u: int, out_v: int, in_u: int, in_v: int) -> bool:
-        tracker = self._tracker
-        for endpoint in (in_u, in_v):
-            freed = (endpoint == out_u) + (endpoint == out_v)
-            if tracker.spare_capacity(endpoint) + freed <= 0:
-                return False
-        return True
-
-    def _admit(self, u: int, v: int) -> None:
-        tracker = self._tracker
-        self._reduced.add_edge(tracker.label_of(u), tracker.label_of(v))
-        tracker.kept_edge_added(u, v)
-
-    def _evict(self, u: int, v: int) -> None:
-        tracker = self._tracker
-        self._reduced.remove_edge(tracker.label_of(u), tracker.label_of(v))
-        tracker.kept_edge_removed(u, v)
-        self._reservoir.offer(_key(u, v))

@@ -9,7 +9,13 @@ The contracts (ISSUE: dynamic shedding acceptance):
   the Theorem-2 envelope at the live graph size (a breach triggers an
   immediate rebuild, and a fresh BM2 lands inside the envelope);
 * a BM2 seed plus the default repair pass preserves BM2's per-node
-  guarantee ``dis(u) ≤ 1`` at every step.
+  guarantee ``dis(u) ≤ 1`` at every step;
+* and keeps ``G'`` a maximal b-matching under ``b(u) = [p·deg(u)]``
+  after every op: no edge of ``G ∖ G'`` has spare capacity at both
+  endpoints (Algorithm 2's Phase-1 invariant, which Theorem 2 rests on).
+
+Fresh churn nodes are ``("dyn", k)`` tuples whose hashes change with
+``PYTHONHASHSEED``, so CI runs this file under two hash seeds.
 """
 
 import hypothesis.strategies as st
@@ -24,6 +30,7 @@ from repro.dynamic import (
     generate_workload,
 )
 from repro.graph import Graph
+from repro.graph.generators import erdos_renyi, powerlaw_cluster
 
 _RATIOS = [0.25, 0.4, 0.5, 0.6, 0.75]
 
@@ -91,6 +98,47 @@ def test_bm2_per_node_guarantee_preserved(scenario):
         shed.apply(op)
         dis = shed.tracker.dis_array()
         assert dis.max() <= 1.0 + 1e-9
+
+
+def _contract_breaches(graph: Graph, reduced: Graph, p: float):
+    """Nodes with ``dis > 1`` and held-back edges with spare capacity at
+    both ends, read off the two graphs alone."""
+    over, spare = [], set()
+    for u in graph.nodes():
+        kept, deg = reduced.degree(u), graph.degree(u)
+        if kept - p * deg > 1.0 + 1e-9:
+            over.append(u)
+        if int(p * deg + 0.5) > kept:
+            spare.add(u)
+    held_back = [
+        (u, v)
+        for u in spare
+        for v in graph.neighbors(u)
+        if v in spare and not reduced.has_edge(u, v)
+    ]
+    return over, held_back
+
+
+@pytest.mark.parametrize("drift", [(1.0, 0), (0.1, 5)], ids=["default", "rebuilding"])
+@pytest.mark.parametrize("p", [0.3, 0.5, 0.7])
+@pytest.mark.parametrize("shape", ["mixed", "sliding"])
+@pytest.mark.parametrize("kind", ["er", "plc"])
+def test_bm2_seed_stays_maximal_after_every_op(kind, shape, p, drift):
+    """Repair promotes wherever spare capacity grew, so the maximality a BM2
+    seed or rebuild starts from holds after every op, not just eventually."""
+    if kind == "er":
+        graph = erdos_renyi(200, 0.03, seed=1)
+    else:
+        graph = powerlaw_cluster(200, 2, 0.3, seed=1)
+    ops = generate_workload(shape, graph, 400, seed=7)
+    ratio, cooldown = drift
+    monitor = DriftMonitor(p, drift_ratio=ratio, cooldown_ops=cooldown)
+    shed = IncrementalShedder(graph, p, drift=monitor)
+    assert _contract_breaches(shed.graph, shed.reduced, p) == ([], [])
+    for step, op in enumerate(ops):
+        shed.apply(op)
+        breaches = _contract_breaches(shed.graph, shed.reduced, p)
+        assert breaches == ([], []), f"after op {step + 1} ({op!r}): {breaches}"
 
 
 @given(churn_scenario())

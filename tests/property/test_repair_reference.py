@@ -12,7 +12,7 @@ an Erdős–Rényi or powerlaw-cluster graph, unit or with random edge
 weights, in one of the ``insert``/``sliding``/``mixed`` shapes (fresh
 ``("dyn", k)`` nodes included), at p in {0.3, 0.5, 0.7}, under a random
 batch split and drift policy.  After every batch both must agree exactly
-on ``G'`` (edges in order), the reservoir, the stats, ``repr(Δ)``,
+on ``G'`` (edges in order), the stats, ``repr(Δ)``,
 ``repr(approx_delta)`` and the batch's drift decision.  Candidate sets
 come from sets of node labels whose order follows ``PYTHONHASHSEED``,
 so CI runs this file under two hash seeds.
@@ -62,7 +62,6 @@ def _maintainer(graph, p, drift, seed):
 def _state(shedder, report):
     return (
         list(shedder.reduced.edges()),
-        sorted(shedder.reservoir.items()),
         dict(shedder.stats),
         repr(shedder.delta),
         repr(shedder.tracker.approx_delta),
@@ -77,7 +76,7 @@ def test_repair_matches_numpy_reference(stream):
     shipped = _maintainer(graph, p, drift, seed)
     reference = _maintainer(graph, p, drift, seed)
     reference._repairer = ReferenceRepairer(
-        reference.graph, reference.reduced, reference.tracker, reference.reservoir
+        reference.graph, reference.reduced, reference.tracker
     )
     assert _state(shipped, None) == _state(reference, None)
     for batch in batches:

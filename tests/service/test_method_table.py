@@ -93,6 +93,20 @@ class TestEveryRow:
             assert main(argv) == 0
             capsys.readouterr()
 
+    def test_sources_key_the_cache_only_where_the_row_reads_them(self, key):
+        graph = erdos_renyi(40, 0.15, seed=1)
+        reads = _row(key).reads_sources
+        with SheddingService(mode="inline") as service:
+            for sources in (None, 8, 16):
+                request = ReductionRequest(
+                    graph=graph, method=key, p=0.5, seed=3, num_sources=sources
+                )
+                result = service.submit(request).result(timeout=60)
+                assert result.status is JobStatus.COMPLETED, result.error
+                if sources is not None:
+                    assert result.cache_hit == (None if reads else "memory")
+            assert service.store.stats["computes"] == (3 if reads else 1)
+
     def test_ladder_reaches_random_without_a_cycle(self, key):
         seen = []
         method = key

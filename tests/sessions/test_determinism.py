@@ -28,7 +28,6 @@ def _fingerprint(shedder):
         "reduced_edges": list(shedder.reduced.edges()),
         "delta": shedder.delta,
         "stats": dict(shedder.stats),
-        "reservoir": sorted(map(repr, shedder.reservoir.items())),
         "armed": shedder.monitor.armed,
         "rebuilds": shedder.monitor.rebuilds,
         "nodes": shedder.graph.num_nodes,

@@ -162,122 +162,3 @@ class TestReservoirSlot:
         for seen in range(5, 50):
             slot = reservoir_slot(rng, seen=seen, capacity=5)
             assert -1 <= slot < 5
-
-
-class TestEdgeReservoir:
-    def _reservoir(self, capacity=4, seed=0):
-        from repro.streaming import EdgeReservoir
-
-        return EdgeReservoir(capacity, seed=seed)
-
-    def test_fills_then_replaces(self):
-        pool = self._reservoir(capacity=3)
-        for k in range(3):
-            assert pool.offer((k, k + 1))
-        assert len(pool) == 3
-        pool.offer((99, 100))  # may or may not replace, but never overflows
-        assert len(pool) == 3
-
-    def test_duplicates_refused_without_rng(self):
-        import numpy as np
-
-        from repro.streaming import EdgeReservoir
-
-        rng = np.random.default_rng(5)
-        pool = EdgeReservoir(1, seed=rng)
-        pool.offer((0, 1))
-        assert not pool.offer((0, 1))
-        untouched = np.random.default_rng(5)
-        assert rng.integers(10**9) == untouched.integers(10**9)
-
-    def test_discard_swap_pop(self):
-        pool = self._reservoir()
-        for k in range(4):
-            pool.offer((k, k + 1))
-        assert pool.discard((1, 2))
-        assert (1, 2) not in pool
-        assert len(pool) == 3
-        assert not pool.discard((1, 2))
-
-    def test_sample_bounded_and_distinct(self):
-        pool = self._reservoir(capacity=10)
-        for k in range(10):
-            pool.offer((k, k + 1))
-        picked = pool.sample(4)
-        assert len(picked) == len(set(picked)) == 4
-        assert set(pool.sample(99)) == set(pool.items())
-
-    def test_probe_bounded_distinct_and_held(self):
-        pool = self._reservoir(capacity=10)
-        for k in range(10):
-            pool.offer((k, k + 1))
-        picked = pool.probe(4)
-        assert 1 <= len(picked) <= 4  # collisions shrink, never grow
-        assert len(picked) == len(set(picked))
-        assert set(picked) <= set(pool.items())
-
-    def test_probe_returns_everything_when_count_covers_pool(self):
-        pool = self._reservoir(capacity=5)
-        for k in range(3):
-            pool.offer((k, k + 1))
-        assert set(pool.probe(3)) == set(pool.items())
-        assert pool.probe(99) == pool.items()
-        assert self._reservoir(capacity=2).probe(4) == []
-
-    def test_fill_ratio(self):
-        pool = self._reservoir(capacity=4)
-        assert pool.fill_ratio == 0.0
-        pool.offer((0, 1))
-        assert pool.fill_ratio == 0.25
-        assert self._reservoir(capacity=0).fill_ratio == 1.0
-
-    def test_refill_with_nothing_empties_the_pool(self):
-        pool = self._reservoir()
-        pool.offer((0, 1))
-        pool.refill([])
-        assert len(pool) == 0 and (0, 1) not in pool
-        assert pool._offers == 0
-
-    @pytest.mark.parametrize("capacity", [0, 1, 7, 300])
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_refill_equals_offering_each_item(self, capacity, seed):
-        """One broadcast draw replays the per-offer Algorithm-R stream: same
-        held items in the same slots, same offer count, same next draw."""
-        items = [(k, k + 1 + k % 5) for k in range(257)]
-        offered = self._reservoir(capacity, seed)
-        for item in items:
-            offered.offer(item)
-        refilled = self._reservoir(capacity, seed)
-        refilled.offer((-2, -1))  # refill drops what the pool held before
-        refilled.refill(items)
-        assert refilled.items() == offered.items()
-        assert all(refilled.discard(item) for item in offered.items())
-        assert refilled._offers == offered._offers == len(items)
-        assert refilled._rng.integers(10**9) == offered._rng.integers(10**9)
-
-    def test_refill_rejects_repeated_items_before_drawing(self):
-        pool = self._reservoir(capacity=1, seed=3)
-        with pytest.raises(ReductionError):
-            pool.refill([(0, 1), (1, 2), (0, 1)])
-        assert pool._rng.integers(10**9) == self._reservoir(1, 3)._rng.integers(10**9)
-
-    def test_negative_capacity_rejected(self):
-        from repro.streaming import EdgeReservoir
-
-        with pytest.raises(ReductionError):
-            EdgeReservoir(-1)
-
-    def test_long_offer_stream_roughly_uniform(self):
-        """Algorithm-R replacement leaves a near-uniform sample."""
-        from repro.streaming import EdgeReservoir
-
-        hits = dict.fromkeys(range(40), 0)
-        runs = 300
-        for seed in range(runs):
-            pool = EdgeReservoir(20, seed=seed)
-            for k in range(40):
-                pool.offer((k, k + 1))
-            for u, _ in pool.items():
-                hits[u] += 1
-        for count in hits.values():
-            assert 0.3 < count / runs < 0.7

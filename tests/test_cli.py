@@ -1,7 +1,6 @@
 """Tests for the command-line interface."""
 
 import json
-import re
 
 import pytest
 
@@ -357,6 +356,11 @@ class TestOneLineExits:
                 ["session", "--method", "uds", "--ops", "10"],
                 "method 'uds' does not shed to a subgraph of G",
             ),
+            (["reduce", "--method", "bm2", "--workers", "-3"], "--workers requires --shards"),
+            (
+                ["dynamic", "--p", "1.5", "--ops", "10"],
+                "edge preservation ratio must be in (0, 1), got 1.5",
+            ),
         ],
     )
     def test_refused_value(self, argv, message):
@@ -365,17 +369,18 @@ class TestOneLineExits:
         assert raised.value.code == message
 
     @pytest.mark.parametrize(
-        "argv, pattern",
-        [
-            (["progressive"], r"UDS level 0 \(p=0.8\) keeps \d+ edges outside its input"),
-            (["dynamic", "--ops", "10"], r"UDS keeps \d+ edges outside G"),
-        ],
+        "argv", [["progressive"], ["dynamic", "--ops", "10"]], ids=["progressive", "dynamic"]
     )
-    def test_uds_output_outside_g(self, argv, pattern):
+    def test_uds_refused_before_it_runs(self, argv, monkeypatch):
+        from repro.baselines.uds import UDSSummarizer
+
+        def never(self, graph, p):
+            raise AssertionError("UDS ran before the refusal")
+
+        monkeypatch.setattr(UDSSummarizer, "_reduce", never)
         with pytest.raises(SystemExit) as raised:
             main(argv + ["--scale", "0.02", "--method", "uds"])
-        assert re.match(pattern, raised.value.code)
-        assert "\n" not in raised.value.code
+        assert raised.value.code == "method 'uds' does not shed to a subgraph of G"
 
 
 class TestDynamicCommand:
@@ -384,7 +389,7 @@ class TestDynamicCommand:
         assert args.churn == "mixed"
         assert args.ops == 5000
         assert args.drift_ratio == 1.0
-        assert args.reservoir == 256
+        assert "reservoir" not in vars(args)
 
     def test_unknown_churn_rejected(self):
         with pytest.raises(SystemExit):
@@ -411,7 +416,7 @@ class TestDynamicCommand:
         assert "per-op latency" in out
         assert "p99=" in out
         assert "final delta: live=" in out
-        assert "rebuilds=" in out
+        assert "rebuilds=" in out and "swapped=" not in out
 
     def test_dynamic_from_input_file(self, tmp_path, capsys, figure1):
         from repro.graph.io import write_edge_list
@@ -452,6 +457,7 @@ class TestSessionCommand:
         assert args.sessions == 1
         assert args.inbox == 4096
         assert args.shed_watermark == 0.75
+        assert "reservoir" not in vars(args)
 
     def test_session_human_summary(self, capsys):
         code = main(
